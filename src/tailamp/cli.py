@@ -72,6 +72,17 @@ class BenchConfig:
         methods = tuple(self.methods)
         if not methods or any(m not in ("mc", "mliqae") for m in methods):
             raise ValueError("methods must be a nonempty subset of {mc, mliqae}")
+        # Check the controller overrides now, not when the first mliqae cell runs.
+        if not isinstance(self.controller, dict):
+            raise ValueError("controller must be a mapping of field names to values")
+        tunable = {f.name for f in fields(mliqae.ControllerConfig)} - {"budget"}
+        unknown = set(self.controller) - tunable
+        if unknown:
+            raise ValueError(f"unknown controller fields: {sorted(unknown)}")
+        try:
+            mliqae.ControllerConfig(budget=budgets[0], **self.controller)
+        except TypeError as exc:
+            raise ValueError(f"bad controller value: {exc}") from None
         object.__setattr__(self, "budgets", budgets)
         object.__setattr__(self, "methods", methods)
 
@@ -315,11 +326,8 @@ def _config_from_args(args) -> BenchConfig:
         "out_dir": "out_dir",
         "reps": "repetitions",
         "n_scenarios": "n_scenarios",
-        "method": None,  # estimate-only flag, not a config field
     }
     for attr, key in flag_map.items():
-        if key is None:
-            continue
         val = getattr(args, attr, None)
         if val is not None:
             data[key] = val

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 # Domain inset: endpoints are kept inside the open interval (0, pi/2) so that
 # amplitude preimages never touch the degenerate angles 0 and pi/2.
 THETA_EPS = 1e-12
@@ -146,19 +144,3 @@ def theta_preimage(k: int, p_lo: float, p_hi: float) -> IntervalUnion:
         bands.append(((base + math.pi - phi_hi) / omega, (base + math.pi - phi_lo) / omega))
     return IntervalUnion(bands)
 
-
-def amplitude_bounds(union: IntervalUnion) -> tuple[float, float]:
-    """Map the hull of a feasible angle set to amplitude space a = sin^2 theta."""
-    lo, hi = union.hull()
-    return (math.sin(lo) ** 2, math.sin(hi) ** 2)
-
-
-def grid_over(union: IntervalUnion, points_per_component: int = 512) -> np.ndarray:
-    """Dense evaluation grid covering every component, endpoints included."""
-    if union.is_empty:
-        return np.empty(0)
-    parts = [
-        np.linspace(lo, hi, points_per_component)
-        for lo, hi in union.components
-    ]
-    return np.concatenate(parts)

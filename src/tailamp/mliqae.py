@@ -24,10 +24,15 @@ from .stats import (
     clopper_pearson,
     delta_schedule,
     log_likelihood,
+    log_likelihood_slopes,
     log_likelihood_terms,
+    order_totals,
 )
 
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+# Cap on refinement steps per MLE.  Bisection alone narrows a one-grid-step
+# bracket below 1e-10 in under 30 steps, so the cap never binds in practice;
+# it only rules out a non-terminating loop.
+_NEWTON_MAX_STEPS = 100
 
 # Likelihood-ratio gate for shedding a contradicted batch: twice the log
 # likelihood gap between the unconstrained and the constrained optimum must
@@ -57,7 +62,7 @@ class ControllerConfig:
     epsilon_a: float = 0.0         # amplitude half-width stop; 0 runs the budget out
     saturation_band: float = 0.02
     grid_points: int = 512
-    mle_bracket: float = 1e-10
+    mle_bracket: float = 1e-10     # Newton stops once its step or bracket is this narrow
 
     def __post_init__(self):
         if self.budget < 1:
@@ -72,11 +77,28 @@ class ControllerConfig:
             raise ValueError("max_components must be positive")
         if self.restart_cap < 0:
             raise ValueError("restart_cap must be nonnegative")
+        if self.k_max < 0:
+            raise ValueError("k_max must be nonnegative")
+        if not all(0 <= k <= self.k_max for k in self.disambig_depths):
+            raise ValueError("disambig_depths must lie in [0, k_max]")
+        if not self.shot_scale > 0.0:
+            raise ValueError("shot_scale must be positive")
+        if not self.epsilon_a >= 0.0:
+            raise ValueError("epsilon_a must be nonnegative")
+        if not 0.0 <= self.saturation_band < 0.5:
+            raise ValueError("saturation_band must lie in [0, 0.5)")
+        if self.grid_points < 2:
+            raise ValueError("grid_points must be at least 2")
+        if not self.mle_bracket > 0.0:
+            raise ValueError("mle_bracket must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchLog:
-    """Audit entry for one executed batch; discarded batches stay logged."""
+    """Audit entry for one executed batch; discarded batches stay logged.
+
+    Slotted: a report keeps one entry per batch, hundreds on a saturated run.
+    """
 
     kind: str       # "round", "disambig", or "restart"
     k: int
@@ -124,24 +146,17 @@ class EstimateReport:
     ledger: tuple[BatchLog, ...]
 
 
-def _round_arrays(rounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    omega = np.array([2 * r.k + 1 for r in rounds], dtype=float)
-    hs = np.array([r.h for r in rounds], dtype=float)
-    tails = np.array([r.m - r.h for r in rounds], dtype=float)
-    return omega, hs, tails
-
-
-def _component_sups(union: IntervalUnion, rounds, grid_points: int):
+def _component_sups(union: IntervalUnion, totals, grid_points: int):
     """Grid supremum of the log-likelihood over each component.
 
-    Returns (sups, arg_thetas, brackets); brackets are the one-grid-step
+    totals are the per-order sufficient statistics of the rounds.  Returns
+    (sups, arg_thetas, brackets); brackets are the one-grid-step
     neighborhoods around each argmax, used to seed refinement.
     """
-    omega, hs, tails = _round_arrays(rounds)
     comps = union.components
     grids = [np.linspace(lo, hi, grid_points) for lo, hi in comps]
     flat = np.concatenate(grids)
-    ll = log_likelihood_terms(flat, omega, hs, tails) if rounds else np.zeros(flat.size)
+    ll = log_likelihood_terms(flat, *totals)
     sups, args, brackets = [], [], []
     start = 0
     for (lo, hi), grid in zip(comps, grids):
@@ -160,7 +175,7 @@ def _prune(union: IntervalUnion, state: "InferenceState", cfg: ControllerConfig)
     """Keep at most max_components components, ranked by likelihood support."""
     if len(union) <= cfg.max_components or union.is_empty:
         return union
-    sups, _, _ = _component_sups(union, state.rounds, cfg.grid_points)
+    sups, _, _ = _component_sups(union, order_totals(state.rounds), cfg.grid_points)
     if state.theta_hat is not None:
         ref = state.theta_hat
     else:
@@ -193,49 +208,63 @@ def update_feasible(state: InferenceState, rec: RoundRecord, cfg: ControllerConf
         state.feasible = _prune(new, state, cfg)
 
 
+def _newton_refine(args, brackets, totals, width: float) -> np.ndarray:
+    """Maximize the likelihood inside each bracket, all components at once.
+
+    The log-likelihood is concave between its singular angles, so its
+    maximum over a bracket is where the score changes sign from + to -, or
+    the edge the score points to when it does not change sign.  Newton steps
+    start from the grid argmax; the score at each iterate moves the bracket
+    edge on its side up to it, and a step that leaves the bracket becomes a
+    bisection.  A component stops once its step or its bracket is narrower
+    than width.
+    """
+    lo = np.array([b[0] for b in brackets])
+    hi = np.array([b[1] for b in brackets])
+    score_lo, _ = log_likelihood_slopes(lo, *totals)
+    score_hi, _ = log_likelihood_slopes(hi, *totals)
+    at_lo = score_lo <= 0.0
+    at_hi = ~at_lo & (score_hi >= 0.0)
+    th = np.array(args, dtype=float)
+    active = ~(at_lo | at_hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if not active.any():
+            break
+        score, curv = log_likelihood_slopes(th, *totals)
+        lo = np.where(active & (score > 0.0), th, lo)
+        hi = np.where(active & (score < 0.0), th, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = th - score / curv
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        done = (score == 0.0) | (np.abs(step - th) <= width) | (hi - lo <= width)
+        th = np.where(active & (score != 0.0), step, th)
+        active &= ~done
+    return np.where(at_lo, lo, np.where(at_hi, hi, th))
+
+
 def constrained_mle(
     union: IntervalUnion, rounds, cfg: ControllerConfig
 ) -> tuple[float, float]:
     """Maximum-likelihood angle restricted to the feasible union.
 
-    Grid scan per component, then simultaneous golden-section refinement of
-    every component's bracket down to cfg.mle_bracket.  The winning
-    component is the one with the larger likelihood sup; exact ties go to
-    the smaller angle.  Returns (theta_hat, a_hat).
+    Grid scan per component on the per-order sufficient statistics, then
+    bracket-guarded Newton refinement of every component's grid argmax on
+    the analytic score, stopping at cfg.mle_bracket.  The winning component
+    is the one with the larger likelihood sup; exact ties go to the smaller
+    angle.  Without rounds the likelihood is flat and the leftmost point
+    wins.  Returns (theta_hat, a_hat).
     """
     if union.is_empty:
         raise ValueError("cannot take an MLE over an empty feasible set")
-    omega, hs, tails = _round_arrays(rounds)
-
-    def evaluate(th: np.ndarray) -> np.ndarray:
-        if not rounds:
-            return np.zeros(th.size)
-        return log_likelihood_terms(th, omega, hs, tails)
-
-    sups, args, brackets = _component_sups(union, rounds, cfg.grid_points)
-    lo = np.array([b[0] for b in brackets])
-    hi = np.array([b[1] for b in brackets])
-    x1 = hi - _INV_GOLD * (hi - lo)
-    x2 = lo + _INV_GOLD * (hi - lo)
-    f1 = evaluate(x1)
-    f2 = evaluate(x2)
-    while np.max(hi - lo) > cfg.mle_bracket:
-        shrink_left = f1 < f2
-        lo = np.where(shrink_left, x1, lo)
-        hi = np.where(shrink_left, hi, x2)
-        nx1 = np.where(shrink_left, x2, hi - _INV_GOLD * (hi - lo))
-        nx2 = np.where(shrink_left, lo + _INV_GOLD * (hi - lo), x1)
-        probe = np.where(shrink_left, nx2, nx1)
-        fp = evaluate(probe)
-        f1, f2 = np.where(shrink_left, f2, fp), np.where(shrink_left, fp, f1)
-        x1, x2 = nx1, nx2
-    mid = 0.5 * (lo + hi)
-    fm = evaluate(mid)
+    totals = order_totals(rounds)
+    sups, args, brackets = _component_sups(union, totals, cfg.grid_points)
+    refined = _newton_refine(args, brackets, totals, cfg.mle_bracket)
+    fm = log_likelihood_terms(refined, *totals)
     best_ll, best_th = -math.inf, None
     for i in range(len(union)):
         # The refined point can only improve on the grid argmax; keep the max.
         cand_ll = max(sups[i], float(fm[i]))
-        cand_th = float(mid[i]) if fm[i] >= sups[i] else args[i]
+        cand_th = float(refined[i]) if fm[i] >= sups[i] else args[i]
         if best_th is None or cand_ll > best_ll or (cand_ll == best_ll and cand_th < best_th):
             best_ll, best_th = cand_ll, cand_th
     return best_th, math.sin(best_th) ** 2
@@ -390,8 +419,10 @@ def _most_inconsistent(rounds, cfg: ControllerConfig) -> int:
     most recent batch cannot cure) dominates this score by a wide margin.
     """
     theta_star, _ = constrained_mle(IntervalUnion.full_domain(), rounds, cfg)
-    omega, hs, tails = _round_arrays(rounds)
-    ms = hs + tails
+    omega = np.array([2 * r.k + 1 for r in rounds], dtype=float)
+    hs = np.array([r.h for r in rounds], dtype=float)
+    ms = np.array([r.m for r in rounds], dtype=float)
+    tails = ms - hs
     p = np.clip(np.sin(omega * theta_star) ** 2, 1e-15, 1.0 - 1e-15)
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = np.where(hs > 0, hs * np.log(hs / (ms * p)), 0.0)
@@ -580,7 +611,11 @@ def _build_report(state: InferenceState, cfg: ControllerConfig) -> EstimateRepor
         hull = state.feasible.hull()
         feasible = state.feasible
     theta_hat, a_hat = constrained_mle(support, state.rounds, cfg)
-    a_bounds = (math.sin(hull[0]) ** 2, math.sin(hull[1]) ** 2)
+    # The domain inset keeps angles off 0 and pi/2; a hull reaching an inset
+    # edge admits the degenerate amplitude itself.
+    a_lo = 0.0 if hull[0] <= THETA_LO else math.sin(hull[0]) ** 2
+    a_hi = 1.0 if hull[1] >= THETA_HI else math.sin(hull[1]) ** 2
+    a_bounds = (a_lo, a_hi)
     return EstimateReport(
         theta_hat=theta_hat,
         a_hat=a_hat,

@@ -3,9 +3,11 @@
 Each batch of shots at amplification order k is a binomial draw whose success
 probability is sin^2((2k+1) theta).  Everything downstream (feasible sets,
 confidence bookkeeping, likelihood surfaces) is built from the pieces here:
-Clopper-Pearson interval endpoints through an inverse regularized incomplete
-beta, a summable per-round confidence schedule, and the exact log-likelihood
-of a collection of rounds.
+Clopper-Pearson interval endpoints as beta quantiles (scipy's inverse
+regularized incomplete beta), a summable per-round confidence schedule, and
+the exact log-likelihood of a collection of rounds with its first two angle
+derivatives.  The likelihood depends on the rounds only through the success
+and failure totals at each distinct order, so it is evaluated on those.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-
-INV_BETA_TOL = 1e-12
-INV_BETA_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -49,60 +48,6 @@ class ConfidenceInterval:
     hi: float
 
 
-def inverse_reg_incomplete_beta(q: float, a: float, b: float) -> float:
-    """Solve I_x(a, b) = q for x in [0, 1].
-
-    Bisection provides a bracketing seed, then Newton steps (guarded to stay
-    inside the bracket) polish to INV_BETA_TOL.  Raises RuntimeError if the
-    combined iteration count exceeds INV_BETA_MAX_ITER without converging.
-    """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("beta parameters must be positive")
-    if q <= 0.0:
-        return 0.0
-    if q >= 1.0:
-        return 1.0
-
-    lo, hi = 0.0, 1.0
-    iters = 0
-    # Bisection until the bracket is narrow enough to trust Newton.
-    while hi - lo > 1e-4:
-        iters += 1
-        if iters > INV_BETA_MAX_ITER:
-            raise RuntimeError("inverse incomplete beta: bisection stalled")
-        mid = 0.5 * (lo + hi)
-        if special.betainc(a, b, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-
-    ln_beta = special.betaln(a, b)
-    x = 0.5 * (lo + hi)
-    while iters <= INV_BETA_MAX_ITER:
-        iters += 1
-        f = special.betainc(a, b, x) - q
-        if f < 0.0:
-            lo = max(lo, x)
-        else:
-            hi = min(hi, x)
-        # Beta density at x; underflows to 0 far in the tails.
-        if 0.0 < x < 1.0:
-            pdf = math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_beta)
-        else:
-            pdf = 0.0
-        if pdf > 0.0:
-            step = f / pdf
-            x_new = x - step
-        else:
-            x_new = math.nan
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)  # Newton left the bracket; fall back
-        if abs(x_new - x) <= INV_BETA_TOL:
-            return x_new
-        x = x_new
-    raise RuntimeError("inverse incomplete beta: did not converge")
-
-
 def clopper_pearson(h: int, m: int, delta: float) -> ConfidenceInterval:
     """Exact two-sided binomial confidence interval at miscoverage delta.
 
@@ -118,11 +63,11 @@ def clopper_pearson(h: int, m: int, delta: float) -> ConfidenceInterval:
     if h == 0:
         p_lo = 0.0
     else:
-        p_lo = inverse_reg_incomplete_beta(delta / 2.0, h, m - h + 1)
+        p_lo = float(special.betaincinv(h, m - h + 1, delta / 2.0))
     if h == m:
         p_hi = 1.0
     else:
-        p_hi = inverse_reg_incomplete_beta(1.0 - delta / 2.0, h + 1, m - h)
+        p_hi = float(special.betaincinv(h + 1, m - h, 1.0 - delta / 2.0))
     return ConfidenceInterval(p_lo, p_hi)
 
 
@@ -139,6 +84,24 @@ def delta_schedule(t: int, delta_tot: float) -> float:
     return (6.0 / math.pi**2) * delta_tot / (t * t)
 
 
+def order_totals(rounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sufficient statistics of the rounds: one row per distinct order k.
+
+    Returns (omega, hs, tails) with omega = 2k+1 in ascending k, hs the summed
+    successes and tails the summed failures m - h at that order.
+    """
+    totals: dict[int, list[int]] = {}
+    for r in rounds:
+        acc = totals.setdefault(r.k, [0, 0])
+        acc[0] += r.h
+        acc[1] += r.m - r.h
+    ks = sorted(totals)
+    omega = np.array([2 * k + 1 for k in ks], dtype=float)
+    hs = np.array([totals[k][0] for k in ks], dtype=float)
+    tails = np.array([totals[k][1] for k in ks], dtype=float)
+    return omega, hs, tails
+
+
 def log_likelihood_terms(
     theta: np.ndarray,
     omega: np.ndarray,
@@ -147,9 +110,10 @@ def log_likelihood_terms(
 ) -> np.ndarray:
     """Log-likelihood over a theta grid from pre-extracted round arrays.
 
-    omega = 2k+1 per round, hs = successes, tails = m - h.  Zero counts
-    annihilate their term even when the corresponding log is -inf, matching
-    the 0 * log 0 = 0 convention; -inf is a legitimate output elsewhere.
+    omega = 2k+1 per row, hs = successes, tails = m - h (per round or, as
+    order_totals gives them, per order).  Zero counts annihilate their term
+    even when the corresponding log is -inf, matching the 0 * log 0 = 0
+    convention; -inf is a legitimate output elsewhere.
     """
     ang = np.multiply.outer(omega.astype(float), theta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,20 +124,34 @@ def log_likelihood_terms(
     return 2.0 * (t1 + t2).sum(axis=0)
 
 
+def log_likelihood_slopes(
+    theta: np.ndarray,
+    omega: np.ndarray,
+    hs: np.ndarray,
+    tails: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and curvature of log_likelihood_terms at each theta.
+
+    score = 2 sum w (h cot(w theta) - t tan(w theta)) and
+    curvature = -2 sum w^2 (h csc^2(w theta) + t sec^2(w theta)), which is
+    negative wherever it is finite: the likelihood is concave between the
+    singular angles where a counted outcome has probability zero.
+    """
+    ang = np.multiply.outer(omega, theta)
+    s, c = np.sin(ang), np.cos(ang)
+    w, h, t = omega[:, None], hs[:, None], tails[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.where(h > 0, h * c / s, 0.0) - np.where(t > 0, t * s / c, 0.0)
+        curv = np.where(h > 0, h / (s * s), 0.0) + np.where(t > 0, t / (c * c), 0.0)
+    return 2.0 * (w * score).sum(axis=0), -2.0 * (w * w * curv).sum(axis=0)
+
+
 def log_likelihood(theta, rounds) -> float | np.ndarray:
     """Exact log-likelihood of the observed rounds at angle(s) theta.
 
     Each round contributes h log sin^2(w theta) + (m - h) log cos^2(w theta)
     with w = 2k+1.  Scalar in, scalar out; arrays are evaluated pointwise.
     """
-    th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
-    th = np.atleast_1d(th)
-    if not rounds:
-        out = np.zeros_like(th)
-        return float(out[0]) if scalar else out
-    omega = np.array([2 * r.k + 1 for r in rounds])
-    hs = np.array([r.h for r in rounds])
-    tails = np.array([r.m - r.h for r in rounds])
-    out = log_likelihood_terms(th, omega, hs, tails)
-    return float(out[0]) if scalar else out
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    out = log_likelihood_terms(th, *order_totals(rounds))
+    return float(out[0]) if np.ndim(theta) == 0 else out

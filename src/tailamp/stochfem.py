@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 QOI_NAMES = ("compliance", "tipdisp", "vmmax")
 
@@ -402,7 +400,11 @@ class PlaneStressSolver:
         self.free = np.flatnonzero(free)
         self.n_dof = n_dof
 
-    def assemble(self, moduli: np.ndarray) -> sparse.csr_matrix:
+    def assemble(self, moduli: np.ndarray):
+        # scipy.sparse is imported on first use: it costs about 3 MB of
+        # resident memory that no other part of the package needs.
+        from scipy import sparse
+
         moduli = np.asarray(moduli, dtype=float)
         if moduli.shape != (self.mesh.n_elems,):
             raise ValueError("one modulus per element required")
@@ -415,6 +417,8 @@ class PlaneStressSolver:
         return k.tocsr()
 
     def solve(self, moduli: np.ndarray, traction: float = 1.0) -> PlaneStressResult:
+        from scipy.sparse.linalg import spsolve
+
         k = self.assemble(moduli)
         f = traction * self.mesh.unit_load
         u = np.zeros(self.n_dof)
@@ -429,6 +433,8 @@ class PlaneStressSolver:
         self, moduli: np.ndarray, dirichlet_dofs: np.ndarray, dirichlet_values: np.ndarray
     ) -> np.ndarray:
         """Solve with inhomogeneous Dirichlet data and no applied load."""
+        from scipy.sparse.linalg import spsolve
+
         k = self.assemble(moduli)
         n = self.n_dof
         u = np.zeros(n)

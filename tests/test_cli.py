@@ -105,6 +105,24 @@ class TestBenchConfig:
         with pytest.raises(ValueError):
             BenchConfig(repetitions=0)
 
+    @pytest.mark.parametrize(
+        "controller, message",
+        [
+            ({"spam": 1}, "unknown controller fields"),
+            ({"budget": 10}, "unknown controller fields"),
+            ({"mle_bracket": 0.0}, "mle_bracket"),
+            ({"k_max": "deep"}, "bad controller value"),
+            (["k_max"], "mapping"),
+        ],
+    )
+    def test_rejects_bad_controller_overrides(self, controller, message):
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(controller=controller)
+
+    def test_accepts_controller_overrides(self):
+        cfg = BenchConfig(controller={"k_max": 8, "disambig_depths": [0, 1]})
+        assert cfg.controller["k_max"] == 8
+
 
 class TestRunBench:
     def test_row_count_and_sort_order(self, small_ensemble):
@@ -288,6 +306,24 @@ class TestCommands:
         rc = main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "unknown config fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "controller, message",
+        [
+            ({"mle_bracket": 0}, "mle_bracket must be positive"),
+            ({"spam": 1}, "unknown controller fields"),
+        ],
+    )
+    def test_bad_controller_override_fails_before_any_cell_runs(
+        self, tmp_path, capsys, controller, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"benchmark": "bar1d", "controller": controller}))
+        rc = main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -9,11 +9,20 @@ from tailamp.intervals import (
     THETA_HI,
     THETA_LO,
     IntervalUnion,
-    amplitude_bounds,
-    grid_over,
     theta_preimage,
 )
+from tailamp.mliqae import ControllerConfig, run
+from tailamp.qsim import AnalyticOracle
 from tailamp.stats import clopper_pearson
+
+
+def grid_over(union: IntervalUnion, points_per_component: int = 512) -> np.ndarray:
+    """Dense evaluation grid covering every component, endpoints included."""
+    if union.is_empty:
+        return np.empty(0)
+    return np.concatenate(
+        [np.linspace(lo, hi, points_per_component) for lo, hi in union.components]
+    )
 
 # Angle bands induced by 262/1000 successes at order 0 and 998/1000 at
 # order 1, both at risk 0.05.  The endpoints below were verified against
@@ -203,10 +212,12 @@ class TestPreimage:
 
 class TestAmplitudeBounds:
     def test_maps_hull_through_squared_sine(self):
-        u = IntervalUnion([(0.3, 0.4), (0.6, 0.7)])
-        lo, hi = amplitude_bounds(u)
-        assert lo == pytest.approx(math.sin(0.3) ** 2, abs=1e-15)
-        assert hi == pytest.approx(math.sin(0.7) ** 2, abs=1e-15)
+        # A controller report maps its feasible hull to amplitude space.
+        report = run(AnalyticOracle(0.2625), ControllerConfig(budget=4000), np.random.default_rng(5))
+        lo, hi = report.feasible.hull()
+        assert report.theta_bounds == (lo, hi)
+        assert report.a_bounds[0] == pytest.approx(math.sin(lo) ** 2, abs=1e-15)
+        assert report.a_bounds[1] == pytest.approx(math.sin(hi) ** 2, abs=1e-15)
 
 
 class TestGridOver:

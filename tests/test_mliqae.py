@@ -1,11 +1,13 @@
 """Estimation controller tests: policies, feasibility updates, recovery."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from tailamp import mliqae
+from tailamp.cli import run_seed
 from tailamp.intervals import IntervalUnion, theta_preimage
 from tailamp.mliqae import (
     ControllerConfig,
@@ -68,6 +70,31 @@ class TestControllerConfig:
             ControllerConfig(budget=100, m_min=100, m_max=10)
         with pytest.raises(ValueError):
             ControllerConfig(budget=100, restart_cap=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mle_bracket", 0.0),
+            ("mle_bracket", -1e-10),
+            ("grid_points", 1),
+            ("k_max", -1),
+            ("saturation_band", -0.01),
+            ("saturation_band", 0.5),
+            ("disambig_depths", (0, 65)),
+            ("disambig_depths", (-1,)),
+            ("shot_scale", 0.0),
+            ("epsilon_a", -0.1),
+        ],
+    )
+    def test_rejects_bad_loop_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ControllerConfig(budget=100, **{field: value})
+
+    def test_accepts_boundary_settings(self):
+        cfg = ControllerConfig(
+            budget=100, k_max=0, disambig_depths=(0,), grid_points=2, saturation_band=0.0
+        )
+        assert cfg.disambig_depths == (0,)
 
 
 class TestSelectShots:
@@ -329,6 +356,27 @@ class TestConstrainedMle:
         # A flat likelihood ties everywhere; ties break toward smaller angle.
         assert theta_hat == pytest.approx(0.2, abs=1e-6)
 
+    def test_maximum_on_an_edge_returns_the_edge_exactly(self):
+        cfg = ControllerConfig(budget=10_000)
+        rounds = [RoundRecord(k=0, m=500, h=0, delta=0.05)]
+        theta_hat, a_hat = constrained_mle(IntervalUnion([(0.2, 0.4)]), rounds, cfg)
+        assert theta_hat == 0.2 and a_hat == math.sin(0.2) ** 2
+        theta_hat, _ = constrained_mle(IntervalUnion([(0.2, 0.4)]), [ROUND_B], cfg)
+        assert theta_hat == 0.4
+
+    def test_refinement_reaches_the_stationary_point(self):
+        # Interior optimum of a multi-order dataset: the score vanishes there
+        # and the estimate beats a dense grid.
+        cfg = ControllerConfig(budget=10_000)
+        rounds = [ROUND_A, RoundRecord(k=2, m=400, h=75, delta=0.05)]
+        feasible = IntervalUnion([(0.50, 0.58)])
+        theta_hat, _ = constrained_mle(feasible, rounds, cfg)
+        grid = np.linspace(0.50, 0.58, 200_001)
+        assert log_likelihood(theta_hat, rounds) >= log_likelihood(grid, rounds).max()
+        step = 1e-7
+        up, down = log_likelihood(theta_hat + step, rounds), log_likelihood(theta_hat - step, rounds)
+        assert abs(up - down) / (2 * step) < 1e-2
+
     def test_empty_set_raises(self):
         cfg = ControllerConfig(budget=10_000)
         with pytest.raises(ValueError):
@@ -506,3 +554,61 @@ class TestRun:
         assert report.failed
         assert 0.0 <= report.a_hat <= 1.0
         assert report.theta_bounds[0] <= report.theta_hat <= report.theta_bounds[1]
+
+
+# Decision-equivalence gate.  The (kind, k, m, h) ledgers of this seeded grid
+# and the estimates below were recorded with the golden-section MLE and the
+# hand-rolled inverse beta that the Newton refinement and scipy's betaincinv
+# replaced; any change meant to keep the controller's decisions must keep the
+# digest, and the estimates to 1e-8.
+EQUIV_AMPLITUDES = (0.0, 0.015, 0.2625, 0.9999, 1.0)
+EQUIV_BUDGETS = (4000, 64000)
+EQUIV_SEEDS = 3
+EQUIV_DIGEST = "c7175af4e0a8508e157264472a963cfc1aeea27108bc8585cbac7e41ae61e5ba"
+EQUIV_A_HAT = {
+    (0.0, 4000): (1.399531621194361e-21,) * 3,
+    (0.0, 64000): (1.0248868855853589e-21,) * 3,
+    (0.015, 4000): (0.014919695446775929, 0.014597865618082273, 0.014306465458522754),
+    (0.015, 64000): (0.015077864709604066, 0.015006577296860217, 0.014964816633786857),
+    (0.2625, 4000): (0.2645053201262488, 0.26277601241278853, 0.26097135598784177),
+    (0.2625, 64000): (0.26231570706041124, 0.2622565354452174, 0.2623426347781064),
+    (0.9999, 4000): (1.0,) * 3,
+    (0.9999, 64000): (0.9999112301884817, 0.9998999478546116, 0.9998976874210788),
+    (1.0, 4000): (1.0,) * 3,
+    (1.0, 64000): (1.0,) * 3,
+}
+
+
+@pytest.fixture(scope="module")
+def equivalence_grid():
+    reports = {}
+    for a in EQUIV_AMPLITUDES:
+        for budget in EQUIV_BUDGETS:
+            for rep in range(EQUIV_SEEDS):
+                rng = np.random.default_rng(run_seed(0, "mliqae", budget, rep))
+                reports[a, budget, rep] = run(AnalyticOracle(a), ControllerConfig(budget=budget), rng)
+    return reports
+
+
+class TestDecisionEquivalence:
+    def test_ledgers_match_the_recorded_digest(self, equivalence_grid):
+        digest = hashlib.sha256()
+        for report in equivalence_grid.values():
+            for b in report.ledger:
+                digest.update(f"{b.kind},{b.k},{b.m},{b.h};".encode())
+        assert digest.hexdigest() == EQUIV_DIGEST
+
+    def test_estimates_match_the_recorded_values(self, equivalence_grid):
+        for (a, budget, rep), report in equivalence_grid.items():
+            assert report.a_hat == pytest.approx(EQUIV_A_HAT[a, budget][rep], abs=1e-8)
+
+
+class TestAmplitudeBoundsAtDomainEdges:
+    def test_zero_amplitude_reports_a_zero_lower_bound(self, equivalence_grid):
+        report = equivalence_grid[0.0, 4000, 0]
+        assert report.a_bounds[0] == 0.0
+        assert report.a_bounds[0] <= report.a_hat <= report.a_bounds[1]
+
+    def test_unit_amplitude_reports_a_unit_upper_bound(self, equivalence_grid):
+        report = equivalence_grid[1.0, 64000, 0]
+        assert report.a_bounds[1] == 1.0

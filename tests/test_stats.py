@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats as sps
+from scipy import stats as sps
 
 from tailamp.stats import (
     RoundRecord,
     clopper_pearson,
     delta_schedule,
-    inverse_reg_incomplete_beta,
     log_likelihood,
+    log_likelihood_slopes,
+    log_likelihood_terms,
+    order_totals,
 )
 
 
@@ -42,34 +44,6 @@ def binom_tail_cp(h: int, m: int, delta: float) -> tuple[float, float]:
     return p_lo, p_hi
 
 
-class TestInverseBeta:
-    def test_uniform_median(self):
-        assert inverse_reg_incomplete_beta(0.5, 1.0, 1.0) == pytest.approx(
-            0.5, abs=1e-12
-        )
-
-    def test_boundary_quantiles(self):
-        assert inverse_reg_incomplete_beta(0.0, 2.0, 3.0) == 0.0
-        assert inverse_reg_incomplete_beta(1.0, 2.0, 3.0) == 1.0
-
-    def test_known_tail_endpoint(self):
-        x = inverse_reg_incomplete_beta(0.025, 998.0, 3.0)
-        assert x == pytest.approx(0.99279, abs=5e-6)
-
-    def test_round_trip_against_forward_function(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            q = rng.uniform(1e-6, 1.0 - 1e-6)
-            a = rng.uniform(0.1, 500.0)
-            b = rng.uniform(0.1, 500.0)
-            x = inverse_reg_incomplete_beta(q, a, b)
-            assert special.betainc(a, b, x) == pytest.approx(q, abs=1e-9)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            inverse_reg_incomplete_beta(0.5, 0.0, 1.0)
-
-
 class TestClopperPearson:
     def test_moderate_count_endpoints(self):
         ci = clopper_pearson(262, 1000, 0.05)
@@ -92,8 +66,8 @@ class TestClopperPearson:
         ]:
             ci = clopper_pearson(h, m, delta)
             lo, hi = binom_tail_cp(h, m, delta)
-            assert ci.lo == pytest.approx(lo, abs=1e-8)
-            assert ci.hi == pytest.approx(hi, abs=1e-8)
+            assert ci.lo == pytest.approx(lo, abs=1e-9)
+            assert ci.hi == pytest.approx(hi, abs=1e-9)
 
     def test_boundary_conventions(self):
         assert clopper_pearson(0, 100, 0.05).lo == 0.0
@@ -235,3 +209,59 @@ class TestLogLikelihood:
                 expected += (m - h) * math.log(1.0 - p)
             got = log_likelihood(theta, [RoundRecord(k=k, m=m, h=h, delta=0.05)])
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+class TestOrderTotals:
+    def test_pools_counts_per_order(self):
+        rounds = [
+            RoundRecord(k=2, m=50, h=12, delta=0.05),
+            RoundRecord(k=0, m=100, h=26, delta=0.05),
+            RoundRecord(k=2, m=80, h=70, delta=0.04),
+            RoundRecord(k=0, m=10, h=0, delta=0.03),
+        ]
+        omega, hs, tails = order_totals(rounds)
+        assert omega.tolist() == [1.0, 5.0]
+        assert hs.tolist() == [26.0, 82.0]
+        assert tails.tolist() == [84.0, 48.0]
+
+    def test_pooled_likelihood_matches_per_batch_sum(self):
+        rng = np.random.default_rng(43)
+        rounds = []
+        for _ in range(40):
+            m = int(rng.integers(1, 300))
+            rounds.append(
+                RoundRecord(k=int(rng.integers(0, 4)), m=m, h=int(rng.integers(0, m + 1)), delta=0.05)
+            )
+        theta = np.linspace(0.05, math.pi / 2.0 - 0.05, 97)
+        per_batch = sum(log_likelihood(theta, [r]) for r in rounds)
+        assert np.allclose(log_likelihood(theta, rounds), per_batch, rtol=1e-12, atol=1e-9)
+
+    def test_no_rounds_gives_empty_rows(self):
+        omega, hs, tails = order_totals([])
+        assert omega.size == hs.size == tails.size == 0
+        assert log_likelihood_terms(np.array([0.3, 0.7]), omega, hs, tails).tolist() == [0.0, 0.0]
+
+
+class TestLogLikelihoodSlopes:
+    def test_match_central_differences(self):
+        rounds = [
+            RoundRecord(k=0, m=100, h=26, delta=0.05),
+            RoundRecord(k=1, m=80, h=70, delta=0.04),
+            RoundRecord(k=3, m=50, h=0, delta=0.03),
+        ]
+        totals = order_totals(rounds)
+        theta = np.array([0.11, 0.37, 0.52, 0.93, 1.21])
+        step = 1e-6
+        f = lambda th: log_likelihood_terms(np.asarray(th), *totals)
+        score, curv = log_likelihood_slopes(theta, *totals)
+        fd_score = (f(theta + step) - f(theta - step)) / (2.0 * step)
+        up, _ = log_likelihood_slopes(theta + step, *totals)
+        down, _ = log_likelihood_slopes(theta - step, *totals)
+        assert np.allclose(score, fd_score, rtol=1e-6)
+        assert np.allclose(curv, (up - down) / (2.0 * step), rtol=1e-6)
+        assert np.all(curv < 0.0)
+
+    def test_zero_counts_contribute_nothing(self):
+        theta = np.array([0.4])
+        score, curv = log_likelihood_slopes(theta, np.array([3.0]), np.array([0.0]), np.array([0.0]))
+        assert score.tolist() == [0.0] and curv.tolist() == [0.0]
