@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -41,9 +42,13 @@ RAW_COLUMNS = (
 AGG_COLUMNS = ("method", "budget", "mean_abs_err", "median_abs_err", "std_abs_err", "fail_rate")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BenchConfig:
-    """One sweep specification; JSON file fields, overridden by CLI flags."""
+    """One sweep specification and its only validator; JSON fields, then CLI flags."""
 
     benchmark: str = "bar1d"
     qoi: str = "compliance"
@@ -58,23 +63,33 @@ class BenchConfig:
     ensemble: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("benchmark", "qoi", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
         if self.benchmark not in stochfem.BENCHMARK_DEFAULTS:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
         if self.qoi not in stochfem.QOI_NAMES:
             raise ValueError(f"unknown qoi {self.qoi!r}")
-        budgets = tuple(int(b) for b in self.budgets)
-        if not budgets or any(b < 1 for b in budgets):
-            raise ValueError("budgets must be positive")
-        if list(budgets) != sorted(budgets):
-            raise ValueError("budgets must be ascending")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        methods = tuple(self.methods)
+        alpha = self.alpha_level
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
+            raise ValueError("alpha_level must be a number in (0, 1)")
+        budgets = self.budgets
+        if not isinstance(budgets, (list, tuple)) or not all(_is_int(b) and b > 0 for b in budgets):
+            raise ValueError("budgets must be a list of positive integers")
+        budgets = tuple(int(b) for b in budgets)
+        if not budgets or list(budgets) != sorted(budgets):
+            raise ValueError("budgets must be nonempty and ascending")
+        for name, least in (("repetitions", 1), ("seed", 0), ("n_scenarios", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}")
+        methods = self.methods if isinstance(self.methods, (list, tuple)) else ()
         if not methods or any(m not in ("mc", "mliqae") for m in methods):
-            raise ValueError("methods must be a nonempty subset of {mc, mliqae}")
+            raise ValueError("methods must be a nonempty list drawn from {mc, mliqae}")
+        for name in ("ensemble", "controller"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be a mapping of names to values")
         # Check the controller overrides now, not when the first mliqae cell runs.
-        if not isinstance(self.controller, dict):
-            raise ValueError("controller must be a mapping of field names to values")
         tunable = {f.name for f in fields(mliqae.ControllerConfig)} - {"budget"}
         unknown = set(self.controller) - tunable
         if unknown:
@@ -84,7 +99,7 @@ class BenchConfig:
         except TypeError as exc:
             raise ValueError(f"bad controller value: {exc}") from None
         object.__setattr__(self, "budgets", budgets)
-        object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "methods", tuple(methods))
 
 
 @dataclass(frozen=True)
@@ -317,18 +332,11 @@ def _config_from_args(args) -> BenchConfig:
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            data.update(json.load(fh))
-    flag_map = {
-        "benchmark": "benchmark",
-        "qoi": "qoi",
-        "alpha_level": "alpha_level",
-        "seed": "seed",
-        "out_dir": "out_dir",
-        "reps": "repetitions",
-        "n_scenarios": "n_scenarios",
-    }
-    for attr, key in flag_map.items():
-        val = getattr(args, attr, None)
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+    for key in ("benchmark", "qoi", "alpha_level", "seed", "out_dir", "repetitions", "n_scenarios"):
+        val = getattr(args, key, None)
         if val is not None:
             data[key] = val
     if getattr(args, "budgets", None):
@@ -337,10 +345,6 @@ def _config_from_args(args) -> BenchConfig:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    if "budgets" in data:
-        data["budgets"] = tuple(int(b) for b in data["budgets"])
-    if "methods" in data:
-        data["methods"] = tuple(data["methods"])
     return BenchConfig(**data)
 
 
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="budget-sweep benchmark with repetitions")
     common(ben)
-    ben.add_argument("--reps", type=int)
+    ben.add_argument("--reps", dest="repetitions", type=int)
     ben.add_argument("--budgets", help="comma-separated budget list")
     ben.set_defaults(handler=cmd_bench)
     return parser

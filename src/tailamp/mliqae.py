@@ -6,8 +6,11 @@ probability, pulls the band back to angle space, and intersects.  The angle
 estimate is the constrained maximum-likelihood point over the surviving
 feasible set.  Three guard rails keep the loop out of the classic failure
 modes: a safe-depth cap tied to the feasible hull (aliasing), periodic
-low-depth disambiguation batches (multi-component ambiguity), and a
-restart-on-empty path (a rare over-confident batch contradicting the rest).
+low-depth disambiguation batches (multi-component ambiguity), and one
+recovery path for a rare over-confident batch contradicting the rest: the
+batch that empties the feasible set hands it to the restart loop, which
+fails the run at restart_cap or sheds one batch, rebuilds and buys a fresh
+k = 0 batch; the heal of a pinned estimate reuses the same shed.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ _NEWTON_MAX_STEPS = 100
 # likelihood gap between the unconstrained and the constrained optimum must
 # exceed this before the estimate counts as pinned by a bad band.
 _HEAL_GATE = 4.0
+
+# Each restart nests three calls inside the batch whose collapse it answers;
+# this limit on restart_cap keeps recovery well inside Python's stack limit.
+_RESTART_CAP_MAX = 100
 
 
 @dataclass(frozen=True)
@@ -75,8 +82,8 @@ class ControllerConfig:
             raise ValueError("need 1 <= m_min <= m_max")
         if self.max_components < 1:
             raise ValueError("max_components must be positive")
-        if self.restart_cap < 0:
-            raise ValueError("restart_cap must be nonnegative")
+        if not 0 <= self.restart_cap <= _RESTART_CAP_MAX:
+            raise ValueError(f"restart_cap must lie in [0, {_RESTART_CAP_MAX}]")
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
         if not all(0 <= k <= self.k_max for k in self.disambig_depths):
@@ -192,15 +199,19 @@ def _prune(union: IntervalUnion, state: "InferenceState", cfg: ControllerConfig)
     return IntervalUnion([union.components[i] for i in keep])
 
 
+def _band(rec: RoundRecord) -> IntervalUnion:
+    """Angle band of one batch: its Clopper-Pearson interval pulled back to angles."""
+    ci = clopper_pearson(rec.h, rec.m, rec.delta)
+    return theta_preimage(rec.k, ci.lo, ci.hi)
+
+
 def update_feasible(state: InferenceState, rec: RoundRecord, cfg: ControllerConfig) -> None:
     """Intersect the feasible set with one batch's angle band, then prune.
 
-    On collapse to empty the previous set is stashed for the restart path;
-    the caller is responsible for actually restarting.
+    On collapse to empty the previous set is stashed as the support of a
+    run that later fails; _run_batch reacts to the collapse.
     """
-    ci = clopper_pearson(rec.h, rec.m, rec.delta)
-    band = theta_preimage(rec.k, ci.lo, ci.hi)
-    new = state.feasible.intersect(band)
+    new = state.feasible.intersect(_band(rec))
     if new.is_empty:
         state.pre_collapse = state.feasible
         state.feasible = new
@@ -395,7 +406,8 @@ def _run_batch(
     m: int,
     kind: str,
 ) -> None:
-    theta_hi = state.feasible.hull()[1] if not state.feasible.is_empty else math.nan
+    """Draw one batch, log it and fold in its band; a collapse goes to the restart loop."""
+    theta_hi = state.feasible.hull()[1]
     p = oracle.success_probability(k)
     h = sample_shots(p, m, rng)
     state.batches += 1
@@ -408,6 +420,8 @@ def _run_batch(
     if kind != "disambig":
         state.k_prev = k
     update_feasible(state, rec, cfg)
+    if state.feasible.is_empty:
+        _restart_loop(state, cfg, oracle, rng)
 
 
 def _most_inconsistent(rounds, cfg: ControllerConfig) -> int:
@@ -430,51 +444,46 @@ def _most_inconsistent(rounds, cfg: ControllerConfig) -> int:
     return int(np.argmax(2.0 * (t1 + t2)))
 
 
-def _shed_and_rebuild(state: InferenceState, cfg: ControllerConfig, idx: int) -> None:
-    """Drop one batch from the dataset and re-intersect the rest from scratch."""
+def _shed(
+    state: InferenceState, cfg: ControllerConfig, oracle, rng: np.random.Generator, idx: int
+) -> None:
+    """Spend one restart: drop batch idx, rebuild from the full domain, buy k = 0.
+
+    A remainder that still contradicts itself goes back to the restart loop.
+    The dropped batch's confidence budget stays spent.
+    """
+    state.restarts += 1
     state.rounds.pop(idx)
     rebuilt = IntervalUnion.full_domain()
     for rec in state.rounds:
-        ci = clopper_pearson(rec.h, rec.m, rec.delta)
-        rebuilt = rebuilt.intersect(theta_preimage(rec.k, ci.lo, ci.hi))
+        rebuilt = rebuilt.intersect(_band(rec))
     state.feasible = _prune(rebuilt, state, cfg)
+    if state.feasible.is_empty:
+        _restart_loop(state, cfg, oracle, rng)
+        return
+    m = select_shots(state, cfg, 0)
+    if m > 0:
+        _run_batch(state, cfg, oracle, rng, 0, m, kind="restart")
 
 
 def _restart_loop(
     state: InferenceState, cfg: ControllerConfig, oracle, rng: np.random.Generator
 ) -> None:
-    """Recover from an empty feasible set.
+    """Recover from an empty feasible set: the one recovery path.
 
-    The first pass discards the most recent batch, which covers a fresh
-    over-confident batch contradicting an otherwise healthy set.  A repeat
-    collapse means the bad batch is already inside the retained set, so
-    later passes discard the batch most inconsistent with the joint fit
-    instead.  Either way the discarded batch's confidence budget stays
-    spent, the feasible set is re-intersected from the full domain over the
-    retained batches, and one fresh k = 0 batch is bought if the budget
-    allows.  Exceeding restart_cap marks the run failed; the stashed
+    Past restart_cap the restart is counted and the run fails; the stashed
     pre-collapse set backs the best-effort estimate in the report.
+    Otherwise one batch is shed: on the run's first restart the most recent
+    one (a fresh over-confident batch), later the one most inconsistent with
+    the joint fit (the bad batch is already retained).  A collapse the shed
+    does not cure comes back here until the set holds or the cap is hit.
     """
-    while state.feasible.is_empty and not state.failed:
+    if state.restarts >= cfg.restart_cap:
         state.restarts += 1
-        if state.restarts > cfg.restart_cap:
-            state.failed = True
-            return
-        if state.rounds:
-            if state.restarts == 1:
-                idx = len(state.rounds) - 1
-            else:
-                idx = _most_inconsistent(state.rounds, cfg)
-            _shed_and_rebuild(state, cfg, idx)
-        else:
-            state.feasible = IntervalUnion.full_domain()
-        if state.feasible.is_empty:
-            # Dropping a mid-sequence batch can leave a still-contradictory
-            # remainder; go around again and shed the next-worst batch.
-            continue
-        m = select_shots(state, cfg, 0)
-        if m > 0:
-            _run_batch(state, cfg, oracle, rng, 0, m, kind="restart")
+        state.failed = True
+        return
+    idx = len(state.rounds) - 1 if state.restarts == 0 else _most_inconsistent(state.rounds, cfg)
+    _shed(state, cfg, oracle, rng, idx)
 
 
 def _pinned_outside(state: InferenceState, cfg: ControllerConfig) -> bool:
@@ -510,28 +519,14 @@ def _heal_pinned(
 ) -> None:
     """Shed the batch most at odds with the data when the estimate is pinned.
 
-    Costs one restart slot per attempt and never marks the run failed: a
-    pinned estimate is still an estimate, so when the recovery budget is
-    exhausted the run simply keeps what it has.  A rebuild that comes up
-    empty falls through to the ordinary restart loop.
+    Costs one restart slot; with none left the run keeps its pinned
+    estimate.  An empty rebuild recovers, or fails, as a collapse does.
     """
     if state.restarts >= cfg.restart_cap or not _pinned_outside(state, cfg):
         return
-    state.restarts += 1
-    _shed_and_rebuild(state, cfg, _most_inconsistent(state.rounds, cfg))
-    if state.feasible.is_empty:
-        _restart_loop(state, cfg, oracle, rng)
-        if state.failed:
-            return
-    else:
-        m = select_shots(state, cfg, 0)
-        if m > 0:
-            _run_batch(state, cfg, oracle, rng, 0, m, kind="restart")
-            if state.feasible.is_empty:
-                _restart_loop(state, cfg, oracle, rng)
-                if state.failed:
-                    return
-    _refresh_estimate(state, cfg)
+    _shed(state, cfg, oracle, rng, _most_inconsistent(state.rounds, cfg))
+    if not state.failed:
+        _refresh_estimate(state, cfg)
 
 
 def disambiguate(
@@ -548,8 +543,6 @@ def disambiguate(
         if m <= 0:
             continue
         _run_batch(state, cfg, oracle, rng, k, int(m), kind="disambig")
-        if state.feasible.is_empty:
-            _restart_loop(state, cfg, oracle, rng)
         if state.failed:
             return
 
@@ -576,8 +569,6 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
         if m == 0:
             break
         _run_batch(state, cfg, oracle, rng, k, m, kind="round")
-        if state.feasible.is_empty:
-            _restart_loop(state, cfg, oracle, rng)
         if state.failed:
             break
         state.t += 1

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,16 +132,10 @@ class FieldRealization:
     modulus: np.ndarray
 
 
-def sample_field(
-    model: KernelModel,
-    basis: NystromBasis,
-    centroids: np.ndarray,
-    rng: np.random.Generator,
-) -> FieldRealization:
-    """Draw xi ~ N(0, I_r) and map to E = exp(sigma * sum_j phi_j xi_j)."""
-    xi = rng.standard_normal(basis.rank)
-    log_field = model.sigma * (basis.evaluate(centroids) @ xi)
-    return FieldRealization(xi=xi, modulus=np.exp(log_field))
+def sample_field(model: KernelModel, phi: np.ndarray, rng: np.random.Generator) -> FieldRealization:
+    """Draw xi ~ N(0, I_r); E = exp(sigma * phi @ xi) with phi the basis at the centroids."""
+    xi = rng.standard_normal(phi.shape[1])
+    return FieldRealization(xi=xi, modulus=np.exp(model.sigma * (phi @ xi)))
 
 
 # --- meshes -------------------------------------------------------------------
@@ -448,28 +444,23 @@ class PlaneStressSolver:
             u[free] = spsolve(kff.tocsc(), rhs)
         return u
 
-    def von_mises_max(self, u: np.ndarray, moduli: np.ndarray) -> float:
+    def _element_peak_stress(self, u: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+        """Peak von Mises stress of each element over its Gauss points, (E,)."""
         ue = u[self.dof_map]  # (E, 8)
-        vm_max = 0.0
+        peak = np.zeros(self.mesh.n_elems)
         for b in self.b_mats:
             strain = ue @ b.T             # (E, 3)
             stress = (strain @ self.d1.T) * moduli[:, None]
             sx, sy, txy = stress[:, 0], stress[:, 1], stress[:, 2]
-            vm = np.sqrt(sx * sx - sx * sy + sy * sy + 3.0 * txy * txy)
-            vm_max = max(vm_max, float(vm.max()))
-        return vm_max
+            peak = np.maximum(peak, np.sqrt(sx * sx - sx * sy + sy * sy + 3.0 * txy * txy))
+        return peak
+
+    def von_mises_max(self, u: np.ndarray, moduli: np.ndarray) -> float:
+        return float(self._element_peak_stress(u, moduli).max())
 
     def von_mises_argmax(self, u: np.ndarray, moduli: np.ndarray) -> int:
         """Element index holding the peak von Mises stress."""
-        ue = u[self.dof_map]
-        best = np.zeros(self.mesh.n_elems)
-        for b in self.b_mats:
-            strain = ue @ b.T
-            stress = (strain @ self.d1.T) * moduli[:, None]
-            sx, sy, txy = stress[:, 0], stress[:, 1], stress[:, 2]
-            vm = np.sqrt(sx * sx - sx * sy + sy * sy + 3.0 * txy * txy)
-            best = np.maximum(best, vm)
-        return int(np.argmax(best))
+        return int(np.argmax(self._element_peak_stress(u, moduli)))
 
 
 def solve_plane_stress_q4(
@@ -548,6 +539,7 @@ def write_ensemble(path, ens: Ensemble) -> None:
     seed, the generation parameters, and the derived threshold and maximum
     response per QoI; data rows are (index, p_i, compliance, tipdisp,
     vmmax).  All floats use 17 significant digits so a reread is exact.
+    A temporary file replaces path at the end, so no reader sees half a file.
     """
     from . import riskmodel
 
@@ -558,51 +550,68 @@ def write_ensemble(path, ens: Ensemble) -> None:
         f"# n_scenarios {ens.n_scenarios}",
         f"# params {json.dumps(ens.params, sort_keys=True)}",
     ]
-    for tag in ("eta", "q_max"):
-        parts = []
-        for name in QOI_NAMES:
-            s = riskmodel.ScenarioSet(ens.probs, ens.responses[name], ens.alpha_level)
-            eta = riskmodel.var_threshold(s)
-            val = eta if tag == "eta" else float(np.max(s.responses))
-            parts.append(f"{name} {val:.17g}")
-        lines.append(f"# {tag} " + " ".join(parts))
+    sets = [riskmodel.ScenarioSet(ens.probs, ens.responses[n], ens.alpha_level) for n in QOI_NAMES]
+    etas = [riskmodel.var_threshold(s) for s in sets]
+    peaks = [float(np.max(s.responses)) for s in sets]
+    for tag, vals in (("eta", etas), ("q_max", peaks)):
+        lines.append(f"# {tag} " + " ".join(f"{n} {v:.17g}" for n, v in zip(QOI_NAMES, vals)))
     lines.append("# columns index p " + " ".join(QOI_NAMES))
     for i in range(ens.n_scenarios):
         row = [str(i), f"{ens.probs[i]:.17g}"]
         row += [f"{ens.responses[name][i]:.17g}" for name in QOI_NAMES]
         lines.append(" ".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_ensemble(path) -> Ensemble:
-    """Reload a persisted ensemble; floats round-trip exactly."""
-    header = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, rest = line[1:].strip().partition(" ")
-                header[key] = rest
-            else:
-                rows.append(line.split())
-    data = np.array([[float(v) for v in r] for r in rows])
-    if data.shape[1] != 2 + len(QOI_NAMES):
-        raise ValueError("unexpected column count in ensemble file")
-    responses = {
-        name: data[:, 2 + j].copy() for j, name in enumerate(QOI_NAMES)
-    }
-    return Ensemble(
-        benchmark=header["benchmark"],
-        alpha_level=float(header["alpha_level"]),
-        seed=int(header["seed"]),
-        params=json.loads(header["params"]),
-        probs=data[:, 1].copy(),
-        responses=responses,
-    )
+    """Reload a persisted ensemble; floats round-trip exactly.
+
+    A malformed file (missing header key, unparsable value, wrong column or
+    row count, index column not 0..n-1) raises one ValueError line naming it.
+    """
+    header, rows = {}, []
+    width = 2 + len(QOI_NAMES)
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if line.startswith("#"):
+                    key, _, rest = line[1:].strip().partition(" ")
+                    header[key] = rest
+                elif line:
+                    row = [float(v) for v in line.split()]
+                    if len(row) != width:
+                        raise ValueError(f"line {lineno}: {len(row)} columns, expected {width}")
+                    rows.append(row)
+        keys = ("benchmark", "alpha_level", "seed", "n_scenarios", "params")
+        missing = [k for k in keys if k not in header]
+        if missing:
+            raise ValueError(f"missing header keys {', '.join(missing)}")
+        n = int(header["n_scenarios"])
+        if n < 1:
+            raise ValueError("n_scenarios must be positive")
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} data rows, but the header says n_scenarios {n}")
+        data = np.array(rows)
+        if not np.array_equal(data[:, 0], np.arange(n)):
+            raise ValueError(f"index column must run 0..{n - 1} in order")
+        return Ensemble(
+            benchmark=header["benchmark"],
+            alpha_level=float(header["alpha_level"]),
+            seed=int(header["seed"]),
+            params=json.loads(header["params"]),
+            probs=data[:, 1].copy(),
+            responses={name: data[:, 2 + j].copy() for j, name in enumerate(QOI_NAMES)},
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _grid_sample_points(x_hi: float, y_hi: float, n: int) -> np.ndarray:
@@ -612,7 +621,7 @@ def _grid_sample_points(x_hi: float, y_hi: float, n: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict:
+def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> Iterator[QoIVector]:
     if benchmark == "cantilever":
         mesh = build_cantilever_mesh(
             params["length"], params["height"], params["nx"], params["ny"]
@@ -630,32 +639,18 @@ def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict:
         rank=params["rank"],
         sample_points=_grid_sample_points(box[0], box[1], params["n_sample_grid"]),
     )
-    basis = nystrom_basis(model)
+    phi = nystrom_basis(model).evaluate(mesh.centroids)
     solver = PlaneStressSolver(mesh, params["nu"])
-    centroids = mesh.centroids
-    phi = basis.evaluate(centroids)
-    out = {name: np.empty(n_scenarios) for name in QOI_NAMES}
-    for i in range(n_scenarios):
-        xi = rng.standard_normal(basis.rank)
-        moduli = np.exp(model.sigma * (phi @ xi))
-        qoi = solver.solve(moduli, params["traction"]).qoi
-        d = qoi.as_dict()
-        for name in QOI_NAMES:
-            out[name][i] = d[name]
-    return out
+    for _ in range(n_scenarios):
+        yield solver.solve(sample_field(model, phi, rng).modulus, params["traction"]).qoi
 
 
-def _ensemble_bar(n_scenarios: int, params: dict, rng) -> dict:
+def _ensemble_bar(n_scenarios: int, params: dict, rng) -> Iterator[QoIVector]:
     mesh = build_bar_mesh(params["length"], params["n_elems"])
     levels = np.geomspace(params["level_lo"], params["level_hi"], params["n_levels"])
-    out = {name: np.empty(n_scenarios) for name in QOI_NAMES}
-    for i in range(n_scenarios):
+    for _ in range(n_scenarios):
         idx = rng.integers(0, levels.size, size=mesh.n_elems)
-        qoi = solve_bar_1d(mesh, levels[idx], params["load"], params["area"])
-        d = qoi.as_dict()
-        for name in QOI_NAMES:
-            out[name][i] = d[name]
-    return out
+        yield solve_bar_1d(mesh, levels[idx], params["load"], params["area"])
 
 
 def build_scenario_ensemble(
@@ -680,12 +675,19 @@ def build_scenario_ensemble(
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"unknown parameter {key!r} for {benchmark}")
-        params[key] = type(params[key])(value)
+        try:
+            params[key] = type(params[key])(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"bad value {value!r} for parameter {key!r}") from None
     rng = np.random.default_rng(seed)
     if benchmark == "bar1d":
-        responses = _ensemble_bar(n_scenarios, params, rng)
+        qois = _ensemble_bar(n_scenarios, params, rng)
     else:
-        responses = _ensemble_2d(benchmark, n_scenarios, params, rng)
+        qois = _ensemble_2d(benchmark, n_scenarios, params, rng)
+    responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
+    for i, qoi in enumerate(qois):
+        for name, value in qoi.as_dict().items():
+            responses[name][i] = value
     probs = np.full(n_scenarios, 1.0 / n_scenarios)
     return Ensemble(
         benchmark=benchmark,

@@ -119,6 +119,41 @@ class TestBenchConfig:
         with pytest.raises(ValueError, match=message):
             BenchConfig(controller=controller)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"benchmark": ["bar1d"]}, "benchmark must be a string"),
+            ({"qoi": 3}, "qoi must be a string"),
+            ({"out_dir": 3}, "out_dir must be a string"),
+            ({"alpha_level": 1.0}, "alpha_level"),
+            ({"alpha_level": 0.0}, "alpha_level"),
+            ({"alpha_level": "0.9"}, "alpha_level"),
+            ({"alpha_level": True}, "alpha_level"),
+            ({"budgets": 2000}, "budgets must be a list of positive integers"),
+            ({"budgets": ["2000"]}, "budgets must be a list of positive integers"),
+            ({"budgets": [2000.5]}, "budgets must be a list of positive integers"),
+            ({"budgets": [True]}, "budgets must be a list of positive integers"),
+            ({"budgets": [0, 10]}, "budgets must be a list of positive integers"),
+            ({"repetitions": "3"}, "repetitions must be an integer"),
+            ({"repetitions": 2.0}, "repetitions must be an integer"),
+            ({"n_scenarios": "64"}, "n_scenarios must be an integer"),
+            ({"n_scenarios": 0}, "n_scenarios must be an integer of at least 1"),
+            ({"seed": "x"}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be an integer of at least 0"),
+            ({"methods": 5}, "methods must be a nonempty list"),
+            ({"methods": "mc"}, "methods must be a nonempty list"),
+            ({"ensemble": [1]}, "ensemble must be a mapping"),
+        ],
+    )
+    def test_rejects_wrong_field_types(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            BenchConfig(**fields)
+
+    def test_accepts_numpy_integers_and_lists(self):
+        cfg = BenchConfig(budgets=[np.int64(300), 600], methods=["mc"], seed=np.int32(2))
+        assert cfg.budgets == (300, 600)
+        assert cfg.methods == ("mc",)
+
     def test_accepts_controller_overrides(self):
         cfg = BenchConfig(controller={"k_max": 8, "disambig_depths": [0, 1]})
         assert cfg.controller["k_max"] == 8
@@ -324,6 +359,44 @@ class TestCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"budgets": 2000}, "budgets must be a list of positive integers"),
+            ({"repetitions": "3"}, "repetitions must be an integer"),
+            ({"n_scenarios": "64"}, "n_scenarios must be an integer"),
+            ({"seed": "x"}, "seed must be an integer"),
+            ({"methods": 5}, "methods must be a nonempty list"),
+            ({"ensemble": {"n_elems": [3]}}, "bad value [3] for parameter 'n_elems'"),
+            ([{"benchmark": "bar1d"}], "config must be a JSON object"),
+            ("bar1d", "config must be a JSON object"),
+        ],
+    )
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    @pytest.mark.parametrize("cut", ["header_only", "truncated", "short_row"])
+    def test_malformed_ensemble_is_one_error_line(self, tmp_path, capsys, cut):
+        ens_path, _ = self.generate(tmp_path)
+        lines = ens_path.read_text().splitlines()
+        if cut == "header_only":
+            lines = [ln for ln in lines if ln.startswith("#")]
+        elif cut == "truncated":
+            lines = lines[:-3]
+        else:
+            lines[-1] = lines[-1].rsplit(" ", 1)[0]
+        ens_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["estimate", "--ensemble", str(ens_path), "--method", "mc", "--budget", "10"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(ens_path) in err[0]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

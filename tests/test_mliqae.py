@@ -50,6 +50,13 @@ def two_round_state(cfg: ControllerConfig) -> InferenceState:
     return state
 
 
+class FlipOracle:
+    """Adversarial oracle whose order-0 and higher-order responses disagree."""
+
+    def success_probability(self, k: int) -> float:
+        return 0.9 if k == 0 else 0.05
+
+
 def in_single_flank(theta_lo: float, theta_hi: float, k: int) -> bool:
     """Independent check that the amplified response is monotone over the
     hull: both scaled endpoints fall in the same half-period of sin^2."""
@@ -84,6 +91,7 @@ class TestControllerConfig:
             ("disambig_depths", (-1,)),
             ("shot_scale", 0.0),
             ("epsilon_a", -0.1),
+            ("restart_cap", 101),
         ],
     )
     def test_rejects_bad_loop_settings(self, field, value):
@@ -465,6 +473,14 @@ class TestRestart:
         mliqae._restart_loop(state, cfg, oracle, np.random.default_rng(0))
         assert state.failed
 
+    def test_largest_cap_fails_cleanly_on_a_self_contradicting_oracle(self):
+        # Every restart nests its recovery inside the batch that collapsed;
+        # the largest accepted cap must still fail the run, not the stack.
+        cfg = ControllerConfig(budget=1_000_000, restart_cap=100, disambig_period=3)
+        report = run(FlipOracle(), cfg, np.random.default_rng(8))
+        assert report.failed
+        assert report.restarts == 101
+
     def test_healthy_runs_rarely_restart(self):
         # Bands hold jointly with probability 1 - delta_tot, so a small
         # fraction of honest runs may still shed a batch; none may fail.
@@ -545,10 +561,6 @@ class TestRun:
     def test_failed_run_still_reports_an_estimate(self):
         # Zero restart budget plus an adversarial oracle that contradicts
         # itself across depths forces the failure path.
-        class FlipOracle:
-            def success_probability(self, k: int) -> float:
-                return 0.9 if k == 0 else 0.05
-
         cfg = ControllerConfig(budget=50_000, restart_cap=0, disambig_period=3)
         report = run(FlipOracle(), cfg, np.random.default_rng(8))
         assert report.failed
@@ -601,6 +613,54 @@ class TestDecisionEquivalence:
     def test_estimates_match_the_recorded_values(self, equivalence_grid):
         for (a, budget, rep), report in equivalence_grid.items():
             assert report.a_hat == pytest.approx(EQUIV_A_HAT[a, budget][rep], abs=1e-8)
+
+
+# Recovery-path gate.  The decision grid above never restarts, heals or
+# fails, so these runs pin the recovery code: two collapses each (the second
+# sheds the most inconsistent batch), one heal of a pinned estimate each, a
+# disambiguation sweep, and the self-contradicting oracle failing at three
+# restart caps.  The digest covers each ledger's (kind, k, m, h) sequence plus
+# its restart count and failure flag, recorded before the recovery code was
+# folded into one shed-and-rebuild path.
+RECOVERY_RUNS = (
+    (0.05, 32000, 5),
+    (0.05, 32000, 12),
+    (0.2625, 4000, 15),
+    (0.2625, 4000, 36),
+    (0.9, 32000, 21),
+    (0.9, 32000, 31),
+    (0.015, 4000, 2),
+)
+RECOVERY_FLIP_CAPS = (0, 1, 3)
+RECOVERY_DIGEST = "81af333ffc909590179daaef93e1b4b136adb7f0a3467f20a42bad3d45c1970c"
+
+
+@pytest.fixture(scope="module")
+def recovery_grid():
+    reports = []
+    for a, budget, rep in RECOVERY_RUNS:
+        rng = np.random.default_rng(run_seed(0, "mliqae", budget, rep))
+        reports.append(run(AnalyticOracle(a), ControllerConfig(budget=budget), rng))
+    for cap in RECOVERY_FLIP_CAPS:
+        cfg = ControllerConfig(budget=50_000, restart_cap=cap, disambig_period=3)
+        reports.append(run(FlipOracle(), cfg, np.random.default_rng(8)))
+    return reports
+
+
+class TestRecoveryPathEquivalence:
+    def test_ledgers_and_outcomes_match_the_recorded_digest(self, recovery_grid):
+        digest = hashlib.sha256()
+        for report in recovery_grid:
+            for b in report.ledger:
+                digest.update(f"{b.kind},{b.k},{b.m},{b.h};".encode())
+            digest.update(f"{report.restarts},{report.failed}|".encode())
+        assert digest.hexdigest() == RECOVERY_DIGEST
+
+    def test_grid_exercises_every_recovery_path(self, recovery_grid):
+        assert max(r.restarts for r in recovery_grid if not r.failed) >= 2
+        assert any(r.failed for r in recovery_grid)
+        assert any(b.kind == "disambig" for r in recovery_grid for b in r.ledger)
+        assert any(b.kind == "restart" for r in recovery_grid for b in r.ledger)
 
 
 class TestAmplitudeBoundsAtDomainEdges:

@@ -110,16 +110,17 @@ class TestSampleField:
         model = KernelModel(0.3, 1.0, 0.0, 8, LINE_POINTS)
         basis = nystrom_basis(model)
         mesh = build_bar_mesh(1.0, 20)
-        real = sample_field(model, basis, mesh.centroids, np.random.default_rng(0))
+        real = sample_field(model, basis.evaluate(mesh.centroids), np.random.default_rng(0))
         assert np.all(real.modulus == 1.0)
 
     def test_positivity_and_latent_shape(self):
         model = KernelModel(0.3, 1.0, 0.8, 8, LINE_POINTS)
         basis = nystrom_basis(model)
         mesh = build_bar_mesh(1.0, 20)
+        phi = basis.evaluate(mesh.centroids)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            real = sample_field(model, basis, mesh.centroids, rng)
+            real = sample_field(model, phi, rng)
             assert real.xi.shape == (basis.rank,)
             assert np.all(real.modulus > 0.0)
 
@@ -127,8 +128,8 @@ class TestSampleField:
         model = KernelModel(0.3, 1.0, 0.5, 8, LINE_POINTS)
         basis = nystrom_basis(model)
         mesh = build_bar_mesh(1.0, 20)
-        a = sample_field(model, basis, mesh.centroids, np.random.default_rng(11))
-        b = sample_field(model, basis, mesh.centroids, np.random.default_rng(11))
+        a = sample_field(model, basis.evaluate(mesh.centroids), np.random.default_rng(11))
+        b = sample_field(model, basis.evaluate(mesh.centroids), np.random.default_rng(11))
         assert np.array_equal(a.xi, b.xi)
         assert np.array_equal(a.modulus, b.modulus)
 
@@ -137,11 +138,12 @@ class TestSampleField:
         model = KernelModel(0.3, 1.0, sigma, 12, LINE_POINTS)
         basis = nystrom_basis(model)
         probes = np.array([[0.1], [0.45], [0.9]])
+        phi = basis.evaluate(probes)
         rng = np.random.default_rng(17)
         n_draws = 10_000
         logs = np.empty((n_draws, probes.shape[0]))
         for i in range(n_draws):
-            real = sample_field(model, basis, probes, rng)
+            real = sample_field(model, phi, rng)
             logs[i] = np.log(real.modulus)
         emp = np.cov(logs, rowvar=False)
         want = sigma**2 * gaussian_kernel(probes, probes, 0.3)
@@ -290,6 +292,19 @@ class TestLBracket:
         h = 1.0 / 25
         assert max(abs(cx - 0.4), abs(cy - 0.4)) <= 2.0 * h
 
+    def test_peak_stress_and_its_element_agree(self):
+        mesh = build_lbracket_mesh(1.0, 0.4, 15)
+        solver = PlaneStressSolver(mesh)
+        moduli = np.random.default_rng(0).uniform(0.5, 2.0, mesh.n_elems)
+        res = solver.solve(moduli)
+        idx = solver.von_mises_argmax(res.u, moduli)
+        # Stress at a fixed displacement scales with each element's modulus;
+        # zeroing all but the argmax element must leave the peak unchanged.
+        peak = solver.von_mises_max(res.u, moduli)
+        only = np.zeros_like(moduli)
+        only[idx] = moduli[idx]
+        assert solver.von_mises_max(res.u, only) == peak
+
     def test_corner_stress_grows_under_refinement(self):
         # The re-entrant corner is singular, so the discrete peak stress
         # must increase monotonically as the mesh refines.
@@ -322,6 +337,26 @@ class TestEnsembles:
         for name in ens.responses:
             assert np.array_equal(back.responses[name], ens.responses[name])
 
+    def test_write_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "scatter.txt"
+        path.write_text("stale\n")
+        write_ensemble(path, build_scenario_ensemble("bar1d", 8, seed=3))
+        assert read_ensemble(path).n_scenarios == 8
+        assert [p.name for p in tmp_path.iterdir()] == ["scatter.txt"]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "scatter.txt"
+        path.write_text("stale\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("tailamp.stochfem.os.replace", refuse)
+        with pytest.raises(OSError):
+            write_ensemble(path, build_scenario_ensemble("bar1d", 8, seed=3))
+        assert path.read_text() == "stale\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scatter.txt"]
+
     def test_tail_average_dominates_mean(self):
         ens = build_scenario_ensemble("bar1d", 128, seed=7)
         s = ScenarioSet(ens.probs, ens.responses["compliance"], ens.alpha_level)
@@ -347,3 +382,64 @@ class TestEnsembles:
             build_scenario_ensemble("bar1d", 0, seed=0)
         with pytest.raises(ValueError):
             build_scenario_ensemble("bar1d", 8, seed=0, overrides={"spam": 1})
+
+
+class TestEnsembleFileValidation:
+    """Each malformed file fails with one ValueError line that names it."""
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        path = tmp_path / "good.txt"
+        write_ensemble(path, build_scenario_ensemble("bar1d", 6, seed=2))
+        return path.read_text().splitlines()
+
+    def _read(self, tmp_path, lines):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_ensemble(path)
+        message = str(info.value)
+        assert "\n" not in message and "bad.txt" in message
+        return message
+
+    def test_header_only_file(self, tmp_path, lines):
+        header = [ln for ln in lines if ln.startswith("#")]
+        assert "0 data rows" in self._read(tmp_path, header)
+
+    def test_truncated_file(self, tmp_path, lines):
+        assert "5 data rows" in self._read(tmp_path, lines[:-1])
+
+    def test_extra_row(self, tmp_path, lines):
+        extra = "6 " + lines[-1].split(" ", 1)[1]
+        assert "7 data rows" in self._read(tmp_path, lines + [extra])
+
+    def test_short_row(self, tmp_path, lines):
+        lines[-2] = lines[-2].rsplit(" ", 1)[0]
+        assert "4 columns, expected 5" in self._read(tmp_path, lines)
+
+    def test_long_row(self, tmp_path, lines):
+        lines[-1] += " 1.0"
+        assert "6 columns, expected 5" in self._read(tmp_path, lines)
+
+    def test_index_out_of_order(self, tmp_path, lines):
+        a, b = len(lines) - 2, len(lines) - 1
+        lines[a], lines[b] = lines[b], lines[a]
+        assert "index column" in self._read(tmp_path, lines)
+
+    @pytest.mark.parametrize("key", ["benchmark", "alpha_level", "seed", "n_scenarios", "params"])
+    def test_missing_header_key(self, tmp_path, lines, key):
+        kept = [ln for ln in lines if not ln.startswith(f"# {key} ")]
+        assert f"missing header keys {key}" in self._read(tmp_path, kept)
+
+    def test_unparsable_header_value(self, tmp_path, lines):
+        lines = [("# seed x" if ln.startswith("# seed ") else ln) for ln in lines]
+        assert "'x'" in self._read(tmp_path, lines)
+
+    def test_unparsable_data_value(self, tmp_path, lines):
+        lines[-1] = lines[-1].replace(lines[-1].split()[1], "nope", 1)
+        assert "'nope'" in self._read(tmp_path, lines)
+
+    def test_nonpositive_scenario_count(self, tmp_path, lines):
+        kept = [("# n_scenarios 0" if ln.startswith("# n_scenarios ") else ln)
+                for ln in lines if ln.startswith("#")]
+        assert "n_scenarios must be positive" in self._read(tmp_path, kept)
