@@ -340,7 +340,12 @@ def _config_from_args(args) -> BenchConfig:
         if val is not None:
             data[key] = val
     if getattr(args, "budgets", None):
-        data["budgets"] = tuple(int(b) for b in args.budgets.split(","))
+        data["budgets"] = []
+        for entry in args.budgets.split(","):
+            try:
+                data["budgets"].append(int(entry))
+            except ValueError:
+                raise ValueError(f"--budgets: {entry!r} is not an integer") from None
     known = {f.name for f in fields(BenchConfig)}
     unknown = set(data) - known
     if unknown:
@@ -355,21 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, builds_ensemble=True):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--benchmark", choices=sorted(stochfem.BENCHMARK_DEFAULTS))
         p.add_argument("--qoi", choices=stochfem.QOI_NAMES)
-        p.add_argument("--alpha-level", dest="alpha_level", type=float)
         p.add_argument("--seed", type=int)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--n-scenarios", dest="n_scenarios", type=int)
+        if builds_ensemble:  # estimate reads these from its ensemble file
+            p.add_argument("--benchmark", choices=sorted(stochfem.BENCHMARK_DEFAULTS))
+            p.add_argument("--alpha-level", dest="alpha_level", type=float)
+            p.add_argument("--out-dir", dest="out_dir")
+            p.add_argument("--n-scenarios", dest="n_scenarios", type=int)
 
     gen = sub.add_parser("generate", help="build and persist a scenario ensemble")
     common(gen)
     gen.set_defaults(handler=cmd_generate)
 
     est = sub.add_parser("estimate", help="run one estimate against an ensemble file")
-    common(est)
+    common(est, builds_ensemble=False)
     est.add_argument("--ensemble", required=True, help="ensemble file path")
     est.add_argument("--method", choices=("mc", "mliqae"), required=True)
     est.add_argument("--budget", type=int, required=True)

@@ -98,13 +98,6 @@ class StateVector:
             raise ValueError("amplitude vector has wrong length")
         self.amplitudes = amps
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_index_qubits, self.amplitudes.copy())
-
 
 # --- gate kernels -----------------------------------------------------------
 #
@@ -255,23 +248,25 @@ def apply_oracle(state: StateVector, spec: OracleSpec, adjoint: bool = False) ->
     return StateVector(state.n_index_qubits, amps)
 
 
+def _grover_iterates(amps: np.ndarray, psi: np.ndarray, k: int) -> None:
+    """Apply k Grover iterates to amps in place, given psi = A|0>."""
+    for _ in range(k):
+        amps[1::2] *= -1.0
+        amps -= (2.0 * np.vdot(psi, amps)) * psi
+        amps *= -1.0
+
+
 def apply_grover(state: StateVector, spec: OracleSpec, k: int = 1) -> StateVector:
     """Apply k Grover iterates G = -A S_0 A^dagger S_chi.
 
-    S_chi flips the sign of every ancilla-|1> amplitude, S_0 flips the
-    all-zeros amplitude, and the leading minus sign is applied literally.
+    S_chi flips the sign of every ancilla-|1> amplitude.  S_0 = I - 2|0><0|
+    makes A S_0 A^dagger = I - 2|psi><psi| with psi = A|0>, so an iterate
+    costs O(N) and no gates; apply_oracle gives the same map gate by gate.
     """
     if k < 0:
         raise ValueError("iterate count must be nonnegative")
-    gates = oracle_gates(spec)
-    gates_adj = _adjoint(gates)
     amps = state.amplitudes.copy()
-    for _ in range(k):
-        amps[1::2] *= -1.0
-        _apply_gates(amps, gates_adj)
-        amps[0] *= -1.0
-        _apply_gates(amps, gates)
-        amps *= -1.0
+    _grover_iterates(amps, build_oracle_state(spec, "direct").amplitudes, k)
     return StateVector(state.n_index_qubits, amps)
 
 
@@ -317,25 +312,24 @@ class AnalyticOracle:
 class StatevectorOracle:
     """Measurement model backed by explicit Grover simulation.
 
-    States G^k A|0> are built incrementally and cached, so asking for
-    successive depths costs one iterate each.
+    Keeps A|0>, the deepest state reached and p(j) for every depth up to
+    it: each new depth costs one iterate, a revisited one costs nothing.
     """
 
     def __init__(self, spec: OracleSpec):
         self.spec = spec
-        self._states = {0: build_oracle_state(spec, method="direct")}
-        self._max_k = 0
+        self._psi = build_oracle_state(spec, "direct").amplitudes
+        self._deepest = StateVector(spec.n_index_qubits, self._psi.copy())
+        self._probs = [success_probability(self._deepest)]
 
     @property
     def a(self) -> float:
         return self.spec.amplitude
 
-    def state_at(self, k: int) -> StateVector:
-        while self._max_k < k:
-            nxt = apply_grover(self._states[self._max_k], self.spec, 1)
-            self._max_k += 1
-            self._states[self._max_k] = nxt
-        return self._states[k]
-
     def success_probability(self, k: int) -> float:
-        return success_probability(self.state_at(k))
+        if k < 0:
+            raise ValueError("iterate count must be nonnegative")
+        while len(self._probs) <= k:
+            _grover_iterates(self._deepest.amplitudes, self._psi, 1)
+            self._probs.append(success_probability(self._deepest))
+        return self._probs[k]

@@ -425,3 +425,24 @@ class TestCommands:
         assert rc == 0
         raw = (tmp_path / "bar1d_compliance_raw.csv").read_text().splitlines()
         assert len(raw) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha-level", "0.5"), ("--benchmark", "lbracket"), ("--n-scenarios", "3"), ("--out-dir", "elsewhere")],
+    )
+    def test_estimate_rejects_flags_its_ensemble_file_fixes(self, tmp_path, capsys, flag, value):
+        ens_path, _ = self.generate(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--ensemble", str(ens_path), "--method", "mc", "--budget", "10", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    @pytest.mark.parametrize("budgets, entry", [("100,x", "'x'"), ("100,,200", "''"), ("1.5", "'1.5'")])
+    def test_bad_budgets_entry_names_the_flag(self, tmp_path, capsys, budgets, entry):
+        rc = main(["bench", "--budgets", budgets, "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == f"error: --budgets: {entry} is not an integer"
+        assert not (tmp_path / "out").exists()

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tailamp import qsim
+from tailamp import mliqae, qsim, riskmodel, stochfem
+from tailamp.cli import run_seed
 
 # Four uniform scenarios with ancilla rotation angles (0, 0.70, 1.20, 1.80).
 # This fixture is the worked example exercised throughout the suite; the
@@ -100,7 +101,7 @@ class TestOracleState:
     def test_state_is_normalized(self):
         rng = np.random.default_rng(3)
         spec = random_spec(rng, 6)
-        assert qsim.build_oracle_state(spec).norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(qsim.build_oracle_state(spec).amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGrover:
@@ -123,7 +124,7 @@ class TestGrover:
         state = qsim.build_oracle_state(spec)
         for _ in range(4):
             state = qsim.apply_grover(state, spec, 1)
-            assert state.norm == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_amplified_probability_follows_closed_form(self):
         rng = np.random.default_rng(19)
@@ -150,6 +151,45 @@ class TestGrover:
         composed = -step.amplitudes
         whole = qsim.apply_grover(psi, spec, 1)
         np.testing.assert_allclose(composed, whole.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, loading",
+        [
+            (qsim.OracleSpec(np.full(8, 0.125), np.linspace(0.0, 0.9, 8)), "h"),
+            (qsim.OracleSpec(np.random.default_rng(31).dirichlet(np.ones(8)), np.linspace(0.05, 0.6, 8)), "tree"),
+            (qsim.OracleSpec([0.3, 0.1, 0.0, 0.25, 0.35], [0.2, 0.9, 0.4, 0.0, 0.7]), "tree"),
+        ],
+        ids=["hadamard", "tree", "padded"],
+    )
+    def test_reflection_identity_matches_the_circuit(self, spec, loading):
+        """apply_grover's I - 2|psi><psi| step equals A S_0 A^dagger gate by gate."""
+        assert qsim.oracle_gates(spec)[0][0] == loading
+        rng = np.random.default_rng(37)
+        dim = 1 << (spec.n_index_qubits + 1)
+        noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        starts = [
+            qsim.build_oracle_state(spec),
+            qsim.StateVector(spec.n_index_qubits, noise / np.linalg.norm(noise)),
+        ]
+        for start in starts:
+            chain = start
+            for k in range(1, 5):
+                chain = qsim.reflect_success(chain)
+                chain = qsim.apply_oracle(chain, spec, adjoint=True)
+                chain = qsim.reflect_zero(chain)
+                chain = qsim.apply_oracle(chain, spec)
+                chain = qsim.StateVector(chain.n_index_qubits, -chain.amplitudes)
+                whole = qsim.apply_grover(start, spec, k)
+                np.testing.assert_allclose(whole.amplitudes, chain.amplitudes, rtol=0, atol=1e-12)
+
+    def test_rejects_negative_iterate_count(self):
+        spec = example_spec()
+        with pytest.raises(ValueError):
+            qsim.apply_grover(qsim.build_oracle_state(spec), spec, -1)
+        sv = qsim.StatevectorOracle(spec)
+        sv.success_probability(2)
+        with pytest.raises(ValueError):
+            sv.success_probability(-1)
 
     def test_oracle_adjoint_inverts_oracle(self):
         rng = np.random.default_rng(23)
@@ -210,10 +250,47 @@ class TestMeasurementModels:
                 an.success_probability(k), abs=1e-10
             )
 
-    def test_statevector_model_caches_incrementally(self):
-        spec = example_spec()
+    def test_statevector_model_caches_incrementally(self, monkeypatch):
+        iterates = []
+        kernel = qsim._grover_iterates
+
+        def counting(amps, psi, k):
+            iterates.append(k)
+            kernel(amps, psi, k)
+
+        monkeypatch.setattr(qsim, "_grover_iterates", counting)
+        sv = qsim.StatevectorOracle(example_spec())
+        p3 = sv.success_probability(3)
+        assert sum(iterates) == 3
+        p1 = sv.success_probability(1)
+        assert sum(iterates) == 3
+        assert sv.success_probability(3) == p3
+        assert sv.success_probability(1) == p1
+        assert sum(iterates) == 3
+        sv.success_probability(5)
+        assert sum(iterates) == 5
+
+    def test_statevector_model_follows_closed_form_to_depth_40(self):
+        rng = np.random.default_rng(29)
+        spec = qsim.OracleSpec(rng.dirichlet(np.ones(1024)), rng.uniform(0.0, 0.05, 1024))
+        assert qsim.oracle_gates(spec)[0][0] == "tree"
         sv = qsim.StatevectorOracle(spec)
-        sv.success_probability(3)
-        assert set(sv._states) == {0, 1, 2, 3}
-        sv.success_probability(1)
-        assert set(sv._states) == {0, 1, 2, 3}
+        for k in range(41):
+            assert sv.success_probability(k) == pytest.approx(
+                qsim.analytic_success_probability(spec.amplitude, k), abs=1e-10
+            )
+
+    @pytest.mark.parametrize("budget", [4_000, 32_000])
+    def test_statevector_model_drives_the_same_runs_as_the_closed_form(self, budget):
+        ens = stochfem.build_scenario_ensemble("bar1d", 1024, 1)
+        s = riskmodel.ScenarioSet(ens.probs, ens.responses["compliance"], ens.alpha_level)
+        spec = riskmodel.to_oracle_spec(s, riskmodel.normalize_hinge(s, riskmodel.var_threshold(s)))
+        cfg = mliqae.ControllerConfig(budget=budget)
+        for rep in range(25):
+            seed = run_seed(0, "mliqae", budget, rep)
+            sv = mliqae.run(qsim.StatevectorOracle(spec), cfg, np.random.default_rng(seed))
+            an = mliqae.run(qsim.AnalyticOracle(spec.amplitude), cfg, np.random.default_rng(seed))
+            assert [(b.kind, b.k, b.m, b.h) for b in sv.ledger] == [
+                (b.kind, b.k, b.m, b.h) for b in an.ledger
+            ]
+            assert sv.a_hat == an.a_hat
