@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from tailamp.intervals import theta_preimage
-from tailamp.mliqae import ControllerConfig, constrained_mle
+from tailamp.mliqae import constrained_mle
 from tailamp.qsim import (
     OracleSpec,
     apply_grover,
@@ -71,8 +71,7 @@ def main():
     for lo, hi in feasible.components:
         print(f"      [{lo:.5f}, {hi:.5f}]")
 
-    cfg = ControllerConfig(budget=2000)
-    theta_hat, a_hat = constrained_mle(feasible, batches, cfg)
+    theta_hat, a_hat = constrained_mle(feasible, batches)
     print(f"constrained MLE: theta = {theta_hat:.6f}, a = {a_hat:.6f}"
           f"  (true a = {a:.6f})")
 

@@ -197,6 +197,10 @@ def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[l
     output is sorted by (method, budget, repetition) regardless of
     completion order, so parallel runs are byte-identical to serial ones.
     """
+    raw_workers = os.environ.get(WORKERS_ENV, "1")
+    if not (raw_workers.isdecimal() and int(raw_workers) >= 1):
+        raise ValueError(f"{WORKERS_ENV} must be an integer of at least 1, got {raw_workers!r}")
+    workers = int(raw_workers)
     if ens is None:
         ens = stochfem.build_scenario_ensemble(
             cfg.benchmark,
@@ -215,7 +219,6 @@ def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[l
         (ens, cfg.qoi, method, budget, run_seed(cfg.seed, method, budget, rep), cfg.controller)
         for method, budget, rep in keys
     ]
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, cells, chunksize=4))
@@ -307,7 +310,8 @@ def cmd_generate(args) -> int:
 
 def cmd_estimate(args) -> int:
     ens = stochfem.read_ensemble(args.ensemble)
-    cfg = _config_from_args(args)
+    # The ensemble file fixes everything else a config file could set.
+    cfg = _config_from_args(args, file_fields=("qoi", "seed", "controller"))
     row = estimate_once(ens, cfg.qoi, args.method, args.budget, cfg.seed, cfg.controller)
     print(",".join(RAW_COLUMNS))
     print(format_row(row))
@@ -328,13 +332,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> BenchConfig:
+def _config_from_args(args, file_fields=None) -> BenchConfig:
+    """BenchConfig from the --config file, then the flags; file_fields limits the file."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
+        ignored = sorted(set(data) - set(file_fields)) if file_fields else []
+        if ignored:
+            raise ValueError(f"{args.config}: {args.command} does not take config fields {ignored}")
     for key in ("benchmark", "qoi", "alpha_level", "seed", "out_dir", "repetitions", "n_scenarios"):
         val = getattr(args, key, None)
         if val is not None:

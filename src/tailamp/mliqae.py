@@ -11,11 +11,15 @@ recovery path for a rare over-confident batch contradicting the rest: the
 batch that empties the feasible set hands it to the restart loop, which
 fails the run at restart_cap or sheds one batch, rebuilds and buys a fresh
 k = 0 batch; the heal of a pinned estimate reuses the same shed.
+
+ControllerConfig holds only a run's contract; the loop's policy is fixed by
+the module constants _KAPPA through _MLE_BRACKET.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,58 +50,54 @@ _HEAL_GATE = 4.0
 # this limit on restart_cap keeps recovery well inside Python's stack limit.
 _RESTART_CAP_MAX = 100
 
+# Policy of the loop: the validated operating point, the same for every run.
+_KAPPA = 0.49 * math.pi  # safe-depth phase cap, strictly below pi/2
+_K_MAX = 64
+_MAX_COMPONENTS = 4  # feasible-set components kept after pruning
+_M_MIN = 50
+_M_MAX = 1100
+_SHOT_SCALE = 220.0  # base batch size is shot_scale * budget^(1/4)
+_SHOT_GROWTH = 0.012  # mild per-round growth of the base size
+_RESERVE_FLOOR = 10  # pacing horizon R_t = max(floor, base - min(t, taper))
+_RESERVE_BASE = 28
+_RESERVE_TAPER = 20
+_DISAMBIG_PERIOD = 5
+_DISAMBIG_DEPTHS = (0, 1, 2)
+_SATURATION_BAND = 0.02
+_GRID_POINTS = 512
+_MLE_BRACKET = 1e-10  # Newton stops once its step or bracket is this narrow
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Tuning of the estimation loop.  Defaults are the validated operating point."""
+    """The run's contract: oracle budget, failure probability, precision, restarts.
+
+    Everything else the loop decides by the policy constants above.
+    """
 
     budget: int
     delta_tot: float = 0.05
-    kappa: float = 0.49 * math.pi  # safe-depth phase cap, strictly below pi/2
-    k_max: int = 64
-    max_components: int = 4        # feasible-set components kept after pruning
-    m_min: int = 50
-    m_max: int = 1100
-    shot_scale: float = 220.0      # base batch size is shot_scale * budget^(1/4)
-    shot_growth: float = 0.012    # mild per-round growth of the base size
-    reserve_floor: int = 10        # pacing horizon R_t = max(floor, base - min(t, taper))
-    reserve_base: int = 28
-    reserve_taper: int = 20
-    disambig_period: int = 5
-    disambig_depths: tuple[int, ...] = (0, 1, 2)
+    epsilon_a: float = 0.0  # amplitude half-width stop; 0 runs the budget out
     restart_cap: int = 3
-    epsilon_a: float = 0.0         # amplitude half-width stop; 0 runs the budget out
-    saturation_band: float = 0.02
-    grid_points: int = 512
-    mle_bracket: float = 1e-10     # Newton stops once its step or bracket is this narrow
 
     def __post_init__(self):
+        for name, kind, noun in (
+            ("budget", numbers.Integral, "an integer"),
+            ("delta_tot", numbers.Real, "a real number"),
+            ("epsilon_a", numbers.Real, "a real number"),
+            ("restart_cap", numbers.Integral, "an integer"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{name} must be {noun}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
         if not 0.0 < self.delta_tot < 1.0:
             raise ValueError("delta_tot must lie in (0, 1)")
-        if not 0.0 < self.kappa < math.pi / 2.0:
-            raise ValueError("kappa must lie in (0, pi/2)")
-        if self.m_min < 1 or self.m_max < self.m_min:
-            raise ValueError("need 1 <= m_min <= m_max")
-        if self.max_components < 1:
-            raise ValueError("max_components must be positive")
         if not 0 <= self.restart_cap <= _RESTART_CAP_MAX:
             raise ValueError(f"restart_cap must lie in [0, {_RESTART_CAP_MAX}]")
-        if self.k_max < 0:
-            raise ValueError("k_max must be nonnegative")
-        if not all(0 <= k <= self.k_max for k in self.disambig_depths):
-            raise ValueError("disambig_depths must lie in [0, k_max]")
-        if not self.shot_scale > 0.0:
-            raise ValueError("shot_scale must be positive")
         if not self.epsilon_a >= 0.0:
             raise ValueError("epsilon_a must be nonnegative")
-        if not 0.0 <= self.saturation_band < 0.5:
-            raise ValueError("saturation_band must lie in [0, 0.5)")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be at least 2")
-        if not self.mle_bracket > 0.0:
-            raise ValueError("mle_bracket must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,11 +178,11 @@ def _component_sups(union: IntervalUnion, totals, grid_points: int):
     return sups, args, brackets
 
 
-def _prune(union: IntervalUnion, state: "InferenceState", cfg: ControllerConfig) -> IntervalUnion:
-    """Keep at most max_components components, ranked by likelihood support."""
-    if len(union) <= cfg.max_components or union.is_empty:
+def _prune(union: IntervalUnion, state: "InferenceState") -> IntervalUnion:
+    """Keep at most _MAX_COMPONENTS components, ranked by likelihood support."""
+    if len(union) <= _MAX_COMPONENTS or union.is_empty:
         return union
-    sups, _, _ = _component_sups(union, order_totals(state.rounds), cfg.grid_points)
+    sups, _, _ = _component_sups(union, order_totals(state.rounds), _GRID_POINTS)
     if state.theta_hat is not None:
         ref = state.theta_hat
     else:
@@ -195,7 +195,7 @@ def _prune(union: IntervalUnion, state: "InferenceState", cfg: ControllerConfig)
         key=lambda i: (sups[i], -abs(mids[i] - ref)),
         reverse=True,
     )
-    keep = sorted(order[: cfg.max_components])
+    keep = sorted(order[:_MAX_COMPONENTS])
     return IntervalUnion([union.components[i] for i in keep])
 
 
@@ -205,7 +205,7 @@ def _band(rec: RoundRecord) -> IntervalUnion:
     return theta_preimage(rec.k, ci.lo, ci.hi)
 
 
-def update_feasible(state: InferenceState, rec: RoundRecord, cfg: ControllerConfig) -> None:
+def update_feasible(state: InferenceState, rec: RoundRecord) -> None:
     """Intersect the feasible set with one batch's angle band, then prune.
 
     On collapse to empty the previous set is stashed as the support of a
@@ -216,7 +216,7 @@ def update_feasible(state: InferenceState, rec: RoundRecord, cfg: ControllerConf
         state.pre_collapse = state.feasible
         state.feasible = new
     else:
-        state.feasible = _prune(new, state, cfg)
+        state.feasible = _prune(new, state)
 
 
 def _newton_refine(args, brackets, totals, width: float) -> np.ndarray:
@@ -253,14 +253,12 @@ def _newton_refine(args, brackets, totals, width: float) -> np.ndarray:
     return np.where(at_lo, lo, np.where(at_hi, hi, th))
 
 
-def constrained_mle(
-    union: IntervalUnion, rounds, cfg: ControllerConfig
-) -> tuple[float, float]:
+def constrained_mle(union: IntervalUnion, rounds) -> tuple[float, float]:
     """Maximum-likelihood angle restricted to the feasible union.
 
     Grid scan per component on the per-order sufficient statistics, then
     bracket-guarded Newton refinement of every component's grid argmax on
-    the analytic score, stopping at cfg.mle_bracket.  The winning component
+    the analytic score, stopping at _MLE_BRACKET.  The winning component
     is the one with the larger likelihood sup; exact ties go to the smaller
     angle.  Without rounds the likelihood is flat and the leftmost point
     wins.  Returns (theta_hat, a_hat).
@@ -268,8 +266,8 @@ def constrained_mle(
     if union.is_empty:
         raise ValueError("cannot take an MLE over an empty feasible set")
     totals = order_totals(rounds)
-    sups, args, brackets = _component_sups(union, totals, cfg.grid_points)
-    refined = _newton_refine(args, brackets, totals, cfg.mle_bracket)
+    sups, args, brackets = _component_sups(union, totals, _GRID_POINTS)
+    refined = _newton_refine(args, brackets, totals, _MLE_BRACKET)
     fm = log_likelihood_terms(refined, *totals)
     best_ll, best_th = -math.inf, None
     for i in range(len(union)):
@@ -314,7 +312,7 @@ def _fisher_sigma(rounds) -> float:
     return 1.0 / math.sqrt(info) if info > 0.0 else math.inf
 
 
-def select_depth(state: InferenceState, cfg: ControllerConfig) -> int:
+def select_depth(state: InferenceState) -> int:
     """Amplification order for the next ordinary round.
 
     The depth climbs the one-step ladder as far as two conditions allow:
@@ -335,16 +333,16 @@ def select_depth(state: InferenceState, cfg: ControllerConfig) -> int:
         return 0
     lo, hi = state.feasible.hull()
     th = state.theta_hat
-    cap = min(cfg.k_max, state.k_prev + 1)
+    cap = min(_K_MAX, state.k_prev + 1)
 
     def point_ok(order: int) -> bool:
         p = math.sin((2 * order + 1) * th) ** 2
-        return cfg.saturation_band <= p <= 1.0 - cfg.saturation_band
+        return _SATURATION_BAND <= p <= 1.0 - _SATURATION_BAND
 
     pick = None
     fallback = None
     for j in range(cap, -1, -1):
-        if not _alias_safe(lo, hi, j, cfg.kappa):
+        if not _alias_safe(lo, hi, j, _KAPPA):
             continue
         if fallback is None:
             fallback = j
@@ -356,10 +354,10 @@ def select_depth(state: InferenceState, cfg: ControllerConfig) -> int:
     )
     if pick is None or blocked_by_saturation:
         nxt = cap + 1
-        while nxt <= cfg.k_max and not point_ok(nxt):
+        while nxt <= _K_MAX and not point_ok(nxt):
             nxt += 1
         sigma = _fisher_sigma(state.rounds)
-        if nxt <= cfg.k_max and 6.0 * sigma * (2 * nxt + 1) <= 0.125 * math.pi:
+        if nxt <= _K_MAX and 6.0 * sigma * (2 * nxt + 1) <= 0.125 * math.pi:
             pick = nxt
     if pick is not None:
         k = pick
@@ -369,7 +367,7 @@ def select_depth(state: InferenceState, cfg: ControllerConfig) -> int:
         k = 0
     recent = [r for r in state.rounds if r.k == state.k_prev][-2:]
     if len(recent) == 2 and all(
-        min(r.h / r.m, 1.0 - r.h / r.m) <= cfg.saturation_band for r in recent
+        min(r.h / r.m, 1.0 - r.h / r.m) <= _SATURATION_BAND for r in recent
     ):
         k = max(k - 1, 0)
     return k
@@ -380,7 +378,7 @@ def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
 
     The base size grows mildly with the round index; the pacing bound
     spreads what remains of the budget over a shrinking horizon of rounds.
-    When even m_min is unaffordable the whole remainder is spent; zero means
+    When even _M_MIN is unaffordable the whole remainder is spent; zero means
     the budget is exhausted.
     """
     cost_per_shot = 2 * k + 1
@@ -388,11 +386,11 @@ def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
     if remaining < cost_per_shot:
         return 0
     t_next = state.t + 1
-    base = cfg.shot_scale * cfg.budget**0.25 * (1.0 + cfg.shot_growth * t_next)
-    horizon = max(cfg.reserve_floor, cfg.reserve_base - min(t_next, cfg.reserve_taper))
+    base = _SHOT_SCALE * cfg.budget**0.25 * (1.0 + _SHOT_GROWTH * t_next)
+    horizon = max(_RESERVE_FLOOR, _RESERVE_BASE - min(t_next, _RESERVE_TAPER))
     paced = remaining / (cost_per_shot * horizon)
     m = int(min(base, paced))
-    m = max(cfg.m_min, min(m, cfg.m_max))
+    m = max(_M_MIN, min(m, _M_MAX))
     affordable = remaining // cost_per_shot
     return int(min(m, affordable))
 
@@ -419,12 +417,12 @@ def _run_batch(
     state.ledger.append(BatchLog(kind=kind, k=k, m=m, h=h, cost=cost, theta_hi=theta_hi))
     if kind != "disambig":
         state.k_prev = k
-    update_feasible(state, rec, cfg)
+    update_feasible(state, rec)
     if state.feasible.is_empty:
         _restart_loop(state, cfg, oracle, rng)
 
 
-def _most_inconsistent(rounds, cfg: ControllerConfig) -> int:
+def _most_inconsistent(rounds) -> int:
     """Index of the batch least compatible with the joint fit.
 
     Fits one angle to all retained batches over the full domain, then scores
@@ -432,7 +430,7 @@ def _most_inconsistent(rounds, cfg: ControllerConfig) -> int:
     was an extreme draw (the usual cause of a collapse that discarding the
     most recent batch cannot cure) dominates this score by a wide margin.
     """
-    theta_star, _ = constrained_mle(IntervalUnion.full_domain(), rounds, cfg)
+    theta_star, _ = constrained_mle(IntervalUnion.full_domain(), rounds)
     omega = np.array([2 * r.k + 1 for r in rounds], dtype=float)
     hs = np.array([r.h for r in rounds], dtype=float)
     ms = np.array([r.m for r in rounds], dtype=float)
@@ -457,7 +455,7 @@ def _shed(
     rebuilt = IntervalUnion.full_domain()
     for rec in state.rounds:
         rebuilt = rebuilt.intersect(_band(rec))
-    state.feasible = _prune(rebuilt, state, cfg)
+    state.feasible = _prune(rebuilt, state)
     if state.feasible.is_empty:
         _restart_loop(state, cfg, oracle, rng)
         return
@@ -482,11 +480,11 @@ def _restart_loop(
         state.restarts += 1
         state.failed = True
         return
-    idx = len(state.rounds) - 1 if state.restarts == 0 else _most_inconsistent(state.rounds, cfg)
+    idx = len(state.rounds) - 1 if state.restarts == 0 else _most_inconsistent(state.rounds)
     _shed(state, cfg, oracle, rng, idx)
 
 
-def _pinned_outside(state: InferenceState, cfg: ControllerConfig) -> bool:
+def _pinned_outside(state: InferenceState) -> bool:
     """Whether the estimate is jammed against a hull edge by the constraint.
 
     A healthy run keeps the likelihood peak interior to the feasible set.
@@ -505,7 +503,7 @@ def _pinned_outside(state: InferenceState, cfg: ControllerConfig) -> bool:
         return False
     pad = max(width, 1e-4)
     window = IntervalUnion([(max(THETA_LO, lo - pad), min(THETA_HI, hi + pad))])
-    theta_free, _ = constrained_mle(window, state.rounds, cfg)
+    theta_free, _ = constrained_mle(window, state.rounds)
     if lo - edge_tol <= theta_free <= hi + edge_tol:
         return False
     gap = 2.0 * (
@@ -522,11 +520,11 @@ def _heal_pinned(
     Costs one restart slot; with none left the run keeps its pinned
     estimate.  An empty rebuild recovers, or fails, as a collapse does.
     """
-    if state.restarts >= cfg.restart_cap or not _pinned_outside(state, cfg):
+    if state.restarts >= cfg.restart_cap or not _pinned_outside(state):
         return
-    _shed(state, cfg, oracle, rng, _most_inconsistent(state.rounds, cfg))
+    _shed(state, cfg, oracle, rng, _most_inconsistent(state.rounds))
     if not state.failed:
-        _refresh_estimate(state, cfg)
+        _refresh_estimate(state)
 
 
 def disambiguate(
@@ -537,9 +535,9 @@ def disambiguate(
     Distinct feasible components predict different response curves at small
     k, so a batch at each low order suppresses spurious components.  Batches
     whose single-shot cost cannot be met are skipped."""
-    for k in cfg.disambig_depths:
+    for k in _DISAMBIG_DEPTHS:
         remaining = cfg.budget - state.spent
-        m = min(cfg.m_max, remaining // (2 * k + 1))
+        m = min(_M_MAX, remaining // (2 * k + 1))
         if m <= 0:
             continue
         _run_batch(state, cfg, oracle, rng, k, int(m), kind="disambig")
@@ -547,8 +545,8 @@ def disambiguate(
             return
 
 
-def _refresh_estimate(state: InferenceState, cfg: ControllerConfig) -> None:
-    theta_hat, _ = constrained_mle(state.feasible, state.rounds, cfg)
+def _refresh_estimate(state: InferenceState) -> None:
+    theta_hat, _ = constrained_mle(state.feasible, state.rounds)
     state.theta_hat = theta_hat
 
 
@@ -564,7 +562,7 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
             lo, hi = state.feasible.hull()
             if 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
                 break
-        k = 0 if state.t == 0 else select_depth(state, cfg)
+        k = 0 if state.t == 0 else select_depth(state)
         m = select_shots(state, cfg, k)
         if m == 0:
             break
@@ -572,13 +570,13 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
         if state.failed:
             break
         state.t += 1
-        _refresh_estimate(state, cfg)
+        _refresh_estimate(state)
         _heal_pinned(state, cfg, oracle, rng)
         if state.failed:
             break
         if (
-            cfg.disambig_period > 0
-            and state.t % cfg.disambig_period == 0
+            _DISAMBIG_PERIOD > 0
+            and state.t % _DISAMBIG_PERIOD == 0
             and len(state.feasible) > 1
         ):
             # With a single surviving component there is no alias ambiguity
@@ -587,11 +585,11 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
             disambiguate(state, cfg, oracle, rng)
             if state.failed:
                 break
-            _refresh_estimate(state, cfg)
-    return _build_report(state, cfg)
+            _refresh_estimate(state)
+    return _build_report(state)
 
 
-def _build_report(state: InferenceState, cfg: ControllerConfig) -> EstimateReport:
+def _build_report(state: InferenceState) -> EstimateReport:
     if state.failed:
         base = state.pre_collapse if state.pre_collapse is not None else IntervalUnion.full_domain()
         hull = base.hull()
@@ -601,7 +599,7 @@ def _build_report(state: InferenceState, cfg: ControllerConfig) -> EstimateRepor
         support = state.feasible
         hull = state.feasible.hull()
         feasible = state.feasible
-    theta_hat, a_hat = constrained_mle(support, state.rounds, cfg)
+    theta_hat, a_hat = constrained_mle(support, state.rounds)
     # The domain inset keeps angles off 0 and pi/2; a hull reaching an inset
     # edge admits the degenerate amplitude itself.
     a_lo = 0.0 if hull[0] <= THETA_LO else math.sin(hull[0]) ** 2

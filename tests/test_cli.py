@@ -110,9 +110,15 @@ class TestBenchConfig:
         [
             ({"spam": 1}, "unknown controller fields"),
             ({"budget": 10}, "unknown controller fields"),
-            ({"mle_bracket": 0.0}, "mle_bracket"),
-            ({"k_max": "deep"}, "bad controller value"),
-            (["k_max"], "mapping"),
+            ({"restart_cap": 101}, "restart_cap"),
+            ({"restart_cap": "deep"}, "bad controller value"),
+            (["restart_cap"], "mapping"),
+            ({"kappa": 0.3}, "unknown controller fields"),
+            ({"grid_points": 10.5}, "unknown controller fields"),
+            ({"restart_cap": 1.5}, "bad controller value: restart_cap must be an integer"),
+            ({"restart_cap": True}, "bad controller value: restart_cap must be an integer"),
+            ({"delta_tot": "0.05"}, "bad controller value: delta_tot must be a real number"),
+            ({"epsilon_a": False}, "bad controller value: epsilon_a must be a real number"),
         ],
     )
     def test_rejects_bad_controller_overrides(self, controller, message):
@@ -155,8 +161,8 @@ class TestBenchConfig:
         assert cfg.methods == ("mc",)
 
     def test_accepts_controller_overrides(self):
-        cfg = BenchConfig(controller={"k_max": 8, "disambig_depths": [0, 1]})
-        assert cfg.controller["k_max"] == 8
+        cfg = BenchConfig(controller={"restart_cap": 5, "delta_tot": 0.1, "epsilon_a": 0})
+        assert cfg.controller["restart_cap"] == 5
 
 
 class TestRunBench:
@@ -205,6 +211,17 @@ class TestRunBench:
         par_rows, par_agg = run_bench(cfg, ens=small_ensemble)
         assert [format_row(r) for r in par_rows] == [format_row(r) for r in serial_rows]
         assert par_agg == serial_agg
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_worker_count_is_rejected_before_any_work(self, monkeypatch, value):
+        monkeypatch.setenv(cli.WORKERS_ENV, value)
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("ensemble built before the worker count was checked")
+
+        monkeypatch.setattr(stochfem, "build_scenario_ensemble", no_ensemble)
+        with pytest.raises(ValueError, match=f"{cli.WORKERS_ENV} must be an integer of at least 1, got '{value}'"):
+            run_bench(BenchConfig(**TINY))
 
     def test_rerun_is_deterministic(self, small_ensemble):
         cfg = BenchConfig(**TINY)
@@ -345,8 +362,9 @@ class TestCommands:
     @pytest.mark.parametrize(
         "controller, message",
         [
-            ({"mle_bracket": 0}, "mle_bracket must be positive"),
+            ({"delta_tot": 0}, "delta_tot must lie in (0, 1)"),
             ({"spam": 1}, "unknown controller fields"),
+            ({"restart_cap": 1.5}, "restart_cap must be an integer"),
         ],
     )
     def test_bad_controller_override_fails_before_any_cell_runs(
@@ -439,6 +457,28 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+    def test_estimate_config_accepts_only_the_fields_it_uses(self, tmp_path, capsys):
+        ens_path, _ = self.generate(tmp_path, seed=2)
+        cfg_path = tmp_path / "cfg.json"
+        args = ["estimate", "--ensemble", str(ens_path), "--method", "mc", "--budget", "500"]
+        cfg_path.write_text(json.dumps({"qoi": "compliance", "seed": 4, "controller": {"restart_cap": 2}}))
+        capsys.readouterr()
+        assert main(args + ["--config", str(cfg_path)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(args + ["--seed", "4"]) == 0
+        assert capsys.readouterr().out == from_file
+        cfg_path.write_text(
+            json.dumps({"alpha_level": 0.5, "n_scenarios": 3, "budgets": [7], "methods": ["mc"], "seed": 4})
+        )
+        assert main(args + ["--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0] == (
+            f"error: {cfg_path}: estimate does not take config fields"
+            " ['alpha_level', 'budgets', 'methods', 'n_scenarios']"
+        )
 
     @pytest.mark.parametrize("budgets, entry", [("100,x", "'x'"), ("100,,200", "''"), ("1.5", "'1.5'")])
     def test_bad_budgets_entry_names_the_flag(self, tmp_path, capsys, budgets, entry):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -37,14 +38,14 @@ def band_for(rec: RoundRecord) -> IntervalUnion:
     return theta_preimage(rec.k, ci.lo, ci.hi)
 
 
-def two_round_state(cfg: ControllerConfig) -> InferenceState:
+def two_round_state() -> InferenceState:
     state = InferenceState.initial()
     for rec in (ROUND_A, ROUND_B):
         state.rounds.append(rec)
         state.batches += 1
-        update_feasible(state, rec, cfg)
+        update_feasible(state, rec)
     state.t = 2
-    theta_hat, _ = constrained_mle(state.feasible, state.rounds, cfg)
+    theta_hat, _ = constrained_mle(state.feasible, state.rounds)
     state.theta_hat = theta_hat
     state.k_prev = 1
     return state
@@ -72,24 +73,11 @@ class TestControllerConfig:
         with pytest.raises(ValueError):
             ControllerConfig(budget=100, delta_tot=1.5)
         with pytest.raises(ValueError):
-            ControllerConfig(budget=100, kappa=2.0)
-        with pytest.raises(ValueError):
-            ControllerConfig(budget=100, m_min=100, m_max=10)
-        with pytest.raises(ValueError):
             ControllerConfig(budget=100, restart_cap=-1)
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("mle_bracket", 0.0),
-            ("mle_bracket", -1e-10),
-            ("grid_points", 1),
-            ("k_max", -1),
-            ("saturation_band", -0.01),
-            ("saturation_band", 0.5),
-            ("disambig_depths", (0, 65)),
-            ("disambig_depths", (-1,)),
-            ("shot_scale", 0.0),
             ("epsilon_a", -0.1),
             ("restart_cap", 101),
         ],
@@ -98,11 +86,39 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match=field):
             ControllerConfig(budget=100, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget", 100.0),
+            ("budget", True),
+            ("budget", "100"),
+            ("restart_cap", 1.5),
+            ("restart_cap", False),
+            ("delta_tot", "0.05"),
+            ("delta_tot", True),
+            ("epsilon_a", None),
+            ("epsilon_a", False),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, value):
+        kwargs = {"budget": 100, field: value}
+        with pytest.raises(TypeError, match=f"{field} must be"):
+            ControllerConfig(**kwargs)
+
     def test_accepts_boundary_settings(self):
         cfg = ControllerConfig(
-            budget=100, k_max=0, disambig_depths=(0,), grid_points=2, saturation_band=0.0
+            budget=np.int64(1), delta_tot=np.float64(0.5), epsilon_a=0, restart_cap=100
         )
-        assert cfg.disambig_depths == (0,)
+        assert cfg.restart_cap == 100
+        assert ControllerConfig(budget=100, restart_cap=0).restart_cap == 0
+
+    def test_fields_are_the_run_contract(self):
+        assert [f.name for f in fields(ControllerConfig)] == [
+            "budget",
+            "delta_tot",
+            "epsilon_a",
+            "restart_cap",
+        ]
 
 
 class TestSelectShots:
@@ -122,7 +138,7 @@ class TestSelectShots:
         state = InferenceState.initial()
         state.t = 29
         cfg = ControllerConfig(budget=1_000_000)
-        assert select_shots(state, cfg, 2) == cfg.m_max
+        assert select_shots(state, cfg, 2) == mliqae._M_MAX
 
     def test_zero_when_one_shot_is_unaffordable(self):
         state = InferenceState.initial()
@@ -144,21 +160,18 @@ class TestSelectShots:
 
 class TestSelectDepth:
     def test_wide_hull_keeps_order_zero(self):
-        cfg = ControllerConfig(budget=10_000)
         state = InferenceState.initial()
         state.feasible = band_for(ROUND_A)
         state.rounds = [ROUND_A]
         state.theta_hat = 0.537916
         state.k_prev = 0
         state.t = 1
-        assert select_depth(state, cfg) == 0
+        assert select_depth(state) == 0
 
     def test_no_estimate_defaults_to_zero(self):
-        cfg = ControllerConfig(budget=10_000)
-        assert select_depth(InferenceState.initial(), cfg) == 0
+        assert select_depth(InferenceState.initial()) == 0
 
     def test_single_step_ladder(self):
-        cfg = ControllerConfig(budget=10_000)
         rng = np.random.default_rng(8)
         for _ in range(200):
             theta = float(rng.uniform(0.05, 1.4))
@@ -171,10 +184,9 @@ class TestSelectDepth:
             state.theta_hat = 0.5 * (lo + hi)
             state.k_prev = int(rng.integers(0, 20))
             state.t = 3
-            assert select_depth(state, cfg) <= state.k_prev + 1
+            assert select_depth(state) <= state.k_prev + 1
 
     def test_positive_depth_is_always_single_flank(self):
-        cfg = ControllerConfig(budget=10_000)
         rng = np.random.default_rng(12)
         for _ in range(300):
             theta = float(rng.uniform(0.05, 1.4))
@@ -187,14 +199,13 @@ class TestSelectDepth:
             state.theta_hat = 0.5 * (lo + hi)
             state.k_prev = int(rng.integers(0, 30))
             state.t = 4
-            k = select_depth(state, cfg)
+            k = select_depth(state)
             if k > 0:
                 assert in_single_flank(lo, hi, k)
 
     def test_first_flank_respects_phase_cap(self):
         # When the scaled hull sits on the lowest flank the verbatim phase
         # bound applies: (2k+1) * theta_hi <= kappa.
-        cfg = ControllerConfig(budget=10_000)
         state = InferenceState.initial()
         state.feasible = IntervalUnion([(0.049, 0.051)])
         state.rounds = [RoundRecord(k=0, m=500, h=2, delta=0.05)]
@@ -202,13 +213,12 @@ class TestSelectDepth:
         state.t = 5
         for k_prev in range(0, 40):
             state.k_prev = k_prev
-            k = select_depth(state, cfg)
+            k = select_depth(state)
             omega = 2 * k + 1
-            if omega * 0.051 <= cfg.kappa:
+            if omega * 0.051 <= mliqae._KAPPA:
                 assert in_single_flank(0.049, 0.051, k)
 
     def test_saturation_backoff_reduces_depth(self):
-        cfg = ControllerConfig(budget=100_000)
         state = InferenceState.initial()
         state.feasible = IntervalUnion([(0.0499, 0.0501)])
         state.theta_hat = 0.05
@@ -220,47 +230,44 @@ class TestSelectDepth:
             RoundRecord(k=4, m=400, h=399, delta=0.01),
             RoundRecord(k=4, m=400, h=400, delta=0.01),
         ]
-        baseline = select_depth(state, cfg)
+        baseline = select_depth(state)
         state.rounds = [
             RoundRecord(k=4, m=400, h=200, delta=0.01),
             RoundRecord(k=4, m=400, h=190, delta=0.01),
         ]
-        unsaturated = select_depth(state, cfg)
+        unsaturated = select_depth(state)
         assert baseline == max(unsaturated - 1, 0)
 
 
 class TestUpdateFeasible:
     def test_two_rounds_leave_two_components(self):
-        cfg = ControllerConfig(budget=10_000)
-        state = two_round_state(cfg)
+        state = two_round_state()
         assert len(state.feasible) == 2
         for expected, got in zip(SURVIVING_COMPONENTS, state.feasible.components):
             assert got[0] == pytest.approx(expected[0], abs=1e-5)
             assert got[1] == pytest.approx(expected[1], abs=1e-5)
 
     def test_covering_band_changes_nothing(self):
-        cfg = ControllerConfig(budget=10_000)
-        state = two_round_state(cfg)
+        state = two_round_state()
         before = state.feasible
         # Two successes out of four at order 0: the resulting band spans far
         # beyond the current set, so the intersection is a no-op.
         rec = RoundRecord(k=0, m=4, h=2, delta=0.05)
         state.rounds.append(rec)
-        update_feasible(state, rec, cfg)
+        update_feasible(state, rec)
         assert state.feasible == before
 
     def test_contradictory_band_empties_and_stashes(self):
-        cfg = ControllerConfig(budget=10_000)
-        state = two_round_state(cfg)
+        state = two_round_state()
         before = state.feasible
         rec = RoundRecord(k=0, m=200, h=0, delta=0.05)
         state.rounds.append(rec)
-        update_feasible(state, rec, cfg)
+        update_feasible(state, rec)
         assert state.feasible.is_empty
         assert state.pre_collapse == before
 
-    def test_prune_keeps_highest_likelihood_components(self):
-        cfg = ControllerConfig(budget=10_000, max_components=3)
+    def test_prune_keeps_highest_likelihood_components(self, monkeypatch):
+        monkeypatch.setattr(mliqae, "_MAX_COMPONENTS", 3)
         state = InferenceState.initial()
         state.rounds = [RoundRecord(k=0, m=100, h=25, delta=0.05)]
         components = [
@@ -282,13 +289,12 @@ class TestUpdateFeasible:
         )
         rec = RoundRecord(k=0, m=4, h=2, delta=0.05)
         state.rounds.append(rec)
-        update_feasible(state, rec, cfg)
+        update_feasible(state, rec)
         assert len(state.feasible) == 3
         for idx, got in zip(expected, state.feasible.components):
             assert got == pytest.approx(components[idx], abs=1e-12)
 
     def test_measure_never_increases(self):
-        cfg = ControllerConfig(budget=100_000)
         rng = np.random.default_rng(21)
         for trial in range(10):
             a = float(rng.uniform(0.05, 0.9))
@@ -302,7 +308,7 @@ class TestUpdateFeasible:
                 h = int(rng.binomial(400, p))
                 rec = RoundRecord(k=k, m=400, h=h, delta=delta_schedule(t, 0.05))
                 state.rounds.append(rec)
-                update_feasible(state, rec, cfg)
+                update_feasible(state, rec)
                 if state.feasible.is_empty:
                     break
                 now = state.feasible.total_measure()
@@ -312,30 +318,26 @@ class TestUpdateFeasible:
 
 class TestConstrainedMle:
     def test_interior_maximum_matches_frequency(self):
-        cfg = ControllerConfig(budget=10_000)
         feasible = band_for(ROUND_A)
-        theta_hat, a_hat = constrained_mle(feasible, [ROUND_A], cfg)
+        theta_hat, a_hat = constrained_mle(feasible, [ROUND_A])
         assert theta_hat == pytest.approx(math.asin(math.sqrt(0.262)), abs=1e-5)
         assert a_hat == pytest.approx(0.262, abs=1e-4)
 
     def test_excluded_maximum_lands_on_nearest_endpoint(self):
-        cfg = ControllerConfig(budget=10_000)
         above = IntervalUnion([(0.60, 0.70)])
-        theta_hat, _ = constrained_mle(above, [ROUND_A], cfg)
+        theta_hat, _ = constrained_mle(above, [ROUND_A])
         assert theta_hat == pytest.approx(0.60, abs=1e-6)
         below = IntervalUnion([(0.30, 0.40)])
-        theta_hat, _ = constrained_mle(below, [ROUND_A], cfg)
+        theta_hat, _ = constrained_mle(below, [ROUND_A])
         assert theta_hat == pytest.approx(0.40, abs=1e-6)
 
     def test_two_round_estimate_stays_near_truth(self):
-        cfg = ControllerConfig(budget=10_000)
-        state = two_round_state(cfg)
-        theta_hat, a_hat = constrained_mle(state.feasible, state.rounds, cfg)
+        state = two_round_state()
+        theta_hat, a_hat = constrained_mle(state.feasible, state.rounds)
         assert state.feasible.contains(theta_hat, tol=1e-9)
         assert abs(a_hat - 0.2625) < 0.03
 
     def test_agrees_with_dense_grid_oracle(self):
-        cfg = ControllerConfig(budget=10_000)
         rng = np.random.default_rng(33)
         for _ in range(20):
             edges = np.sort(rng.uniform(0.05, 1.5, size=4))
@@ -349,7 +351,7 @@ class TestConstrainedMle:
                 )
                 for _ in range(3)
             ]
-            theta_hat, _ = constrained_mle(feasible, rounds, cfg)
+            theta_hat, _ = constrained_mle(feasible, rounds)
             grid = np.concatenate(
                 [np.linspace(lo, hi, 20_000) for lo, hi in feasible.components]
             )
@@ -358,27 +360,24 @@ class TestConstrainedMle:
             assert ll_gap > -1e-6
 
     def test_no_rounds_gives_leftmost_point(self):
-        cfg = ControllerConfig(budget=10_000)
         feasible = IntervalUnion([(0.2, 0.3), (0.5, 0.6)])
-        theta_hat, _ = constrained_mle(feasible, [], cfg)
+        theta_hat, _ = constrained_mle(feasible, [])
         # A flat likelihood ties everywhere; ties break toward smaller angle.
         assert theta_hat == pytest.approx(0.2, abs=1e-6)
 
     def test_maximum_on_an_edge_returns_the_edge_exactly(self):
-        cfg = ControllerConfig(budget=10_000)
         rounds = [RoundRecord(k=0, m=500, h=0, delta=0.05)]
-        theta_hat, a_hat = constrained_mle(IntervalUnion([(0.2, 0.4)]), rounds, cfg)
+        theta_hat, a_hat = constrained_mle(IntervalUnion([(0.2, 0.4)]), rounds)
         assert theta_hat == 0.2 and a_hat == math.sin(0.2) ** 2
-        theta_hat, _ = constrained_mle(IntervalUnion([(0.2, 0.4)]), [ROUND_B], cfg)
+        theta_hat, _ = constrained_mle(IntervalUnion([(0.2, 0.4)]), [ROUND_B])
         assert theta_hat == 0.4
 
     def test_refinement_reaches_the_stationary_point(self):
         # Interior optimum of a multi-order dataset: the score vanishes there
         # and the estimate beats a dense grid.
-        cfg = ControllerConfig(budget=10_000)
         rounds = [ROUND_A, RoundRecord(k=2, m=400, h=75, delta=0.05)]
         feasible = IntervalUnion([(0.50, 0.58)])
-        theta_hat, _ = constrained_mle(feasible, rounds, cfg)
+        theta_hat, _ = constrained_mle(feasible, rounds)
         grid = np.linspace(0.50, 0.58, 200_001)
         assert log_likelihood(theta_hat, rounds) >= log_likelihood(grid, rounds).max()
         step = 1e-7
@@ -386,9 +385,8 @@ class TestConstrainedMle:
         assert abs(up - down) / (2 * step) < 1e-2
 
     def test_empty_set_raises(self):
-        cfg = ControllerConfig(budget=10_000)
         with pytest.raises(ValueError):
-            constrained_mle(IntervalUnion.empty(), [ROUND_A], cfg)
+            constrained_mle(IntervalUnion.empty(), [ROUND_A])
 
 
 class TestDisambiguate:
@@ -447,12 +445,12 @@ class TestRestart:
         covered = 0
         trials = 200
         for seed in range(trials):
-            state = two_round_state(cfg)
+            state = two_round_state()
             state.spent = 4000
             rec = RoundRecord(k=0, m=200, h=0, delta=delta_schedule(3, 0.05))
             state.rounds.append(rec)
             state.batches += 1
-            update_feasible(state, rec, cfg)
+            update_feasible(state, rec)
             assert state.feasible.is_empty
             mliqae._restart_loop(state, cfg, oracle, np.random.default_rng(seed))
             assert not state.failed
@@ -466,17 +464,18 @@ class TestRestart:
     def test_zero_cap_marks_failed(self):
         cfg = ControllerConfig(budget=20_000, restart_cap=0)
         oracle = AnalyticOracle(0.2625)
-        state = two_round_state(cfg)
+        state = two_round_state()
         rec = RoundRecord(k=0, m=200, h=0, delta=delta_schedule(3, 0.05))
         state.rounds.append(rec)
-        update_feasible(state, rec, cfg)
+        update_feasible(state, rec)
         mliqae._restart_loop(state, cfg, oracle, np.random.default_rng(0))
         assert state.failed
 
-    def test_largest_cap_fails_cleanly_on_a_self_contradicting_oracle(self):
+    def test_largest_cap_fails_cleanly_on_a_self_contradicting_oracle(self, monkeypatch):
         # Every restart nests its recovery inside the batch that collapsed;
         # the largest accepted cap must still fail the run, not the stack.
-        cfg = ControllerConfig(budget=1_000_000, restart_cap=100, disambig_period=3)
+        monkeypatch.setattr(mliqae, "_DISAMBIG_PERIOD", 3)
+        cfg = ControllerConfig(budget=1_000_000, restart_cap=100)
         report = run(FlipOracle(), cfg, np.random.default_rng(8))
         assert report.failed
         assert report.restarts == 101
@@ -558,10 +557,11 @@ class TestRun:
             errors.append(float(np.median(errs)))
         assert errors[1] < errors[0]
 
-    def test_failed_run_still_reports_an_estimate(self):
+    def test_failed_run_still_reports_an_estimate(self, monkeypatch):
         # Zero restart budget plus an adversarial oracle that contradicts
         # itself across depths forces the failure path.
-        cfg = ControllerConfig(budget=50_000, restart_cap=0, disambig_period=3)
+        monkeypatch.setattr(mliqae, "_DISAMBIG_PERIOD", 3)
+        cfg = ControllerConfig(budget=50_000, restart_cap=0)
         report = run(FlipOracle(), cfg, np.random.default_rng(8))
         assert report.failed
         assert 0.0 <= report.a_hat <= 1.0
@@ -641,9 +641,11 @@ def recovery_grid():
     for a, budget, rep in RECOVERY_RUNS:
         rng = np.random.default_rng(run_seed(0, "mliqae", budget, rep))
         reports.append(run(AnalyticOracle(a), ControllerConfig(budget=budget), rng))
-    for cap in RECOVERY_FLIP_CAPS:
-        cfg = ControllerConfig(budget=50_000, restart_cap=cap, disambig_period=3)
-        reports.append(run(FlipOracle(), cfg, np.random.default_rng(8)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mliqae, "_DISAMBIG_PERIOD", 3)
+        for cap in RECOVERY_FLIP_CAPS:
+            cfg = ControllerConfig(budget=50_000, restart_cap=cap)
+            reports.append(run(FlipOracle(), cfg, np.random.default_rng(8)))
     return reports
 
 
