@@ -190,6 +190,14 @@ def _bench_cell(args) -> ResultRow:
     return estimate_once(ens, qoi, method, budget, seed, overrides)
 
 
+def _workers() -> int:
+    """Worker count from TAILAMP_WORKERS: a decimal integer of at least 1, default 1."""
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"{WORKERS_ENV} must be an integer of at least 1, got {raw!r}")
+    return int(raw)
+
+
 def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[list[ResultRow], list[tuple]]:
     """Execute the sweep; returns (raw rows, aggregate tuples), both sorted.
 
@@ -197,10 +205,7 @@ def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[l
     output is sorted by (method, budget, repetition) regardless of
     completion order, so parallel runs are byte-identical to serial ones.
     """
-    raw_workers = os.environ.get(WORKERS_ENV, "1")
-    if not (raw_workers.isdecimal() and int(raw_workers) >= 1):
-        raise ValueError(f"{WORKERS_ENV} must be an integer of at least 1, got {raw_workers!r}")
-    workers = int(raw_workers)
+    workers = _workers()
     if ens is None:
         ens = stochfem.build_scenario_ensemble(
             cfg.benchmark,
@@ -320,6 +325,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
+    _workers()  # a bad worker count must fail before the output directory exists
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows, agg = run_bench(cfg)
     stem = f"{cfg.benchmark}_{cfg.qoi}"

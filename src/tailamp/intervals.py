@@ -4,7 +4,7 @@ Feasible sets for the amplitude angle are finite unions of disjoint closed
 intervals.  This module keeps them in a normalized form (sorted, disjoint,
 clipped to the open domain) and provides the set algebra the estimation
 controller relies on: preimages of probability intervals under the amplified
-response curve sin^2((2k+1) theta), intersection, hull, and measure.
+response curve sin^2((2k+1) theta), intersection, hull and membership.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ class IntervalUnion:
     def full_domain(cls) -> "IntervalUnion":
         return cls(((THETA_LO, THETA_HI),))
 
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(())
-
     @property
     def is_empty(self) -> bool:
         return not self.components
@@ -93,9 +89,6 @@ class IntervalUnion:
         if not self.components:
             raise ValueError("hull of empty interval union")
         return (self.components[0][0], self.components[-1][1])
-
-    def total_measure(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.components))
 
     def contains(self, theta: float, tol: float = 0.0) -> bool:
         for lo, hi in self.components:

@@ -4,11 +4,11 @@ The controller runs batches of shots at adaptively chosen amplification
 orders k, converts each batch into an exact confidence band for the success
 probability, pulls the band back to angle space, and intersects.  The angle
 estimate is the constrained maximum-likelihood point over the surviving
-feasible set.  Three guard rails keep the loop out of the classic failure
-modes: a safe-depth cap tied to the feasible hull (aliasing), periodic
-low-depth disambiguation batches (multi-component ambiguity), and one
-recovery path for a rare over-confident batch contradicting the rest: the
-batch that empties the feasible set hands it to the restart loop, which
+feasible set, which may hold several competing components until later
+bands rule them out.  Two guard rails keep the loop out of the classic
+failure modes: a safe-depth cap tied to the feasible hull (aliasing), and
+one recovery path for a rare over-confident batch contradicting the rest:
+the batch that empties the feasible set hands it to the restart loop, which
 fails the run at restart_cap or sheds one batch, rebuilds and buys a fresh
 k = 0 batch; the heal of a pinned estimate reuses the same shed.
 
@@ -61,8 +61,6 @@ _SHOT_GROWTH = 0.012  # mild per-round growth of the base size
 _RESERVE_FLOOR = 10  # pacing horizon R_t = max(floor, base - min(t, taper))
 _RESERVE_BASE = 28
 _RESERVE_TAPER = 20
-_DISAMBIG_PERIOD = 5
-_DISAMBIG_DEPTHS = (0, 1, 2)
 _SATURATION_BAND = 0.02
 _GRID_POINTS = 512
 _MLE_BRACKET = 1e-10  # Newton stops once its step or bracket is this narrow
@@ -107,7 +105,7 @@ class BatchLog:
     Slotted: a report keeps one entry per batch, hundreds on a saturated run.
     """
 
-    kind: str       # "round", "disambig", or "restart"
+    kind: str       # "round" or "restart"
     k: int
     m: int
     h: int
@@ -126,7 +124,6 @@ class InferenceState:
     t: int = 0            # completed ordinary rounds
     batches: int = 0      # executed batches of any kind; drives the delta schedule
     restarts: int = 0
-    k_prev: int = 0
     theta_hat: float | None = None
     failed: bool = False
     pre_collapse: IntervalUnion | None = None
@@ -315,25 +312,27 @@ def _fisher_sigma(rounds) -> float:
 def select_depth(state: InferenceState) -> int:
     """Amplification order for the next ordinary round.
 
-    The depth climbs the one-step ladder as far as two conditions allow:
-    every angle in the feasible hull must stay on a single monotone flank
-    of the amplified response (so the batch band cannot alias across a
-    turning point), and the predicted operating point must sit away from
-    0 and 1 (a saturated batch carries almost no usable band).  Deeper
+    The depth climbs the ladder, at most one order above the last batch's,
+    as far as two conditions allow: every angle in the feasible hull must
+    stay on a single monotone flank of the amplified response (so the batch
+    band cannot alias across a turning point), and the predicted operating
+    point must sit away from 0 and 1 (a saturated batch carries almost no
+    usable band).  Deeper
     amplification is what buys information faster than flat sampling: the
     per-call Fisher information grows linearly with the order.
 
     Orders whose operating point is degenerate for the current estimate
     stay degenerate as the hull contracts, so when they alone block the
     climb and the accumulated information localizes the angle to a small
-    fraction of the target flank, the ladder hops over them.  The
-    saturation back-off still damps rungs that measure pinned frequencies.
+    fraction of the target flank, the ladder hops over them.  With no
+    usable rung and no certified hop, the highest alias-safe order is used;
+    with no alias-safe order, or before the first estimate, order 0.
     """
     if state.theta_hat is None:
         return 0
     lo, hi = state.feasible.hull()
     th = state.theta_hat
-    cap = min(_K_MAX, state.k_prev + 1)
+    cap = min(_K_MAX, state.ledger[-1].k + 1)
 
     def point_ok(order: int) -> bool:
         p = math.sin((2 * order + 1) * th) ** 2
@@ -360,17 +359,8 @@ def select_depth(state: InferenceState) -> int:
         if nxt <= _K_MAX and 6.0 * sigma * (2 * nxt + 1) <= 0.125 * math.pi:
             pick = nxt
     if pick is not None:
-        k = pick
-    elif fallback is not None:
-        k = fallback
-    else:
-        k = 0
-    recent = [r for r in state.rounds if r.k == state.k_prev][-2:]
-    if len(recent) == 2 and all(
-        min(r.h / r.m, 1.0 - r.h / r.m) <= _SATURATION_BAND for r in recent
-    ):
-        k = max(k - 1, 0)
-    return k
+        return pick
+    return fallback if fallback is not None else 0
 
 
 def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
@@ -415,8 +405,6 @@ def _run_batch(
     state.spent += cost
     state.rounds.append(rec)
     state.ledger.append(BatchLog(kind=kind, k=k, m=m, h=h, cost=cost, theta_hi=theta_hi))
-    if kind != "disambig":
-        state.k_prev = k
     update_feasible(state, rec)
     if state.feasible.is_empty:
         _restart_loop(state, cfg, oracle, rng)
@@ -527,24 +515,6 @@ def _heal_pinned(
         _refresh_estimate(state)
 
 
-def disambiguate(
-    state: InferenceState, cfg: ControllerConfig, oracle, rng: np.random.Generator
-) -> None:
-    """Mutual-exclusion sweep over the low amplification orders.
-
-    Distinct feasible components predict different response curves at small
-    k, so a batch at each low order suppresses spurious components.  Batches
-    whose single-shot cost cannot be met are skipped."""
-    for k in _DISAMBIG_DEPTHS:
-        remaining = cfg.budget - state.spent
-        m = min(_M_MAX, remaining // (2 * k + 1))
-        if m <= 0:
-            continue
-        _run_batch(state, cfg, oracle, rng, k, int(m), kind="disambig")
-        if state.failed:
-            return
-
-
 def _refresh_estimate(state: InferenceState) -> None:
     theta_hat, _ = constrained_mle(state.feasible, state.rounds)
     state.theta_hat = theta_hat
@@ -562,7 +532,7 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
             lo, hi = state.feasible.hull()
             if 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
                 break
-        k = 0 if state.t == 0 else select_depth(state)
+        k = select_depth(state)
         m = select_shots(state, cfg, k)
         if m == 0:
             break
@@ -572,20 +542,6 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
         state.t += 1
         _refresh_estimate(state)
         _heal_pinned(state, cfg, oracle, rng)
-        if state.failed:
-            break
-        if (
-            _DISAMBIG_PERIOD > 0
-            and state.t % _DISAMBIG_PERIOD == 0
-            and len(state.feasible) > 1
-        ):
-            # With a single surviving component there is no alias ambiguity
-            # to resolve, and the low-order batches would only dilute the
-            # budget; the sweep runs when several hypotheses coexist.
-            disambiguate(state, cfg, oracle, rng)
-            if state.failed:
-                break
-            _refresh_estimate(state)
     return _build_report(state)
 
 

@@ -223,6 +223,15 @@ class TestRunBench:
         with pytest.raises(ValueError, match=f"{cli.WORKERS_ENV} must be an integer of at least 1, got '{value}'"):
             run_bench(BenchConfig(**TINY))
 
+    def test_bad_worker_count_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
+        out = tmp_path / "X"
+        argv = ["bench", "--n-scenarios", "8", "--budgets", "100", "--reps", "1", "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{cli.WORKERS_ENV} must be an integer" in err[0]
+        assert not out.exists()
+
     def test_rerun_is_deterministic(self, small_ensemble):
         cfg = BenchConfig(**TINY)
         a = run_bench(cfg, ens=small_ensemble)

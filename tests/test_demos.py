@@ -1,7 +1,8 @@
-"""Smoke tests of the demos that write no files: the worked example and the bar CVaR demo."""
+"""Smoke tests of the three demos, each run in a fresh interpreter."""
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +10,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_demo(name: str) -> str:
+def run_demo(name: str, where: Path = ROOT / "demos") -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [sys.executable, str(where / name)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -32,3 +33,12 @@ def test_bar_cvar_demo_reports_its_seeded_estimate():
     lines = run_demo("bar_cvar_demo.py").splitlines()
     assert "amplified (MLE) (15991 oracle calls): 1.321609  abs err 5.06e-04" in lines
     assert "  rounds 16, batches 16, restarts 0" in lines
+
+
+def test_budget_sweep_demo_prints_both_slopes(tmp_path):
+    # The demo writes its CSV files next to itself, so a copy runs in tmp_path.
+    shutil.copy(ROOT / "demos" / "budget_sweep_demo.py", tmp_path)
+    lines = run_demo("budget_sweep_demo.py", tmp_path).splitlines()
+    assert (tmp_path / "sweep_output" / "bar1d_compliance_agg.csv").exists()
+    assert "mc: fitted log-log slope of median error = -0.569" in lines
+    assert "mliqae: fitted log-log slope of median error = -0.881" in lines

@@ -11,10 +11,10 @@ from tailamp import mliqae
 from tailamp.cli import run_seed
 from tailamp.intervals import IntervalUnion, theta_preimage
 from tailamp.mliqae import (
+    BatchLog,
     ControllerConfig,
     InferenceState,
     constrained_mle,
-    disambiguate,
     run,
     select_depth,
     select_shots,
@@ -47,8 +47,12 @@ def two_round_state() -> InferenceState:
     state.t = 2
     theta_hat, _ = constrained_mle(state.feasible, state.rounds)
     state.theta_hat = theta_hat
-    state.k_prev = 1
     return state
+
+
+def ledger_at(k: int) -> list[BatchLog]:
+    """A one-entry ledger whose last batch ran at order k."""
+    return [BatchLog(kind="round", k=k, m=100, h=50, cost=(2 * k + 1) * 100, theta_hi=1.0)]
 
 
 class FlipOracle:
@@ -164,7 +168,7 @@ class TestSelectDepth:
         state.feasible = band_for(ROUND_A)
         state.rounds = [ROUND_A]
         state.theta_hat = 0.537916
-        state.k_prev = 0
+        state.ledger = ledger_at(0)
         state.t = 1
         assert select_depth(state) == 0
 
@@ -182,9 +186,10 @@ class TestSelectDepth:
             state.feasible = IntervalUnion([(lo, hi)])
             state.rounds = [RoundRecord(k=0, m=200, h=50, delta=0.05)]
             state.theta_hat = 0.5 * (lo + hi)
-            state.k_prev = int(rng.integers(0, 20))
+            k_last = int(rng.integers(0, 20))
+            state.ledger = ledger_at(k_last)
             state.t = 3
-            assert select_depth(state) <= state.k_prev + 1
+            assert select_depth(state) <= k_last + 1
 
     def test_positive_depth_is_always_single_flank(self):
         rng = np.random.default_rng(12)
@@ -197,7 +202,7 @@ class TestSelectDepth:
             state.feasible = IntervalUnion([(lo, hi)])
             state.rounds = [RoundRecord(k=0, m=500, h=120, delta=0.05)]
             state.theta_hat = 0.5 * (lo + hi)
-            state.k_prev = int(rng.integers(0, 30))
+            state.ledger = ledger_at(int(rng.integers(0, 30)))
             state.t = 4
             k = select_depth(state)
             if k > 0:
@@ -211,32 +216,49 @@ class TestSelectDepth:
         state.rounds = [RoundRecord(k=0, m=500, h=2, delta=0.05)]
         state.theta_hat = 0.05
         state.t = 5
-        for k_prev in range(0, 40):
-            state.k_prev = k_prev
+        for k_last in range(0, 40):
+            state.ledger = ledger_at(k_last)
             k = select_depth(state)
             omega = 2 * k + 1
             if omega * 0.051 <= mliqae._KAPPA:
                 assert in_single_flank(0.049, 0.051, k)
 
-    def test_saturation_backoff_reduces_depth(self):
+    def test_fallback_is_the_highest_alias_safe_order(self):
+        # Every order up to the cap 3 measures a saturated point near 0, order 3
+        # would alias across the wide hull, and one small batch is too little
+        # information to certify a hop: the highest alias-safe order is used.
         state = InferenceState.initial()
-        state.feasible = IntervalUnion([(0.0499, 0.0501)])
-        state.theta_hat = 0.05
-        state.k_prev = 4
-        state.t = 6
-        # Two fresh batches at the previous depth came back effectively
-        # saturated, so the controller steps the ladder down.
-        state.rounds = [
-            RoundRecord(k=4, m=400, h=399, delta=0.01),
-            RoundRecord(k=4, m=400, h=400, delta=0.01),
-        ]
-        baseline = select_depth(state)
-        state.rounds = [
-            RoundRecord(k=4, m=400, h=200, delta=0.01),
-            RoundRecord(k=4, m=400, h=190, delta=0.01),
-        ]
-        unsaturated = select_depth(state)
-        assert baseline == max(unsaturated - 1, 0)
+        state.feasible = IntervalUnion([(0.01, 0.25)])
+        state.rounds = [RoundRecord(k=0, m=100, h=0, delta=0.05)]
+        state.theta_hat = 0.01
+        state.ledger = ledger_at(2)
+        state.t = 3
+        assert not mliqae._alias_safe(0.01, 0.25, 3, mliqae._KAPPA)
+        assert select_depth(state) == 2
+
+    @pytest.mark.parametrize(
+        "theta, k_last, without_hop, hop",
+        [
+            # Orders 0-6 all saturate near 0; order 7 is the first usable one.
+            (0.01, 2, 3, 7),
+            # Order 1 saturates near 1 above the usable order 0; order 2 is usable.
+            (0.5 * math.pi / 3 - 0.1 / 3, 0, 0, 2),
+        ],
+        ids=("all-saturated-below", "saturated-rung-above"),
+    )
+    def test_certified_hop_jumps_past_saturated_rungs(self, theta, k_last, without_hop, hop):
+        state = InferenceState.initial()
+        state.feasible = IntervalUnion([(theta - 1e-4, theta + 1e-4)])
+        state.theta_hat = theta
+        state.ledger = ledger_at(k_last)
+        state.t = 3
+        # Too little information to localize the angle on the target flank.
+        state.rounds = [RoundRecord(k=0, m=100, h=0, delta=0.05)]
+        assert select_depth(state) == without_hop
+        # Enough information: the hop is certified, 6 sigma (2k+1) <= pi/8.
+        state.rounds = [RoundRecord(k=0, m=20_000, h=0, delta=0.05)]
+        assert 6.0 * mliqae._fisher_sigma(state.rounds) * (2 * hop + 1) <= 0.125 * math.pi
+        assert select_depth(state) == hop
 
 
 class TestUpdateFeasible:
@@ -295,13 +317,16 @@ class TestUpdateFeasible:
             assert got == pytest.approx(components[idx], abs=1e-12)
 
     def test_measure_never_increases(self):
+        def measure(union):
+            return sum(hi - lo for lo, hi in union.components)
+
         rng = np.random.default_rng(21)
         for trial in range(10):
             a = float(rng.uniform(0.05, 0.9))
             theta = math.asin(math.sqrt(a))
             oracle = AnalyticOracle(a)
             state = InferenceState.initial()
-            last = state.feasible.total_measure()
+            last = measure(state.feasible)
             for t in range(1, 9):
                 k = min(t - 1, 2)
                 p = oracle.success_probability(k)
@@ -311,7 +336,7 @@ class TestUpdateFeasible:
                 update_feasible(state, rec)
                 if state.feasible.is_empty:
                     break
-                now = state.feasible.total_measure()
+                now = measure(state.feasible)
                 assert now <= last + 1e-12
                 last = now
 
@@ -386,56 +411,7 @@ class TestConstrainedMle:
 
     def test_empty_set_raises(self):
         with pytest.raises(ValueError):
-            constrained_mle(IntervalUnion.empty(), [ROUND_A])
-
-
-class TestDisambiguate:
-    def test_eliminates_distinguishable_alias(self):
-        # False component around 0.41 versus truth around 0.61: their
-        # order-zero response probabilities differ by about 0.16, so one
-        # high-shot batch at order zero should settle it nearly always.
-        cfg = ControllerConfig(budget=20_000)
-        theta = 0.61
-        oracle = AnalyticOracle(math.sin(theta) ** 2)
-        eliminated = 0
-        trials = 200
-        for seed in range(trials):
-            state = InferenceState.initial()
-            state.feasible = IntervalUnion([(0.40, 0.42), (0.60, 0.62)])
-            state.theta_hat = theta
-            state.t = 5
-            disambiguate(state, cfg, oracle, np.random.default_rng(seed))
-            if not state.failed and not state.feasible.is_empty:
-                if not state.feasible.contains(0.41):
-                    eliminated += 1
-        assert eliminated >= int(0.97 * trials)
-
-    def test_single_component_shrinks_without_splitting(self):
-        cfg = ControllerConfig(budget=20_000)
-        oracle = AnalyticOracle(0.2625)
-        state = InferenceState.initial()
-        state.feasible = IntervalUnion([(0.530, 0.545)])
-        state.theta_hat = THETA_TRUE
-        state.t = 5
-        before = state.feasible.total_measure()
-        disambiguate(state, cfg, oracle, np.random.default_rng(4))
-        assert not state.failed
-        assert len(state.feasible) == 1
-        assert state.feasible.total_measure() <= before + 1e-12
-
-    def test_exhausted_budget_is_a_no_op(self):
-        cfg = ControllerConfig(budget=1000)
-        oracle = AnalyticOracle(0.2625)
-        state = InferenceState.initial()
-        state.feasible = IntervalUnion([(0.530, 0.545)])
-        state.theta_hat = THETA_TRUE
-        state.spent = 1000
-        state.t = 5
-        before_rounds = list(state.rounds)
-        disambiguate(state, cfg, oracle, np.random.default_rng(4))
-        assert state.rounds == before_rounds
-        assert state.spent == 1000
-        assert state.feasible == IntervalUnion([(0.530, 0.545)])
+            constrained_mle(IntervalUnion(), [ROUND_A])
 
 
 class TestRestart:
@@ -471,10 +447,9 @@ class TestRestart:
         mliqae._restart_loop(state, cfg, oracle, np.random.default_rng(0))
         assert state.failed
 
-    def test_largest_cap_fails_cleanly_on_a_self_contradicting_oracle(self, monkeypatch):
+    def test_largest_cap_fails_cleanly_on_a_self_contradicting_oracle(self):
         # Every restart nests its recovery inside the batch that collapsed;
         # the largest accepted cap must still fail the run, not the stack.
-        monkeypatch.setattr(mliqae, "_DISAMBIG_PERIOD", 3)
         cfg = ControllerConfig(budget=1_000_000, restart_cap=100)
         report = run(FlipOracle(), cfg, np.random.default_rng(8))
         assert report.failed
@@ -529,11 +504,10 @@ class TestRun:
             prev = 0
             info = 0.0
             for batch in report.ledger:
-                if batch.kind != "disambig":
-                    if batch.k > prev + 1:
-                        sigma = 1.0 / math.sqrt(info)
-                        assert 6.0 * sigma * (2 * batch.k + 1) <= 0.125 * math.pi
-                    prev = batch.k
+                if batch.k > prev + 1:
+                    sigma = 1.0 / math.sqrt(info)
+                    assert 6.0 * sigma * (2 * batch.k + 1) <= 0.125 * math.pi
+                prev = batch.k
                 info += 4.0 * (2 * batch.k + 1) ** 2 * batch.m
 
     def test_target_half_width_stops_early(self):
@@ -557,10 +531,9 @@ class TestRun:
             errors.append(float(np.median(errs)))
         assert errors[1] < errors[0]
 
-    def test_failed_run_still_reports_an_estimate(self, monkeypatch):
+    def test_failed_run_still_reports_an_estimate(self):
         # Zero restart budget plus an adversarial oracle that contradicts
         # itself across depths forces the failure path.
-        monkeypatch.setattr(mliqae, "_DISAMBIG_PERIOD", 3)
         cfg = ControllerConfig(budget=50_000, restart_cap=0)
         report = run(FlipOracle(), cfg, np.random.default_rng(8))
         assert report.failed
@@ -571,21 +544,23 @@ class TestRun:
 # Decision-equivalence gate.  The (kind, k, m, h) ledgers of this seeded grid
 # and the estimates below were recorded with the golden-section MLE and the
 # hand-rolled inverse beta that the Newton refinement and scipy's betaincinv
-# replaced; any change meant to keep the controller's decisions must keep the
-# digest, and the estimates to 1e-8.
+# replaced.  Deleting the low-depth sweep and the saturation back-off
+# moved four runs, so the digest and the (0.015, 4000) and (0.9999, 64000)
+# rows were re-recorded then.  Any change meant to keep the controller's
+# decisions must keep the digest, and the estimates to 1e-8.
 EQUIV_AMPLITUDES = (0.0, 0.015, 0.2625, 0.9999, 1.0)
 EQUIV_BUDGETS = (4000, 64000)
 EQUIV_SEEDS = 3
-EQUIV_DIGEST = "c7175af4e0a8508e157264472a963cfc1aeea27108bc8585cbac7e41ae61e5ba"
+EQUIV_DIGEST = "6ee2568b5b41ebf43f00b634084cd2c42a64b0c3136a244169a954192cc8c65c"
 EQUIV_A_HAT = {
     (0.0, 4000): (1.399531621194361e-21,) * 3,
     (0.0, 64000): (1.0248868855853589e-21,) * 3,
-    (0.015, 4000): (0.014919695446775929, 0.014597865618082273, 0.014306465458522754),
+    (0.015, 4000): (0.014919695576636994, 0.014597865748310233, 0.014306768093762785),
     (0.015, 64000): (0.015077864709604066, 0.015006577296860217, 0.014964816633786857),
     (0.2625, 4000): (0.2645053201262488, 0.26277601241278853, 0.26097135598784177),
     (0.2625, 64000): (0.26231570706041124, 0.2622565354452174, 0.2623426347781064),
     (0.9999, 4000): (1.0,) * 3,
-    (0.9999, 64000): (0.9999112301884817, 0.9998999478546116, 0.9998976874210788),
+    (0.9999, 64000): (0.9999121646149209, 0.9998990972699374, 0.9999035220197282),
     (1.0, 4000): (1.0,) * 3,
     (1.0, 64000): (1.0,) * 3,
 }
@@ -617,11 +592,12 @@ class TestDecisionEquivalence:
 
 # Recovery-path gate.  The decision grid above never restarts, heals or
 # fails, so these runs pin the recovery code: two collapses each (the second
-# sheds the most inconsistent batch), one heal of a pinned estimate each, a
-# disambiguation sweep, and the self-contradicting oracle failing at three
-# restart caps.  The digest covers each ledger's (kind, k, m, h) sequence plus
-# its restart count and failure flag, recorded before the recovery code was
-# folded into one shed-and-rebuild path.
+# sheds the most inconsistent batch), one heal of a pinned estimate each, and
+# the self-contradicting oracle failing at three restart caps.  The digest
+# covers each ledger's (kind, k, m, h) sequence plus its restart count and
+# failure flag, recorded before the recovery code was folded into one
+# shed-and-rebuild path and re-recorded when a run that only pinned the
+# deleted low-depth sweep left the list.
 RECOVERY_RUNS = (
     (0.05, 32000, 5),
     (0.05, 32000, 12),
@@ -629,10 +605,9 @@ RECOVERY_RUNS = (
     (0.2625, 4000, 36),
     (0.9, 32000, 21),
     (0.9, 32000, 31),
-    (0.015, 4000, 2),
 )
 RECOVERY_FLIP_CAPS = (0, 1, 3)
-RECOVERY_DIGEST = "81af333ffc909590179daaef93e1b4b136adb7f0a3467f20a42bad3d45c1970c"
+RECOVERY_DIGEST = "4c47bc547922416c11fa9c06ccfa5a8c00a2cdc53549234241f65ad0a5e6e923"
 
 
 @pytest.fixture(scope="module")
@@ -641,11 +616,9 @@ def recovery_grid():
     for a, budget, rep in RECOVERY_RUNS:
         rng = np.random.default_rng(run_seed(0, "mliqae", budget, rep))
         reports.append(run(AnalyticOracle(a), ControllerConfig(budget=budget), rng))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mliqae, "_DISAMBIG_PERIOD", 3)
-        for cap in RECOVERY_FLIP_CAPS:
-            cfg = ControllerConfig(budget=50_000, restart_cap=cap)
-            reports.append(run(FlipOracle(), cfg, np.random.default_rng(8)))
+    for cap in RECOVERY_FLIP_CAPS:
+        cfg = ControllerConfig(budget=50_000, restart_cap=cap)
+        reports.append(run(FlipOracle(), cfg, np.random.default_rng(8)))
     return reports
 
 
@@ -661,7 +634,6 @@ class TestRecoveryPathEquivalence:
     def test_grid_exercises_every_recovery_path(self, recovery_grid):
         assert max(r.restarts for r in recovery_grid if not r.failed) >= 2
         assert any(r.failed for r in recovery_grid)
-        assert any(b.kind == "disambig" for r in recovery_grid for b in r.ledger)
         assert any(b.kind == "restart" for r in recovery_grid for b in r.ledger)
 
 
