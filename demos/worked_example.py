@@ -22,7 +22,7 @@ from tailamp.qsim import (
     reflect_zero,
     success_probability,
 )
-from tailamp.stats import RoundRecord, clopper_pearson
+from tailamp.stats import RoundRecord, clopper_pearson, order_totals
 
 
 def show(label, state):
@@ -71,7 +71,7 @@ def main():
     for lo, hi in feasible.components:
         print(f"      [{lo:.5f}, {hi:.5f}]")
 
-    theta_hat, a_hat = constrained_mle(feasible, batches)
+    theta_hat, a_hat = constrained_mle(feasible, order_totals(batches))
     print(f"constrained MLE: theta = {theta_hat:.6f}, a = {a_hat:.6f}"
           f"  (true a = {a:.6f})")
 

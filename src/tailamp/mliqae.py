@@ -27,13 +27,12 @@ import numpy as np
 from .intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
 from .qsim import sample_shots
 from .stats import (
+    OrderTotals,
     RoundRecord,
     clopper_pearson,
     delta_schedule,
-    log_likelihood,
     log_likelihood_slopes,
     log_likelihood_terms,
-    order_totals,
 )
 
 # Cap on refinement steps per MLE.  Bisection alone narrows a one-grid-step
@@ -109,16 +108,24 @@ class BatchLog:
     k: int
     m: int
     h: int
-    cost: int       # (2k+1) m oracle calls
-    theta_hi: float  # feasible hull upper edge when the batch was selected
+
+    @property
+    def cost(self) -> int:
+        """Oracle calls the batch spent: (2k+1) m."""
+        return (2 * self.k + 1) * self.m
 
 
 @dataclass
 class InferenceState:
-    """Everything the controller carries between batches."""
+    """Everything the controller carries between batches.
+
+    rounds and totals hold the same retained batches; add_round and
+    drop_round keep them in step.
+    """
 
     feasible: IntervalUnion
     rounds: list[RoundRecord] = field(default_factory=list)
+    totals: OrderTotals = field(default_factory=OrderTotals)
     ledger: list[BatchLog] = field(default_factory=list)
     spent: int = 0
     t: int = 0            # completed ordinary rounds
@@ -131,6 +138,13 @@ class InferenceState:
     @classmethod
     def initial(cls) -> "InferenceState":
         return cls(feasible=IntervalUnion.full_domain())
+
+    def add_round(self, rec: RoundRecord) -> None:
+        self.rounds.append(rec)
+        self.totals.add(rec)
+
+    def drop_round(self, idx: int) -> None:
+        self.totals.remove(self.rounds.pop(idx))
 
 
 @dataclass(frozen=True)
@@ -179,7 +193,7 @@ def _prune(union: IntervalUnion, state: "InferenceState") -> IntervalUnion:
     """Keep at most _MAX_COMPONENTS components, ranked by likelihood support."""
     if len(union) <= _MAX_COMPONENTS or union.is_empty:
         return union
-    sups, _, _ = _component_sups(union, order_totals(state.rounds), _GRID_POINTS)
+    sups, _, _ = _component_sups(union, state.totals.arrays, _GRID_POINTS)
     if state.theta_hat is not None:
         ref = state.theta_hat
     else:
@@ -250,19 +264,43 @@ def _newton_refine(args, brackets, totals, width: float) -> np.ndarray:
     return np.where(at_lo, lo, np.where(at_hi, hi, th))
 
 
-def constrained_mle(union: IntervalUnion, rounds) -> tuple[float, float]:
+def _concave_on(lo: float, hi: float, omega: np.ndarray) -> bool:
+    """Whether no order in omega has a singular angle strictly inside (lo, hi).
+
+    The log-likelihood's singular angles are the multiples of pi/(2 omega);
+    between them every term is concave, so a certified interval holds a
+    single maximum.  The relative slack of 1e-15 covers the rounding of
+    the scaled edges, so an edge within rounding of a singular angle counts
+    as straddling it.
+    """
+    half = 0.5 * math.pi
+    s_lo = omega * (lo / half) * (1.0 - 1e-15)
+    s_hi = omega * (hi / half) * (1.0 + 1e-15)
+    return bool(np.all(np.floor(s_lo) + 1.0 >= s_hi))
+
+
+def constrained_mle(union: IntervalUnion, totals) -> tuple[float, float]:
     """Maximum-likelihood angle restricted to the feasible union.
 
-    Grid scan per component on the per-order sufficient statistics, then
-    bracket-guarded Newton refinement of every component's grid argmax on
-    the analytic score, stopping at _MLE_BRACKET.  The winning component
-    is the one with the larger likelihood sup; exact ties go to the smaller
-    angle.  Without rounds the likelihood is flat and the leftmost point
-    wins.  Returns (theta_hat, a_hat).
+    totals are the per-order sufficient statistics (omega, hs, tails) of the
+    rounds, as order_totals or InferenceState.totals give them.  On a single
+    interval where the likelihood is certified concave (_concave_on) the
+    maximum is found without a grid: an edge whose score points outward is
+    returned as it is, otherwise bracket-guarded Newton refinement runs on
+    the whole interval from its midpoint.  Any other set, and any call
+    without rounds, takes the grid path: a scan per component, then Newton
+    refinement of every component's grid argmax on the analytic score.
+    Refinement stops at _MLE_BRACKET.  On the grid path the winning
+    component is the one with the larger likelihood sup; exact ties go to
+    the smaller angle.  Without rounds the likelihood is flat and the
+    leftmost point wins.  Returns (theta_hat, a_hat).
     """
     if union.is_empty:
         raise ValueError("cannot take an MLE over an empty feasible set")
-    totals = order_totals(rounds)
+    if len(union) == 1 and totals[0].size and _concave_on(*union.components[0], totals[0]):
+        lo, hi = union.components[0]
+        theta = float(_newton_refine([0.5 * (lo + hi)], [(lo, hi)], totals, _MLE_BRACKET)[0])
+        return theta, math.sin(theta) ** 2
     sups, args, brackets = _component_sups(union, totals, _GRID_POINTS)
     refined = _newton_refine(args, brackets, totals, _MLE_BRACKET)
     fm = log_likelihood_terms(refined, *totals)
@@ -297,16 +335,6 @@ def _alias_safe(theta_lo: float, theta_hi: float, k: int, kappa: float) -> bool:
     if j == 0:
         return s_hi <= kappa / half
     return s_lo - j >= _FLANK_GUARD and (j + 1) - s_hi >= _FLANK_GUARD
-
-
-def _fisher_sigma(rounds) -> float:
-    """Asymptotic angle deviation from the accumulated Fisher information.
-
-    Each shot at order k carries information 4(2k+1)^2 about the angle,
-    independent of where on the flank it lands.
-    """
-    info = 4.0 * sum((2 * r.k + 1) ** 2 * r.m for r in rounds)
-    return 1.0 / math.sqrt(info) if info > 0.0 else math.inf
 
 
 def select_depth(state: InferenceState) -> int:
@@ -352,12 +380,16 @@ def select_depth(state: InferenceState) -> int:
         not point_ok(j) for j in range(pick + 1, cap + 1)
     )
     if pick is None or blocked_by_saturation:
+        # The hop certificate 6 sigma (2k+1) <= pi/8 only loosens as k falls,
+        # so the scan stops at the deepest order it still certifies.
+        info = state.totals.info
+        sigma = 1.0 / math.sqrt(info) if info > 0 else math.inf
         nxt = cap + 1
-        while nxt <= _K_MAX and not point_ok(nxt):
+        while nxt <= _K_MAX and 6.0 * sigma * (2 * nxt + 1) <= 0.125 * math.pi:
+            if point_ok(nxt):
+                pick = nxt
+                break
             nxt += 1
-        sigma = _fisher_sigma(state.rounds)
-        if nxt <= _K_MAX and 6.0 * sigma * (2 * nxt + 1) <= 0.125 * math.pi:
-            pick = nxt
     if pick is not None:
         return pick
     return fallback if fallback is not None else 0
@@ -395,22 +427,21 @@ def _run_batch(
     kind: str,
 ) -> None:
     """Draw one batch, log it and fold in its band; a collapse goes to the restart loop."""
-    theta_hi = state.feasible.hull()[1]
     p = oracle.success_probability(k)
     h = sample_shots(p, m, rng)
     state.batches += 1
     delta = delta_schedule(state.batches, cfg.delta_tot)
     rec = RoundRecord(k=k, m=m, h=h, delta=delta)
-    cost = (2 * k + 1) * m
-    state.spent += cost
-    state.rounds.append(rec)
-    state.ledger.append(BatchLog(kind=kind, k=k, m=m, h=h, cost=cost, theta_hi=theta_hi))
+    entry = BatchLog(kind=kind, k=k, m=m, h=h)
+    state.spent += entry.cost
+    state.add_round(rec)
+    state.ledger.append(entry)
     update_feasible(state, rec)
     if state.feasible.is_empty:
         _restart_loop(state, cfg, oracle, rng)
 
 
-def _most_inconsistent(rounds) -> int:
+def _most_inconsistent(state: InferenceState) -> int:
     """Index of the batch least compatible with the joint fit.
 
     Fits one angle to all retained batches over the full domain, then scores
@@ -418,7 +449,8 @@ def _most_inconsistent(rounds) -> int:
     was an extreme draw (the usual cause of a collapse that discarding the
     most recent batch cannot cure) dominates this score by a wide margin.
     """
-    theta_star, _ = constrained_mle(IntervalUnion.full_domain(), rounds)
+    rounds = state.rounds
+    theta_star, _ = constrained_mle(IntervalUnion.full_domain(), state.totals.arrays)
     omega = np.array([2 * r.k + 1 for r in rounds], dtype=float)
     hs = np.array([r.h for r in rounds], dtype=float)
     ms = np.array([r.m for r in rounds], dtype=float)
@@ -439,7 +471,7 @@ def _shed(
     The dropped batch's confidence budget stays spent.
     """
     state.restarts += 1
-    state.rounds.pop(idx)
+    state.drop_round(idx)
     rebuilt = IntervalUnion.full_domain()
     for rec in state.rounds:
         rebuilt = rebuilt.intersect(_band(rec))
@@ -468,7 +500,7 @@ def _restart_loop(
         state.restarts += 1
         state.failed = True
         return
-    idx = len(state.rounds) - 1 if state.restarts == 0 else _most_inconsistent(state.rounds)
+    idx = len(state.rounds) - 1 if state.restarts == 0 else _most_inconsistent(state)
     _shed(state, cfg, oracle, rng, idx)
 
 
@@ -491,11 +523,13 @@ def _pinned_outside(state: InferenceState) -> bool:
         return False
     pad = max(width, 1e-4)
     window = IntervalUnion([(max(THETA_LO, lo - pad), min(THETA_HI, hi + pad))])
-    theta_free, _ = constrained_mle(window, state.rounds)
+    totals = state.totals.arrays
+    theta_free, _ = constrained_mle(window, totals)
     if lo - edge_tol <= theta_free <= hi + edge_tol:
         return False
     gap = 2.0 * (
-        log_likelihood(theta_free, state.rounds) - log_likelihood(state.theta_hat, state.rounds)
+        log_likelihood_terms(np.array([theta_free]), *totals)[0]
+        - log_likelihood_terms(np.array([state.theta_hat]), *totals)[0]
     )
     return gap > _HEAL_GATE
 
@@ -510,13 +544,13 @@ def _heal_pinned(
     """
     if state.restarts >= cfg.restart_cap or not _pinned_outside(state):
         return
-    _shed(state, cfg, oracle, rng, _most_inconsistent(state.rounds))
+    _shed(state, cfg, oracle, rng, _most_inconsistent(state))
     if not state.failed:
         _refresh_estimate(state)
 
 
 def _refresh_estimate(state: InferenceState) -> None:
-    theta_hat, _ = constrained_mle(state.feasible, state.rounds)
+    theta_hat, _ = constrained_mle(state.feasible, state.totals.arrays)
     state.theta_hat = theta_hat
 
 
@@ -555,7 +589,7 @@ def _build_report(state: InferenceState) -> EstimateReport:
         support = state.feasible
         hull = state.feasible.hull()
         feasible = state.feasible
-    theta_hat, a_hat = constrained_mle(support, state.rounds)
+    theta_hat, a_hat = constrained_mle(support, state.totals.arrays)
     # The domain inset keeps angles off 0 and pi/2; a hull reaching an inset
     # edge admits the degenerate amplitude itself.
     a_lo = 0.0 if hull[0] <= THETA_LO else math.sin(hull[0]) ** 2

@@ -84,22 +84,57 @@ def delta_schedule(t: int, delta_tot: float) -> float:
     return (6.0 / math.pi**2) * delta_tot / (t * t)
 
 
+class OrderTotals:
+    """Per-order sufficient statistics of a set of rounds that changes in place.
+
+    add folds one round in and remove takes it out again; an order whose
+    counts drop to zero leaves the table.  arrays is (omega, hs, tails) as
+    order_totals returns it, rebuilt only after a change.  info is the Fisher
+    information about the angle, 4 sum (2k+1)^2 m: each shot at order k
+    carries 4(2k+1)^2 wherever on the flank it lands.  Integer counts keep
+    every total exact, so any add/remove history gives the same values as
+    a fresh build from the remaining rounds.
+    """
+
+    __slots__ = ("_counts", "_arrays", "info")
+
+    def __init__(self, rounds=()):
+        self._counts: dict[int, list[int]] = {}
+        self._arrays = None
+        self.info = 0
+        for r in rounds:
+            self.add(r)
+
+    def add(self, rec: RoundRecord, sign: int = 1) -> None:
+        acc = self._counts.setdefault(rec.k, [0, 0])
+        acc[0] += sign * rec.h
+        acc[1] += sign * (rec.m - rec.h)
+        if acc[0] == acc[1] == 0:
+            del self._counts[rec.k]
+        self.info += sign * 4 * (2 * rec.k + 1) ** 2 * rec.m
+        self._arrays = None
+
+    def remove(self, rec: RoundRecord) -> None:
+        self.add(rec, -1)
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            ks = sorted(self._counts)
+            omega = np.array([2 * k + 1 for k in ks], dtype=float)
+            hs = np.array([self._counts[k][0] for k in ks], dtype=float)
+            tails = np.array([self._counts[k][1] for k in ks], dtype=float)
+            self._arrays = (omega, hs, tails)
+        return self._arrays
+
+
 def order_totals(rounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sufficient statistics of the rounds: one row per distinct order k.
 
     Returns (omega, hs, tails) with omega = 2k+1 in ascending k, hs the summed
     successes and tails the summed failures m - h at that order.
     """
-    totals: dict[int, list[int]] = {}
-    for r in rounds:
-        acc = totals.setdefault(r.k, [0, 0])
-        acc[0] += r.h
-        acc[1] += r.m - r.h
-    ks = sorted(totals)
-    omega = np.array([2 * k + 1 for k in ks], dtype=float)
-    hs = np.array([totals[k][0] for k in ks], dtype=float)
-    tails = np.array([totals[k][1] for k in ks], dtype=float)
-    return omega, hs, tails
+    return OrderTotals(rounds).arrays
 
 
 def log_likelihood_terms(

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,6 +322,26 @@ class TestCommands:
         assert len(cells) == len(RAW_COLUMNS)
         assert cells[0] == "mc"
         assert cells[2] == "100"
+
+    def test_estimate_on_a_file_leaves_scipy_linalg_unimported(self, tmp_path):
+        # Only building an ensemble needs scipy.linalg (about 6 MB of resident
+        # memory); a fresh interpreter that estimates on a file never loads it.
+        ens_path, _ = self.generate(tmp_path)
+        argv = ["estimate", "--ensemble", str(ens_path), "--method", "mliqae",
+                "--budget", "2000", "--seed", "4"]
+        code = (
+            "import sys\n"
+            "from tailamp.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, 'scipy.linalg' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 False"
 
     def test_bench_writes_both_csv_files(self, tmp_path, capsys):
         rc = main(

@@ -21,7 +21,13 @@ from tailamp.mliqae import (
     update_feasible,
 )
 from tailamp.qsim import AnalyticOracle
-from tailamp.stats import RoundRecord, clopper_pearson, delta_schedule, log_likelihood
+from tailamp.stats import (
+    RoundRecord,
+    clopper_pearson,
+    delta_schedule,
+    log_likelihood,
+    order_totals,
+)
 
 # The worked two-round dataset used throughout: 262/1000 successes at order 0
 # and 998/1000 at order 1, both at risk 0.05.  True amplitude 0.2625,
@@ -41,18 +47,18 @@ def band_for(rec: RoundRecord) -> IntervalUnion:
 def two_round_state() -> InferenceState:
     state = InferenceState.initial()
     for rec in (ROUND_A, ROUND_B):
-        state.rounds.append(rec)
+        state.add_round(rec)
         state.batches += 1
         update_feasible(state, rec)
     state.t = 2
-    theta_hat, _ = constrained_mle(state.feasible, state.rounds)
+    theta_hat, _ = constrained_mle(state.feasible, state.totals.arrays)
     state.theta_hat = theta_hat
     return state
 
 
 def ledger_at(k: int) -> list[BatchLog]:
     """A one-entry ledger whose last batch ran at order k."""
-    return [BatchLog(kind="round", k=k, m=100, h=50, cost=(2 * k + 1) * 100, theta_hi=1.0)]
+    return [BatchLog(kind="round", k=k, m=100, h=50)]
 
 
 class FlipOracle:
@@ -166,7 +172,7 @@ class TestSelectDepth:
     def test_wide_hull_keeps_order_zero(self):
         state = InferenceState.initial()
         state.feasible = band_for(ROUND_A)
-        state.rounds = [ROUND_A]
+        state.add_round(ROUND_A)
         state.theta_hat = 0.537916
         state.ledger = ledger_at(0)
         state.t = 1
@@ -184,7 +190,7 @@ class TestSelectDepth:
             hi = min(math.pi / 2 - 1e-6, theta + 0.5 * width)
             state = InferenceState.initial()
             state.feasible = IntervalUnion([(lo, hi)])
-            state.rounds = [RoundRecord(k=0, m=200, h=50, delta=0.05)]
+            state.add_round(RoundRecord(k=0, m=200, h=50, delta=0.05))
             state.theta_hat = 0.5 * (lo + hi)
             k_last = int(rng.integers(0, 20))
             state.ledger = ledger_at(k_last)
@@ -200,7 +206,7 @@ class TestSelectDepth:
             hi = min(math.pi / 2 - 1e-6, theta + 0.5 * width)
             state = InferenceState.initial()
             state.feasible = IntervalUnion([(lo, hi)])
-            state.rounds = [RoundRecord(k=0, m=500, h=120, delta=0.05)]
+            state.add_round(RoundRecord(k=0, m=500, h=120, delta=0.05))
             state.theta_hat = 0.5 * (lo + hi)
             state.ledger = ledger_at(int(rng.integers(0, 30)))
             state.t = 4
@@ -213,7 +219,7 @@ class TestSelectDepth:
         # bound applies: (2k+1) * theta_hi <= kappa.
         state = InferenceState.initial()
         state.feasible = IntervalUnion([(0.049, 0.051)])
-        state.rounds = [RoundRecord(k=0, m=500, h=2, delta=0.05)]
+        state.add_round(RoundRecord(k=0, m=500, h=2, delta=0.05))
         state.theta_hat = 0.05
         state.t = 5
         for k_last in range(0, 40):
@@ -229,7 +235,7 @@ class TestSelectDepth:
         # information to certify a hop: the highest alias-safe order is used.
         state = InferenceState.initial()
         state.feasible = IntervalUnion([(0.01, 0.25)])
-        state.rounds = [RoundRecord(k=0, m=100, h=0, delta=0.05)]
+        state.add_round(RoundRecord(k=0, m=100, h=0, delta=0.05))
         state.theta_hat = 0.01
         state.ledger = ledger_at(2)
         state.t = 3
@@ -253,11 +259,14 @@ class TestSelectDepth:
         state.ledger = ledger_at(k_last)
         state.t = 3
         # Too little information to localize the angle on the target flank.
-        state.rounds = [RoundRecord(k=0, m=100, h=0, delta=0.05)]
+        state.add_round(RoundRecord(k=0, m=100, h=0, delta=0.05))
         assert select_depth(state) == without_hop
-        # Enough information: the hop is certified, 6 sigma (2k+1) <= pi/8.
-        state.rounds = [RoundRecord(k=0, m=20_000, h=0, delta=0.05)]
-        assert 6.0 * mliqae._fisher_sigma(state.rounds) * (2 * hop + 1) <= 0.125 * math.pi
+        # Enough information: the hop is certified, 6 sigma (2k+1) <= pi/8,
+        # with sigma = 1 / sqrt(4 m) from m shots at order 0.
+        state.drop_round(0)
+        state.add_round(RoundRecord(k=0, m=20_000, h=0, delta=0.05))
+        sigma = 1.0 / math.sqrt(4 * 20_000)
+        assert 6.0 * sigma * (2 * hop + 1) <= 0.125 * math.pi
         assert select_depth(state) == hop
 
 
@@ -275,7 +284,7 @@ class TestUpdateFeasible:
         # Two successes out of four at order 0: the resulting band spans far
         # beyond the current set, so the intersection is a no-op.
         rec = RoundRecord(k=0, m=4, h=2, delta=0.05)
-        state.rounds.append(rec)
+        state.add_round(rec)
         update_feasible(state, rec)
         assert state.feasible == before
 
@@ -283,7 +292,7 @@ class TestUpdateFeasible:
         state = two_round_state()
         before = state.feasible
         rec = RoundRecord(k=0, m=200, h=0, delta=0.05)
-        state.rounds.append(rec)
+        state.add_round(rec)
         update_feasible(state, rec)
         assert state.feasible.is_empty
         assert state.pre_collapse == before
@@ -291,7 +300,7 @@ class TestUpdateFeasible:
     def test_prune_keeps_highest_likelihood_components(self, monkeypatch):
         monkeypatch.setattr(mliqae, "_MAX_COMPONENTS", 3)
         state = InferenceState.initial()
-        state.rounds = [RoundRecord(k=0, m=100, h=25, delta=0.05)]
+        state.add_round(RoundRecord(k=0, m=100, h=25, delta=0.05))
         components = [
             (0.10, 0.12),
             (0.30, 0.32),
@@ -310,7 +319,7 @@ class TestUpdateFeasible:
             sorted(range(5), key=lambda i: sups[i], reverse=True)[:3]
         )
         rec = RoundRecord(k=0, m=4, h=2, delta=0.05)
-        state.rounds.append(rec)
+        state.add_round(rec)
         update_feasible(state, rec)
         assert len(state.feasible) == 3
         for idx, got in zip(expected, state.feasible.components):
@@ -332,7 +341,7 @@ class TestUpdateFeasible:
                 p = oracle.success_probability(k)
                 h = int(rng.binomial(400, p))
                 rec = RoundRecord(k=k, m=400, h=h, delta=delta_schedule(t, 0.05))
-                state.rounds.append(rec)
+                state.add_round(rec)
                 update_feasible(state, rec)
                 if state.feasible.is_empty:
                     break
@@ -344,21 +353,21 @@ class TestUpdateFeasible:
 class TestConstrainedMle:
     def test_interior_maximum_matches_frequency(self):
         feasible = band_for(ROUND_A)
-        theta_hat, a_hat = constrained_mle(feasible, [ROUND_A])
+        theta_hat, a_hat = constrained_mle(feasible, order_totals([ROUND_A]))
         assert theta_hat == pytest.approx(math.asin(math.sqrt(0.262)), abs=1e-5)
         assert a_hat == pytest.approx(0.262, abs=1e-4)
 
     def test_excluded_maximum_lands_on_nearest_endpoint(self):
         above = IntervalUnion([(0.60, 0.70)])
-        theta_hat, _ = constrained_mle(above, [ROUND_A])
+        theta_hat, _ = constrained_mle(above, order_totals([ROUND_A]))
         assert theta_hat == pytest.approx(0.60, abs=1e-6)
         below = IntervalUnion([(0.30, 0.40)])
-        theta_hat, _ = constrained_mle(below, [ROUND_A])
+        theta_hat, _ = constrained_mle(below, order_totals([ROUND_A]))
         assert theta_hat == pytest.approx(0.40, abs=1e-6)
 
     def test_two_round_estimate_stays_near_truth(self):
         state = two_round_state()
-        theta_hat, a_hat = constrained_mle(state.feasible, state.rounds)
+        theta_hat, a_hat = constrained_mle(state.feasible, state.totals.arrays)
         assert state.feasible.contains(theta_hat, tol=1e-9)
         assert abs(a_hat - 0.2625) < 0.03
 
@@ -376,7 +385,7 @@ class TestConstrainedMle:
                 )
                 for _ in range(3)
             ]
-            theta_hat, _ = constrained_mle(feasible, rounds)
+            theta_hat, _ = constrained_mle(feasible, order_totals(rounds))
             grid = np.concatenate(
                 [np.linspace(lo, hi, 20_000) for lo, hi in feasible.components]
             )
@@ -386,15 +395,15 @@ class TestConstrainedMle:
 
     def test_no_rounds_gives_leftmost_point(self):
         feasible = IntervalUnion([(0.2, 0.3), (0.5, 0.6)])
-        theta_hat, _ = constrained_mle(feasible, [])
+        theta_hat, _ = constrained_mle(feasible, order_totals([]))
         # A flat likelihood ties everywhere; ties break toward smaller angle.
         assert theta_hat == pytest.approx(0.2, abs=1e-6)
 
     def test_maximum_on_an_edge_returns_the_edge_exactly(self):
         rounds = [RoundRecord(k=0, m=500, h=0, delta=0.05)]
-        theta_hat, a_hat = constrained_mle(IntervalUnion([(0.2, 0.4)]), rounds)
+        theta_hat, a_hat = constrained_mle(IntervalUnion([(0.2, 0.4)]), order_totals(rounds))
         assert theta_hat == 0.2 and a_hat == math.sin(0.2) ** 2
-        theta_hat, _ = constrained_mle(IntervalUnion([(0.2, 0.4)]), [ROUND_B])
+        theta_hat, _ = constrained_mle(IntervalUnion([(0.2, 0.4)]), order_totals([ROUND_B]))
         assert theta_hat == 0.4
 
     def test_refinement_reaches_the_stationary_point(self):
@@ -402,7 +411,7 @@ class TestConstrainedMle:
         # and the estimate beats a dense grid.
         rounds = [ROUND_A, RoundRecord(k=2, m=400, h=75, delta=0.05)]
         feasible = IntervalUnion([(0.50, 0.58)])
-        theta_hat, _ = constrained_mle(feasible, rounds)
+        theta_hat, _ = constrained_mle(feasible, order_totals(rounds))
         grid = np.linspace(0.50, 0.58, 200_001)
         assert log_likelihood(theta_hat, rounds) >= log_likelihood(grid, rounds).max()
         step = 1e-7
@@ -411,7 +420,27 @@ class TestConstrainedMle:
 
     def test_empty_set_raises(self):
         with pytest.raises(ValueError):
-            constrained_mle(IntervalUnion(), [ROUND_A])
+            constrained_mle(IntervalUnion(), order_totals([ROUND_A]))
+
+    def test_grid_scan_runs_only_where_concavity_is_uncertified(self, monkeypatch):
+        scans = []
+        grid_scan = mliqae._component_sups
+
+        def counting_scan(union, *args):
+            scans.append(union)
+            return grid_scan(union, *args)
+
+        monkeypatch.setattr(mliqae, "_component_sups", counting_scan)
+        totals = order_totals([ROUND_A, ROUND_B])
+        # Orders 0 and 1 are singular at multiples of pi/6 = 0.5236 only.
+        certified = IntervalUnion([(0.53, 0.60)])
+        straddling = IntervalUnion([(0.45, 0.60)])
+        constrained_mle(certified, totals)
+        assert scans == []
+        constrained_mle(straddling, totals)
+        assert scans == [straddling]
+        constrained_mle(certified, order_totals([]))
+        assert scans == [straddling, certified]
 
 
 class TestRestart:
@@ -424,7 +453,7 @@ class TestRestart:
             state = two_round_state()
             state.spent = 4000
             rec = RoundRecord(k=0, m=200, h=0, delta=delta_schedule(3, 0.05))
-            state.rounds.append(rec)
+            state.add_round(rec)
             state.batches += 1
             update_feasible(state, rec)
             assert state.feasible.is_empty
@@ -442,7 +471,7 @@ class TestRestart:
         oracle = AnalyticOracle(0.2625)
         state = two_round_state()
         rec = RoundRecord(k=0, m=200, h=0, delta=delta_schedule(3, 0.05))
-        state.rounds.append(rec)
+        state.add_round(rec)
         update_feasible(state, rec)
         mliqae._restart_loop(state, cfg, oracle, np.random.default_rng(0))
         assert state.failed
