@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +432,31 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"ensemble": {"area": 0.0}}, "parameter 'area': must be a finite number > 0"),
+            ({"ensemble": {"n_levels": 0}}, "parameter 'n_levels': must be an integer >= 1"),
+            ({"ensemble": {"level_hi": math.inf}}, "parameter 'level_hi': must be a finite number"),
+            ({"benchmark": "cantilever", "ensemble": {"traction": math.nan}},
+             "parameter 'traction': must be a finite number"),
+            ({"ensemble": {"n_elems": 2.7}}, "parameter 'n_elems': must be an integer"),
+            ({"ensemble": {"n_levels": True}}, "parameter 'n_levels': must be an integer"),
+        ],
+    )
+    def test_generate_names_a_bad_ensemble_parameter_and_writes_nothing(
+        self, tmp_path, capsys, config, message
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))  # writes Infinity and NaN as JSON allows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["generate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cut", ["header_only", "truncated", "short_row"])
     def test_malformed_ensemble_is_one_error_line(self, tmp_path, capsys, cut):

@@ -1,6 +1,10 @@
 """Random-field machinery and finite element solver tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +189,11 @@ class TestBar1D:
             solve_bar_1d(mesh, np.ones(9))
         with pytest.raises(ValueError):
             solve_bar_1d(mesh, np.zeros(10))
+        for bad in (np.inf, np.nan):
+            moduli = np.ones(10)
+            moduli[3] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                solve_bar_1d(mesh, moduli)
         with pytest.raises(ValueError):
             build_bar_mesh(0.0, 10)
 
@@ -226,9 +235,9 @@ class TestPlaneStress:
         rng = np.random.default_rng(9)
         moduli = rng.uniform(0.5, 2.0, mesh.n_elems)
         res = solver.solve(moduli, traction=1.3)
-        k = solver.assemble(moduli)
         external = float((1.3 * mesh.unit_load) @ res.u)
-        internal = float(res.u @ (k @ res.u))
+        ue = res.u[solver.dof_map]
+        internal = float(np.sum(moduli * np.einsum("ea,ab,eb->e", ue, solver.ke_unit, ue)))
         assert external == pytest.approx(internal, rel=1e-8)
         assert res.qoi.compliance == pytest.approx(external, rel=1e-12)
 
@@ -271,6 +280,68 @@ class TestPlaneStress:
             solver.solve(np.ones(3))
         with pytest.raises(ValueError):
             solver.solve(np.zeros(mesh.n_elems))
+        for bad in (np.inf, np.nan):
+            moduli = np.ones(mesh.n_elems)
+            moduli[2] = bad
+            with pytest.raises(ValueError, match="positive and finite"):
+                solver.solve(moduli)
+            with pytest.raises(ValueError, match="positive and finite"):
+                solver.solve_prescribed(moduli, mesh.fixed_dofs, np.zeros(mesh.fixed_dofs.size))
+
+
+def dense_stiffness(solver, moduli):
+    """Full stiffness matrix, summed entry by entry from the element matrices."""
+    k = np.zeros((solver.n_dof, solver.n_dof))
+    for e, dofs in enumerate(solver.dof_map):
+        k[np.ix_(dofs, dofs)] += moduli[e] * solver.ke_unit
+    return k
+
+
+class TestBandedSolve:
+    """The banded Cholesky path against a dense solve of the same system."""
+
+    MESHES = {
+        "cantilever": lambda: build_cantilever_mesh(2.0, 1.0, 12, 6),
+        "lbracket": lambda: build_lbracket_mesh(1.0, 0.4, 10),
+        "tall": lambda: build_cantilever_mesh(1.0, 2.0, 4, 9),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_solve_matches_dense(self, name):
+        mesh = self.MESHES[name]()
+        solver = PlaneStressSolver(mesh, nu=0.27)
+        rng = np.random.default_rng(41)
+        moduli = np.exp(rng.normal(0.0, 0.5, mesh.n_elems))
+        free = np.setdiff1d(np.arange(solver.n_dof), mesh.fixed_dofs)
+        f = 1.7 * mesh.unit_load
+        want = np.zeros(solver.n_dof)
+        want[free] = np.linalg.solve(dense_stiffness(solver, moduli)[np.ix_(free, free)], f[free])
+        got = solver.solve(moduli, traction=1.7).u
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_prescribed_solve_matches_dense(self, name):
+        mesh = self.MESHES[name]()
+        solver = PlaneStressSolver(mesh)
+        rng = np.random.default_rng(43)
+        moduli = np.exp(rng.normal(0.0, 0.5, mesh.n_elems))
+        fixed = rng.choice(solver.n_dof, size=solver.n_dof // 5, replace=False)
+        fixed = np.union1d(fixed, mesh.fixed_dofs)
+        values = rng.normal(0.0, 0.01, fixed.size)
+        free = np.setdiff1d(np.arange(solver.n_dof), fixed)
+        k = dense_stiffness(solver, moduli)
+        want = np.zeros(solver.n_dof)
+        want[fixed] = values
+        want[free] = np.linalg.solve(k[np.ix_(free, free)], -k[np.ix_(free, fixed)] @ values)
+        got = solver.solve_prescribed(moduli, fixed, values)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_band_stays_in_natural_dof_order(self):
+        # x-major numbering: an element spans ny + 3 nodes, so the half
+        # bandwidth is 2 * (ny + 1) + 3 dofs without any reordering.
+        for nx, ny in ((32, 16), (4, 9)):
+            solver = PlaneStressSolver(build_cantilever_mesh(2.0, 1.0, nx, ny))
+            assert solver.band.shape == (2 * (ny + 1) + 4, solver.n_dof - 2 * (ny + 1))
 
 
 class TestLBracket:
@@ -374,6 +445,97 @@ class TestEnsembles:
         assert ens.n_scenarios == 4
         for name in ("compliance", "tipdisp", "vmmax"):
             assert np.all(ens.responses[name] > 0.0)
+
+    @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("bar1d", {}),
+            ("bar1d", {"n_elems": 7, "n_levels": 4}),
+            ("cantilever", {"nx": 4, "ny": 3, "rank": 4, "n_sample_grid": 3}),
+        ],
+    )
+    def test_prefix_is_stable_across_the_block_boundary(self, kind, overrides):
+        short = build_scenario_ensemble(kind, 1024, seed=8, overrides=overrides)
+        long = build_scenario_ensemble(kind, 1500, seed=8, overrides=overrides)
+        for name in short.responses:
+            assert np.array_equal(long.responses[name][:1024], short.responses[name])
+
+    def test_bar_ensemble_is_one_draw_and_one_solve_per_scenario(self):
+        ens = build_scenario_ensemble("bar1d", 1100, seed=4, overrides={"load": 2.5, "area": 0.8})
+        p = ens.params
+        mesh = build_bar_mesh(p["length"], p["n_elems"])
+        levels = np.geomspace(p["level_lo"], p["level_hi"], p["n_levels"])
+        rng = np.random.default_rng(4)
+        for i in range(ens.n_scenarios):
+            moduli = levels[rng.integers(0, levels.size, size=mesh.n_elems)]
+            qoi = solve_bar_1d(mesh, moduli, P=2.5, A=0.8)
+            assert ens.responses["tipdisp"][i] == qoi.tip_displacement
+            assert ens.responses["compliance"][i] == qoi.compliance
+            assert ens.responses["vmmax"][i] == qoi.vm_max
+
+    @pytest.mark.parametrize(
+        "kind, overrides, message",
+        [
+            ("bar1d", {"n_elems": 2.7}, "parameter 'n_elems': must be an integer"),
+            ("bar1d", {"n_levels": True}, "parameter 'n_levels': must be an integer"),
+            ("bar1d", {"n_levels": 0}, "parameter 'n_levels': must be an integer >= 1"),
+            ("bar1d", {"n_elems": "20"}, "parameter 'n_elems': must be an integer"),
+            ("bar1d", {"area": 0.0}, "parameter 'area': must be a finite number > 0"),
+            ("bar1d", {"level_hi": math.inf}, "parameter 'level_hi': must be a finite number"),
+            ("bar1d", {"level_lo": -1.0}, "parameter 'level_lo': must be a finite number > 0"),
+            ("bar1d", {"load": math.nan}, "parameter 'load': must be a finite number"),
+            ("bar1d", {"length": False}, "parameter 'length': must be a finite number"),
+            ("cantilever", {"traction": math.nan}, "parameter 'traction': must be a finite"),
+            ("cantilever", {"nu": 0.5}, "parameter 'nu': must be a finite number in (-1, 0.5)"),
+            ("cantilever", {"sigma": -0.1}, "parameter 'sigma': must be a finite number >= 0"),
+            ("cantilever", {"nx": 4.0}, "parameter 'nx': must be an integer"),
+            ("lbracket", {"rank": 17, "n_sample_grid": 4}, "'rank': must not exceed"),
+        ],
+    )
+    def test_rejects_bad_parameters_by_name(self, kind, overrides, message, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the parameters were checked")
+
+        monkeypatch.setattr(PlaneStressSolver, "solve", no_solve)
+        monkeypatch.setattr("tailamp.stochfem._bar_tip", no_solve)
+        with pytest.raises(ValueError) as info:
+            build_scenario_ensemble(kind, 4, seed=0, overrides=overrides)
+        assert message in str(info.value)
+
+    def test_integral_and_real_overrides_keep_the_parameter_types(self):
+        ens = build_scenario_ensemble(
+            "bar1d", 4, seed=0,
+            overrides={"n_elems": np.int64(6), "length": 2, "area": np.float32(0.5)},
+        )
+        assert ens.params["n_elems"] == 6 and type(ens.params["n_elems"]) is int
+        assert ens.params["length"] == 2.0 and type(ens.params["length"]) is float
+        assert type(ens.params["area"]) is float
+
+    @pytest.mark.parametrize(
+        "kind, overrides, unloaded",
+        [
+            ("cantilever", {"nx": 4, "ny": 2, "rank": 4, "n_sample_grid": 3}, "scipy.sparse"),
+            ("bar1d", {}, "scipy.linalg"),
+        ],
+    )
+    def test_building_leaves_heavy_modules_unimported(self, kind, overrides, unloaded):
+        # The solve path needs neither scipy.sparse nor, for the closed-form
+        # bar, scipy.linalg; a fresh interpreter shows what a build loads.
+        code = (
+            "import sys\n"
+            "from tailamp.stochfem import build_scenario_ensemble\n"
+            f"build_scenario_ensemble({kind!r}, 8, 1, overrides={overrides!r})\n"
+            "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = dict(zip(("scipy.sparse", "scipy.linalg"), proc.stdout.split()))
+        assert loaded["scipy.sparse"] == "False"
+        assert loaded[unloaded] == "False"
 
     def test_rejects_unknown_inputs(self):
         with pytest.raises(ValueError):
