@@ -4,7 +4,9 @@ Four equally likely scenarios carry response rotation angles
 (0, 0.70, 1.20, 1.80).  The script prepares the oracle state, applies one
 amplification iterate reflection by reflection, then runs the interval
 inference that turns two measured batches into a two-component feasible
-set and a constrained maximum-likelihood estimate.
+set and a constrained maximum-likelihood estimate.  The paper's exact
+per-batch bands are intersected first; the controller's pooled likelihood
+set for the same two batches follows.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 import numpy as np
 
 from tailamp.intervals import theta_preimage
-from tailamp.mliqae import constrained_mle
+from tailamp.mliqae import InferenceState, constrained_mle, update_feasible
 from tailamp.qsim import (
     OracleSpec,
     apply_grover,
@@ -55,11 +57,12 @@ def main():
               f"  (closed form {math.sin((2 * k + 1) * theta) ** 2:.6f})")
 
     print("\n== interval inference from two batches ==")
-    batches = [RoundRecord(k=0, m=1000, h=262, delta=0.05),
-               RoundRecord(k=1, m=1000, h=998, delta=0.05)]
+    batches = [RoundRecord(k=0, m=1000, h=262),
+               RoundRecord(k=1, m=1000, h=998)]
+    delta = 0.05
     feasible = None
     for rec in batches:
-        ci = clopper_pearson(rec.h, rec.m, rec.delta)
+        ci = clopper_pearson(rec.h, rec.m, delta)
         band = theta_preimage(rec.k, ci.lo, ci.hi)
         print(f"k={rec.k}: {rec.h}/{rec.m} successes"
               f" -> p in [{ci.lo:.5f}, {ci.hi:.5f}]")
@@ -69,6 +72,14 @@ def main():
 
     print("surviving feasible set:")
     for lo, hi in feasible.components:
+        print(f"      [{lo:.5f}, {hi:.5f}]")
+
+    pooled = InferenceState.initial()
+    for rec in batches:
+        pooled.totals.add(rec)
+        update_feasible(pooled, delta)
+    print("pooled likelihood set (the controller's):")
+    for lo, hi in pooled.feasible.components:
         print(f"      [{lo:.5f}, {hi:.5f}]")
 
     theta_hat, a_hat = constrained_mle(feasible, order_totals(batches))

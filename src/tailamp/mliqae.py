@@ -1,19 +1,21 @@
-"""Maximum-likelihood iterative amplitude estimation with a stabilized loop.
+"""Maximum-likelihood iterative amplitude estimation with one anytime-valid set.
 
 The controller runs batches of shots at adaptively chosen amplification
-orders k, converts each batch into an exact confidence band for the success
-probability, pulls the band back to angle space, and intersects.  The angle
-estimate is the constrained maximum-likelihood point over the surviving
-feasible set, which may hold several competing components until later
-bands rule them out.  Two guard rails keep the loop out of the classic
-failure modes: a safe-depth cap tied to the feasible hull (aliasing), and
-one recovery path for a rare over-confident batch contradicting the rest:
-the batch that empties the feasible set hands it to the restart loop, which
-fails the run at restart_cap or sheds one batch, rebuilds and buys a fresh
-k = 0 batch; the heal of a pinned estimate reuses the same shed.
+orders k and pools them into per-order success and failure totals.  After
+each batch the feasible set keeps the points of the previous set whose
+pooled log-likelihood clears a method-of-mixtures cut (Howard et al. 2021,
+Ann. Statist. 49(2); Wasserman, Ramdas & Balakrishnan 2020, PNAS
+117:16880).  Under the true angle the likelihood ratio of the uniform-prior
+mixture is a nonnegative martingale, so by Ville's inequality the true angle
+stays in every set at once with probability at least 1 - delta_tot, whatever
+depths, shot counts and stopping rule the loop chose.  Each set contains the
+maximum-likelihood point of the one before, so it is never empty; the
+estimate is that point.  Competing alias hypotheses stay as components of
+the set until the pooled data rule them out, and a safe-depth cap tied to
+the feasible hull keeps each batch on one monotone flank.
 
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
-the module constants _KAPPA through _MLE_BRACKET.
+the module constants _KAPPA through _CHORD_SIGMAS.
 """
 
 from __future__ import annotations
@@ -21,33 +23,20 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
+from .intervals import THETA_HI, THETA_LO, IntervalUnion
+from .intervals import theta_preimage  # noqa: F401  (perfbench traces this lookup site)
 from .qsim import sample_shots
-from .stats import (
-    OrderTotals,
-    RoundRecord,
-    clopper_pearson,
-    delta_schedule,
-    log_likelihood_slopes,
-    log_likelihood_terms,
-)
+from .stats import OrderTotals, log_likelihood_slopes, log_likelihood_terms
+from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup site)
 
-# Cap on refinement steps per MLE.  Bisection alone narrows a one-grid-step
-# bracket below 1e-10 in under 30 steps, so the cap never binds in practice;
-# it only rules out a non-terminating loop.
+# Cap on refinement steps per MLE.  Bisection alone narrows a piece below
+# 1e-10 in under 40 steps, so the cap never binds in practice; it only rules
+# out a non-terminating loop.
 _NEWTON_MAX_STEPS = 100
-
-# Likelihood-ratio gate for shedding a contradicted batch: twice the log
-# likelihood gap between the unconstrained and the constrained optimum must
-# exceed this before the estimate counts as pinned by a bad band.
-_HEAL_GATE = 4.0
-
-# Each restart nests three calls inside the batch whose collapse it answers;
-# this limit on restart_cap keeps recovery well inside Python's stack limit.
-_RESTART_CAP_MAX = 100
 
 # Policy of the loop: the validated operating point, the same for every run.
 _KAPPA = 0.49 * math.pi  # safe-depth phase cap, strictly below pi/2
@@ -61,13 +50,16 @@ _RESERVE_FLOOR = 10  # pacing horizon R_t = max(floor, base - min(t, taper))
 _RESERVE_BASE = 28
 _RESERVE_TAPER = 20
 _SATURATION_BAND = 0.02
-_GRID_POINTS = 512
 _MLE_BRACKET = 1e-10  # Newton stops once its step or bracket is this narrow
+_CUT_NUDGE = 1e-12  # relative inset of a piece edge from a singular angle
+_CHORD_SIGMAS = 1.5  # the likelihood integral is bounded on theta_hat +- this / sqrt(info)
+
+_HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """The run's contract: oracle budget, failure probability, precision, restarts.
+    """The run's contract: oracle budget, failure probability, precision.
 
     Everything else the loop decides by the policy constants above.
     """
@@ -75,14 +67,12 @@ class ControllerConfig:
     budget: int
     delta_tot: float = 0.05
     epsilon_a: float = 0.0  # amplitude half-width stop; 0 runs the budget out
-    restart_cap: int = 3
 
     def __post_init__(self):
         for name, kind, noun in (
             ("budget", numbers.Integral, "an integer"),
             ("delta_tot", numbers.Real, "a real number"),
             ("epsilon_a", numbers.Real, "a real number"),
-            ("restart_cap", numbers.Integral, "an integer"),
         ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
@@ -91,20 +81,18 @@ class ControllerConfig:
             raise ValueError("budget must be positive")
         if not 0.0 < self.delta_tot < 1.0:
             raise ValueError("delta_tot must lie in (0, 1)")
-        if not 0 <= self.restart_cap <= _RESTART_CAP_MAX:
-            raise ValueError(f"restart_cap must lie in [0, {_RESTART_CAP_MAX}]")
         if not self.epsilon_a >= 0.0:
             raise ValueError("epsilon_a must be nonnegative")
 
 
 @dataclass(frozen=True, slots=True)
 class BatchLog:
-    """Audit entry for one executed batch; discarded batches stay logged.
+    """Audit entry for one executed batch.
 
     Slotted: a report keeps one entry per batch, hundreds on a saturated run.
     """
 
-    kind: str       # "round" or "restart"
+    kind: str       # always "round": every batch is an ordinary round
     k: int
     m: int
     h: int
@@ -117,34 +105,18 @@ class BatchLog:
 
 @dataclass
 class InferenceState:
-    """Everything the controller carries between batches.
-
-    rounds and totals hold the same retained batches; add_round and
-    drop_round keep them in step.
-    """
+    """Everything the controller carries between batches."""
 
     feasible: IntervalUnion
-    rounds: list[RoundRecord] = field(default_factory=list)
     totals: OrderTotals = field(default_factory=OrderTotals)
     ledger: list[BatchLog] = field(default_factory=list)
     spent: int = 0
-    t: int = 0            # completed ordinary rounds
-    batches: int = 0      # executed batches of any kind; drives the delta schedule
-    restarts: int = 0
+    t: int = 0            # completed batches
     theta_hat: float | None = None
-    failed: bool = False
-    pre_collapse: IntervalUnion | None = None
 
     @classmethod
     def initial(cls) -> "InferenceState":
         return cls(feasible=IntervalUnion.full_domain())
-
-    def add_round(self, rec: RoundRecord) -> None:
-        self.rounds.append(rec)
-        self.totals.add(rec)
-
-    def drop_round(self, idx: int) -> None:
-        self.totals.remove(self.rounds.pop(idx))
 
 
 @dataclass(frozen=True)
@@ -159,159 +131,145 @@ class EstimateReport:
     oracle_calls: int
     batches: int
     rounds: int
-    restarts: int
-    failed: bool
     ledger: tuple[BatchLog, ...]
+    # The feasible set never empties, so no run restarts or fails.
+    restarts: ClassVar[int] = 0
+    failed: ClassVar[bool] = False
 
 
-def _component_sups(union: IntervalUnion, totals, grid_points: int):
-    """Grid supremum of the log-likelihood over each component.
+def _pieces(union: IntervalUnion, totals) -> tuple[np.ndarray, np.ndarray]:
+    """Split the union at the likelihood's singular angles; returns (lo, hi).
 
-    totals are the per-order sufficient statistics of the rounds.  Returns
-    (sups, arg_thetas, brackets); brackets are the one-grid-step
-    neighborhoods around each argmax, used to seed refinement.
+    Order omega's success term is singular where sin(omega theta) = 0, at
+    j pi / (2 omega) for even j, and its failure term where cos(omega theta)
+    = 0, at odd j; a term with a zero count is not singular at all.  Between
+    consecutive singular angles every term is concave, so each piece holds
+    one maximum.  Each cut is nudged inward by a relative _CUT_NUDGE, and a
+    singular angle within a nudge of a component's edge cuts it too, so no
+    piece starts on a singular angle, where rounding loses the score's sign.
     """
-    comps = union.components
-    grids = [np.linspace(lo, hi, grid_points) for lo, hi in comps]
-    flat = np.concatenate(grids)
-    ll = log_likelihood_terms(flat, *totals)
-    sups, args, brackets = [], [], []
-    start = 0
-    for (lo, hi), grid in zip(comps, grids):
-        seg = ll[start : start + grid.size]
-        j = int(np.argmax(seg))
-        sups.append(float(seg[j]))
-        args.append(float(grid[j]))
-        left = grid[j - 1] if j > 0 else lo
-        right = grid[j + 1] if j < grid.size - 1 else hi
-        brackets.append((float(left), float(right)))
-        start += grid.size
-    return sups, args, brackets
+    orders = list(zip(*(a.tolist() for a in totals)))
+    los, his = [], []
+    for lo, hi in union.components:
+        cuts = []
+        for w, h, t in orders:
+            step = _HALF_PI / w
+            first = math.floor(lo * (1.0 - _CUT_NUDGE) / step) + 1
+            last = math.ceil(hi * (1.0 + _CUT_NUDGE) / step)
+            cuts += [j * step for j in range(first, last) if (t if j % 2 else h) > 0]
+        nudged = [c * f for c in sorted(cuts) for f in (1.0 - _CUT_NUDGE, 1.0 + _CUT_NUDGE)]
+        edges = np.clip([lo, *nudged, hi], lo, hi)
+        a, b = edges[::2], edges[1::2]
+        # Cuts shared by several orders, or just past an edge, leave empty
+        # pieces; a one-point component stays one piece.
+        keep = (b > a) | ((a == lo) & (b == hi))
+        los.append(a[keep])
+        his.append(b[keep])
+    return np.concatenate(los), np.concatenate(his)
 
 
-def _prune(union: IntervalUnion, state: "InferenceState") -> IntervalUnion:
-    """Keep at most _MAX_COMPONENTS components, ranked by likelihood support."""
-    if len(union) <= _MAX_COMPONENTS or union.is_empty:
-        return union
-    sups, _, _ = _component_sups(union, state.totals.arrays, _GRID_POINTS)
-    if state.theta_hat is not None:
-        ref = state.theta_hat
-    else:
-        lo, hi = union.hull()
-        ref = 0.5 * (lo + hi)
-    mids = [0.5 * (lo + hi) for lo, hi in union.components]
-    # Rank by sup; -inf ties resolve toward the current estimate.
-    order = sorted(
-        range(len(union)),
-        key=lambda i: (sups[i], -abs(mids[i] - ref)),
-        reverse=True,
-    )
-    keep = sorted(order[:_MAX_COMPONENTS])
-    return IntervalUnion([union.components[i] for i in keep])
+def _newton_refine(lo, hi, totals):
+    """Maximize the likelihood on each concave piece [lo, hi], all at once.
 
-
-def _band(rec: RoundRecord) -> IntervalUnion:
-    """Angle band of one batch: its Clopper-Pearson interval pulled back to angles."""
-    ci = clopper_pearson(rec.h, rec.m, rec.delta)
-    return theta_preimage(rec.k, ci.lo, ci.hi)
-
-
-def update_feasible(state: InferenceState, rec: RoundRecord) -> None:
-    """Intersect the feasible set with one batch's angle band, then prune.
-
-    On collapse to empty the previous set is stashed as the support of a
-    run that later fails; _run_batch reacts to the collapse.
-    """
-    new = state.feasible.intersect(_band(rec))
-    if new.is_empty:
-        state.pre_collapse = state.feasible
-        state.feasible = new
-    else:
-        state.feasible = _prune(new, state)
-
-
-def _newton_refine(args, brackets, totals, width: float) -> np.ndarray:
-    """Maximize the likelihood inside each bracket, all components at once.
-
-    The log-likelihood is concave between its singular angles, so its
-    maximum over a bracket is where the score changes sign from + to -, or
+    The maximum over a piece is where the score changes sign from + to -, or
     the edge the score points to when it does not change sign.  Newton steps
-    start from the grid argmax; the score at each iterate moves the bracket
+    start from the midpoint; the score at each iterate moves the bracket
     edge on its side up to it, and a step that leaves the bracket becomes a
-    bisection.  A component stops once its step or its bracket is narrower
-    than width.
+    bisection.  A piece stops at the iterate whose Newton step, or whose
+    bracket, is narrower than _MLE_BRACKET.  Returns (theta, score): each
+    piece's maximum and the score there.
     """
-    lo = np.array([b[0] for b in brackets])
-    hi = np.array([b[1] for b in brackets])
-    score_lo, _ = log_likelihood_slopes(lo, *totals)
-    score_hi, _ = log_likelihood_slopes(hi, *totals)
+    edge_scores, _ = log_likelihood_slopes(np.concatenate((lo, hi)), *totals)
+    score_lo, score_hi = edge_scores[: lo.size], edge_scores[lo.size :]
     at_lo = score_lo <= 0.0
     at_hi = ~at_lo & (score_hi >= 0.0)
-    th = np.array(args, dtype=float)
+    th = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+    score = np.where(at_lo, score_lo, score_hi)
     active = ~(at_lo | at_hi)
     for _ in range(_NEWTON_MAX_STEPS):
         if not active.any():
             break
-        score, curv = log_likelihood_slopes(th, *totals)
-        lo = np.where(active & (score > 0.0), th, lo)
-        hi = np.where(active & (score < 0.0), th, hi)
+        now, curv = log_likelihood_slopes(th, *totals)
+        score = np.where(active, now, score)
+        lo = np.where(active & (now > 0.0), th, lo)
+        hi = np.where(active & (now < 0.0), th, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = th - score / curv
-        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        done = (score == 0.0) | (np.abs(step - th) <= width) | (hi - lo <= width)
-        th = np.where(active & (score != 0.0), step, th)
+            newton = th - now / curv
+        # A converged iterate stops before its step lands on the bracket edge
+        # it just moved, which would turn the step into a bisection.
+        done = (now == 0.0) | (np.abs(newton - th) <= _MLE_BRACKET) | (hi - lo <= _MLE_BRACKET)
         active &= ~done
-    return np.where(at_lo, lo, np.where(at_hi, hi, th))
-
-
-def _concave_on(lo: float, hi: float, omega: np.ndarray) -> bool:
-    """Whether no order in omega has a singular angle strictly inside (lo, hi).
-
-    The log-likelihood's singular angles are the multiples of pi/(2 omega);
-    between them every term is concave, so a certified interval holds a
-    single maximum.  The relative slack of 1e-15 covers the rounding of
-    the scaled edges, so an edge within rounding of a singular angle counts
-    as straddling it.
-    """
-    half = 0.5 * math.pi
-    s_lo = omega * (lo / half) * (1.0 - 1e-15)
-    s_hi = omega * (hi / half) * (1.0 + 1e-15)
-    return bool(np.all(np.floor(s_lo) + 1.0 >= s_hi))
+        step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        th = np.where(active, step, th)
+    return th, score
 
 
 def constrained_mle(union: IntervalUnion, totals) -> tuple[float, float]:
     """Maximum-likelihood angle restricted to the feasible union.
 
     totals are the per-order sufficient statistics (omega, hs, tails) of the
-    rounds, as order_totals or InferenceState.totals give them.  On a single
-    interval where the likelihood is certified concave (_concave_on) the
-    maximum is found without a grid: an edge whose score points outward is
-    returned as it is, otherwise bracket-guarded Newton refinement runs on
-    the whole interval from its midpoint.  Any other set, and any call
-    without rounds, takes the grid path: a scan per component, then Newton
-    refinement of every component's grid argmax on the analytic score.
-    Refinement stops at _MLE_BRACKET.  On the grid path the winning
-    component is the one with the larger likelihood sup; exact ties go to
-    the smaller angle.  Without rounds the likelihood is flat and the
-    leftmost point wins.  Returns (theta_hat, a_hat).
+    rounds, as order_totals or InferenceState.totals give them.  Every
+    piece of the union between the likelihood's singular angles is concave,
+    so bracket-guarded Newton refinement from its midpoint finds its
+    maximum; the best piece wins, and exact ties go to the smaller angle.
+    Without rounds the likelihood is flat and the leftmost point wins.
+    Returns (theta_hat, a_hat).
     """
     if union.is_empty:
         raise ValueError("cannot take an MLE over an empty feasible set")
-    if len(union) == 1 and totals[0].size and _concave_on(*union.components[0], totals[0]):
-        lo, hi = union.components[0]
-        theta = float(_newton_refine([0.5 * (lo + hi)], [(lo, hi)], totals, _MLE_BRACKET)[0])
-        return theta, math.sin(theta) ** 2
-    sups, args, brackets = _component_sups(union, totals, _GRID_POINTS)
-    refined = _newton_refine(args, brackets, totals, _MLE_BRACKET)
-    fm = log_likelihood_terms(refined, *totals)
-    best_ll, best_th = -math.inf, None
-    for i in range(len(union)):
-        # The refined point can only improve on the grid argmax; keep the max.
-        cand_ll = max(sups[i], float(fm[i]))
-        cand_th = float(refined[i]) if fm[i] >= sups[i] else args[i]
-        if best_th is None or cand_ll > best_ll or (cand_ll == best_ll and cand_th < best_th):
-            best_ll, best_th = cand_ll, cand_th
-    return best_th, math.sin(best_th) ** 2
+    lo, hi = _pieces(union, totals)
+    theta, _ = _newton_refine(lo, hi, totals)
+    best = float(theta[int(np.argmax(log_likelihood_terms(theta, *totals)))])
+    return best, math.sin(best) ** 2
+
+
+def _prune(kept: np.ndarray, ll: np.ndarray) -> np.ndarray:
+    """At most _MAX_COMPONENTS of the kept piece indices, the highest maxima first."""
+    if kept.size <= _MAX_COMPONENTS:
+        return kept
+    return np.sort(kept[np.argsort(-ll[kept], kind="stable")[:_MAX_COMPONENTS]])
+
+
+def update_feasible(state: InferenceState, delta_tot: float) -> float:
+    """Cut the feasible set to the points that clear the pooled likelihood cut.
+
+    state.totals already holds the new batch.  The new set is
+    D_t = {theta in D_{t-1} : l_t(theta) >= c_t} with
+    c_t = log J_t - log(pi/2) - log(1/delta_tot), where J_t is a lower bound
+    on the integral of L_t over D_{t-1}; a lower J_t only widens the set.
+    J_t integrates the concavity chords from theta_hat, the best piece
+    maximum, to theta_hat -+ _CHORD_SIGMAS / sqrt(info) within its piece.
+    Each piece whose maximum l_j clears the cut keeps an outer bound of its
+    part of the set: -l'' >= info / 2 on every piece, so around the maximum
+    theta_j, with residual score g_j, l_t(theta_j + x) <= l_j + g_j x
+    - info x^2 / 4, and the interval where that bound clears c_t is kept,
+    clipped to the piece.  theta_hat always clears the cut, so it becomes
+    the estimate and the set is never empty.  Pieces past _MAX_COMPONENTS
+    are dropped, the lowest maxima first.  Returns c_t.
+    """
+    totals, info = state.totals.arrays, state.totals.info
+    lo, hi = _pieces(state.feasible, totals)
+    theta, score = _newton_refine(lo, hi, totals)
+    reach = _CHORD_SIGMAS / math.sqrt(info)
+    ends = (np.maximum(lo, theta - reach), np.minimum(hi, theta + reach))
+    ll, ll_lo, ll_hi = log_likelihood_terms(np.concatenate((theta, *ends)), *totals).reshape(3, -1)
+    best = int(np.argmax(ll))
+    # Integral of exp(-drop u) over u in [0, 1]; drop < 0 only by rounding.
+    drop = np.maximum(ll[best] - np.array([ll_lo[best], ll_hi[best]]), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = np.where(drop > 0.0, -np.expm1(-drop) / drop, 1.0)
+    chord = (theta[best] - ends[0][best]) * mass[0] + (ends[1][best] - theta[best]) * mass[1]
+    log_j = ll[best] + math.log(chord) if chord > 0.0 else -math.inf
+    cut = log_j - math.log(_HALF_PI) + math.log(delta_tot)
+    slack = info * (ll - cut)
+    kept = _prune(np.flatnonzero(slack >= 0.0), ll)
+    theta_k, slack_k = theta[kept], slack[kept]
+    up, down = np.maximum(score[kept], 0.0), np.maximum(-score[kept], 0.0)
+    new_lo = np.maximum(lo[kept], theta_k - 2.0 * (down + np.sqrt(down * down + slack_k)) / info)
+    new_hi = np.minimum(hi[kept], theta_k + 2.0 * (up + np.sqrt(up * up + slack_k)) / info)
+    state.feasible = IntervalUnion(zip(new_lo.tolist(), new_hi.tolist()))
+    state.theta_hat = float(theta[best])
+    return cut
 
 
 _FLANK_GUARD = 1e-3  # fractional clearance from a turning point, upper flanks
@@ -343,9 +301,9 @@ def select_depth(state: InferenceState) -> int:
     The depth climbs the ladder, at most one order above the last batch's,
     as far as two conditions allow: every angle in the feasible hull must
     stay on a single monotone flank of the amplified response (so the batch
-    band cannot alias across a turning point), and the predicted operating
+    cannot alias across a turning point), and the predicted operating
     point must sit away from 0 and 1 (a saturated batch carries almost no
-    usable band).  Deeper
+    information).  Deeper
     amplification is what buys information faster than flat sampling: the
     per-call Fisher information grows linearly with the order.
 
@@ -417,143 +375,6 @@ def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
     return int(min(m, affordable))
 
 
-def _run_batch(
-    state: InferenceState,
-    cfg: ControllerConfig,
-    oracle,
-    rng: np.random.Generator,
-    k: int,
-    m: int,
-    kind: str,
-) -> None:
-    """Draw one batch, log it and fold in its band; a collapse goes to the restart loop."""
-    p = oracle.success_probability(k)
-    h = sample_shots(p, m, rng)
-    state.batches += 1
-    delta = delta_schedule(state.batches, cfg.delta_tot)
-    rec = RoundRecord(k=k, m=m, h=h, delta=delta)
-    entry = BatchLog(kind=kind, k=k, m=m, h=h)
-    state.spent += entry.cost
-    state.add_round(rec)
-    state.ledger.append(entry)
-    update_feasible(state, rec)
-    if state.feasible.is_empty:
-        _restart_loop(state, cfg, oracle, rng)
-
-
-def _most_inconsistent(state: InferenceState) -> int:
-    """Index of the batch least compatible with the joint fit.
-
-    Fits one angle to all retained batches over the full domain, then scores
-    each batch by its binomial deviance at that angle.  A batch whose count
-    was an extreme draw (the usual cause of a collapse that discarding the
-    most recent batch cannot cure) dominates this score by a wide margin.
-    """
-    rounds = state.rounds
-    theta_star, _ = constrained_mle(IntervalUnion.full_domain(), state.totals.arrays)
-    omega = np.array([2 * r.k + 1 for r in rounds], dtype=float)
-    hs = np.array([r.h for r in rounds], dtype=float)
-    ms = np.array([r.m for r in rounds], dtype=float)
-    tails = ms - hs
-    p = np.clip(np.sin(omega * theta_star) ** 2, 1e-15, 1.0 - 1e-15)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(hs > 0, hs * np.log(hs / (ms * p)), 0.0)
-        t2 = np.where(tails > 0, tails * np.log(tails / (ms * (1.0 - p))), 0.0)
-    return int(np.argmax(2.0 * (t1 + t2)))
-
-
-def _shed(
-    state: InferenceState, cfg: ControllerConfig, oracle, rng: np.random.Generator, idx: int
-) -> None:
-    """Spend one restart: drop batch idx, rebuild from the full domain, buy k = 0.
-
-    A remainder that still contradicts itself goes back to the restart loop.
-    The dropped batch's confidence budget stays spent.
-    """
-    state.restarts += 1
-    state.drop_round(idx)
-    rebuilt = IntervalUnion.full_domain()
-    for rec in state.rounds:
-        rebuilt = rebuilt.intersect(_band(rec))
-    state.feasible = _prune(rebuilt, state)
-    if state.feasible.is_empty:
-        _restart_loop(state, cfg, oracle, rng)
-        return
-    m = select_shots(state, cfg, 0)
-    if m > 0:
-        _run_batch(state, cfg, oracle, rng, 0, m, kind="restart")
-
-
-def _restart_loop(
-    state: InferenceState, cfg: ControllerConfig, oracle, rng: np.random.Generator
-) -> None:
-    """Recover from an empty feasible set: the one recovery path.
-
-    Past restart_cap the restart is counted and the run fails; the stashed
-    pre-collapse set backs the best-effort estimate in the report.
-    Otherwise one batch is shed: on the run's first restart the most recent
-    one (a fresh over-confident batch), later the one most inconsistent with
-    the joint fit (the bad batch is already retained).  A collapse the shed
-    does not cure comes back here until the set holds or the cap is hit.
-    """
-    if state.restarts >= cfg.restart_cap:
-        state.restarts += 1
-        state.failed = True
-        return
-    idx = len(state.rounds) - 1 if state.restarts == 0 else _most_inconsistent(state)
-    _shed(state, cfg, oracle, rng, idx)
-
-
-def _pinned_outside(state: InferenceState) -> bool:
-    """Whether the estimate is jammed against a hull edge by the constraint.
-
-    A healthy run keeps the likelihood peak interior to the feasible set.
-    When the peak of the unconstrained likelihood lies clearly outside the
-    hull, some retained band is contradicting the bulk of the data, the
-    same pathology a collapse signals, just without the set going empty.
-    """
-    if state.theta_hat is None or state.feasible.is_empty or not state.rounds:
-        return False
-    lo, hi = state.feasible.hull()
-    width = hi - lo
-    if width <= 0.0:
-        return False
-    edge_tol = 1e-9 + 1e-6 * width
-    if not (state.theta_hat - lo <= edge_tol or hi - state.theta_hat <= edge_tol):
-        return False
-    pad = max(width, 1e-4)
-    window = IntervalUnion([(max(THETA_LO, lo - pad), min(THETA_HI, hi + pad))])
-    totals = state.totals.arrays
-    theta_free, _ = constrained_mle(window, totals)
-    if lo - edge_tol <= theta_free <= hi + edge_tol:
-        return False
-    gap = 2.0 * (
-        log_likelihood_terms(np.array([theta_free]), *totals)[0]
-        - log_likelihood_terms(np.array([state.theta_hat]), *totals)[0]
-    )
-    return gap > _HEAL_GATE
-
-
-def _heal_pinned(
-    state: InferenceState, cfg: ControllerConfig, oracle, rng: np.random.Generator
-) -> None:
-    """Shed the batch most at odds with the data when the estimate is pinned.
-
-    Costs one restart slot; with none left the run keeps its pinned
-    estimate.  An empty rebuild recovers, or fails, as a collapse does.
-    """
-    if state.restarts >= cfg.restart_cap or not _pinned_outside(state):
-        return
-    _shed(state, cfg, oracle, rng, _most_inconsistent(state))
-    if not state.failed:
-        _refresh_estimate(state)
-
-
-def _refresh_estimate(state: InferenceState) -> None:
-    theta_hat, _ = constrained_mle(state.feasible, state.totals.arrays)
-    state.theta_hat = theta_hat
-
-
 def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateReport:
     """Execute the full estimation loop until the budget or the target is hit.
 
@@ -561,7 +382,7 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
     closed-form and the statevector-backed models satisfy it.
     """
     state = InferenceState.initial()
-    while not state.failed:
+    while True:
         if cfg.epsilon_a > 0.0 and state.theta_hat is not None:
             lo, hi = state.feasible.hull()
             if 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
@@ -570,41 +391,29 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
         m = select_shots(state, cfg, k)
         if m == 0:
             break
-        _run_batch(state, cfg, oracle, rng, k, m, kind="round")
-        if state.failed:
-            break
+        entry = BatchLog(kind="round", k=k, m=m, h=sample_shots(oracle.success_probability(k), m, rng))
+        state.ledger.append(entry)
+        state.totals.add(entry)
+        state.spent += entry.cost
         state.t += 1
-        _refresh_estimate(state)
-        _heal_pinned(state, cfg, oracle, rng)
+        update_feasible(state, cfg.delta_tot)
     return _build_report(state)
 
 
 def _build_report(state: InferenceState) -> EstimateReport:
-    if state.failed:
-        base = state.pre_collapse if state.pre_collapse is not None else IntervalUnion.full_domain()
-        hull = base.hull()
-        support = IntervalUnion([hull])
-        feasible = base
-    else:
-        support = state.feasible
-        hull = state.feasible.hull()
-        feasible = state.feasible
-    theta_hat, a_hat = constrained_mle(support, state.totals.arrays)
+    hull = state.feasible.hull()
     # The domain inset keeps angles off 0 and pi/2; a hull reaching an inset
     # edge admits the degenerate amplitude itself.
     a_lo = 0.0 if hull[0] <= THETA_LO else math.sin(hull[0]) ** 2
     a_hi = 1.0 if hull[1] >= THETA_HI else math.sin(hull[1]) ** 2
-    a_bounds = (a_lo, a_hi)
     return EstimateReport(
-        theta_hat=theta_hat,
-        a_hat=a_hat,
+        theta_hat=state.theta_hat,
+        a_hat=math.sin(state.theta_hat) ** 2,
         theta_bounds=hull,
-        a_bounds=a_bounds,
-        feasible=feasible,
+        a_bounds=(a_lo, a_hi),
+        feasible=state.feasible,
         oracle_calls=state.spent,
-        batches=state.batches,
+        batches=state.t,
         rounds=state.t,
-        restarts=state.restarts,
-        failed=state.failed,
         ledger=tuple(state.ledger),
     )

@@ -2,34 +2,28 @@
 
 Each batch of shots at amplification order k is a binomial draw whose success
 probability is sin^2((2k+1) theta).  Everything downstream (feasible sets,
-confidence bookkeeping, likelihood surfaces) is built from the pieces here:
-Clopper-Pearson interval endpoints as beta quantiles (scipy's inverse
-regularized incomplete beta), a summable per-round confidence schedule, and
-the exact log-likelihood of a collection of rounds with its first two angle
-derivatives.  The likelihood depends on the rounds only through the success
-and failure totals at each distinct order, so it is evaluated on those.
+likelihood surfaces) is built from the pieces here: the exact
+log-likelihood of a collection of rounds with its first two angle
+derivatives, and the exact Clopper-Pearson interval of one batch (beta
+quantiles from scipy's inverse regularized incomplete beta).  The
+likelihood depends on the rounds only through the success and failure
+totals at each distinct order, so it is evaluated on those.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One executed batch: k amplification order, m shots, h successes.
-
-    delta is the confidence budget consumed by this batch's interval.
-    """
+    """One executed batch: k amplification order, m shots, h successes."""
 
     k: int
     m: int
     h: int
-    delta: float
 
     def __post_init__(self):
         if self.k < 0:
@@ -38,8 +32,6 @@ class RoundRecord:
             raise ValueError("m must be at least 1")
         if not 0 <= self.h <= self.m:
             raise ValueError("h must lie in [0, m]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -60,6 +52,8 @@ def clopper_pearson(h: int, m: int, delta: float) -> ConfidenceInterval:
         raise ValueError("h must lie in [0, m]")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    from scipy import special  # imported on first use: the controller never calls this
+
     if h == 0:
         p_lo = 0.0
     else:
@@ -71,29 +65,16 @@ def clopper_pearson(h: int, m: int, delta: float) -> ConfidenceInterval:
     return ConfidenceInterval(p_lo, p_hi)
 
 
-def delta_schedule(t: int, delta_tot: float) -> float:
-    """Per-batch confidence budget: delta_t = (6/pi^2) delta_tot / t^2.
-
-    Summing over all t >= 1 gives exactly delta_tot, so a union bound over
-    every executed batch preserves the overall confidence level.
-    """
-    if t < 1:
-        raise ValueError("batch index t starts at 1")
-    if not 0.0 < delta_tot < 1.0:
-        raise ValueError("delta_tot must lie in (0, 1)")
-    return (6.0 / math.pi**2) * delta_tot / (t * t)
-
-
 class OrderTotals:
-    """Per-order sufficient statistics of a set of rounds that changes in place.
+    """Per-order sufficient statistics of a set of rounds that grows in place.
 
-    add folds one round in and remove takes it out again; an order whose
-    counts drop to zero leaves the table.  arrays is (omega, hs, tails) as
-    order_totals returns it, rebuilt only after a change.  info is the Fisher
-    information about the angle, 4 sum (2k+1)^2 m: each shot at order k
-    carries 4(2k+1)^2 wherever on the flank it lands.  Integer counts keep
-    every total exact, so any add/remove history gives the same values as
-    a fresh build from the remaining rounds.
+    add folds in one round: anything with k, m and h, such as a RoundRecord
+    or an mliqae BatchLog.  arrays is (omega, hs, tails) as order_totals
+    returns it, rebuilt only after a change.  info is the Fisher information
+    about the angle, 4 sum (2k+1)^2 m: each shot at order k carries
+    4(2k+1)^2 wherever on the flank it lands.  Integer counts keep every
+    total exact, so adding rounds one at a time gives the same values as a
+    fresh build.
     """
 
     __slots__ = ("_counts", "_arrays", "info")
@@ -105,17 +86,12 @@ class OrderTotals:
         for r in rounds:
             self.add(r)
 
-    def add(self, rec: RoundRecord, sign: int = 1) -> None:
+    def add(self, rec) -> None:
         acc = self._counts.setdefault(rec.k, [0, 0])
-        acc[0] += sign * rec.h
-        acc[1] += sign * (rec.m - rec.h)
-        if acc[0] == acc[1] == 0:
-            del self._counts[rec.k]
-        self.info += sign * 4 * (2 * rec.k + 1) ** 2 * rec.m
+        acc[0] += rec.h
+        acc[1] += rec.m - rec.h
+        self.info += 4 * (2 * rec.k + 1) ** 2 * rec.m
         self._arrays = None
-
-    def remove(self, rec: RoundRecord) -> None:
-        self.add(rec, -1)
 
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

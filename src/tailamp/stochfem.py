@@ -145,7 +145,8 @@ class FieldRealization:
 def sample_field(model: KernelModel, phi: np.ndarray, rng: np.random.Generator) -> FieldRealization:
     """Draw xi ~ N(0, I_r); E = exp(sigma * phi @ xi) with phi the basis at the centroids."""
     xi = rng.standard_normal(phi.shape[1])
-    return FieldRealization(xi=xi, modulus=np.exp(model.sigma * (phi @ xi)))
+    with np.errstate(over="ignore"):  # an overflow is an infinite modulus, which solvers reject
+        return FieldRealization(xi=xi, modulus=np.exp(model.sigma * (phi @ xi)))
 
 
 # --- meshes -------------------------------------------------------------------
@@ -275,11 +276,18 @@ def build_lbracket_mesh(
     on mesh lines.
     """
     if not 0.0 < leg_width < leg_length:
-        raise ValueError("need 0 < leg_width < leg_length")
+        raise ValueError(
+            f"bad value {leg_width!r} for parameter 'leg_width': "
+            f"must lie in (0, leg_length = {leg_length!r})"
+        )
     n_total = leg_length * n_elems_per_unit
     n_width = leg_width * n_elems_per_unit
-    if abs(n_total - round(n_total)) > 1e-9 or abs(n_width - round(n_width)) > 1e-9:
-        raise ValueError("element pitch must tile both leg length and width exactly")
+    for name, cells in (("leg_length", n_total), ("leg_width", n_width)):
+        if abs(cells - round(cells)) > 1e-9:
+            raise ValueError(
+                f"bad value {n_elems_per_unit!r} for parameter 'n_elems_per_unit': "
+                f"{name} * n_elems_per_unit = {cells:g} is not a whole number of elements"
+            )
     n_total = int(round(n_total))
     n_width = int(round(n_width))
     xs = np.linspace(0.0, leg_length, n_total + 1)
@@ -686,7 +694,16 @@ def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict[st
     solver = PlaneStressSolver(mesh, params["nu"])
     responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
     for i in range(n_scenarios):
-        qoi = solver.solve(sample_field(model, phi, rng).modulus, params["traction"]).qoi
+        modulus = sample_field(model, phi, rng).modulus
+        try:
+            qoi = solver.solve(modulus, params["traction"]).qoi
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            # The mesh and every other parameter are checked already: the
+            # field exp(sigma * z) itself spans too many decades to solve.
+            raise ValueError(
+                f"bad value {params['sigma']!r} for parameter 'sigma': "
+                f"scenario {i}'s modulus field cannot be solved ({exc})"
+            ) from None
         for name, value in qoi.as_dict().items():
             responses[name][i] = value
     return responses

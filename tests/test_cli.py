@@ -116,12 +116,12 @@ class TestBenchConfig:
             ({"spam": 1}, "unknown controller fields"),
             ({"budget": 10}, "unknown controller fields"),
             ({"restart_cap": 101}, "restart_cap"),
-            ({"restart_cap": "deep"}, "bad controller value"),
-            (["restart_cap"], "mapping"),
+            ({"delta_tot": "deep"}, "bad controller value"),
+            (["delta_tot"], "mapping"),
             ({"kappa": 0.3}, "unknown controller fields"),
             ({"grid_points": 10.5}, "unknown controller fields"),
-            ({"restart_cap": 1.5}, "bad controller value: restart_cap must be an integer"),
-            ({"restart_cap": True}, "bad controller value: restart_cap must be an integer"),
+            ({"delta_tot": None}, "bad controller value: delta_tot must be a real number"),
+            ({"epsilon_a": "0"}, "bad controller value: epsilon_a must be a real number"),
             ({"delta_tot": "0.05"}, "bad controller value: delta_tot must be a real number"),
             ({"epsilon_a": False}, "bad controller value: epsilon_a must be a real number"),
         ],
@@ -166,8 +166,8 @@ class TestBenchConfig:
         assert cfg.methods == ("mc",)
 
     def test_accepts_controller_overrides(self):
-        cfg = BenchConfig(controller={"restart_cap": 5, "delta_tot": 0.1, "epsilon_a": 0})
-        assert cfg.controller["restart_cap"] == 5
+        cfg = BenchConfig(controller={"delta_tot": 0.1, "epsilon_a": 0})
+        assert cfg.controller == {"delta_tot": 0.1, "epsilon_a": 0}
 
 
 class TestRunBench:
@@ -398,7 +398,7 @@ class TestCommands:
         [
             ({"delta_tot": 0}, "delta_tot must lie in (0, 1)"),
             ({"spam": 1}, "unknown controller fields"),
-            ({"restart_cap": 1.5}, "restart_cap must be an integer"),
+            ({"restart_cap": 3}, "restart_cap"),
         ],
     )
     def test_bad_controller_override_fails_before_any_cell_runs(
@@ -443,6 +443,10 @@ class TestCommands:
              "parameter 'traction': must be a finite number"),
             ({"ensemble": {"n_elems": 2.7}}, "parameter 'n_elems': must be an integer"),
             ({"ensemble": {"n_levels": True}}, "parameter 'n_levels': must be an integer"),
+            ({"benchmark": "lbracket", "ensemble": {"n_elems_per_unit": 7}},
+             "bad value 7 for parameter 'n_elems_per_unit'"),
+            ({"benchmark": "cantilever", "ensemble": {"sigma": 1000.0}},
+             "bad value 1000.0 for parameter 'sigma'"),
         ],
     )
     def test_generate_names_a_bad_ensemble_parameter_and_writes_nothing(
@@ -521,7 +525,7 @@ class TestCommands:
         ens_path, _ = self.generate(tmp_path, seed=2)
         cfg_path = tmp_path / "cfg.json"
         args = ["estimate", "--ensemble", str(ens_path), "--method", "mc", "--budget", "500"]
-        cfg_path.write_text(json.dumps({"qoi": "compliance", "seed": 4, "controller": {"restart_cap": 2}}))
+        cfg_path.write_text(json.dumps({"qoi": "compliance", "seed": 4, "controller": {"delta_tot": 0.1}}))
         capsys.readouterr()
         assert main(args + ["--config", str(cfg_path)]) == 0
         from_file = capsys.readouterr().out

@@ -1,20 +1,19 @@
 """Property tests of the interval algebra and the likelihood behind each estimate.
 
-A band is the preimage of a probability interval under sin^2((2k+1) theta),
-intersected into the feasible set; these properties are what keep the true
-angle inside it.  The constrained MLE skips its grid scan on intervals where
-the likelihood is certified concave; the properties below hold it to the
-grid path's answer.  Needs hypothesis (the ``test`` extra); skipped without it.
+A band is the preimage of a probability interval under sin^2((2k+1) theta).
+The controller's feasible set is the part of the previous set where the
+pooled likelihood clears a cut; the properties below hold that set, and the
+piece-wise maximum-likelihood search behind it, to dense-grid answers.
+Needs hypothesis (the ``test`` extra); skipped without it.
 """
 
-import bisect
 import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailamp import mliqae
@@ -78,34 +77,60 @@ order_counts = st.dictionaries(
     min_size=1,
     max_size=4,
 )
-fractions = st.floats(min_value=0.001, max_value=0.999)
+
+
+def dense_grid(union: IntervalUnion, points: int = 20_000) -> np.ndarray:
+    """A dense grid over the union, with every component's edges."""
+    return np.concatenate([np.linspace(lo, hi, points) for lo, hi in union.components])
 
 
 @PROPERTY_SETTINGS
-@given(order_counts, fractions, fractions, fractions)
-def test_grid_free_mle_matches_the_grid_path_on_certified_intervals(counts, where, f1, f2):
-    rounds = [RoundRecord(k=k, m=h + t, h=h, delta=0.05) for k, (h, t) in counts.items()]
+@given(order_counts, unions)
+def test_piecewise_mle_matches_a_dense_grid(counts, union):
+    rounds = [RoundRecord(k=k, m=h + t, h=h) for k, (h, t) in counts.items()]
     totals = order_totals(rounds)
-    # The likelihood's singular angles j pi / (2 omega) cut the domain into
-    # cells; an interval inside one cell is where the grid-free path runs.
-    cuts = sorted({j * math.pi / (2 * w) for w in totals[0].astype(int) for j in range(w + 1)})
-    theta = where * math.pi / 2.0
-    i = bisect.bisect_right(cuts, theta)
-    a, b = cuts[i - 1], cuts[i]
-    lo, hi = sorted((a + f1 * (b - a), a + f2 * (b - a)))
-    assume(hi > lo)
-    assume(mliqae._concave_on(lo, hi, totals[0]))
-    union = IntervalUnion([(lo, hi)])
-    free, _ = mliqae.constrained_mle(union, totals)
+    if union.is_empty:
+        union = IntervalUnion.full_domain()
+    theta, _ = mliqae.constrained_mle(union, totals)
+    assert union.contains(theta)
+    grid = dense_grid(union)
+    ll_grid = log_likelihood_terms(grid, *totals).max()
+    ll_mle = log_likelihood_terms(np.array([theta]), *totals)[0]
+    # Never lower, up to the rounding of the likelihood sum itself.
+    assert ll_mle >= ll_grid - 1e-9 * max(1.0, abs(ll_grid))
+
+
+@PROPERTY_SETTINGS
+@given(order_counts, unions, st.sampled_from((0.05, 0.2, 1e-6)))
+def test_feasible_update_keeps_every_point_above_the_cut(counts, previous, delta_tot):
+    rounds = [RoundRecord(k=k, m=h + t, h=h) for k, (h, t) in counts.items()]
+    if previous.is_empty:
+        previous = IntervalUnion.full_domain()
+    state = mliqae.InferenceState(feasible=previous, totals=OrderTotals(rounds))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mliqae, "_concave_on", lambda *args: False)
-        grid, _ = mliqae.constrained_mle(union, totals)
-    assert lo <= free <= hi
-    assert abs(free - grid) <= 1e-9
-    # Never lower, up to the rounding of the likelihood sum itself: points
-    # one ulp apart can evaluate a few ulps of the sum apart either way.
-    ll_free, ll_grid = log_likelihood_terms(np.array([free, grid]), *totals)
-    assert ll_free >= ll_grid - 1e-12 * abs(ll_grid)
+        # Pruning drops pieces that clear the cut on purpose; the set proper
+        # is checked without it.
+        mp.setattr(mliqae, "_MAX_COMPONENTS", 10**6)
+        cut = mliqae.update_feasible(state, delta_tot)
+    new = state.feasible
+    assert not new.is_empty
+    assert new.intersect(previous) == new
+    grid = dense_grid(previous)
+    ll = log_likelihood_terms(grid, *state.totals.arrays)
+    # The cut is valid: no higher than the mixture bound from the integral
+    # of the likelihood over the previous set (a log-sum over the grid).
+    widths = np.array([hi - lo for lo, hi in previous.components])
+    finite = np.isfinite(ll)
+    if finite.any() and widths.sum() > 1e-9:
+        steps = np.repeat(widths / (20_000 - 1), 20_000)
+        top = ll[finite].max()
+        log_integral = top + math.log(float(np.sum(steps[finite] * np.exp(ll[finite] - top))))
+        assert cut <= log_integral - math.log(math.pi / 2) + math.log(delta_tot) + 1e-3
+    # Every grid point that clears the cut stays, and so does the MLE.
+    for theta in grid[ll >= cut]:
+        assert new.contains(theta, tol=1e-12 * theta)
+    assert new.contains(state.theta_hat)
+    assert state.theta_hat == mliqae.constrained_mle(previous, state.totals.arrays)[0]
 
 
 @PROPERTY_SETTINGS
@@ -115,15 +140,17 @@ def test_grid_free_mle_matches_the_grid_path_on_certified_intervals(counts, wher
         min_size=1,
         max_size=12,
     ),
-    st.lists(st.integers(0, 11), max_size=12),
+    st.sets(st.integers(1, 12), max_size=12),
 )
-def test_order_totals_kept_in_place_match_a_fresh_build(draws, drops):
-    rounds = [RoundRecord(k=k, m=m, h=int(u * m), delta=0.05) for k, m, u in draws]
-    acc = OrderTotals(rounds)
-    for d in drops:
-        if rounds:
-            acc.remove(rounds.pop(d % len(rounds)))
-    fresh = order_totals(rounds)
-    for kept, built in zip(acc.arrays, fresh):
+def test_order_totals_kept_in_place_match_a_fresh_build(draws, cuts):
+    rounds = [RoundRecord(k=k, m=m, h=int(u * m)) for k, m, u in draws]
+    acc = OrderTotals()
+    for i, r in enumerate(rounds, 1):
+        acc.add(r)
+        if i in cuts:
+            fresh = order_totals(rounds[:i])
+            for kept, built in zip(acc.arrays, fresh):
+                assert kept.tolist() == built.tolist()
+    for kept, built in zip(acc.arrays, order_totals(rounds)):
         assert kept.tolist() == built.tolist()
     assert acc.info == 4 * sum((2 * r.k + 1) ** 2 * r.m for r in rounds)

@@ -1,4 +1,4 @@
-"""Exact binomial interval, risk schedule, and likelihood tests."""
+"""Exact binomial interval and likelihood tests."""
 
 import math
 
@@ -9,7 +9,6 @@ from scipy import stats as sps
 from tailamp.stats import (
     RoundRecord,
     clopper_pearson,
-    delta_schedule,
     log_likelihood,
     log_likelihood_slopes,
     log_likelihood_terms,
@@ -111,49 +110,25 @@ class TestClopperPearson:
             clopper_pearson(2, 5, 1.5)
 
 
-class TestDeltaSchedule:
-    def test_first_slot_value(self):
-        assert delta_schedule(1, 0.05) == pytest.approx(0.0303964, abs=1e-7)
-
-    def test_inverse_square_scaling(self):
-        assert delta_schedule(10, 0.05) == pytest.approx(
-            delta_schedule(1, 0.05) / 100.0, rel=1e-12
-        )
-
-    def test_partial_sums_stay_below_total(self):
-        total = 0.0
-        for t in range(1, 20_001):
-            total += delta_schedule(t, 0.05)
-            assert total <= 0.05 + 1e-15
-        # The series converges to the full risk budget.
-        assert total > 0.0499
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(ValueError):
-            delta_schedule(0, 0.05)
-
-
 class TestRoundRecord:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RoundRecord(k=-1, m=10, h=0, delta=0.05)
+            RoundRecord(k=-1, m=10, h=0)
         with pytest.raises(ValueError):
-            RoundRecord(k=0, m=0, h=0, delta=0.05)
+            RoundRecord(k=0, m=0, h=0)
         with pytest.raises(ValueError):
-            RoundRecord(k=0, m=10, h=11, delta=0.05)
-        with pytest.raises(ValueError):
-            RoundRecord(k=0, m=10, h=3, delta=0.0)
+            RoundRecord(k=0, m=10, h=11)
 
 
 class TestLogLikelihood:
     def test_single_success_at_quarter_pi(self):
-        rounds = [RoundRecord(k=0, m=1, h=1, delta=0.05)]
+        rounds = [RoundRecord(k=0, m=1, h=1)]
         assert log_likelihood(math.pi / 4.0, rounds) == pytest.approx(
             math.log(0.5), abs=1e-12
         )
 
     def test_symmetric_binomial_peaks_at_quarter_pi(self):
-        rounds = [RoundRecord(k=0, m=2, h=1, delta=0.05)]
+        rounds = [RoundRecord(k=0, m=2, h=1)]
         grid = np.linspace(0.01, math.pi / 2.0 - 0.01, 4001)
         values = log_likelihood(grid, rounds)
         assert grid[int(np.argmax(values))] == pytest.approx(math.pi / 4.0, abs=1e-3)
@@ -161,20 +136,20 @@ class TestLogLikelihood:
     def test_minus_infinity_where_predicted_probability_is_degenerate(self):
         # At theta = 0 the success probability is exactly zero, so any
         # observed success makes the data impossible.
-        rounds = [RoundRecord(k=0, m=10, h=3, delta=0.05)]
+        rounds = [RoundRecord(k=0, m=10, h=3)]
         assert log_likelihood(0.0, rounds) == -math.inf
 
     def test_zero_count_annihilates_degenerate_term(self):
         # With h = 0 the impossible-success term carries a zero coefficient
         # and the convention 0 * log 0 = 0 keeps the sum finite.
-        rounds = [RoundRecord(k=0, m=10, h=0, delta=0.05)]
+        rounds = [RoundRecord(k=0, m=10, h=0)]
         assert log_likelihood(0.0, rounds) == 0.0
 
     def test_permutation_invariance(self):
         rounds = [
-            RoundRecord(k=0, m=100, h=26, delta=0.05),
-            RoundRecord(k=1, m=80, h=70, delta=0.04),
-            RoundRecord(k=3, m=50, h=12, delta=0.03),
+            RoundRecord(k=0, m=100, h=26),
+            RoundRecord(k=1, m=80, h=70),
+            RoundRecord(k=3, m=50, h=12),
         ]
         theta = 0.41
         forward = log_likelihood(theta, rounds)
@@ -187,8 +162,8 @@ class TestLogLikelihood:
         # must sit inside one of the two bands that survive intersecting the
         # two exact confidence preimages.
         rounds = [
-            RoundRecord(k=0, m=1000, h=262, delta=0.05),
-            RoundRecord(k=1, m=1000, h=998, delta=0.05),
+            RoundRecord(k=0, m=1000, h=262),
+            RoundRecord(k=1, m=1000, h=998),
         ]
         grid = np.linspace(1e-6, math.pi / 2.0 - 1e-6, 200_001)
         best = float(grid[int(np.argmax(log_likelihood(grid, rounds)))])
@@ -207,17 +182,17 @@ class TestLogLikelihood:
                 expected += h * math.log(p)
             if m - h > 0:
                 expected += (m - h) * math.log(1.0 - p)
-            got = log_likelihood(theta, [RoundRecord(k=k, m=m, h=h, delta=0.05)])
+            got = log_likelihood(theta, [RoundRecord(k=k, m=m, h=h)])
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestOrderTotals:
     def test_pools_counts_per_order(self):
         rounds = [
-            RoundRecord(k=2, m=50, h=12, delta=0.05),
-            RoundRecord(k=0, m=100, h=26, delta=0.05),
-            RoundRecord(k=2, m=80, h=70, delta=0.04),
-            RoundRecord(k=0, m=10, h=0, delta=0.03),
+            RoundRecord(k=2, m=50, h=12),
+            RoundRecord(k=0, m=100, h=26),
+            RoundRecord(k=2, m=80, h=70),
+            RoundRecord(k=0, m=10, h=0),
         ]
         omega, hs, tails = order_totals(rounds)
         assert omega.tolist() == [1.0, 5.0]
@@ -230,7 +205,7 @@ class TestOrderTotals:
         for _ in range(40):
             m = int(rng.integers(1, 300))
             rounds.append(
-                RoundRecord(k=int(rng.integers(0, 4)), m=m, h=int(rng.integers(0, m + 1)), delta=0.05)
+                RoundRecord(k=int(rng.integers(0, 4)), m=m, h=int(rng.integers(0, m + 1)))
             )
         theta = np.linspace(0.05, math.pi / 2.0 - 0.05, 97)
         per_batch = sum(log_likelihood(theta, [r]) for r in rounds)
@@ -245,9 +220,9 @@ class TestOrderTotals:
 class TestLogLikelihoodSlopes:
     def test_match_central_differences(self):
         rounds = [
-            RoundRecord(k=0, m=100, h=26, delta=0.05),
-            RoundRecord(k=1, m=80, h=70, delta=0.04),
-            RoundRecord(k=3, m=50, h=0, delta=0.03),
+            RoundRecord(k=0, m=100, h=26),
+            RoundRecord(k=1, m=80, h=70),
+            RoundRecord(k=3, m=50, h=0),
         ]
         totals = order_totals(rounds)
         theta = np.array([0.11, 0.37, 0.52, 0.93, 1.21])
