@@ -77,6 +77,19 @@ class FlipOracle:
         return 0.9 if k == 0 else 0.05
 
 
+class GlitchOracle:
+    """Honest oracle except for one call, whose batch sees no success."""
+
+    def __init__(self, a: float, glitch_call: int):
+        self.honest = AnalyticOracle(a)
+        self.glitch_call = glitch_call
+        self.calls = 0
+
+    def success_probability(self, k: int) -> float:
+        self.calls += 1
+        return 0.0 if self.calls == self.glitch_call else self.honest.success_probability(k)
+
+
 def in_single_flank(theta_lo: float, theta_hi: float, k: int) -> bool:
     """Independent check that the amplified response is monotone over the
     hull: both scaled endpoints fall in the same half-period of sin^2."""
@@ -455,6 +468,32 @@ class TestNoRecovery:
         assert report.feasible.contains(report.theta_hat)
         assert report.theta_bounds[0] <= report.theta_hat <= report.theta_bounds[1]
         assert 0 <= budget - report.oracle_calls < 2 * mliqae._K_MAX + 1
+
+    def test_million_shot_self_contradicting_run_ends_cleanly(self):
+        # The loop never nests a recovery inside a batch, so even the largest
+        # budget on a self-contradicting oracle ends in one flat pass.
+        budget = 1_000_000
+        report = run(FlipOracle(), ControllerConfig(budget=budget), np.random.default_rng(8))
+        assert not report.failed and report.restarts == 0
+        assert report.feasible.contains(report.theta_hat)
+        assert report.batches == len(report.ledger)
+        assert 0 <= budget - report.oracle_calls < 2 * mliqae._K_MAX + 1
+
+    def test_contradictory_batch_mid_run_is_kept_and_the_run_carries_on(self):
+        # The second batch reports no success at order 0 against an honest
+        # first batch.  Nothing is shed: the batch stays in the ledger, the
+        # set stays non-empty and the run spends its budget.
+        budget = 64_000
+        for seed in range(3):
+            oracle = GlitchOracle(0.2625, glitch_call=2)
+            report = run(oracle, ControllerConfig(budget=budget), np.random.default_rng(seed))
+            first, second = report.ledger[:2]
+            assert (first.k, second.k, second.h) == (0, 0, 0) and first.h > 0
+            assert not report.failed and report.restarts == 0
+            assert not report.feasible.is_empty
+            assert report.feasible.contains(report.theta_hat)
+            assert report.oracle_calls == sum(b.cost for b in report.ledger)
+            assert 0 <= budget - report.oracle_calls < 2 * mliqae._K_MAX + 1
 
     def test_unit_amplitude_width_shrinks_with_budget(self):
         # Pooling every batch keeps tightening the set at the saturated edge;
