@@ -26,19 +26,6 @@ from . import mliqae, qsim, riskmodel, stochfem
 DEFAULT_BUDGETS = (2000, 4000, 8000, 16000, 32000, 64000, 128000, 256000)
 WORKERS_ENV = "TAILAMP_WORKERS"
 
-RAW_COLUMNS = (
-    "method",
-    "qoi",
-    "budget",
-    "seed",
-    "cvar_est",
-    "cvar_true",
-    "abs_err",
-    "oracle_calls",
-    "rounds",
-    "restarts",
-    "failed",
-)
 AGG_COLUMNS = ("method", "budget", "mean_abs_err", "median_abs_err", "std_abs_err", "fail_rate")
 
 
@@ -115,6 +102,9 @@ class ResultRow:
     rounds: int
     restarts: int
     failed: bool
+
+
+RAW_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def run_seed(master_seed: int, method: str, budget: int, repetition: int) -> int:

@@ -2,9 +2,10 @@
 
 Feasible sets for the amplitude angle are finite unions of disjoint closed
 intervals.  This module keeps them in a normalized form (sorted, disjoint,
-clipped to the open domain) and provides the set algebra the estimation
-controller relies on: preimages of probability intervals under the amplified
-response curve sin^2((2k+1) theta), intersection, hull and membership.
+clipped to the open domain).  The estimation controller keeps its feasible
+set as one and reads its hull and membership; preimages of probability
+intervals under the amplified response curve sin^2((2k+1) theta) and their
+intersection give the per-batch band view of a run (demos/worked_example.py).
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class IntervalUnion:
     """Normalized union of disjoint closed intervals inside (0, pi/2).
 
     Instances are immutable; all operations return new unions.  The empty
-    union is a valid value (it is how a contradictory measurement round
-    manifests) and callers are expected to test ``is_empty``.
+    union is a valid value (the intersection of disjoint bands is empty)
+    and callers are expected to test ``is_empty``.
     """
 
     __slots__ = ("components",)
@@ -83,8 +84,7 @@ class IntervalUnion:
     def hull(self) -> tuple[float, float]:
         """Smallest single interval containing the union.
 
-        Raises ValueError on the empty union; the caller decides what an
-        empty feasible set means (usually a restart).
+        Raises ValueError on the empty union, which has no hull.
         """
         if not self.components:
             raise ValueError("hull of empty interval union")

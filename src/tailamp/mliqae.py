@@ -11,11 +11,12 @@ stays in every set at once with probability at least 1 - delta_tot, whatever
 depths, shot counts and stopping rule the loop chose.  Each set contains the
 maximum-likelihood point of the one before, so it is never empty; the
 estimate is that point.  Competing alias hypotheses stay as components of
-the set until the pooled data rule them out, and a safe-depth cap tied to
-the feasible hull keeps each batch on one monotone flank.
+the set until the pooled data rule them out.  Each batch runs at the
+deepest order whose amplified response is monotone over the whole feasible
+hull.
 
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
-the module constants _KAPPA through _CHORD_SIGMAS.
+the module constants _K_MAX through _CHORD_SIGMAS.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup 
 _NEWTON_MAX_STEPS = 100
 
 # Policy of the loop: the validated operating point, the same for every run.
-_KAPPA = 0.49 * math.pi  # safe-depth phase cap, strictly below pi/2
 _K_MAX = 64
-_MAX_COMPONENTS = 4  # feasible-set components kept after pruning
 _M_MIN = 50
 _M_MAX = 1100
 _SHOT_SCALE = 220.0  # base batch size is shot_scale * budget^(1/4)
@@ -49,7 +48,6 @@ _SHOT_GROWTH = 0.012  # mild per-round growth of the base size
 _RESERVE_FLOOR = 10  # pacing horizon R_t = max(floor, base - min(t, taper))
 _RESERVE_BASE = 28
 _RESERVE_TAPER = 20
-_SATURATION_BAND = 0.02
 _MLE_BRACKET = 1e-10  # Newton stops once its step or bracket is this narrow
 _CUT_NUDGE = 1e-12  # relative inset of a piece edge from a singular angle
 _CHORD_SIGMAS = 1.5  # the likelihood integral is bounded on theta_hat +- this / sqrt(info)
@@ -223,13 +221,6 @@ def constrained_mle(union: IntervalUnion, totals) -> tuple[float, float]:
     return best, math.sin(best) ** 2
 
 
-def _prune(kept: np.ndarray, ll: np.ndarray) -> np.ndarray:
-    """At most _MAX_COMPONENTS of the kept piece indices, the highest maxima first."""
-    if kept.size <= _MAX_COMPONENTS:
-        return kept
-    return np.sort(kept[np.argsort(-ll[kept], kind="stable")[:_MAX_COMPONENTS]])
-
-
 def update_feasible(state: InferenceState, delta_tot: float) -> float:
     """Cut the feasible set to the points that clear the pooled likelihood cut.
 
@@ -244,8 +235,9 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     theta_j, with residual score g_j, l_t(theta_j + x) <= l_j + g_j x
     - info x^2 / 4, and the interval where that bound clears c_t is kept,
     clipped to the piece.  theta_hat always clears the cut, so it becomes
-    the estimate and the set is never empty.  Pieces past _MAX_COMPONENTS
-    are dropped, the lowest maxima first.  Returns c_t.
+    the estimate and the set is never empty.  Every piece that clears the
+    cut is kept, so the set is an outer bound of the confidence sequence.
+    Returns c_t.
     """
     totals, info = state.totals.arrays, state.totals.info
     lo, hi = _pieces(state.feasible, totals)
@@ -262,7 +254,7 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     log_j = ll[best] + math.log(chord) if chord > 0.0 else -math.inf
     cut = log_j - math.log(_HALF_PI) + math.log(delta_tot)
     slack = info * (ll - cut)
-    kept = _prune(np.flatnonzero(slack >= 0.0), ll)
+    kept = slack >= 0.0
     theta_k, slack_k = theta[kept], slack[kept]
     up, down = np.maximum(score[kept], 0.0), np.maximum(-score[kept], 0.0)
     new_lo = np.maximum(lo[kept], theta_k - 2.0 * (down + np.sqrt(down * down + slack_k)) / info)
@@ -272,85 +264,22 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     return cut
 
 
-_FLANK_GUARD = 1e-3  # fractional clearance from a turning point, upper flanks
-
-
-def _alias_safe(theta_lo: float, theta_hi: float, k: int, kappa: float) -> bool:
-    """Whether sin^2((2k+1) theta) is monotone over the whole hull.
-
-    The scaled hull must sit inside a single half-period flank of sin^2.
-    On the lowest flank the small-angle bound (2k+1) theta_hi <= kappa
-    applies verbatim; on higher flanks a thin numerical guard keeps the
-    edges off the turning points.
-    """
-    omega = 2 * k + 1
-    half = math.pi / 2.0
-    s_lo = omega * theta_lo / half
-    s_hi = omega * theta_hi / half
-    j = math.floor(s_lo)
-    if math.floor(s_hi) != j:
-        return False
-    if j == 0:
-        return s_hi <= kappa / half
-    return s_lo - j >= _FLANK_GUARD and (j + 1) - s_hi >= _FLANK_GUARD
-
-
 def select_depth(state: InferenceState) -> int:
-    """Amplification order for the next ordinary round.
+    """Amplification order for the next round: the deepest single-flank order.
 
-    The depth climbs the ladder, at most one order above the last batch's,
-    as far as two conditions allow: every angle in the feasible hull must
-    stay on a single monotone flank of the amplified response (so the batch
-    cannot alias across a turning point), and the predicted operating
-    point must sit away from 0 and 1 (a saturated batch carries almost no
-    information).  Deeper
-    amplification is what buys information faster than flat sampling: the
-    per-call Fisher information grows linearly with the order.
-
-    Orders whose operating point is degenerate for the current estimate
-    stay degenerate as the hull contracts, so when they alone block the
-    climb and the accumulated information localizes the angle to a small
-    fraction of the target flank, the ladder hops over them.  With no
-    usable rung and no certified hop, the highest alias-safe order is used;
-    with no alias-safe order, or before the first estimate, order 0.
+    The largest k <= _K_MAX whose scaled feasible hull (2k+1) [lo, hi] lies
+    within one half-period of sin^2, so the amplified response is monotone
+    over every angle still feasible (the depth rule of Grinko et al. 2021,
+    npj Quantum Inf. 7:52).  Order 0 always qualifies; the full domain,
+    before the first batch, admits no deeper order.  Deeper amplification is
+    what buys information faster than flat sampling: the per-call Fisher
+    information grows linearly with the order.
     """
-    if state.theta_hat is None:
-        return 0
     lo, hi = state.feasible.hull()
-    th = state.theta_hat
-    cap = min(_K_MAX, state.ledger[-1].k + 1)
-
-    def point_ok(order: int) -> bool:
-        p = math.sin((2 * order + 1) * th) ** 2
-        return _SATURATION_BAND <= p <= 1.0 - _SATURATION_BAND
-
-    pick = None
-    fallback = None
-    for j in range(cap, -1, -1):
-        if not _alias_safe(lo, hi, j, _KAPPA):
-            continue
-        if fallback is None:
-            fallback = j
-        if point_ok(j):
-            pick = j
-            break
-    blocked_by_saturation = pick is not None and pick < cap and all(
-        not point_ok(j) for j in range(pick + 1, cap + 1)
-    )
-    if pick is None or blocked_by_saturation:
-        # The hop certificate 6 sigma (2k+1) <= pi/8 only loosens as k falls,
-        # so the scan stops at the deepest order it still certifies.
-        info = state.totals.info
-        sigma = 1.0 / math.sqrt(info) if info > 0 else math.inf
-        nxt = cap + 1
-        while nxt <= _K_MAX and 6.0 * sigma * (2 * nxt + 1) <= 0.125 * math.pi:
-            if point_ok(nxt):
-                pick = nxt
-                break
-            nxt += 1
-    if pick is not None:
-        return pick
-    return fallback if fallback is not None else 0
+    for k in range(_K_MAX, 0, -1):
+        if math.floor((2 * k + 1) * lo / _HALF_PI) == math.floor((2 * k + 1) * hi / _HALF_PI):
+            return k
+    return 0
 
 
 def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:

@@ -32,6 +32,8 @@ class ScenarioSet:
             raise ValueError("probs and responses must be matching 1-d arrays")
         if probs.size < 1:
             raise ValueError("need at least one scenario")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(probs < 0.0):
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-9:

@@ -1,13 +1,13 @@
 """Exact binomial statistics for amplified measurement rounds.
 
 Each batch of shots at amplification order k is a binomial draw whose success
-probability is sin^2((2k+1) theta).  Everything downstream (feasible sets,
-likelihood surfaces) is built from the pieces here: the exact
-log-likelihood of a collection of rounds with its first two angle
-derivatives, and the exact Clopper-Pearson interval of one batch (beta
-quantiles from scipy's inverse regularized incomplete beta).  The
-likelihood depends on the rounds only through the success and failure
-totals at each distinct order, so it is evaluated on those.
+probability is sin^2((2k+1) theta).  The controller's feasible sets and
+estimates are built from the exact log-likelihood of a collection of rounds
+with its first two angle derivatives.  The likelihood depends on the rounds
+only through the success and failure totals at each distinct order, so it
+is evaluated on those.  The exact Clopper-Pearson interval of one batch
+(beta quantiles from scipy's inverse regularized incomplete beta) gives the
+per-batch band view of a run.
 """
 
 from __future__ import annotations

@@ -366,6 +366,8 @@ class TestCommands:
         assert rc == 0
         raw = (tmp_path / "bar1d_compliance_raw.csv").read_text().splitlines()
         agg = (tmp_path / "bar1d_compliance_agg.csv").read_text().splitlines()
+        # The raw header derives from ResultRow's fields; its bytes are pinned.
+        assert raw[0] == "method,qoi,budget,seed,cvar_est,cvar_true,abs_err,oracle_calls,rounds,restarts,failed"
         assert raw[0] == ",".join(RAW_COLUMNS)
         assert agg[0] == ",".join(AGG_COLUMNS)
         assert len(raw) == 1 + 2 * 2 * 2
@@ -478,6 +480,21 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(ens_path) in err[0]
+
+    @pytest.mark.parametrize("method", ["mc", "mliqae"])
+    def test_nan_probability_in_the_ensemble_is_one_error_line(self, tmp_path, capsys, method):
+        ens_path, _ = self.generate(tmp_path)
+        lines = ens_path.read_text().splitlines()
+        cells = lines[-1].split()
+        cells[1] = "nan"
+        lines[-1] = " ".join(cells)
+        ens_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["estimate", "--ensemble", str(ens_path), "--method", method, "--budget", "100"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == ["error: probabilities must be finite"]
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -13,9 +13,8 @@ import pytest
 
 from tailamp import mliqae
 from tailamp.cli import run_seed
-from tailamp.intervals import IntervalUnion, theta_preimage
+from tailamp.intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
 from tailamp.mliqae import (
-    BatchLog,
     ControllerConfig,
     InferenceState,
     constrained_mle,
@@ -63,11 +62,6 @@ def two_round_state() -> InferenceState:
 
 def measure(union: IntervalUnion) -> float:
     return sum(hi - lo for lo, hi in union.components)
-
-
-def ledger_at(k: int) -> list[BatchLog]:
-    """A one-entry ledger whose last batch ran at order k."""
-    return [BatchLog(kind="round", k=k, m=100, h=50)]
 
 
 class FlipOracle:
@@ -184,32 +178,30 @@ class TestSelectShots:
 
 class TestSelectDepth:
     def test_wide_hull_keeps_order_zero(self):
+        # A hull wider than pi/6 straddles a turning point of sin^2((2k+1) theta)
+        # at every k >= 1.
         state = InferenceState.initial()
-        state.feasible = band_for(ROUND_A)
-        state.totals.add(ROUND_A)
-        state.theta_hat = 0.537916
-        state.ledger = ledger_at(0)
-        state.t = 1
+        state.feasible = IntervalUnion([(0.30, 0.42), (0.80, 0.90)])
+        assert not any(in_single_flank(0.30, 0.90, k) for k in range(1, mliqae._K_MAX + 1))
         assert select_depth(state) == 0
 
     def test_no_estimate_defaults_to_zero(self):
         assert select_depth(InferenceState.initial()) == 0
 
-    def test_single_step_ladder(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            theta = float(rng.uniform(0.05, 1.4))
-            width = float(rng.uniform(1e-5, 0.1))
-            lo = max(1e-6, theta - 0.5 * width)
-            hi = min(math.pi / 2 - 1e-6, theta + 0.5 * width)
-            state = InferenceState.initial()
-            state.feasible = IntervalUnion([(lo, hi)])
-            state.totals.add(RoundRecord(k=0, m=200, h=50))
-            state.theta_hat = 0.5 * (lo + hi)
-            k_last = int(rng.integers(0, 20))
-            state.ledger = ledger_at(k_last)
-            state.t = 3
-            assert select_depth(state) <= k_last + 1
+    def test_is_the_deepest_single_flank_order(self):
+        # Brute force over every order on random hulls, from the full domain
+        # down to a near-point at either edge.
+        rng = np.random.default_rng(31)
+        hulls = [(THETA_LO, THETA_HI), (THETA_LO, 1e-9), (THETA_HI - 1e-9, THETA_HI)]
+        for _ in range(600):
+            centres = rng.uniform(0.0, math.pi / 2, size=int(rng.integers(1, 4)))
+            widths = 10.0 ** rng.uniform(-8, 0, size=centres.size)
+            union = IntervalUnion(zip(centres - 0.5 * widths, centres + 0.5 * widths))
+            hulls.append(union.hull())
+        for lo, hi in hulls:
+            state = InferenceState(feasible=IntervalUnion([(lo, hi)]))
+            deepest = max(k for k in range(mliqae._K_MAX + 1) if in_single_flank(lo, hi, k))
+            assert select_depth(state) == deepest
 
     def test_positive_depth_is_always_single_flank(self):
         rng = np.random.default_rng(12)
@@ -220,67 +212,9 @@ class TestSelectDepth:
             hi = min(math.pi / 2 - 1e-6, theta + 0.5 * width)
             state = InferenceState.initial()
             state.feasible = IntervalUnion([(lo, hi)])
-            state.totals.add(RoundRecord(k=0, m=500, h=120))
-            state.theta_hat = 0.5 * (lo + hi)
-            state.ledger = ledger_at(int(rng.integers(0, 30)))
-            state.t = 4
             k = select_depth(state)
             if k > 0:
                 assert in_single_flank(lo, hi, k)
-
-    def test_first_flank_respects_phase_cap(self):
-        # When the scaled hull sits on the lowest flank the verbatim phase
-        # bound applies: (2k+1) * theta_hi <= kappa.
-        state = InferenceState.initial()
-        state.feasible = IntervalUnion([(0.049, 0.051)])
-        state.totals.add(RoundRecord(k=0, m=500, h=2))
-        state.theta_hat = 0.05
-        state.t = 5
-        for k_last in range(0, 40):
-            state.ledger = ledger_at(k_last)
-            k = select_depth(state)
-            omega = 2 * k + 1
-            if omega * 0.051 <= mliqae._KAPPA:
-                assert in_single_flank(0.049, 0.051, k)
-
-    def test_fallback_is_the_highest_alias_safe_order(self):
-        # Every order up to the cap 3 measures a saturated point near 0, order 3
-        # would alias across the wide hull, and one small batch is too little
-        # information to certify a hop: the highest alias-safe order is used.
-        state = InferenceState.initial()
-        state.feasible = IntervalUnion([(0.01, 0.25)])
-        state.totals.add(RoundRecord(k=0, m=100, h=0))
-        state.theta_hat = 0.01
-        state.ledger = ledger_at(2)
-        state.t = 3
-        assert not mliqae._alias_safe(0.01, 0.25, 3, mliqae._KAPPA)
-        assert select_depth(state) == 2
-
-    @pytest.mark.parametrize(
-        "theta, k_last, without_hop, hop",
-        [
-            # Orders 0-6 all saturate near 0; order 7 is the first usable one.
-            (0.01, 2, 3, 7),
-            # Order 1 saturates near 1 above the usable order 0; order 2 is usable.
-            (0.5 * math.pi / 3 - 0.1 / 3, 0, 0, 2),
-        ],
-        ids=("all-saturated-below", "saturated-rung-above"),
-    )
-    def test_certified_hop_jumps_past_saturated_rungs(self, theta, k_last, without_hop, hop):
-        state = InferenceState.initial()
-        state.feasible = IntervalUnion([(theta - 1e-4, theta + 1e-4)])
-        state.theta_hat = theta
-        state.ledger = ledger_at(k_last)
-        state.t = 3
-        # Too little information to localize the angle on the target flank.
-        state.totals.add(RoundRecord(k=0, m=100, h=0))
-        assert select_depth(state) == without_hop
-        # Enough information: the hop is certified, 6 sigma (2k+1) <= pi/8,
-        # with sigma = 1 / sqrt(4 m) from m shots at order 0.
-        state.totals = OrderTotals([RoundRecord(k=0, m=20_000, h=0)])
-        sigma = 1.0 / math.sqrt(4 * 20_000)
-        assert 6.0 * sigma * (2 * hop + 1) <= 0.125 * math.pi
-        assert select_depth(state) == hop
 
 
 class TestUpdateFeasible:
@@ -327,31 +261,6 @@ class TestUpdateFeasible:
             cut = update_feasible(state, 0.05)
             above = grid[log_likelihood_terms(grid, *state.totals.arrays) >= cut]
             assert above.size and all(state.feasible.contains(theta) for theta in above)
-
-    def test_prune_keeps_highest_likelihood_components(self, monkeypatch):
-        monkeypatch.setattr(mliqae, "_MAX_COMPONENTS", 3)
-        rounds = [RoundRecord(k=0, m=8, h=2)]
-        components = [
-            (0.10, 0.12),
-            (0.30, 0.32),
-            (0.50, 0.52),
-            (0.70, 0.72),
-            (1.30, 1.32),
-        ]
-        state = InferenceState.initial()
-        state.feasible = IntervalUnion(components)
-        state.totals.add(rounds[0])
-        cut = update_feasible(state, 0.05)
-        # Rank the components that clear the cut by their dense-grid
-        # likelihood supremum, as an independent oracle for what pruning
-        # must keep: four clear it, the best three stay.
-        sups = [max(log_likelihood(np.linspace(lo, hi, 2000), rounds)) for lo, hi in components]
-        clear = [i for i in range(5) if sups[i] >= cut]
-        assert len(clear) == 4
-        expected = sorted(sorted(clear, key=lambda i: sups[i], reverse=True)[:3])
-        assert len(state.feasible) == 3
-        for idx, got in zip(expected, state.feasible.components):
-            assert got == pytest.approx(components[idx], abs=1e-12)
 
     def test_measure_never_increases(self):
         rng = np.random.default_rng(21)
@@ -480,15 +389,15 @@ class TestNoRecovery:
         assert 0 <= budget - report.oracle_calls < 2 * mliqae._K_MAX + 1
 
     def test_contradictory_batch_mid_run_is_kept_and_the_run_carries_on(self):
-        # The second batch reports no success at order 0 against an honest
-        # first batch.  Nothing is shed: the batch stays in the ledger, the
+        # The second batch reports no success against an honest first batch
+        # at order 0.  Nothing is shed: the batch stays in the ledger, the
         # set stays non-empty and the run spends its budget.
         budget = 64_000
         for seed in range(3):
             oracle = GlitchOracle(0.2625, glitch_call=2)
             report = run(oracle, ControllerConfig(budget=budget), np.random.default_rng(seed))
             first, second = report.ledger[:2]
-            assert (first.k, second.k, second.h) == (0, 0, 0) and first.h > 0
+            assert (first.k, second.h) == (0, 0) and first.h > 0
             assert not report.failed and report.restarts == 0
             assert not report.feasible.is_empty
             assert report.feasible.contains(report.theta_hat)
@@ -535,23 +444,19 @@ class TestRun:
                 math.sin(report.theta_hat) ** 2, abs=1e-12
             )
 
-    def test_depth_ladder_steps_gently_or_certifies_a_hop(self):
-        # Depth normally climbs one rung per round.  A larger jump is only
-        # allowed past rungs that measure saturated frequencies, and then
-        # only once the accumulated information already localizes the angle
-        # to a small fraction of the target flank; that certificate can be
-        # recomputed from the ledger prefix.
-        for a, seed in ((0.1, 5), (0.2625, 7), (0.02, 11), (0.7, 13)):
-            cfg = ControllerConfig(budget=64_000)
-            report = run(AnalyticOracle(a), cfg, np.random.default_rng(seed))
-            prev = 0
-            info = 0.0
+    def test_each_batch_runs_at_the_deepest_single_flank_order_before_it(self):
+        # Replay each ledger through update_feasible: every batch's order is
+        # the deepest one whose scaled hull, before the batch, lies on one flank.
+        for a, seed in ((0.0, 1), (0.015, 2), (0.1, 5), (0.2625, 7), (0.7, 13), (1.0, 3)):
+            report = run(AnalyticOracle(a), ControllerConfig(budget=64_000), np.random.default_rng(seed))
+            state = InferenceState.initial()
             for batch in report.ledger:
-                if batch.k > prev + 1:
-                    sigma = 1.0 / math.sqrt(info)
-                    assert 6.0 * sigma * (2 * batch.k + 1) <= 0.125 * math.pi
-                prev = batch.k
-                info += 4.0 * (2 * batch.k + 1) ** 2 * batch.m
+                lo, hi = state.feasible.hull()
+                assert batch.k == max(k for k in range(mliqae._K_MAX + 1) if in_single_flank(lo, hi, k))
+                state.totals.add(batch)
+                update_feasible(state, 0.05)
+            assert state.feasible == report.feasible
+            assert max(b.k for b in report.ledger) > 0
 
     def test_target_half_width_stops_early(self):
         cfg = ControllerConfig(budget=1_000_000, epsilon_a=0.02)
@@ -598,23 +503,24 @@ class TestRun:
 # Decision-equivalence gate.  The (kind, k, m, h) ledgers of this seeded grid
 # and the estimates below were first recorded with the golden-section MLE and
 # the hand-rolled inverse beta that the Newton refinement and scipy's
-# betaincinv replaced, and re-recorded twice since: when the low-depth sweep
-# and the saturation back-off were deleted, and when the pooled likelihood
-# set replaced the intersection of per-batch bands.  Any change meant to keep
+# betaincinv replaced, and re-recorded three times since: when the low-depth
+# sweep and the saturation back-off were deleted, when the pooled likelihood
+# set replaced the intersection of per-batch bands, and when the deepest
+# single-flank order replaced the depth ladder.  Any change meant to keep
 # the controller's decisions must keep the digest, and the estimates to 1e-8.
 EQUIV_AMPLITUDES = (0.0, 0.015, 0.2625, 0.9999, 1.0)
 EQUIV_BUDGETS = (4000, 64000)
 EQUIV_SEEDS = 3
-EQUIV_DIGEST = "85e9f34e51cdbf9ad257340c37a84736fc173d4dc2063f62c89a9f73793aa3a4"
+EQUIV_DIGEST = "af12aedeefec8058dda7d08c290f322d58b2027bcaccb24b4d315c9dae688028"
 EQUIV_A_HAT = {
     (0.0, 4000): (1e-24,) * 3,
     (0.0, 64000): (1e-24,) * 3,
-    (0.015, 4000): (0.014919695576636994, 0.014659717391591854, 0.013899657813629222),
-    (0.015, 64000): (0.01505753733065139, 0.015006577313403699, 0.014963136701358282),
-    (0.2625, 4000): (0.2648347009013466, 0.26451848151267354, 0.2609713561397386),
-    (0.2625, 64000): (0.2624188698216619, 0.2623722605334065, 0.2619665208781244),
-    (0.9999, 4000): (1.0,) * 3,
-    (0.9999, 64000): (0.9999121646154963, 0.9999006310208888, 0.9998958532764605),
+    (0.015, 4000): (0.015288082303720895, 0.015088278102094732, 0.015688971757630617),
+    (0.015, 64000): (0.014969178292667031, 0.015011467101930232, 0.015024103991903615),
+    (0.2625, 4000): (0.26085783297497855, 0.26310027144139014, 0.2616690134451292),
+    (0.2625, 64000): (0.2626796390038805, 0.2624692822064463, 0.26256591168490784),
+    (0.9999, 4000): (0.9999157627507188, 0.9999285906046648, 0.9999069756938211),
+    (0.9999, 64000): (0.9999003873541554, 0.9998998716804475, 0.9998993886662203),
     (1.0, 4000): (1.0,) * 3,
     (1.0, 64000): (1.0,) * 3,
 }

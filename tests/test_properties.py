@@ -107,11 +107,7 @@ def test_feasible_update_keeps_every_point_above_the_cut(counts, previous, delta
     if previous.is_empty:
         previous = IntervalUnion.full_domain()
     state = mliqae.InferenceState(feasible=previous, totals=OrderTotals(rounds))
-    with pytest.MonkeyPatch.context() as mp:
-        # Pruning drops pieces that clear the cut on purpose; the set proper
-        # is checked without it.
-        mp.setattr(mliqae, "_MAX_COMPONENTS", 10**6)
-        cut = mliqae.update_feasible(state, delta_tot)
+    cut = mliqae.update_feasible(state, delta_tot)
     new = state.feasible
     assert not new.is_empty
     assert new.intersect(previous) == new

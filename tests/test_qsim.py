@@ -54,6 +54,11 @@ class TestOracleSpec:
         with pytest.raises(ValueError):
             qsim.OracleSpec([0.5, 0.6], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_probs(self, bad):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            qsim.OracleSpec([bad, 1.0], [0.0, 0.0])
+
     def test_rejects_out_of_range_response(self):
         with pytest.raises(ValueError):
             qsim.OracleSpec([1.0], [1.5])

@@ -43,6 +43,11 @@ class TestScenarioSet:
         with pytest.raises(ValueError):
             ScenarioSet(np.array([0.5, 0.6]), np.array([1.0, 2.0]), 0.9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            ScenarioSet(np.array([bad, 1.0]), np.array([1.0, 2.0]), 0.9)
+
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
             ScenarioSet(np.array([1.0]), np.array([1.0]), 1.0)
