@@ -109,7 +109,6 @@ class InferenceState:
     totals: OrderTotals = field(default_factory=OrderTotals)
     ledger: list[BatchLog] = field(default_factory=list)
     spent: int = 0
-    t: int = 0            # completed batches
     theta_hat: float | None = None
 
     @classmethod
@@ -294,7 +293,7 @@ def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
     remaining = cfg.budget - state.spent
     if remaining < cost_per_shot:
         return 0
-    t_next = state.t + 1
+    t_next = len(state.ledger) + 1
     base = _SHOT_SCALE * cfg.budget**0.25 * (1.0 + _SHOT_GROWTH * t_next)
     horizon = max(_RESERVE_FLOOR, _RESERVE_BASE - min(t_next, _RESERVE_TAPER))
     paced = remaining / (cost_per_shot * horizon)
@@ -324,7 +323,6 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
         state.ledger.append(entry)
         state.totals.add(entry)
         state.spent += entry.cost
-        state.t += 1
         update_feasible(state, cfg.delta_tot)
     return _build_report(state)
 
@@ -342,7 +340,7 @@ def _build_report(state: InferenceState) -> EstimateReport:
         a_bounds=(a_lo, a_hi),
         feasible=state.feasible,
         oracle_calls=state.spent,
-        batches=state.t,
-        rounds=state.t,
+        batches=len(state.ledger),
+        rounds=len(state.ledger),
         ledger=tuple(state.ledger),
     )

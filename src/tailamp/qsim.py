@@ -6,6 +6,12 @@ ancilla in |1> equals a = sum_i p_i g_i.  Grover amplification G = -A S_0
 A^dagger S_chi boosts that probability to sin^2((2k+1) theta) with
 a = sin^2(theta).  Everything here is exact linear algebra on the full
 statevector; it exists to certify the estimation pipeline, not to scale.
+
+Two paths share the oracle amplitudes.  The complex gate path (StateVector,
+apply_oracle, apply_grover, the reflections and success_probability) is the
+reference.  StatevectorOracle, which the controller drives, runs the same
+iterate on real arrays: every amplitude of A|0> and of its iterates is real,
+so it keeps the ancilla-|0> and ancilla-|1> halves as two real vectors.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ class OracleSpec:
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1 within 1e-9")
+        if not np.all(np.isfinite(gs)):
+            raise ValueError("responses g must be finite")
         if np.any((gs < 0.0) | (gs > 1.0)):
             raise ValueError("responses g must lie in [0, 1]")
         object.__setattr__(self, "probs", probs)
@@ -197,6 +205,21 @@ def oracle_gates(spec: OracleSpec) -> list:
     return gates
 
 
+def _oracle_halves(spec: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Real amplitudes of A|0> with the ancilla in |0> and in |1>.
+
+    Entry i of each half is scenario i: sqrt(p_i) cos(phi_i / 2) and
+    sqrt(p_i) sin(phi_i / 2), zero on the padding.
+    """
+    size = 1 << spec.n_index_qubits
+    zero, one = np.zeros(size), np.zeros(size)
+    root_p = np.sqrt(spec.probs)
+    half = spec.angles / 2.0
+    zero[: spec.n_scenarios] = root_p * np.cos(half)
+    one[: spec.n_scenarios] = root_p * np.sin(half)
+    return zero, one
+
+
 def build_oracle_state(spec: OracleSpec, method: str = "direct") -> StateVector:
     """Prepare A|0>.
 
@@ -208,10 +231,7 @@ def build_oracle_state(spec: OracleSpec, method: str = "direct") -> StateVector:
     dim = 1 << (n + 1)
     if method == "direct":
         amps = np.zeros(dim, dtype=complex)
-        root_p = np.sqrt(spec.probs)
-        half = spec.angles / 2.0
-        amps[0 : 2 * spec.n_scenarios : 2] = root_p * np.cos(half)
-        amps[1 : 2 * spec.n_scenarios : 2] = root_p * np.sin(half)
+        amps[0::2], amps[1::2] = _oracle_halves(spec)
         return StateVector(n, amps)
     if method == "gates":
         amps = np.zeros(dim, dtype=complex)
@@ -250,14 +270,6 @@ def apply_oracle(state: StateVector, spec: OracleSpec, adjoint: bool = False) ->
     return StateVector(state.n_index_qubits, amps)
 
 
-def _grover_iterates(amps: np.ndarray, psi: np.ndarray, k: int) -> None:
-    """Apply k Grover iterates to amps in place, given psi = A|0>."""
-    for _ in range(k):
-        amps[1::2] *= -1.0
-        amps -= (2.0 * np.vdot(psi, amps)) * psi
-        amps *= -1.0
-
-
 def apply_grover(state: StateVector, spec: OracleSpec, k: int = 1) -> StateVector:
     """Apply k Grover iterates G = -A S_0 A^dagger S_chi.
 
@@ -268,7 +280,11 @@ def apply_grover(state: StateVector, spec: OracleSpec, k: int = 1) -> StateVecto
     if k < 0:
         raise ValueError("iterate count must be nonnegative")
     amps = state.amplitudes.copy()
-    _grover_iterates(amps, build_oracle_state(spec, "direct").amplitudes, k)
+    psi = build_oracle_state(spec, "direct").amplitudes
+    for _ in range(k):
+        amps[1::2] *= -1.0
+        amps -= (2.0 * np.vdot(psi, amps)) * psi
+        amps *= -1.0
     return StateVector(state.n_index_qubits, amps)
 
 
@@ -311,18 +327,34 @@ class AnalyticOracle:
         return analytic_success_probability(self.a, k)
 
 
+def _split_grover_iterate(x0: np.ndarray, x1: np.ndarray, b: np.ndarray, g: np.ndarray) -> None:
+    """One Grover iterate in place on a real state split by the ancilla.
+
+    (x0, x1) are the ancilla-|0> and ancilla-|1> halves of the state and
+    (b, g) those of psi = A|0>.  S_chi negates x1, I - 2|psi><psi| subtracts
+    c psi with c = 2 (b.x0 - g.x1), and the leading minus sign negates both
+    halves.
+    """
+    c = 2.0 * (np.dot(b, x0) - np.dot(g, x1))
+    x0 *= -1.0
+    x0 += c * b
+    x1 += c * g
+
+
 class StatevectorOracle:
     """Measurement model backed by explicit Grover simulation.
 
-    Keeps A|0>, the deepest state reached and p(j) for every depth up to
-    it: each new depth costs one iterate, a revisited one costs nothing.
+    Keeps A|0> and the deepest state reached as real ancilla-|0> and
+    ancilla-|1> halves, and p(j) = |x1|^2 for every depth up to it: each new
+    depth costs one split iterate, a revisited one costs nothing.  The
+    complex apply_grover is the reference this path is tested against.
     """
 
     def __init__(self, spec: OracleSpec):
         self.spec = spec
-        self._psi = build_oracle_state(spec, "direct").amplitudes
-        self._deepest = StateVector(spec.n_index_qubits, self._psi.copy())
-        self._probs = [success_probability(self._deepest)]
+        self._b, self._g = _oracle_halves(spec)
+        self._x0, self._x1 = self._b.copy(), self._g.copy()
+        self._probs = [float(np.dot(self._x1, self._x1))]
 
     @property
     def a(self) -> float:
@@ -332,6 +364,6 @@ class StatevectorOracle:
         if k < 0:
             raise ValueError("iterate count must be nonnegative")
         while len(self._probs) <= k:
-            _grover_iterates(self._deepest.amplitudes, self._psi, 1)
-            self._probs.append(success_probability(self._deepest))
+            _split_grover_iterate(self._x0, self._x1, self._b, self._g)
+            self._probs.append(float(np.dot(self._x1, self._x1)))
         return self._probs[k]

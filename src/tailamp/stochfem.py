@@ -490,10 +490,6 @@ class PlaneStressSolver:
     def von_mises_max(self, u: np.ndarray, moduli: np.ndarray) -> float:
         return float(self._element_peak_stress(u, moduli).max())
 
-    def von_mises_argmax(self, u: np.ndarray, moduli: np.ndarray) -> int:
-        """Element index holding the peak von Mises stress."""
-        return int(np.argmax(self._element_peak_stress(u, moduli)))
-
 
 def solve_plane_stress_q4(
     mesh: MeshQ4, moduli: np.ndarray, nu: float = 0.3, traction: float = 1.0

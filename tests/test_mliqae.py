@@ -49,7 +49,6 @@ def band_for(rec: RoundRecord) -> IntervalUnion:
 
 def add_batch(state: InferenceState, rec: RoundRecord, delta_tot: float = 0.05) -> None:
     state.totals.add(rec)
-    state.t += 1
     update_feasible(state, delta_tot)
 
 
@@ -154,7 +153,7 @@ class TestSelectShots:
 
     def test_clamp_binds_for_large_budget_late_round(self):
         state = InferenceState.initial()
-        state.t = 29
+        state.ledger = [mliqae.BatchLog(kind="round", k=0, m=1, h=0)] * 29
         cfg = ControllerConfig(budget=1_000_000)
         assert select_shots(state, cfg, 2) == mliqae._M_MAX
 
@@ -169,7 +168,7 @@ class TestSelectShots:
         cfg = ControllerConfig(budget=50_000)
         for _ in range(200):
             state = InferenceState.initial()
-            state.t = int(rng.integers(0, 40))
+            state.ledger = [mliqae.BatchLog(kind="round", k=0, m=1, h=0)] * int(rng.integers(0, 40))
             state.spent = int(rng.integers(0, cfg.budget))
             k = int(rng.integers(0, 12))
             m = select_shots(state, cfg, k)
@@ -469,13 +468,15 @@ class TestRun:
     def test_a_run_loads_no_scipy(self):
         # The controller works on per-order totals alone; only an exact
         # Clopper-Pearson band needs scipy, so a fresh interpreter shows it
-        # stays unloaded through a whole run.
+        # stays unloaded through a whole run on either measurement model.
         code = (
             "import sys\n"
             "import numpy as np\n"
             "from tailamp.mliqae import ControllerConfig, run\n"
-            "from tailamp.qsim import AnalyticOracle\n"
+            "from tailamp.qsim import AnalyticOracle, OracleSpec, StatevectorOracle\n"
             "run(AnalyticOracle(0.2625), ControllerConfig(budget=8000), np.random.default_rng(1))\n"
+            "spec = OracleSpec(np.full(1024, 1.0 / 1024), np.linspace(0.0, 0.03, 1024))\n"
+            "run(StatevectorOracle(spec), ControllerConfig(budget=32000), np.random.default_rng(1))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"

@@ -63,6 +63,11 @@ class TestOracleSpec:
         with pytest.raises(ValueError):
             qsim.OracleSpec([1.0], [1.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_response(self, bad):
+        with pytest.raises(ValueError, match="responses g must be finite"):
+            qsim.OracleSpec([0.5, 0.5], [0.2, bad])
+
 
 class TestOracleState:
     def test_example_amplitudes(self):
@@ -257,13 +262,13 @@ class TestMeasurementModels:
 
     def test_statevector_model_caches_incrementally(self, monkeypatch):
         iterates = []
-        kernel = qsim._grover_iterates
+        kernel = qsim._split_grover_iterate
 
-        def counting(amps, psi, k):
-            iterates.append(k)
-            kernel(amps, psi, k)
+        def counting(x0, x1, b, g):
+            iterates.append(1)
+            kernel(x0, x1, b, g)
 
-        monkeypatch.setattr(qsim, "_grover_iterates", counting)
+        monkeypatch.setattr(qsim, "_split_grover_iterate", counting)
         sv = qsim.StatevectorOracle(example_spec())
         p3 = sv.success_probability(3)
         assert sum(iterates) == 3
@@ -284,6 +289,22 @@ class TestMeasurementModels:
             assert sv.success_probability(k) == pytest.approx(
                 qsim.analytic_success_probability(spec.amplitude, k), abs=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "spec, loading",
+        [
+            (qsim.OracleSpec(np.random.default_rng(41).dirichlet(np.ones(48)), np.random.default_rng(43).uniform(0.0, 0.05, 48)), "tree"),
+            (qsim.OracleSpec(np.full(64, 1.0 / 64), np.random.default_rng(47).uniform(0.0, 0.4, 64)), "h"),
+        ],
+        ids=["tree", "hadamard"],
+    )
+    def test_split_iterates_match_the_complex_reference_to_depth_400(self, spec, loading):
+        assert qsim.oracle_gates(spec)[0][0] == loading
+        sv = qsim.StatevectorOracle(spec)
+        psi = qsim.build_oracle_state(spec)
+        for k in range(401):
+            want = qsim.success_probability(qsim.apply_grover(psi, spec, k))
+            assert sv.success_probability(k) == pytest.approx(want, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("budget", [4_000, 32_000])
     def test_statevector_model_drives_the_same_runs_as_the_closed_form(self, budget):
