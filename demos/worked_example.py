@@ -5,8 +5,9 @@ Four equally likely scenarios carry response rotation angles
 amplification iterate reflection by reflection, then runs the interval
 inference that turns two measured batches into a two-component feasible
 set and a constrained maximum-likelihood estimate.  The paper's exact
-per-batch bands are intersected first; the controller's pooled likelihood
-set for the same two batches follows.
+per-batch bands are intersected first.  The controller's own step follows:
+its pooled likelihood set after the order-0 batch, and the order its depth
+rule runs next, which keeps that set on one flank.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from tailamp.intervals import theta_preimage
-from tailamp.mliqae import InferenceState, constrained_mle, update_feasible
+from tailamp.mliqae import InferenceState, constrained_mle, select_depth, update_feasible
 from tailamp.qsim import (
     OracleSpec,
     apply_grover,
@@ -75,12 +76,11 @@ def main():
         print(f"      [{lo:.5f}, {hi:.5f}]")
 
     pooled = InferenceState.initial()
-    for rec in batches:
-        pooled.totals.add(rec)
-        update_feasible(pooled, delta)
-    print("pooled likelihood set (the controller's):")
-    for lo, hi in pooled.feasible.components:
-        print(f"      [{lo:.5f}, {hi:.5f}]")
+    pooled.totals.add(batches[0])
+    update_feasible(pooled, delta)
+    lo, hi = pooled.feasible.hull()
+    print(f"controller's pooled likelihood set after k=0: [{lo:.5f}, {hi:.5f}]")
+    print(f"controller's next order (deepest on one flank): k={select_depth(pooled)}")
 
     theta_hat, a_hat = constrained_mle(feasible, order_totals(batches))
     print(f"constrained MLE: theta = {theta_hat:.6f}, a = {a_hat:.6f}"

@@ -10,10 +10,11 @@ mixture is a nonnegative martingale, so by Ville's inequality the true angle
 stays in every set at once with probability at least 1 - delta_tot, whatever
 depths, shot counts and stopping rule the loop chose.  Each set contains the
 maximum-likelihood point of the one before, so it is never empty; the
-estimate is that point.  Competing alias hypotheses stay as components of
-the set until the pooled data rule them out.  Each batch runs at the
-deepest order whose amplified response is monotone over the whole feasible
-hull.
+estimate is that point.  Each batch runs at the deepest order whose
+amplified response is monotone over the whole feasible set (the depth rule
+of Grinko et al. 2021, npj Quantum Inf. 7:52), so every later set, which
+lies inside that one, stays on one flank of every counted order.  The
+likelihood is concave there, and the set is one interval.
 
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
 the module constants _K_MAX through _CHORD_SIGMAS.
@@ -90,7 +91,7 @@ class BatchLog:
     Slotted: a report keeps one entry per batch, hundreds on a saturated run.
     """
 
-    kind: str       # always "round": every batch is an ordinary round
+    kind: ClassVar[str] = "round"  # every batch is an ordinary round
     k: int
     m: int
     h: int
@@ -134,70 +135,70 @@ class EstimateReport:
     failed: ClassVar[bool] = False
 
 
-def _pieces(union: IntervalUnion, totals) -> tuple[np.ndarray, np.ndarray]:
-    """Split the union at the likelihood's singular angles; returns (lo, hi).
+def _concave_piece(lo: float, hi: float, totals) -> tuple[float, float]:
+    """The interval [lo, hi], with its edges moved off the likelihood's singular angles.
 
     Order omega's success term is singular where sin(omega theta) = 0, at
     j pi / (2 omega) for even j, and its failure term where cos(omega theta)
     = 0, at odd j; a term with a zero count is not singular at all.  Between
-    consecutive singular angles every term is concave, so each piece holds
-    one maximum.  Each cut is nudged inward by a relative _CUT_NUDGE, and a
-    singular angle within a nudge of a component's edge cuts it too, so no
-    piece starts on a singular angle, where rounding loses the score's sign.
+    consecutive singular angles every term is concave.  A singular angle
+    within a relative _CUT_NUDGE of an edge moves that edge inward past it by
+    the nudge, so the piece never starts on a singular angle, where rounding
+    loses the score's sign.  One farther inside raises ValueError: the
+    likelihood is not concave across it.  The depth rule never counts such
+    an order, because it keeps the whole set on one flank of every order.
     """
-    orders = list(zip(*(a.tolist() for a in totals)))
-    los, his = [], []
-    for lo, hi in union.components:
-        cuts = []
-        for w, h, t in orders:
-            step = _HALF_PI / w
-            first = math.floor(lo * (1.0 - _CUT_NUDGE) / step) + 1
-            last = math.ceil(hi * (1.0 + _CUT_NUDGE) / step)
-            cuts += [j * step for j in range(first, last) if (t if j % 2 else h) > 0]
-        nudged = [c * f for c in sorted(cuts) for f in (1.0 - _CUT_NUDGE, 1.0 + _CUT_NUDGE)]
-        edges = np.clip([lo, *nudged, hi], lo, hi)
-        a, b = edges[::2], edges[1::2]
-        # Cuts shared by several orders, or just past an edge, leave empty
-        # pieces; a one-point component stays one piece.
-        keep = (b > a) | ((a == lo) & (b == hi))
-        los.append(a[keep])
-        his.append(b[keep])
-    return np.concatenate(los), np.concatenate(his)
+    piece_lo, piece_hi = lo, hi
+    for w, h, t in zip(*(a.tolist() for a in totals)):
+        step = _HALF_PI / w
+        first = math.floor(lo * (1.0 - _CUT_NUDGE) / step) + 1
+        last = math.ceil(hi * (1.0 + _CUT_NUDGE) / step)
+        for j in range(first, last):
+            if (t if j % 2 else h) == 0:
+                continue
+            cut = j * step
+            if cut * (1.0 - _CUT_NUDGE) <= lo:
+                piece_lo = max(piece_lo, cut * (1.0 + _CUT_NUDGE))
+            elif cut * (1.0 + _CUT_NUDGE) >= hi:
+                piece_hi = min(piece_hi, cut * (1.0 - _CUT_NUDGE))
+            else:
+                raise ValueError(f"order {int(w) // 2} is singular at {cut!r}, inside [{lo!r}, {hi!r}]")
+    if piece_lo > piece_hi:
+        raise ValueError(f"[{lo!r}, {hi!r}] lies within a nudge of a singular angle")
+    return piece_lo, piece_hi
 
 
-def _newton_refine(lo, hi, totals):
-    """Maximize the likelihood on each concave piece [lo, hi], all at once.
+def _newton_refine(lo: float, hi: float, totals) -> tuple[float, float]:
+    """Maximize the likelihood on the concave piece [lo, hi].
 
-    The maximum over a piece is where the score changes sign from + to -, or
-    the edge the score points to when it does not change sign.  Newton steps
-    start from the midpoint; the score at each iterate moves the bracket
-    edge on its side up to it, and a step that leaves the bracket becomes a
-    bisection.  A piece stops at the iterate whose Newton step, or whose
-    bracket, is narrower than _MLE_BRACKET.  Returns (theta, score): each
-    piece's maximum and the score there.
+    The maximum is where the score changes sign from + to -, or the edge the
+    score points to when it does not change sign.  Newton steps start from
+    the midpoint; the score at each iterate moves the bracket edge on its
+    side up to it, and a step that leaves the bracket becomes a bisection.
+    The search stops at the iterate whose Newton step, or whose bracket, is
+    narrower than _MLE_BRACKET.  Returns (theta, score): the maximum and the
+    score there.
     """
-    edge_scores, _ = log_likelihood_slopes(np.concatenate((lo, hi)), *totals)
-    score_lo, score_hi = edge_scores[: lo.size], edge_scores[lo.size :]
-    at_lo = score_lo <= 0.0
-    at_hi = ~at_lo & (score_hi >= 0.0)
-    th = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
-    score = np.where(at_lo, score_lo, score_hi)
-    active = ~(at_lo | at_hi)
+    (score_lo, score_hi), _ = log_likelihood_slopes(np.array([lo, hi]), *totals)
+    if score_lo <= 0.0:
+        return lo, score_lo
+    if score_hi >= 0.0:
+        return hi, score_hi
+    th = 0.5 * (lo + hi)
     for _ in range(_NEWTON_MAX_STEPS):
-        if not active.any():
+        (score,), (curv,) = log_likelihood_slopes(np.array([th]), *totals)
+        if score > 0.0:
+            lo = th
+        elif score < 0.0:
+            hi = th
+        else:
             break
-        now, curv = log_likelihood_slopes(th, *totals)
-        score = np.where(active, now, score)
-        lo = np.where(active & (now > 0.0), th, lo)
-        hi = np.where(active & (now < 0.0), th, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = th - now / curv
+        newton = th - score / curv
         # A converged iterate stops before its step lands on the bracket edge
         # it just moved, which would turn the step into a bisection.
-        done = (now == 0.0) | (np.abs(newton - th) <= _MLE_BRACKET) | (hi - lo <= _MLE_BRACKET)
-        active &= ~done
-        step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
-        th = np.where(active, step, th)
+        if abs(newton - th) <= _MLE_BRACKET or hi - lo <= _MLE_BRACKET:
+            break
+        th = newton if lo < newton < hi else 0.5 * (lo + hi)
     return th, score
 
 
@@ -205,18 +206,18 @@ def constrained_mle(union: IntervalUnion, totals) -> tuple[float, float]:
     """Maximum-likelihood angle restricted to the feasible union.
 
     totals are the per-order sufficient statistics (omega, hs, tails) of the
-    rounds, as order_totals or InferenceState.totals give them.  Every
-    piece of the union between the likelihood's singular angles is concave,
-    so bracket-guarded Newton refinement from its midpoint finds its
-    maximum; the best piece wins, and exact ties go to the smaller angle.
+    rounds, as order_totals or InferenceState.totals give them.  Each
+    component of the union must lie on one flank of every counted order, as
+    the components of intersected theta_preimage bands do; the likelihood is
+    then concave on each, so a bracketed Newton search finds its maximum.
+    The best component wins, and exact ties go to the smaller angle.
     Without rounds the likelihood is flat and the leftmost point wins.
     Returns (theta_hat, a_hat).
     """
     if union.is_empty:
         raise ValueError("cannot take an MLE over an empty feasible set")
-    lo, hi = _pieces(union, totals)
-    theta, _ = _newton_refine(lo, hi, totals)
-    best = float(theta[int(np.argmax(log_likelihood_terms(theta, *totals)))])
+    thetas = [_newton_refine(*_concave_piece(lo, hi, totals), totals)[0] for lo, hi in union.components]
+    best = float(thetas[int(np.argmax(log_likelihood_terms(np.array(thetas), *totals)))])
     return best, math.sin(best) ** 2
 
 
@@ -227,39 +228,37 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     D_t = {theta in D_{t-1} : l_t(theta) >= c_t} with
     c_t = log J_t - log(pi/2) - log(1/delta_tot), where J_t is a lower bound
     on the integral of L_t over D_{t-1}; a lower J_t only widens the set.
-    J_t integrates the concavity chords from theta_hat, the best piece
-    maximum, to theta_hat -+ _CHORD_SIGMAS / sqrt(info) within its piece.
-    Each piece whose maximum l_j clears the cut keeps an outer bound of its
-    part of the set: -l'' >= info / 2 on every piece, so around the maximum
-    theta_j, with residual score g_j, l_t(theta_j + x) <= l_j + g_j x
-    - info x^2 / 4, and the interval where that bound clears c_t is kept,
-    clipped to the piece.  theta_hat always clears the cut, so it becomes
-    the estimate and the set is never empty.  Every piece that clears the
-    cut is kept, so the set is an outer bound of the confidence sequence.
-    Returns c_t.
+    D_{t-1} must be one interval on one flank of every counted order, as the
+    depth rule keeps it, or ValueError is raised; l_t is then concave on it,
+    and D_t is one interval.  J_t integrates the concavity chords from
+    theta_hat, the maximum over D_{t-1}, to theta_hat -+ _CHORD_SIGMAS /
+    sqrt(info).  -l'' >= info / 2, so with residual score g at theta_hat,
+    l_t(theta_hat + x) <= l_t(theta_hat) + g x - info x^2 / 4, and the
+    interval where that bound clears c_t, clipped to D_{t-1}, is kept: an
+    outer bound of D_t.  theta_hat always clears the cut, so it becomes the
+    estimate and the set is never empty.  Returns c_t.
     """
+    if len(state.feasible) != 1:
+        raise ValueError(f"the feasible set must be one interval, not {state.feasible!r}")
     totals, info = state.totals.arrays, state.totals.info
-    lo, hi = _pieces(state.feasible, totals)
+    lo, hi = _concave_piece(*state.feasible.components[0], totals)
     theta, score = _newton_refine(lo, hi, totals)
     reach = _CHORD_SIGMAS / math.sqrt(info)
-    ends = (np.maximum(lo, theta - reach), np.minimum(hi, theta + reach))
-    ll, ll_lo, ll_hi = log_likelihood_terms(np.concatenate((theta, *ends)), *totals).reshape(3, -1)
-    best = int(np.argmax(ll))
+    end_lo, end_hi = max(lo, theta - reach), min(hi, theta + reach)
+    ll, ll_lo, ll_hi = log_likelihood_terms(np.array([theta, end_lo, end_hi]), *totals)
     # Integral of exp(-drop u) over u in [0, 1]; drop < 0 only by rounding.
-    drop = np.maximum(ll[best] - np.array([ll_lo[best], ll_hi[best]]), 0.0)
+    drop = np.maximum(ll - np.array([ll_lo, ll_hi]), 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         mass = np.where(drop > 0.0, -np.expm1(-drop) / drop, 1.0)
-    chord = (theta[best] - ends[0][best]) * mass[0] + (ends[1][best] - theta[best]) * mass[1]
-    log_j = ll[best] + math.log(chord) if chord > 0.0 else -math.inf
+    chord = (theta - end_lo) * mass[0] + (end_hi - theta) * mass[1]
+    log_j = ll + math.log(chord) if chord > 0.0 else -math.inf
     cut = log_j - math.log(_HALF_PI) + math.log(delta_tot)
     slack = info * (ll - cut)
-    kept = slack >= 0.0
-    theta_k, slack_k = theta[kept], slack[kept]
-    up, down = np.maximum(score[kept], 0.0), np.maximum(-score[kept], 0.0)
-    new_lo = np.maximum(lo[kept], theta_k - 2.0 * (down + np.sqrt(down * down + slack_k)) / info)
-    new_hi = np.minimum(hi[kept], theta_k + 2.0 * (up + np.sqrt(up * up + slack_k)) / info)
-    state.feasible = IntervalUnion(zip(new_lo.tolist(), new_hi.tolist()))
-    state.theta_hat = float(theta[best])
+    up, down = max(score, 0.0), max(-score, 0.0)
+    new_lo = max(lo, theta - 2.0 * (down + math.sqrt(down * down + slack)) / info)
+    new_hi = min(hi, theta + 2.0 * (up + math.sqrt(up * up + slack)) / info)
+    state.feasible = IntervalUnion([(new_lo, new_hi)])
+    state.theta_hat = float(theta)
     return cut
 
 
@@ -319,7 +318,7 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
         m = select_shots(state, cfg, k)
         if m == 0:
             break
-        entry = BatchLog(kind="round", k=k, m=m, h=sample_shots(oracle.success_probability(k), m, rng))
+        entry = BatchLog(k=k, m=m, h=sample_shots(oracle.success_probability(k), m, rng))
         state.ledger.append(entry)
         state.totals.add(entry)
         state.spent += entry.cost

@@ -156,13 +156,3 @@ def log_likelihood_slopes(
         curv = np.where(h > 0, h / (s * s), 0.0) + np.where(t > 0, t / (c * c), 0.0)
     return 2.0 * (w * score).sum(axis=0), -2.0 * (w * w * curv).sum(axis=0)
 
-
-def log_likelihood(theta, rounds) -> float | np.ndarray:
-    """Exact log-likelihood of the observed rounds at angle(s) theta.
-
-    Each round contributes h log sin^2(w theta) + (m - h) log cos^2(w theta)
-    with w = 2k+1.  Scalar in, scalar out; arrays are evaluated pointwise.
-    """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = log_likelihood_terms(th, *order_totals(rounds))
-    return float(out[0]) if np.ndim(theta) == 0 else out

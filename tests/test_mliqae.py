@@ -28,18 +28,29 @@ from tailamp.stats import (
     OrderTotals,
     RoundRecord,
     clopper_pearson,
-    log_likelihood,
     log_likelihood_terms,
     order_totals,
 )
 
-# The worked two-round dataset used throughout: 262/1000 successes at order 0
-# and 998/1000 at order 1.  True amplitude 0.2625, true angle
-# asin(sqrt(0.2625)).
+# The worked two-round dataset: 262/1000 successes at order 0 and 998/1000
+# at order 1.  True amplitude 0.2625, true angle asin(sqrt(0.2625)).  The
+# controller's own second batch after ROUND_A runs at order 3, where 341 of
+# 1000 is the expected count at the true angle.
 ROUND_A = RoundRecord(k=0, m=1000, h=262)
 ROUND_B = RoundRecord(k=1, m=1000, h=998)
+ROUND_C = RoundRecord(k=3, m=1000, h=341)
 THETA_TRUE = math.asin(math.sqrt(0.2625))
 
+
+def loglik(theta, rounds) -> np.ndarray:
+    return log_likelihood_terms(np.atleast_1d(np.asarray(theta, dtype=float)), *order_totals(rounds))
+
+
+def flank_cells(ks) -> list[tuple[float, float]]:
+    """The stretches between consecutive turning points j pi / (2(2k+1)) of
+    the given orders: each lies on one flank of every one of them."""
+    turns = sorted({j * math.pi / (2 * (2 * k + 1)) for k in set(ks) for j in range(2 * k + 2)})
+    return [(a, b) for a, b in zip(turns, turns[1:]) if b - a > 1e-9]
 
 
 def band_for(rec: RoundRecord) -> IntervalUnion:
@@ -54,8 +65,9 @@ def add_batch(state: InferenceState, rec: RoundRecord, delta_tot: float = 0.05) 
 
 def two_round_state() -> InferenceState:
     state = InferenceState.initial()
-    for rec in (ROUND_A, ROUND_B):
-        add_batch(state, rec)
+    add_batch(state, ROUND_A)
+    assert select_depth(state) == ROUND_C.k
+    add_batch(state, ROUND_C)
     return state
 
 
@@ -153,7 +165,7 @@ class TestSelectShots:
 
     def test_clamp_binds_for_large_budget_late_round(self):
         state = InferenceState.initial()
-        state.ledger = [mliqae.BatchLog(kind="round", k=0, m=1, h=0)] * 29
+        state.ledger = [mliqae.BatchLog(k=0, m=1, h=0)] * 29
         cfg = ControllerConfig(budget=1_000_000)
         assert select_shots(state, cfg, 2) == mliqae._M_MAX
 
@@ -168,7 +180,7 @@ class TestSelectShots:
         cfg = ControllerConfig(budget=50_000)
         for _ in range(200):
             state = InferenceState.initial()
-            state.ledger = [mliqae.BatchLog(kind="round", k=0, m=1, h=0)] * int(rng.integers(0, 40))
+            state.ledger = [mliqae.BatchLog(k=0, m=1, h=0)] * int(rng.integers(0, 40))
             state.spent = int(rng.integers(0, cfg.budget))
             k = int(rng.integers(0, 12))
             m = select_shots(state, cfg, k)
@@ -217,16 +229,24 @@ class TestSelectDepth:
 
 
 class TestUpdateFeasible:
-    def test_two_rounds_leave_two_components(self):
-        # 998/1000 at order 1 puts two likelihood peaks either side of its
-        # singular angle pi/6; order 0 favours the upper one, but not by
-        # enough to rule out the lower.
-        state = two_round_state()
-        (_, hi_1), (lo_2, hi_2) = state.feasible.components
-        assert hi_1 < math.pi / 6 < lo_2
-        assert lo_2 <= state.theta_hat <= hi_2
-        assert state.theta_hat == pytest.approx(0.538395, abs=1e-6)
-        assert state.feasible.contains(THETA_TRUE)
+    def test_rejects_a_set_that_is_not_one_interval_on_one_flank(self):
+        # The set after ROUND_A holds pi/6, where order 1 (omega = 3) is
+        # singular through ROUND_B's failures, so the depth rule never runs
+        # order 1 over it.
+        state = InferenceState.initial()
+        add_batch(state, ROUND_A)
+        after_a = state.feasible
+        lo, hi = after_a.hull()
+        assert lo < math.pi / 6 < hi and select_depth(state) != ROUND_B.k
+        with pytest.raises(ValueError, match="singular"):
+            add_batch(state, ROUND_B)
+        # Without a failure at order 1, pi/6 is no singular angle, and pi/3
+        # lies above the set.
+        all_hits = OrderTotals([ROUND_A, RoundRecord(k=1, m=1000, h=1000)])
+        update_feasible(InferenceState(feasible=after_a, totals=all_hits), 0.05)
+        two = InferenceState(feasible=IntervalUnion([(0.30, 0.42), (0.80, 0.90)]), totals=OrderTotals([ROUND_A]))
+        with pytest.raises(ValueError, match="one interval"):
+            update_feasible(two, 0.05)
 
     def test_uninformative_batch_barely_moves_the_set(self):
         state = two_round_state()
@@ -249,15 +269,18 @@ class TestUpdateFeasible:
         assert state.feasible.contains(state.theta_hat)
 
     def test_early_newton_stop_still_bounds_the_set(self, monkeypatch):
-        # A coarse refinement stops short of each piece's maximum; the
-        # residual score there widens the radius, so every point that
-        # clears the cut, on a dense grid, stays in the set.
+        # A coarse refinement stops short of the maximum; the residual score
+        # there widens the radius, so every point of the set before that
+        # clears the cut, on a dense grid, stays in the set.  Each case runs
+        # its (m, h) batches at the orders the depth rule picks.
         monkeypatch.setattr(mliqae, "_MLE_BRACKET", 1e-2)
-        grid = np.linspace(1e-9, math.pi / 2 - 1e-9, 200_001)
-        deeper = [RoundRecord(k=0, m=300, h=40), RoundRecord(k=2, m=500, h=100)]
-        for rounds in ([ROUND_A], [ROUND_A, ROUND_B], deeper):
-            state = InferenceState(feasible=IntervalUnion.full_domain(), totals=OrderTotals(rounds))
-            cut = update_feasible(state, 0.05)
+        for batches in ([(1000, 262)], [(1000, 262), (1000, 998)], [(300, 40), (500, 100)]):
+            state = InferenceState.initial()
+            for m, h in batches:
+                before = state.feasible
+                state.totals.add(RoundRecord(k=select_depth(state), m=m, h=h))
+                cut = update_feasible(state, 0.05)
+            grid = np.linspace(*before.hull(), 200_001)
             above = grid[log_likelihood_terms(grid, *state.totals.arrays) >= cut]
             assert above.size and all(state.feasible.contains(theta) for theta in above)
 
@@ -268,8 +291,8 @@ class TestUpdateFeasible:
             oracle = AnalyticOracle(a)
             state = InferenceState.initial()
             last = measure(state.feasible)
-            for t in range(1, 9):
-                k = min(t - 1, 2)
+            for _ in range(8):
+                k = select_depth(state)
                 h = int(rng.binomial(400, oracle.success_probability(k)))
                 add_batch(state, RoundRecord(k=k, m=400, h=h))
                 now = measure(state.feasible)
@@ -299,10 +322,9 @@ class TestConstrainedMle:
         assert abs(a_hat - 0.2625) < 0.03
 
     def test_agrees_with_dense_grid_oracle(self):
+        # Two random stretches, each on one flank of every counted order.
         rng = np.random.default_rng(33)
         for _ in range(20):
-            edges = np.sort(rng.uniform(0.05, 1.5, size=4))
-            feasible = IntervalUnion([(edges[0], edges[1]), (edges[2], edges[3])])
             rounds = [
                 RoundRecord(
                     k=int(rng.integers(0, 4)),
@@ -311,12 +333,19 @@ class TestConstrainedMle:
                 )
                 for _ in range(3)
             ]
+            cells = flank_cells(r.k for r in rounds)
+            parts = []
+            for c in rng.integers(len(cells), size=2):
+                a, b = cells[c]
+                u = np.sort(rng.uniform(size=2))
+                parts.append((a + u[0] * (b - a), a + u[1] * (b - a)))
+            feasible = IntervalUnion(parts)
             theta_hat, _ = constrained_mle(feasible, order_totals(rounds))
             grid = np.concatenate(
                 [np.linspace(lo, hi, 20_000) for lo, hi in feasible.components]
             )
-            best = float(grid[int(np.argmax(log_likelihood(grid, rounds)))])
-            ll_gap = log_likelihood(theta_hat, rounds) - log_likelihood(best, rounds)
+            best = float(grid[int(np.argmax(loglik(grid, rounds)))])
+            ll_gap = loglik(theta_hat, rounds)[0] - loglik(best, rounds)[0]
             assert ll_gap > -1e-6
 
     def test_no_rounds_gives_leftmost_point(self):
@@ -339,28 +368,18 @@ class TestConstrainedMle:
         feasible = IntervalUnion([(0.50, 0.58)])
         theta_hat, _ = constrained_mle(feasible, order_totals(rounds))
         grid = np.linspace(0.50, 0.58, 200_001)
-        assert log_likelihood(theta_hat, rounds) >= log_likelihood(grid, rounds).max()
+        assert loglik(theta_hat, rounds)[0] >= loglik(grid, rounds).max()
         step = 1e-7
-        up, down = log_likelihood(theta_hat + step, rounds), log_likelihood(theta_hat - step, rounds)
+        up, down = loglik(theta_hat + step, rounds)[0], loglik(theta_hat - step, rounds)[0]
         assert abs(up - down) / (2 * step) < 1e-2
 
     def test_empty_set_raises(self):
         with pytest.raises(ValueError):
             constrained_mle(IntervalUnion(), order_totals([ROUND_A]))
 
-    def test_pieces_split_only_at_true_singular_angles(self):
-        # Order 1 (omega = 3) is singular at pi/6 through its failures and at
-        # pi/3 through its successes; order 0 at neither inside the domain.
-        full = IntervalUnion.full_domain()
-        lo, hi = mliqae._pieces(full, order_totals([ROUND_A, ROUND_B]))
-        assert len(lo) == 3
-        for cut, left_hi, right_lo in zip((math.pi / 6, math.pi / 3), hi[:-1], lo[1:]):
-            assert left_hi < cut < right_lo
-            assert right_lo - left_hi == pytest.approx(2e-12 * cut, rel=1e-3)
-        # Without a failure at order 1, pi/6 is no singular angle.
-        lo, hi = mliqae._pieces(full, order_totals([ROUND_A, RoundRecord(k=1, m=1000, h=1000)]))
-        assert len(lo) == 2 and hi[0] < math.pi / 3 < lo[1]
-        # A set starting on a singular angle still finds its interior maximum.
+    def test_set_starting_on_a_singular_angle_finds_its_interior_maximum(self):
+        # Order 1 (omega = 3) is singular at pi/6 through its failures: the
+        # edge moves inward past it, and the search runs on what is left.
         theta_hat, _ = constrained_mle(IntervalUnion([(math.pi / 6, 0.6)]), order_totals([ROUND_A, ROUND_B]))
         assert theta_hat == pytest.approx(0.538395, abs=1e-6)
 

@@ -3,7 +3,8 @@
 A band is the preimage of a probability interval under sin^2((2k+1) theta).
 The controller's feasible set is the part of the previous set where the
 pooled likelihood clears a cut; the properties below hold that set, and the
-piece-wise maximum-likelihood search behind it, to dense-grid answers.
+maximum-likelihood search behind it, to dense-grid answers on sets that lie
+on one flank of every counted order, where the likelihood is concave.
 Needs hypothesis (the ``test`` extra); skipped without it.
 """
 
@@ -79,6 +80,25 @@ order_counts = st.dictionaries(
 )
 
 
+def on_one_flank(union: IntervalUnion, ks) -> IntervalUnion:
+    """Each component of union clipped to the stretch that holds its midpoint.
+
+    The stretches lie between consecutive turning points j pi / (2(2k+1)) of
+    the orders ks, so each is on one flank of every order; a relative 1e-9
+    inset keeps clipped neighbours from merging.  When nothing is left, the
+    widest stretch stands in.
+    """
+    turns = sorted({j * math.pi / (2 * (2 * k + 1)) for k in ks for j in range(2 * k + 2)})
+    cells = [(a * (1 + 1e-9), b * (1 - 1e-9)) for a, b in zip(turns, turns[1:]) if b - a > 1e-9]
+    clipped = [
+        (max(lo, a), min(hi, b))
+        for lo, hi in union.components
+        for a, b in cells
+        if a <= 0.5 * (lo + hi) <= b
+    ]
+    return IntervalUnion(clipped or [max(cells, key=lambda c: c[1] - c[0])])
+
+
 def dense_grid(union: IntervalUnion, points: int = 20_000) -> np.ndarray:
     """A dense grid over the union, with every component's edges."""
     return np.concatenate([np.linspace(lo, hi, points) for lo, hi in union.components])
@@ -89,8 +109,7 @@ def dense_grid(union: IntervalUnion, points: int = 20_000) -> np.ndarray:
 def test_piecewise_mle_matches_a_dense_grid(counts, union):
     rounds = [RoundRecord(k=k, m=h + t, h=h) for k, (h, t) in counts.items()]
     totals = order_totals(rounds)
-    if union.is_empty:
-        union = IntervalUnion.full_domain()
+    union = on_one_flank(union, counts)
     theta, _ = mliqae.constrained_mle(union, totals)
     assert union.contains(theta)
     grid = dense_grid(union)
@@ -104,8 +123,9 @@ def test_piecewise_mle_matches_a_dense_grid(counts, union):
 @given(order_counts, unions, st.sampled_from((0.05, 0.2, 1e-6)))
 def test_feasible_update_keeps_every_point_above_the_cut(counts, previous, delta_tot):
     rounds = [RoundRecord(k=k, m=h + t, h=h) for k, (h, t) in counts.items()]
-    if previous.is_empty:
-        previous = IntervalUnion.full_domain()
+    # One interval on one flank of every order: the widest clipped component.
+    pieces = on_one_flank(previous, counts).components
+    previous = IntervalUnion([max(pieces, key=lambda c: c[1] - c[0])])
     state = mliqae.InferenceState(feasible=previous, totals=OrderTotals(rounds))
     cut = mliqae.update_feasible(state, delta_tot)
     new = state.feasible

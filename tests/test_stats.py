@@ -9,11 +9,15 @@ from scipy import stats as sps
 from tailamp.stats import (
     RoundRecord,
     clopper_pearson,
-    log_likelihood,
     log_likelihood_slopes,
     log_likelihood_terms,
     order_totals,
 )
+
+
+def loglik(theta, rounds) -> np.ndarray:
+    """log_likelihood_terms of the rounds' per-order totals at angle(s) theta."""
+    return log_likelihood_terms(np.atleast_1d(np.asarray(theta, dtype=float)), *order_totals(rounds))
 
 
 def binom_tail_cp(h: int, m: int, delta: float) -> tuple[float, float]:
@@ -123,27 +127,27 @@ class TestRoundRecord:
 class TestLogLikelihood:
     def test_single_success_at_quarter_pi(self):
         rounds = [RoundRecord(k=0, m=1, h=1)]
-        assert log_likelihood(math.pi / 4.0, rounds) == pytest.approx(
+        assert loglik(math.pi / 4.0, rounds)[0] == pytest.approx(
             math.log(0.5), abs=1e-12
         )
 
     def test_symmetric_binomial_peaks_at_quarter_pi(self):
         rounds = [RoundRecord(k=0, m=2, h=1)]
         grid = np.linspace(0.01, math.pi / 2.0 - 0.01, 4001)
-        values = log_likelihood(grid, rounds)
+        values = loglik(grid, rounds)
         assert grid[int(np.argmax(values))] == pytest.approx(math.pi / 4.0, abs=1e-3)
 
     def test_minus_infinity_where_predicted_probability_is_degenerate(self):
         # At theta = 0 the success probability is exactly zero, so any
         # observed success makes the data impossible.
         rounds = [RoundRecord(k=0, m=10, h=3)]
-        assert log_likelihood(0.0, rounds) == -math.inf
+        assert loglik(0.0, rounds)[0] == -math.inf
 
     def test_zero_count_annihilates_degenerate_term(self):
         # With h = 0 the impossible-success term carries a zero coefficient
         # and the convention 0 * log 0 = 0 keeps the sum finite.
         rounds = [RoundRecord(k=0, m=10, h=0)]
-        assert log_likelihood(0.0, rounds) == 0.0
+        assert loglik(0.0, rounds)[0] == 0.0
 
     def test_permutation_invariance(self):
         rounds = [
@@ -152,8 +156,8 @@ class TestLogLikelihood:
             RoundRecord(k=3, m=50, h=12),
         ]
         theta = 0.41
-        forward = log_likelihood(theta, rounds)
-        assert log_likelihood(theta, rounds[::-1]) == pytest.approx(
+        forward = loglik(theta, rounds)[0]
+        assert loglik(theta, rounds[::-1])[0] == pytest.approx(
             forward, abs=1e-12
         )
 
@@ -166,7 +170,7 @@ class TestLogLikelihood:
             RoundRecord(k=1, m=1000, h=998),
         ]
         grid = np.linspace(1e-6, math.pi / 2.0 - 1e-6, 200_001)
-        best = float(grid[int(np.argmax(log_likelihood(grid, rounds)))])
+        best = float(grid[int(np.argmax(loglik(grid, rounds)))])
         assert (0.50607 <= best <= 0.51841) or (0.52879 <= best <= 0.55193)
 
     def test_matches_direct_binomial_expression(self):
@@ -182,7 +186,7 @@ class TestLogLikelihood:
                 expected += h * math.log(p)
             if m - h > 0:
                 expected += (m - h) * math.log(1.0 - p)
-            got = log_likelihood(theta, [RoundRecord(k=k, m=m, h=h)])
+            got = loglik(theta, [RoundRecord(k=k, m=m, h=h)])[0]
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
@@ -208,8 +212,8 @@ class TestOrderTotals:
                 RoundRecord(k=int(rng.integers(0, 4)), m=m, h=int(rng.integers(0, m + 1)))
             )
         theta = np.linspace(0.05, math.pi / 2.0 - 0.05, 97)
-        per_batch = sum(log_likelihood(theta, [r]) for r in rounds)
-        assert np.allclose(log_likelihood(theta, rounds), per_batch, rtol=1e-12, atol=1e-9)
+        per_batch = sum(loglik(theta, [r]) for r in rounds)
+        assert np.allclose(loglik(theta, rounds), per_batch, rtol=1e-12, atol=1e-9)
 
     def test_no_rounds_gives_empty_rows(self):
         omega, hs, tails = order_totals([])
