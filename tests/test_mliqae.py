@@ -528,21 +528,35 @@ class TestRun:
 # set replaced the intersection of per-batch bands, and when the deepest
 # single-flank order replaced the depth ladder.  Any change meant to keep
 # the controller's decisions must keep the digest, and the estimates to 1e-8.
+# The budgets reach every branch of select_shots: 300 runs at the _M_MIN
+# floor and spends its last shots at the affordable remainder, and 256k runs
+# past round 20, where the pacing horizon bottoms out at _RESERVE_FLOOR, and
+# hits the _M_MAX clamp.
 EQUIV_AMPLITUDES = (0.0, 0.015, 0.2625, 0.9999, 1.0)
-EQUIV_BUDGETS = (4000, 64000)
+EQUIV_BUDGETS = (300, 4000, 64000, 256000)
 EQUIV_SEEDS = 3
-EQUIV_DIGEST = "af12aedeefec8058dda7d08c290f322d58b2027bcaccb24b4d315c9dae688028"
+EQUIV_DIGEST = "eabc0789ab5e1c4273ab7deacfd39df29a6058cb115092bbda562549bbd2c1c6"
 EQUIV_A_HAT = {
+    (0.0, 300): (1e-24,) * 3,
     (0.0, 4000): (1e-24,) * 3,
     (0.0, 64000): (1e-24,) * 3,
+    (0.0, 256000): (1e-24,) * 3,
+    (0.015, 300): (0.015498109665615736, 0.015498109665615736, 0.010427080143885652),
     (0.015, 4000): (0.015288082303720895, 0.015088278102094732, 0.015688971757630617),
     (0.015, 64000): (0.014969178292667031, 0.015011467101930232, 0.015024103991903615),
+    (0.015, 256000): (0.014967149322048874, 0.015005787354288112, 0.014979360718122892),
+    (0.2625, 300): (0.25333333333333324, 0.2799999999999999, 0.2700000000000001),
     (0.2625, 4000): (0.26085783297497855, 0.26310027144139014, 0.2616690134451292),
     (0.2625, 64000): (0.2626796390038805, 0.2624692822064463, 0.26256591168490784),
+    (0.2625, 256000): (0.26251467627699243, 0.2624418150043429, 0.2624394491276323),
+    (0.9999, 300): (1.0,) * 3,
     (0.9999, 4000): (0.9999157627507188, 0.9999285906046648, 0.9999069756938211),
     (0.9999, 64000): (0.9999003873541554, 0.9998998716804475, 0.9998993886662203),
+    (0.9999, 256000): (0.9998992171526884, 0.9998980919676005, 0.999897904690038),
+    (1.0, 300): (1.0,) * 3,
     (1.0, 4000): (1.0,) * 3,
     (1.0, 64000): (1.0,) * 3,
+    (1.0, 256000): (1.0,) * 3,
 }
 
 
