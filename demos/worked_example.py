@@ -78,7 +78,7 @@ def main():
     pooled = InferenceState.initial()
     pooled.totals.add(batches[0])
     update_feasible(pooled, delta)
-    lo, hi = pooled.feasible.hull()
+    lo, hi = pooled.feasible
     print(f"controller's pooled likelihood set after k=0: [{lo:.5f}, {hi:.5f}]")
     print(f"controller's next order (deepest on one flank): k={select_depth(pooled)}")
 

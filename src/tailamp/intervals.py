@@ -3,10 +3,11 @@
 Feasible sets for the amplitude angle are finite unions of disjoint closed
 intervals.  This module keeps them in a normalized form (sorted, disjoint,
 clipped to the open domain).  The estimation controller keeps its feasible
-set as one with a single component and reads its hull and membership;
-preimages of probability intervals under the amplified response curve
-sin^2((2k+1) theta), which can have many components, and their
-intersection give the per-batch band view of a run (demos/worked_example.py).
+set as a plain (lo, hi) pair and reports it as a one-component union, whose
+membership test the coverage checks read; preimages of probability
+intervals under the amplified response curve sin^2((2k+1) theta), which can
+have many components, and their intersection give the per-batch band view
+of a run (demos/worked_example.py).
 """
 
 from __future__ import annotations

@@ -14,10 +14,13 @@ estimate is that point.  Each batch runs at the deepest order whose
 amplified response is monotone over the whole feasible set (the depth rule
 of Grinko et al. 2021, npj Quantum Inf. 7:52), so every later set, which
 lies inside that one, stays on one flank of every counted order.  The
-likelihood is concave there, and the set is one interval.
+likelihood is concave there, and the set is one interval, kept as a
+(lo, hi) pair; the ledger keeps one stats.RoundRecord per batch.
 
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
-the module constants _K_MAX through _CHORD_SIGMAS.
+the module constants: the depth cap _K_MAX, the shot rule's _M_MIN, _M_MAX,
+_RESERVE_FLOOR and _RESERVE_BASE, and the update's _MLE_BRACKET, _CUT_NUDGE
+and _CHORD_SIGMAS.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .intervals import THETA_HI, THETA_LO, IntervalUnion
 from .intervals import theta_preimage  # noqa: F401  (perfbench traces this lookup site)
 from .qsim import sample_shots
-from .stats import OrderTotals, log_likelihood_slopes, log_likelihood_terms
+from .stats import OrderTotals, RoundRecord, log_likelihood_slopes, log_likelihood_terms
 from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup site)
 
 # Cap on refinement steps per MLE.  Bisection alone narrows a piece below
@@ -44,11 +47,8 @@ _NEWTON_MAX_STEPS = 100
 _K_MAX = 64
 _M_MIN = 50
 _M_MAX = 1100
-_SHOT_SCALE = 220.0  # base batch size is shot_scale * budget^(1/4)
-_SHOT_GROWTH = 0.012  # mild per-round growth of the base size
-_RESERVE_FLOOR = 10  # pacing horizon R_t = max(floor, base - min(t, taper))
+_RESERVE_FLOOR = 10  # pacing horizon R_t = max(floor, base - t) rounds at round t
 _RESERVE_BASE = 28
-_RESERVE_TAPER = 20
 _MLE_BRACKET = 1e-10  # Newton stops once its step or bracket is this narrow
 _CUT_NUDGE = 1e-12  # relative inset of a piece edge from a singular angle
 _CHORD_SIGMAS = 1.5  # the likelihood integral is bounded on theta_hat +- this / sqrt(info)
@@ -80,41 +80,26 @@ class ControllerConfig:
             raise ValueError("budget must be positive")
         if not 0.0 < self.delta_tot < 1.0:
             raise ValueError("delta_tot must lie in (0, 1)")
-        if not self.epsilon_a >= 0.0:
-            raise ValueError("epsilon_a must be nonnegative")
-
-
-@dataclass(frozen=True, slots=True)
-class BatchLog:
-    """Audit entry for one executed batch.
-
-    Slotted: a report keeps one entry per batch, hundreds on a saturated run.
-    """
-
-    kind: ClassVar[str] = "round"  # every batch is an ordinary round
-    k: int
-    m: int
-    h: int
-
-    @property
-    def cost(self) -> int:
-        """Oracle calls the batch spent: (2k+1) m."""
-        return (2 * self.k + 1) * self.m
+        if not (math.isfinite(self.epsilon_a) and self.epsilon_a >= 0.0):
+            raise ValueError("epsilon_a must be a finite number >= 0")
 
 
 @dataclass
 class InferenceState:
-    """Everything the controller carries between batches."""
+    """Everything the controller carries between batches.
 
-    feasible: IntervalUnion
+    feasible is the feasible interval as a (lo, hi) pair of floats.
+    """
+
+    feasible: tuple[float, float]
     totals: OrderTotals = field(default_factory=OrderTotals)
-    ledger: list[BatchLog] = field(default_factory=list)
+    ledger: list[RoundRecord] = field(default_factory=list)
     spent: int = 0
     theta_hat: float | None = None
 
     @classmethod
     def initial(cls) -> "InferenceState":
-        return cls(feasible=IntervalUnion.full_domain())
+        return cls(feasible=(THETA_LO, THETA_HI))
 
 
 @dataclass(frozen=True)
@@ -125,11 +110,10 @@ class EstimateReport:
     a_hat: float
     theta_bounds: tuple[float, float]
     a_bounds: tuple[float, float]
-    feasible: IntervalUnion
+    feasible: IntervalUnion  # theta_bounds as a one-component union
     oracle_calls: int
-    batches: int
     rounds: int
-    ledger: tuple[BatchLog, ...]
+    ledger: tuple[RoundRecord, ...]
     # The feasible set never empties, so no run restarts or fails.
     restarts: ClassVar[int] = 0
     failed: ClassVar[bool] = False
@@ -228,20 +212,19 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     D_t = {theta in D_{t-1} : l_t(theta) >= c_t} with
     c_t = log J_t - log(pi/2) - log(1/delta_tot), where J_t is a lower bound
     on the integral of L_t over D_{t-1}; a lower J_t only widens the set.
-    D_{t-1} must be one interval on one flank of every counted order, as the
-    depth rule keeps it, or ValueError is raised; l_t is then concave on it,
-    and D_t is one interval.  J_t integrates the concavity chords from
-    theta_hat, the maximum over D_{t-1}, to theta_hat -+ _CHORD_SIGMAS /
-    sqrt(info).  -l'' >= info / 2, so with residual score g at theta_hat,
+    D_{t-1}, the interval state.feasible, must lie on one flank of every
+    counted order, as the depth rule keeps it, or ValueError is raised; l_t
+    is then concave on it, and D_t is one interval.  J_t integrates the
+    concavity chords from theta_hat, the maximum over D_{t-1}, to
+    theta_hat -+ _CHORD_SIGMAS / sqrt(info).  -l'' >= info / 2, so with
+    residual score g at theta_hat,
     l_t(theta_hat + x) <= l_t(theta_hat) + g x - info x^2 / 4, and the
     interval where that bound clears c_t, clipped to D_{t-1}, is kept: an
     outer bound of D_t.  theta_hat always clears the cut, so it becomes the
     estimate and the set is never empty.  Returns c_t.
     """
-    if len(state.feasible) != 1:
-        raise ValueError(f"the feasible set must be one interval, not {state.feasible!r}")
     totals, info = state.totals.arrays, state.totals.info
-    lo, hi = _concave_piece(*state.feasible.components[0], totals)
+    lo, hi = _concave_piece(*state.feasible, totals)
     theta, score = _newton_refine(lo, hi, totals)
     reach = _CHORD_SIGMAS / math.sqrt(info)
     end_lo, end_hi = max(lo, theta - reach), min(hi, theta + reach)
@@ -257,7 +240,7 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     up, down = max(score, 0.0), max(-score, 0.0)
     new_lo = max(lo, theta - 2.0 * (down + math.sqrt(down * down + slack)) / info)
     new_hi = min(hi, theta + 2.0 * (up + math.sqrt(up * up + slack)) / info)
-    state.feasible = IntervalUnion([(new_lo, new_hi)])
+    state.feasible = (float(new_lo), float(new_hi))
     state.theta_hat = float(theta)
     return cut
 
@@ -273,7 +256,7 @@ def select_depth(state: InferenceState) -> int:
     what buys information faster than flat sampling: the per-call Fisher
     information grows linearly with the order.
     """
-    lo, hi = state.feasible.hull()
+    lo, hi = state.feasible
     for k in range(_K_MAX, 0, -1):
         if math.floor((2 * k + 1) * lo / _HALF_PI) == math.floor((2 * k + 1) * hi / _HALF_PI):
             return k
@@ -283,21 +266,17 @@ def select_depth(state: InferenceState) -> int:
 def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
     """Batch size for the next round at amplification order k.
 
-    The base size grows mildly with the round index; the pacing bound
-    spreads what remains of the budget over a shrinking horizon of rounds.
-    When even _M_MIN is unaffordable the whole remainder is spent; zero means
-    the budget is exhausted.
+    The pacing bound spreads what remains of the budget over a horizon of
+    rounds that shrinks by one each round down to _RESERVE_FLOOR, clamped to
+    [_M_MIN, _M_MAX].  When even _M_MIN is unaffordable the whole remainder
+    is spent; zero means the budget is exhausted.
     """
     cost_per_shot = 2 * k + 1
     remaining = cfg.budget - state.spent
     if remaining < cost_per_shot:
         return 0
-    t_next = len(state.ledger) + 1
-    base = _SHOT_SCALE * cfg.budget**0.25 * (1.0 + _SHOT_GROWTH * t_next)
-    horizon = max(_RESERVE_FLOOR, _RESERVE_BASE - min(t_next, _RESERVE_TAPER))
-    paced = remaining / (cost_per_shot * horizon)
-    m = int(min(base, paced))
-    m = max(_M_MIN, min(m, _M_MAX))
+    horizon = max(_RESERVE_FLOOR, _RESERVE_BASE - (len(state.ledger) + 1))
+    m = max(_M_MIN, min(int(remaining / (cost_per_shot * horizon)), _M_MAX))
     affordable = remaining // cost_per_shot
     return int(min(m, affordable))
 
@@ -311,14 +290,14 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
     state = InferenceState.initial()
     while True:
         if cfg.epsilon_a > 0.0 and state.theta_hat is not None:
-            lo, hi = state.feasible.hull()
+            lo, hi = state.feasible
             if 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
                 break
         k = select_depth(state)
         m = select_shots(state, cfg, k)
         if m == 0:
             break
-        entry = BatchLog(k=k, m=m, h=sample_shots(oracle.success_probability(k), m, rng))
+        entry = RoundRecord(k=k, m=m, h=sample_shots(oracle.success_probability(k), m, rng))
         state.ledger.append(entry)
         state.totals.add(entry)
         state.spent += entry.cost
@@ -327,19 +306,18 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
 
 
 def _build_report(state: InferenceState) -> EstimateReport:
-    hull = state.feasible.hull()
-    # The domain inset keeps angles off 0 and pi/2; a hull reaching an inset
+    lo, hi = state.feasible
+    # The domain inset keeps angles off 0 and pi/2; a set reaching an inset
     # edge admits the degenerate amplitude itself.
-    a_lo = 0.0 if hull[0] <= THETA_LO else math.sin(hull[0]) ** 2
-    a_hi = 1.0 if hull[1] >= THETA_HI else math.sin(hull[1]) ** 2
+    a_lo = 0.0 if lo <= THETA_LO else math.sin(lo) ** 2
+    a_hi = 1.0 if hi >= THETA_HI else math.sin(hi) ** 2
     return EstimateReport(
         theta_hat=state.theta_hat,
         a_hat=math.sin(state.theta_hat) ** 2,
-        theta_bounds=hull,
+        theta_bounds=state.feasible,
         a_bounds=(a_lo, a_hi),
-        feasible=state.feasible,
+        feasible=IntervalUnion([state.feasible]),
         oracle_calls=state.spent,
-        batches=len(state.ledger),
         rounds=len(state.ledger),
         ledger=tuple(state.ledger),
     )

@@ -13,14 +13,19 @@ per-batch band view of a run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
-    """One executed batch: k amplification order, m shots, h successes."""
+    """One executed batch: k amplification order, m shots, h successes.
 
+    Slotted: a run's ledger keeps one per batch, hundreds on a saturated run.
+    """
+
+    kind: ClassVar[str] = "round"  # every batch is an ordinary round
     k: int
     m: int
     h: int
@@ -32,6 +37,11 @@ class RoundRecord:
             raise ValueError("m must be at least 1")
         if not 0 <= self.h <= self.m:
             raise ValueError("h must lie in [0, m]")
+
+    @property
+    def cost(self) -> int:
+        """Oracle calls the batch spent: (2k+1) m."""
+        return (2 * self.k + 1) * self.m
 
 
 @dataclass(frozen=True)
@@ -68,20 +78,19 @@ def clopper_pearson(h: int, m: int, delta: float) -> ConfidenceInterval:
 class OrderTotals:
     """Per-order sufficient statistics of a set of rounds that grows in place.
 
-    add folds in one round: anything with k, m and h, such as a RoundRecord
-    or an mliqae BatchLog.  arrays is (omega, hs, tails) as order_totals
-    returns it, rebuilt only after a change.  info is the Fisher information
-    about the angle, 4 sum (2k+1)^2 m: each shot at order k carries
+    add folds in one round: anything with k, m and h, such as a RoundRecord.
+    arrays is (omega, hs, tails) as order_totals returns it, built on each
+    read.  info is the Fisher information about the angle,
+    4 sum (2k+1)^2 m: each shot at order k carries
     4(2k+1)^2 wherever on the flank it lands.  Integer counts keep every
     total exact, so adding rounds one at a time gives the same values as a
     fresh build.
     """
 
-    __slots__ = ("_counts", "_arrays", "info")
+    __slots__ = ("_counts", "info")
 
     def __init__(self, rounds=()):
         self._counts: dict[int, list[int]] = {}
-        self._arrays = None
         self.info = 0
         for r in rounds:
             self.add(r)
@@ -91,17 +100,14 @@ class OrderTotals:
         acc[0] += rec.h
         acc[1] += rec.m - rec.h
         self.info += 4 * (2 * rec.k + 1) ** 2 * rec.m
-        self._arrays = None
 
     @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            ks = sorted(self._counts)
-            omega = np.array([2 * k + 1 for k in ks], dtype=float)
-            hs = np.array([self._counts[k][0] for k in ks], dtype=float)
-            tails = np.array([self._counts[k][1] for k in ks], dtype=float)
-            self._arrays = (omega, hs, tails)
-        return self._arrays
+        ks = sorted(self._counts)
+        omega = np.array([2 * k + 1 for k in ks], dtype=float)
+        hs = np.array([self._counts[k][0] for k in ks], dtype=float)
+        tails = np.array([self._counts[k][1] for k in ks], dtype=float)
+        return omega, hs, tails
 
 
 def order_totals(rounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

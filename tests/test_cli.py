@@ -124,6 +124,7 @@ class TestBenchConfig:
             ({"epsilon_a": "0"}, "bad controller value: epsilon_a must be a real number"),
             ({"delta_tot": "0.05"}, "bad controller value: delta_tot must be a real number"),
             ({"epsilon_a": False}, "bad controller value: epsilon_a must be a real number"),
+            ({"epsilon_a": 1e309}, "epsilon_a must be a finite number"),
         ],
     )
     def test_rejects_bad_controller_overrides(self, controller, message):

@@ -71,8 +71,13 @@ def two_round_state() -> InferenceState:
     return state
 
 
-def measure(union: IntervalUnion) -> float:
-    return sum(hi - lo for lo, hi in union.components)
+def measure(feasible: tuple[float, float]) -> float:
+    lo, hi = feasible
+    return hi - lo
+
+
+def nested(inner: tuple[float, float], outer: tuple[float, float]) -> bool:
+    return outer[0] <= inner[0] <= inner[1] <= outer[1]
 
 
 class FlipOracle:
@@ -114,6 +119,8 @@ class TestControllerConfig:
         "field, value",
         [
             ("epsilon_a", -0.1),
+            ("epsilon_a", math.inf),
+            ("epsilon_a", math.nan),
         ],
     )
     def test_rejects_bad_loop_settings(self, field, value):
@@ -152,8 +159,8 @@ class TestControllerConfig:
 
 class TestSelectShots:
     def test_pacing_bound_binds_early(self):
-        # Base size 220 * 10000^(1/4) * 1.012 = 2226.4 loses to the pacing
-        # bound 10000 / (1 * 27) = 370.4.
+        # The pacing bound 10000 / (1 * 27) = 370.4 lies between _M_MIN and
+        # _M_MAX.
         state = InferenceState.initial()
         cfg = ControllerConfig(budget=10_000)
         assert select_shots(state, cfg, 0) == 370
@@ -165,7 +172,7 @@ class TestSelectShots:
 
     def test_clamp_binds_for_large_budget_late_round(self):
         state = InferenceState.initial()
-        state.ledger = [mliqae.BatchLog(k=0, m=1, h=0)] * 29
+        state.ledger = [RoundRecord(k=0, m=1, h=0)] * 29
         cfg = ControllerConfig(budget=1_000_000)
         assert select_shots(state, cfg, 2) == mliqae._M_MAX
 
@@ -180,7 +187,7 @@ class TestSelectShots:
         cfg = ControllerConfig(budget=50_000)
         for _ in range(200):
             state = InferenceState.initial()
-            state.ledger = [mliqae.BatchLog(k=0, m=1, h=0)] * int(rng.integers(0, 40))
+            state.ledger = [RoundRecord(k=0, m=1, h=0)] * int(rng.integers(0, 40))
             state.spent = int(rng.integers(0, cfg.budget))
             k = int(rng.integers(0, 12))
             m = select_shots(state, cfg, k)
@@ -192,7 +199,7 @@ class TestSelectDepth:
         # A hull wider than pi/6 straddles a turning point of sin^2((2k+1) theta)
         # at every k >= 1.
         state = InferenceState.initial()
-        state.feasible = IntervalUnion([(0.30, 0.42), (0.80, 0.90)])
+        state.feasible = (0.30, 0.90)
         assert not any(in_single_flank(0.30, 0.90, k) for k in range(1, mliqae._K_MAX + 1))
         assert select_depth(state) == 0
 
@@ -210,7 +217,7 @@ class TestSelectDepth:
             union = IntervalUnion(zip(centres - 0.5 * widths, centres + 0.5 * widths))
             hulls.append(union.hull())
         for lo, hi in hulls:
-            state = InferenceState(feasible=IntervalUnion([(lo, hi)]))
+            state = InferenceState(feasible=(lo, hi))
             deepest = max(k for k in range(mliqae._K_MAX + 1) if in_single_flank(lo, hi, k))
             assert select_depth(state) == deepest
 
@@ -222,7 +229,7 @@ class TestSelectDepth:
             lo = max(1e-6, theta - 0.5 * width)
             hi = min(math.pi / 2 - 1e-6, theta + 0.5 * width)
             state = InferenceState.initial()
-            state.feasible = IntervalUnion([(lo, hi)])
+            state.feasible = (lo, hi)
             k = select_depth(state)
             if k > 0:
                 assert in_single_flank(lo, hi, k)
@@ -236,7 +243,7 @@ class TestUpdateFeasible:
         state = InferenceState.initial()
         add_batch(state, ROUND_A)
         after_a = state.feasible
-        lo, hi = after_a.hull()
+        lo, hi = after_a
         assert lo < math.pi / 6 < hi and select_depth(state) != ROUND_B.k
         with pytest.raises(ValueError, match="singular"):
             add_batch(state, ROUND_B)
@@ -244,16 +251,13 @@ class TestUpdateFeasible:
         # lies above the set.
         all_hits = OrderTotals([ROUND_A, RoundRecord(k=1, m=1000, h=1000)])
         update_feasible(InferenceState(feasible=after_a, totals=all_hits), 0.05)
-        two = InferenceState(feasible=IntervalUnion([(0.30, 0.42), (0.80, 0.90)]), totals=OrderTotals([ROUND_A]))
-        with pytest.raises(ValueError, match="one interval"):
-            update_feasible(two, 0.05)
 
     def test_uninformative_batch_barely_moves_the_set(self):
         state = two_round_state()
         before = state.feasible
         # Two successes out of four at order 0 add almost no information.
         add_batch(state, RoundRecord(k=0, m=4, h=2))
-        assert state.feasible.intersect(before) == state.feasible
+        assert nested(state.feasible, before)
         assert measure(state.feasible) >= 0.99 * measure(before)
 
     def test_contradictory_batch_never_empties_the_set(self):
@@ -262,11 +266,10 @@ class TestUpdateFeasible:
         state = two_round_state()
         before = state.feasible
         add_batch(state, RoundRecord(k=0, m=200, h=0))
-        assert not state.feasible.is_empty
-        assert state.feasible.intersect(before) == state.feasible
-        theta_mle, _ = constrained_mle(before, state.totals.arrays)
+        assert nested(state.feasible, before)
+        theta_mle, _ = constrained_mle(IntervalUnion([before]), state.totals.arrays)
         assert state.theta_hat == pytest.approx(theta_mle, abs=1e-9)
-        assert state.feasible.contains(state.theta_hat)
+        assert state.feasible[0] <= state.theta_hat <= state.feasible[1]
 
     def test_early_newton_stop_still_bounds_the_set(self, monkeypatch):
         # A coarse refinement stops short of the maximum; the residual score
@@ -280,9 +283,9 @@ class TestUpdateFeasible:
                 before = state.feasible
                 state.totals.add(RoundRecord(k=select_depth(state), m=m, h=h))
                 cut = update_feasible(state, 0.05)
-            grid = np.linspace(*before.hull(), 200_001)
+            grid = np.linspace(*before, 200_001)
             above = grid[log_likelihood_terms(grid, *state.totals.arrays) >= cut]
-            assert above.size and all(state.feasible.contains(theta) for theta in above)
+            assert above.size and nested((above.min(), above.max()), state.feasible)
 
     def test_measure_never_increases(self):
         rng = np.random.default_rng(21)
@@ -317,8 +320,9 @@ class TestConstrainedMle:
 
     def test_two_round_estimate_stays_near_truth(self):
         state = two_round_state()
-        theta_hat, a_hat = constrained_mle(state.feasible, state.totals.arrays)
-        assert state.feasible.contains(theta_hat, tol=1e-9)
+        feasible = IntervalUnion([state.feasible])
+        theta_hat, a_hat = constrained_mle(feasible, state.totals.arrays)
+        assert feasible.contains(theta_hat, tol=1e-9)
         assert abs(a_hat - 0.2625) < 0.03
 
     def test_agrees_with_dense_grid_oracle(self):
@@ -403,7 +407,7 @@ class TestNoRecovery:
         report = run(FlipOracle(), ControllerConfig(budget=budget), np.random.default_rng(8))
         assert not report.failed and report.restarts == 0
         assert report.feasible.contains(report.theta_hat)
-        assert report.batches == len(report.ledger)
+        assert report.rounds == len(report.ledger)
         assert 0 <= budget - report.oracle_calls < 2 * mliqae._K_MAX + 1
 
     def test_contradictory_batch_mid_run_is_kept_and_the_run_carries_on(self):
@@ -469,11 +473,11 @@ class TestRun:
             report = run(AnalyticOracle(a), ControllerConfig(budget=64_000), np.random.default_rng(seed))
             state = InferenceState.initial()
             for batch in report.ledger:
-                lo, hi = state.feasible.hull()
+                lo, hi = state.feasible
                 assert batch.k == max(k for k in range(mliqae._K_MAX + 1) if in_single_flank(lo, hi, k))
                 state.totals.add(batch)
                 update_feasible(state, 0.05)
-            assert state.feasible == report.feasible
+            assert IntervalUnion([state.feasible]) == report.feasible
             assert max(b.k for b in report.ledger) > 0
 
     def test_target_half_width_stops_early(self):

@@ -126,9 +126,9 @@ def test_feasible_update_keeps_every_point_above_the_cut(counts, previous, delta
     # One interval on one flank of every order: the widest clipped component.
     pieces = on_one_flank(previous, counts).components
     previous = IntervalUnion([max(pieces, key=lambda c: c[1] - c[0])])
-    state = mliqae.InferenceState(feasible=previous, totals=OrderTotals(rounds))
+    state = mliqae.InferenceState(feasible=previous.components[0], totals=OrderTotals(rounds))
     cut = mliqae.update_feasible(state, delta_tot)
-    new = state.feasible
+    new = IntervalUnion([state.feasible])
     assert not new.is_empty
     assert new.intersect(previous) == new
     grid = dense_grid(previous)
