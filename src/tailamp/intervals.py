@@ -60,10 +60,6 @@ class IntervalUnion:
     def __init__(self, pairs=()):
         self.components: tuple[tuple[float, float], ...] = _normalize(pairs)
 
-    @classmethod
-    def full_domain(cls) -> "IntervalUnion":
-        return cls(((THETA_LO, THETA_HI),))
-
     @property
     def is_empty(self) -> bool:
         return not self.components
@@ -82,15 +78,6 @@ class IntervalUnion:
     def __repr__(self) -> str:
         body = ", ".join(f"[{lo:.6g}, {hi:.6g}]" for lo, hi in self.components)
         return f"IntervalUnion({body})"
-
-    def hull(self) -> tuple[float, float]:
-        """Smallest single interval containing the union.
-
-        Raises ValueError on the empty union, which has no hull.
-        """
-        if not self.components:
-            raise ValueError("hull of empty interval union")
-        return (self.components[0][0], self.components[-1][1])
 
     def contains(self, theta: float, tol: float = 0.0) -> bool:
         for lo, hi in self.components:

@@ -15,7 +15,11 @@ amplified response is monotone over the whole feasible set (the depth rule
 of Grinko et al. 2021, npj Quantum Inf. 7:52), so every later set, which
 lies inside that one, stays on one flank of every counted order.  The
 likelihood is concave there, and the set is one interval, kept as a
-(lo, hi) pair; the ledger keeps one stats.RoundRecord per batch.
+(lo, hi) pair; the ledger keeps one stats.RoundRecord per batch.  The
+per-batch update reads the totals once as per-order rows of Python floats
+(OrderTotals.rows) and runs on them through the scalar kernels of stats:
+with one to a few dozen orders, numpy's per-call overhead would cost more
+than the arithmetic.
 
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
 the module constants: the depth cap _K_MAX, the shot rule's _M_MIN, _M_MAX,
@@ -35,7 +39,14 @@ import numpy as np
 from .intervals import THETA_HI, THETA_LO, IntervalUnion
 from .intervals import theta_preimage  # noqa: F401  (perfbench traces this lookup site)
 from .qsim import sample_shots
-from .stats import OrderTotals, RoundRecord, log_likelihood_slopes, log_likelihood_terms
+from .stats import (
+    OrderTotals,
+    RoundRecord,
+    chord_masses,
+    log_likelihood_at,
+    log_likelihood_slopes,
+    log_likelihood_terms,
+)
 from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup site)
 
 # Cap on refinement steps per MLE.  Bisection alone narrows a piece below
@@ -119,7 +130,7 @@ class EstimateReport:
     failed: ClassVar[bool] = False
 
 
-def _concave_piece(lo: float, hi: float, totals) -> tuple[float, float]:
+def _concave_piece(lo: float, hi: float, rows) -> tuple[float, float]:
     """The interval [lo, hi], with its edges moved off the likelihood's singular angles.
 
     Order omega's success term is singular where sin(omega theta) = 0, at
@@ -131,9 +142,10 @@ def _concave_piece(lo: float, hi: float, totals) -> tuple[float, float]:
     loses the score's sign.  One farther inside raises ValueError: the
     likelihood is not concave across it.  The depth rule never counts such
     an order, because it keeps the whole set on one flank of every order.
+    rows are the per-order (omega, hs, tails) floats of OrderTotals.rows.
     """
     piece_lo, piece_hi = lo, hi
-    for w, h, t in zip(*(a.tolist() for a in totals)):
+    for w, h, t in rows:
         step = _HALF_PI / w
         first = math.floor(lo * (1.0 - _CUT_NUDGE) / step) + 1
         last = math.ceil(hi * (1.0 + _CUT_NUDGE) / step)
@@ -152,7 +164,7 @@ def _concave_piece(lo: float, hi: float, totals) -> tuple[float, float]:
     return piece_lo, piece_hi
 
 
-def _newton_refine(lo: float, hi: float, totals) -> tuple[float, float]:
+def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
     """Maximize the likelihood on the concave piece [lo, hi].
 
     The maximum is where the score changes sign from + to -, or the edge the
@@ -163,14 +175,15 @@ def _newton_refine(lo: float, hi: float, totals) -> tuple[float, float]:
     narrower than _MLE_BRACKET.  Returns (theta, score): the maximum and the
     score there.
     """
-    (score_lo, score_hi), _ = log_likelihood_slopes(np.array([lo, hi]), *totals)
+    score_lo, _ = log_likelihood_slopes(lo, rows)
+    score_hi, _ = log_likelihood_slopes(hi, rows)
     if score_lo <= 0.0:
         return lo, score_lo
     if score_hi >= 0.0:
         return hi, score_hi
     th = 0.5 * (lo + hi)
     for _ in range(_NEWTON_MAX_STEPS):
-        (score,), (curv,) = log_likelihood_slopes(np.array([th]), *totals)
+        score, curv = log_likelihood_slopes(th, rows)
         if score > 0.0:
             lo = th
         elif score < 0.0:
@@ -190,7 +203,7 @@ def constrained_mle(union: IntervalUnion, totals) -> tuple[float, float]:
     """Maximum-likelihood angle restricted to the feasible union.
 
     totals are the per-order sufficient statistics (omega, hs, tails) of the
-    rounds, as order_totals or InferenceState.totals give them.  Each
+    rounds, as order_totals or OrderTotals.arrays give them.  Each
     component of the union must lie on one flank of every counted order, as
     the components of intersected theta_preimage bands do; the likelihood is
     then concave on each, so a bracketed Newton search finds its maximum.
@@ -200,7 +213,8 @@ def constrained_mle(union: IntervalUnion, totals) -> tuple[float, float]:
     """
     if union.is_empty:
         raise ValueError("cannot take an MLE over an empty feasible set")
-    thetas = [_newton_refine(*_concave_piece(lo, hi, totals), totals)[0] for lo, hi in union.components]
+    rows = list(zip(*(a.tolist() for a in totals)))
+    thetas = [_newton_refine(*_concave_piece(lo, hi, rows), rows)[0] for lo, hi in union.components]
     best = float(thetas[int(np.argmax(log_likelihood_terms(np.array(thetas), *totals)))])
     return best, math.sin(best) ** 2
 
@@ -223,25 +237,22 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     outer bound of D_t.  theta_hat always clears the cut, so it becomes the
     estimate and the set is never empty.  Returns c_t.
     """
-    totals, info = state.totals.arrays, state.totals.info
-    lo, hi = _concave_piece(*state.feasible, totals)
-    theta, score = _newton_refine(lo, hi, totals)
+    rows, info = state.totals.rows, state.totals.info
+    lo, hi = _concave_piece(*state.feasible, rows)
+    theta, score = _newton_refine(lo, hi, rows)
     reach = _CHORD_SIGMAS / math.sqrt(info)
     end_lo, end_hi = max(lo, theta - reach), min(hi, theta + reach)
-    ll, ll_lo, ll_hi = log_likelihood_terms(np.array([theta, end_lo, end_hi]), *totals)
-    # Integral of exp(-drop u) over u in [0, 1]; drop < 0 only by rounding.
-    drop = np.maximum(ll - np.array([ll_lo, ll_hi]), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mass = np.where(drop > 0.0, -np.expm1(-drop) / drop, 1.0)
-    chord = (theta - end_lo) * mass[0] + (end_hi - theta) * mass[1]
+    ll, ll_lo, ll_hi = log_likelihood_at((theta, end_lo, end_hi), rows)
+    mass_lo, mass_hi = chord_masses(ll, (ll_lo, ll_hi))
+    chord = (theta - end_lo) * mass_lo + (end_hi - theta) * mass_hi
     log_j = ll + math.log(chord) if chord > 0.0 else -math.inf
     cut = log_j - math.log(_HALF_PI) + math.log(delta_tot)
     slack = info * (ll - cut)
     up, down = max(score, 0.0), max(-score, 0.0)
     new_lo = max(lo, theta - 2.0 * (down + math.sqrt(down * down + slack)) / info)
     new_hi = min(hi, theta + 2.0 * (up + math.sqrt(up * up + slack)) / info)
-    state.feasible = (float(new_lo), float(new_hi))
-    state.theta_hat = float(theta)
+    state.feasible = (new_lo, new_hi)
+    state.theta_hat = theta
     return cut
 
 
@@ -257,7 +268,10 @@ def select_depth(state: InferenceState) -> int:
     information grows linearly with the order.
     """
     lo, hi = state.feasible
-    for k in range(_K_MAX, 0, -1):
+    # No order with (2k+1) (hi - lo) > pi/2 qualifies, and every k from
+    # pi / (4 (hi - lo)) + 1 up has (2k+1) (hi - lo) > pi/2 + (hi - lo).
+    start = min(_K_MAX, math.floor(math.pi / (4.0 * (hi - lo))) + 1) if hi > lo else _K_MAX
+    for k in range(start, 0, -1):
         if math.floor((2 * k + 1) * lo / _HALF_PI) == math.floor((2 * k + 1) * hi / _HALF_PI):
             return k
     return 0

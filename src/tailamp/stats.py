@@ -5,13 +5,19 @@ probability is sin^2((2k+1) theta).  The controller's feasible sets and
 estimates are built from the exact log-likelihood of a collection of rounds
 with its first two angle derivatives.  The likelihood depends on the rounds
 only through the success and failure totals at each distinct order, so it
-is evaluated on those.  The exact Clopper-Pearson interval of one batch
-(beta quantiles from scipy's inverse regularized incomplete beta) gives the
-per-batch band view of a run.
+is evaluated on those: log_likelihood_terms over a grid of angles from the
+per-order arrays, and the controller's per-batch kernels (log_likelihood_at,
+log_likelihood_slopes, chord_masses) at one to three angles from per-order
+rows of Python floats, where numpy's per-call overhead would outweigh the
+arithmetic.  The kernels keep numpy's logs and expm1, because math's differ
+in the last bit on about 1% of inputs.  The exact Clopper-Pearson interval
+of one batch (beta quantiles from scipy's inverse regularized incomplete
+beta) gives the per-batch band view of a run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -79,12 +85,14 @@ class OrderTotals:
     """Per-order sufficient statistics of a set of rounds that grows in place.
 
     add folds in one round: anything with k, m and h, such as a RoundRecord.
-    arrays is (omega, hs, tails) as order_totals returns it, built on each
-    read.  info is the Fisher information about the angle,
-    4 sum (2k+1)^2 m: each shot at order k carries
-    4(2k+1)^2 wherever on the flank it lands.  Integer counts keep every
-    total exact, so adding rounds one at a time gives the same values as a
-    fresh build.
+    rows is one (omega, hs, tails) tuple of Python floats per order in
+    ascending k, omega = 2k+1, for the controller's scalar kernels; arrays is
+    the same three columns as numpy arrays, as order_totals returns them, for
+    the grid evaluator.  Both are built on each read.  info is the Fisher
+    information about the angle, 4 sum (2k+1)^2 m: each shot at order k
+    carries 4(2k+1)^2 wherever on the flank it lands.  Integer counts keep
+    every total exact, so adding rounds one at a time gives the same values
+    as a fresh build.
     """
 
     __slots__ = ("_counts", "info")
@@ -102,11 +110,12 @@ class OrderTotals:
         self.info += 4 * (2 * rec.k + 1) ** 2 * rec.m
 
     @property
+    def rows(self) -> tuple[tuple[float, float, float], ...]:
+        return tuple((2.0 * k + 1.0, float(h), float(t)) for k, (h, t) in sorted(self._counts.items()))
+
+    @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ks = sorted(self._counts)
-        omega = np.array([2 * k + 1 for k in ks], dtype=float)
-        hs = np.array([self._counts[k][0] for k in ks], dtype=float)
-        tails = np.array([self._counts[k][1] for k in ks], dtype=float)
+        omega, hs, tails = np.array(self.rows, dtype=float).reshape(-1, 3).T
         return omega, hs, tails
 
 
@@ -141,24 +150,60 @@ def log_likelihood_terms(
     return 2.0 * (t1 + t2).sum(axis=0)
 
 
-def log_likelihood_slopes(
-    theta: np.ndarray,
-    omega: np.ndarray,
-    hs: np.ndarray,
-    tails: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score and curvature of log_likelihood_terms at each theta.
+def log_likelihood_at(thetas, rows) -> list[float]:
+    """log_likelihood_terms at a few angles, from per-order rows of floats.
 
+    rows are (omega, hs, tails) per order, as OrderTotals.rows gives them.
+    The result equals log_likelihood_terms bit for bit: the same products,
+    numpy's logs, and each angle's terms added over the orders in row order,
+    as numpy reduces the rows of a grid.
+    """
+    needed = []
+    for theta in thetas:
+        for w, h, t in rows:
+            if h > 0:
+                needed.append(abs(math.sin(w * theta)))
+            if t > 0:
+                needed.append(abs(math.cos(w * theta)))
+    logs = iter(np.log(needed).tolist())
+    out = []
+    for _ in thetas:
+        acc = 0.0
+        for _, h, t in rows:
+            lp = h * next(logs) if h > 0 else 0.0
+            lq = t * next(logs) if t > 0 else 0.0
+            acc += lp + lq
+        out.append(2.0 * acc)
+    return out
+
+
+def log_likelihood_slopes(theta: float, rows) -> tuple[float, float]:
+    """Score and curvature of the log-likelihood at one angle theta.
+
+    rows are (omega, hs, tails) per order, as OrderTotals.rows gives them.
     score = 2 sum w (h cot(w theta) - t tan(w theta)) and
     curvature = -2 sum w^2 (h csc^2(w theta) + t sec^2(w theta)), which is
     negative wherever it is finite: the likelihood is concave between the
-    singular angles where a counted outcome has probability zero.
+    singular angles where a counted outcome has probability zero.  A zero
+    count contributes nothing, even at its own singular angle.  The sums run
+    left to right over the rows; the builtin sum is compensated from Python
+    3.12 on and would round differently.
     """
-    ang = np.multiply.outer(omega, theta)
-    s, c = np.sin(ang), np.cos(ang)
-    w, h, t = omega[:, None], hs[:, None], tails[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = np.where(h > 0, h * c / s, 0.0) - np.where(t > 0, t * s / c, 0.0)
-        curv = np.where(h > 0, h / (s * s), 0.0) + np.where(t > 0, t / (c * c), 0.0)
-    return 2.0 * (w * score).sum(axis=0), -2.0 * (w * w * curv).sum(axis=0)
+    score = curv = 0.0
+    for w, h, t in rows:
+        s, c = math.sin(w * theta), math.cos(w * theta)
+        score += w * ((h * c / s if h > 0 else 0.0) - (t * s / c if t > 0 else 0.0))
+        curv += w * w * ((h / (s * s) if h > 0 else 0.0) + (t / (c * c) if t > 0 else 0.0))
+    return 2.0 * score, -2.0 * curv
 
+
+def chord_masses(peak: float, ends) -> list[float]:
+    """Integral of exp(-drop u) over u in [0, 1] for each drop peak - end.
+
+    peak is the log-likelihood at the maximum and ends its values at the
+    chord ends; a drop below zero can only come from rounding and counts as
+    zero, whose integral is 1.
+    """
+    drops = [max(peak - end, 0.0) for end in ends]
+    falls = np.expm1([-d for d in drops]).tolist()
+    return [-f / d if d > 0.0 else 1.0 for f, d in zip(falls, drops)]

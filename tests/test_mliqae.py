@@ -206,6 +206,11 @@ class TestSelectDepth:
     def test_no_estimate_defaults_to_zero(self):
         assert select_depth(InferenceState.initial()) == 0
 
+    def test_point_hull_scans_from_the_cap(self):
+        # A zero-width hull has no width bound; off a turning point every
+        # order is single-flank, so the cap itself is chosen.
+        assert select_depth(InferenceState(feasible=(0.5, 0.5))) == mliqae._K_MAX
+
     def test_is_the_deepest_single_flank_order(self):
         # Brute force over every order on random hulls, from the full domain
         # down to a near-point at either edge.
@@ -215,7 +220,7 @@ class TestSelectDepth:
             centres = rng.uniform(0.0, math.pi / 2, size=int(rng.integers(1, 4)))
             widths = 10.0 ** rng.uniform(-8, 0, size=centres.size)
             union = IntervalUnion(zip(centres - 0.5 * widths, centres + 0.5 * widths))
-            hulls.append(union.hull())
+            hulls.append((union.components[0][0], union.components[-1][1]))
         for lo, hi in hulls:
             state = InferenceState(feasible=(lo, hi))
             deepest = max(k for k in range(mliqae._K_MAX + 1) if in_single_flank(lo, hi, k))

@@ -4,7 +4,9 @@ A band is the preimage of a probability interval under sin^2((2k+1) theta).
 The controller's feasible set is the part of the previous set where the
 pooled likelihood clears a cut; the properties below hold that set, and the
 maximum-likelihood search behind it, to dense-grid answers on sets that lie
-on one flank of every counted order, where the likelihood is concave.
+on one flank of every counted order, where the likelihood is concave.  The
+scalar kernels of the per-batch update are held to the grid forms bit for
+bit.
 Needs hypothesis (the ``test`` extra); skipped without it.
 """
 
@@ -19,7 +21,15 @@ from hypothesis import strategies as st
 
 from tailamp import mliqae
 from tailamp.intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
-from tailamp.stats import OrderTotals, RoundRecord, log_likelihood_terms, order_totals
+from tailamp.stats import (
+    OrderTotals,
+    RoundRecord,
+    log_likelihood_at,
+    log_likelihood_slopes,
+    log_likelihood_terms,
+    order_totals,
+)
+from test_stats import vector_slopes
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -51,7 +61,7 @@ def test_intersection_is_a_subset_of_both_inputs(a, b):
 @PROPERTY_SETTINGS
 @given(unions)
 def test_full_domain_is_the_identity(a):
-    assert a.intersect(IntervalUnion.full_domain()) == a
+    assert a.intersect(IntervalUnion([(THETA_LO, THETA_HI)])) == a
 
 
 # Angles stay clear of the domain inset, where sin^2 rounds to exactly 0 or 1
@@ -67,8 +77,7 @@ def test_preimage_of_the_exact_probability_contains_the_angle(k, theta):
     # asin(sqrt(p)) loses up to sqrt(eps) near a turning point of sin^2.
     assert band.contains(theta, tol=1e-7)
     assert len(band) <= 2 * k + 2
-    lo, hi = band.hull()
-    assert THETA_LO <= lo and hi <= THETA_HI
+    assert THETA_LO <= band.components[0][0] and band.components[-1][1] <= THETA_HI
 
 
 # Per-order totals: one to four distinct orders, each with some shots.
@@ -170,3 +179,24 @@ def test_order_totals_kept_in_place_match_a_fresh_build(draws, cuts):
     for kept, built in zip(acc.arrays, order_totals(rounds)):
         assert kept.tolist() == built.tolist()
     assert acc.info == 4 * sum((2 * r.k + 1) ** 2 * r.m for r in rounds)
+
+
+# Per-order totals for the kernels: one to twelve orders up to 64, with
+# orders that saw no successes or no failures among them.
+kernel_counts = st.dictionaries(
+    st.integers(min_value=0, max_value=64),
+    st.tuples(st.integers(0, 20_000), st.integers(0, 20_000)).filter(lambda c: sum(c) > 0),
+    min_size=1,
+    max_size=12,
+)
+
+
+@PROPERTY_SETTINGS
+@given(kernel_counts, st.lists(inner_angles, min_size=3, max_size=3))
+def test_scalar_kernels_equal_the_grid_forms_bit_for_bit(counts, thetas):
+    totals = OrderTotals(RoundRecord(k=k, m=h + t, h=h) for k, (h, t) in counts.items())
+    rows, arrays = totals.rows, totals.arrays
+    assert log_likelihood_at(thetas, rows) == log_likelihood_terms(np.array(thetas), *arrays).tolist()
+    # Over three angles numpy adds the orders row by row, as the kernel does.
+    scores, curvs = vector_slopes(np.array(thetas), *arrays)
+    assert [log_likelihood_slopes(th, rows) for th in thetas] == list(zip(scores.tolist(), curvs.tolist()))

@@ -7,8 +7,11 @@ import pytest
 from scipy import stats as sps
 
 from tailamp.stats import (
+    OrderTotals,
     RoundRecord,
+    chord_masses,
     clopper_pearson,
+    log_likelihood_at,
     log_likelihood_slopes,
     log_likelihood_terms,
     order_totals,
@@ -18,6 +21,44 @@ from tailamp.stats import (
 def loglik(theta, rounds) -> np.ndarray:
     """log_likelihood_terms of the rounds' per-order totals at angle(s) theta."""
     return log_likelihood_terms(np.atleast_1d(np.asarray(theta, dtype=float)), *order_totals(rounds))
+
+
+def vector_slopes(theta, omega, hs, tails):
+    """Score and curvature over a theta grid by numpy broadcasting.
+
+    The reference the scalar log_likelihood_slopes is held to.  Each angle's
+    sum over the orders is numpy's reduction: row by row over a grid of two
+    or more angles, pairwise in blocks of eight over a single angle.
+    """
+    ang = np.multiply.outer(omega, theta)
+    s, c = np.sin(ang), np.cos(ang)
+    w, h, t = omega[:, None], hs[:, None], tails[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.where(h > 0, h * c / s, 0.0) - np.where(t > 0, t * s / c, 0.0)
+        curv = np.where(h > 0, h / (s * s), 0.0) + np.where(t > 0, t / (c * c), 0.0)
+    return 2.0 * (w * score).sum(axis=0), -2.0 * (w * w * curv).sum(axis=0)
+
+
+def slope_scale(theta, omega, hs, tails):
+    """Sums of the absolute per-order score and curvature terms at one angle.
+
+    The score's terms change sign, so its rounding is bounded relative to
+    this sum, not to the score itself.
+    """
+    s, c = np.sin(omega * theta), np.cos(omega * theta)
+    score = omega * (hs * np.abs(c / s) + tails * np.abs(s / c))
+    curv = omega * omega * (hs / (s * s) + tails / (c * c))
+    return 2.0 * score.sum(), 2.0 * curv.sum()
+
+
+def random_totals(rng, n_orders: int) -> OrderTotals:
+    """Totals at n_orders distinct orders up to 64, a third with no successes or no failures."""
+    totals = OrderTotals()
+    for k in rng.choice(65, size=n_orders, replace=False):
+        m = int(rng.integers(1, 20_000))
+        h = int(rng.choice([0, m, int(rng.integers(0, m + 1))], p=[1 / 6, 1 / 6, 2 / 3]))
+        totals.add(RoundRecord(k=int(k), m=m, h=h))
+    return totals
 
 
 def binom_tail_cp(h: int, m: int, delta: float) -> tuple[float, float]:
@@ -229,18 +270,75 @@ class TestLogLikelihoodSlopes:
             RoundRecord(k=3, m=50, h=0),
         ]
         totals = order_totals(rounds)
-        theta = np.array([0.11, 0.37, 0.52, 0.93, 1.21])
+        rows = OrderTotals(rounds).rows
         step = 1e-6
         f = lambda th: log_likelihood_terms(np.asarray(th), *totals)
-        score, curv = log_likelihood_slopes(theta, *totals)
-        fd_score = (f(theta + step) - f(theta - step)) / (2.0 * step)
-        up, _ = log_likelihood_slopes(theta + step, *totals)
-        down, _ = log_likelihood_slopes(theta - step, *totals)
-        assert np.allclose(score, fd_score, rtol=1e-6)
-        assert np.allclose(curv, (up - down) / (2.0 * step), rtol=1e-6)
-        assert np.all(curv < 0.0)
+        for theta in (0.11, 0.37, 0.52, 0.93, 1.21):
+            score, curv = log_likelihood_slopes(theta, rows)
+            fd_score = (f([theta + step]) - f([theta - step]))[0] / (2.0 * step)
+            up, _ = log_likelihood_slopes(theta + step, rows)
+            down, _ = log_likelihood_slopes(theta - step, rows)
+            assert score == pytest.approx(fd_score, rel=1e-6)
+            assert curv == pytest.approx((up - down) / (2.0 * step), rel=1e-6)
+            assert curv < 0.0
 
     def test_zero_counts_contribute_nothing(self):
-        theta = np.array([0.4])
-        score, curv = log_likelihood_slopes(theta, np.array([3.0]), np.array([0.0]), np.array([0.0]))
-        assert score.tolist() == [0.0] and curv.tolist() == [0.0]
+        assert log_likelihood_slopes(0.4, [(3.0, 0.0, 0.0)]) == (0.0, 0.0)
+        # Not even at the zero count's own singular angle: sin(3 * 0) = 0.
+        rows = [(3.0, 0.0, 40.0)]
+        (score,), (curv,) = vector_slopes(np.array([0.0]), *map(np.array, zip(*rows)))
+        assert log_likelihood_slopes(0.0, rows) == (score, curv) == (0.0, -720.0)
+
+    def test_equal_the_grid_form_on_random_totals(self):
+        # Exact wherever numpy adds the orders in row order: over two angles,
+        # as the edge scores were taken, and over one angle below eight
+        # orders; numpy's blocked pairwise sum over eight or more orders at
+        # one angle rounds differently, within 1e-13 of the term sizes.
+        rng = np.random.default_rng(2024)
+        for n_orders in list(range(1, 13)) * 25:
+            totals = random_totals(rng, n_orders)
+            rows, arrays = totals.rows, totals.arrays
+            lo, hi = sorted(rng.uniform(1e-6, math.pi / 2.0 - 1e-6, size=2).tolist())
+            (score_lo, score_hi), (curv_lo, curv_hi) = vector_slopes(np.array([lo, hi]), *arrays)
+            assert log_likelihood_slopes(lo, rows) == (score_lo, curv_lo)
+            assert log_likelihood_slopes(hi, rows) == (score_hi, curv_hi)
+            (score,), (curv,) = vector_slopes(np.array([lo]), *arrays)
+            got_score, got_curv = log_likelihood_slopes(lo, rows)
+            if n_orders < 8:
+                assert (got_score, got_curv) == (score, curv)
+            else:
+                score_scale, curv_scale = slope_scale(lo, *arrays)
+                assert abs(got_score - score) <= 1e-13 * score_scale
+                assert abs(got_curv - curv) <= 1e-13 * curv_scale
+
+
+class TestScalarLikelihood:
+    def test_three_points_equal_the_grid_evaluator_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for n_orders in list(range(1, 13)) * 25:
+            totals = random_totals(rng, n_orders)
+            thetas = rng.uniform(1e-6, math.pi / 2.0 - 1e-6, size=3).tolist()
+            want = log_likelihood_terms(np.array(thetas), *totals.arrays).tolist()
+            assert log_likelihood_at(thetas, totals.rows) == want
+
+    def test_zero_count_annihilates_its_degenerate_term(self):
+        # 0 * log 0 = 0: no successes at theta = 0, where sin(theta) = 0.
+        totals = OrderTotals([RoundRecord(k=0, m=5, h=0)])
+        thetas = [0.0, 0.3, 0.6]
+        got = log_likelihood_at(thetas, totals.rows)
+        assert got == log_likelihood_terms(np.array(thetas), *totals.arrays).tolist()
+        assert got[0] == 0.0
+        assert log_likelihood_at([0.3], ()) == [0.0]
+
+    def test_chord_masses_integrate_the_exponential_drop(self):
+        # A drop of 2, none, a negative one from rounding, and an infinite one.
+        got = chord_masses(-10.0, (-12.0, -10.0, -9.999, -math.inf))
+        assert got[0] == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-15)
+        assert got[1:] == [1.0, 1.0, 0.0]
+
+    def test_chord_masses_use_numpy_expm1(self):
+        # math.expm1 differs from numpy's in the last bit on some inputs; the
+        # controller's cut is pinned to numpy's.
+        drops = np.random.default_rng(11).uniform(0.0, 40.0, size=2000)
+        want = (-np.expm1(-drops) / drops).tolist()
+        assert [chord_masses(0.0, (-d,))[0] for d in drops.tolist()] == want
