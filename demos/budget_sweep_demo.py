@@ -39,7 +39,7 @@ def main():
     print(f"wrote {agg_path}\n")
 
     print(f"{'method':<8s} {'budget':>8s} {'median |err|':>14s} {'mean |err|':>14s}")
-    for method, budget, mean_err, med_err, _, _ in agg:
+    for method, budget, mean_err, med_err, _ in agg:
         print(f"{method:<8s} {budget:>8d} {med_err:>14.3e} {mean_err:>14.3e}")
 
     for method in ("mc", "mliqae"):

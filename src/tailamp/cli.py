@@ -5,19 +5,22 @@ it with a truth sidecar.  `estimate` runs one Monte Carlo or amplified
 estimate against an ensemble file and prints the result row.  `bench`
 sweeps a budget grid with repetitions for both methods, writing raw rows
 and aggregates as CSV.  Every row is reproducible from (ensemble, method,
-budget, seed); worker parallelism never changes output bytes.
+budget, seed); cells are built in output order and `map` keeps it, so
+worker parallelism never changes output bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from . import mliqae, qsim, riskmodel, stochfem
 DEFAULT_BUDGETS = (2000, 4000, 8000, 16000, 32000, 64000, 128000, 256000)
 WORKERS_ENV = "TAILAMP_WORKERS"
 
-AGG_COLUMNS = ("method", "budget", "mean_abs_err", "median_abs_err", "std_abs_err", "fail_rate")
+AGG_COLUMNS = ("method", "budget", "mean_abs_err", "median_abs_err", "std_abs_err")
 
 
 def _is_int(value) -> bool:
@@ -64,15 +67,15 @@ class BenchConfig:
         if not isinstance(budgets, (list, tuple)) or not all(_is_int(b) and b > 0 for b in budgets):
             raise ValueError("budgets must be a list of positive integers")
         budgets = tuple(int(b) for b in budgets)
-        if not budgets or list(budgets) != sorted(budgets):
-            raise ValueError("budgets must be nonempty and ascending")
+        if not budgets or any(a >= b for a, b in zip(budgets, budgets[1:])):
+            raise ValueError("budgets must be nonempty and strictly ascending")
         for name, least in (("repetitions", 1), ("seed", 0), ("n_scenarios", 1)):
             value = getattr(self, name)
             if not _is_int(value) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}")
         methods = self.methods if isinstance(self.methods, (list, tuple)) else ()
-        if not methods or any(m not in ("mc", "mliqae") for m in methods):
-            raise ValueError("methods must be a nonempty list drawn from {mc, mliqae}")
+        if not methods or any(m not in ("mc", "mliqae") for m in methods) or len(set(methods)) < len(methods):
+            raise ValueError("methods must be a nonempty list of distinct names from {mc, mliqae}")
         for name in ("ensemble", "controller"):
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} must be a mapping of names to values")
@@ -100,8 +103,8 @@ class ResultRow:
     abs_err: float
     oracle_calls: int
     rounds: int
-    restarts: int
-    failed: bool
+    # The likelihood set never empties, so no run fails; readers of `failed` stay valid.
+    failed: ClassVar[bool] = False
 
 
 RAW_COLUMNS = tuple(f.name for f in fields(ResultRow))
@@ -112,6 +115,20 @@ def run_seed(master_seed: int, method: str, budget: int, repetition: int) -> int
     key = f"{master_seed}:{method}:{budget}:{repetition}".encode()
     digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def _tail(
+    ens: stochfem.Ensemble, qoi: str
+) -> tuple[riskmodel.ScenarioSet, riskmodel.TailNormalization, float]:
+    """The QoI's scenario set, its hinge normalisation at the VaR threshold, and its exact CVaR."""
+    s = riskmodel.ScenarioSet(ens.probs, ens.responses[qoi], ens.alpha_level)
+    return s, riskmodel.normalize_hinge(s, riskmodel.var_threshold(s)), riskmodel.discrete_cvar(s)
+
+
+def _build_ensemble(cfg: BenchConfig) -> stochfem.Ensemble:
+    return stochfem.build_scenario_ensemble(
+        cfg.benchmark, cfg.n_scenarios, cfg.seed, alpha_level=cfg.alpha_level, overrides=cfg.ensemble
+    )
 
 
 def estimate_once(
@@ -128,24 +145,16 @@ def estimate_once(
     ensemble; the amplified estimator runs on the closed-form measurement
     model at the ensemble's exact tail amplitude.
     """
-    s = riskmodel.ScenarioSet(ens.probs, ens.responses[qoi], ens.alpha_level)
-    eta = riskmodel.var_threshold(s)
-    tn = riskmodel.normalize_hinge(s, eta)
-    truth = riskmodel.discrete_cvar(s)
+    s, tn, truth = _tail(ens, qoi)
     rng = np.random.default_rng(seed)
     if method == "mc":
-        est = riskmodel.mc_estimate_cvar(s, eta, budget, rng)
-        calls, rounds, restarts, failed = budget, 0, 0, False
+        est = riskmodel.mc_estimate_cvar(s, tn.eta, budget, rng)
+        calls, rounds = budget, 0
     elif method == "mliqae":
         cfg = mliqae.ControllerConfig(budget=budget, **(controller_overrides or {}))
         rep = mliqae.run(qsim.AnalyticOracle(tn.a), cfg, rng)
         est = riskmodel.cvar_from_amplitude(rep.a_hat, tn.eta, tn.q_max, ens.alpha_level)
-        calls, rounds, restarts, failed = (
-            rep.oracle_calls,
-            rep.rounds,
-            rep.restarts,
-            rep.failed,
-        )
+        calls, rounds = rep.oracle_calls, rep.rounds
     else:
         raise ValueError(f"unknown method {method!r}")
     return ResultRow(
@@ -158,14 +167,10 @@ def estimate_once(
         abs_err=abs(est - truth),
         oracle_calls=calls,
         rounds=rounds,
-        restarts=restarts,
-        failed=failed,
     )
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -189,56 +194,33 @@ def _workers() -> int:
 
 
 def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[list[ResultRow], list[tuple]]:
-    """Execute the sweep; returns (raw rows, aggregate tuples), both sorted.
+    """Execute the sweep; returns (raw rows, aggregate tuples), both sorted by (method, budget).
 
-    Worker count comes from the TAILAMP_WORKERS environment variable; the
-    output is sorted by (method, budget, repetition) regardless of
-    completion order, so parallel runs are byte-identical to serial ones.
+    Worker count comes from the TAILAMP_WORKERS environment variable, capped
+    by the cell count and the CPU count.  Cells are built in output order and
+    `map` keeps it, so parallel runs are byte-identical to serial ones.
     """
     workers = _workers()
     if ens is None:
-        ens = stochfem.build_scenario_ensemble(
-            cfg.benchmark,
-            cfg.n_scenarios,
-            cfg.seed,
-            alpha_level=cfg.alpha_level,
-            overrides=cfg.ensemble,
-        )
-    keys = [
-        (method, budget, rep)
-        for method in cfg.methods
+        ens = _build_ensemble(cfg)
+    cells = [
+        (ens, cfg.qoi, method, budget, run_seed(cfg.seed, method, budget, rep), cfg.controller)
+        for method in sorted(cfg.methods)
         for budget in cfg.budgets
         for rep in range(cfg.repetitions)
     ]
-    cells = [
-        (ens, cfg.qoi, method, budget, run_seed(cfg.seed, method, budget, rep), cfg.controller)
-        for method, budget, rep in keys
-    ]
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, cells, chunksize=4))
     else:
         rows = [_bench_cell(c) for c in cells]
-    keyed = sorted(zip(keys, rows), key=lambda kr: kr[0])
-    rows = [r for _, r in keyed]
     agg = []
-    for method in sorted(set(r.method for r in rows)):
-        for budget in sorted(set(r.budget for r in rows)):
-            errs = np.array([r.abs_err for r in rows if r.method == method and r.budget == budget])
-            fails = np.array([r.failed for r in rows if r.method == method and r.budget == budget])
-            if errs.size == 0:
-                continue
-            std = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
-            agg.append(
-                (
-                    method,
-                    budget,
-                    float(np.mean(errs)),
-                    float(np.median(errs)),
-                    std,
-                    float(np.mean(fails)),
-                )
-            )
+    # Distinct methods and strictly ascending budgets keep each cell's rows adjacent.
+    for (method, budget), group in itertools.groupby(rows, key=lambda r: (r.method, r.budget)):
+        errs = np.array([r.abs_err for r in group])
+        std = float(np.std(errs, ddof=1)) if errs.size > 1 else 0.0
+        agg.append((method, budget, float(np.mean(errs)), float(np.median(errs)), std))
     return rows, agg
 
 
@@ -266,15 +248,8 @@ def truth_sidecar(ens: stochfem.Ensemble) -> dict:
         "qois": {},
     }
     for name in stochfem.QOI_NAMES:
-        s = riskmodel.ScenarioSet(ens.probs, ens.responses[name], ens.alpha_level)
-        eta = riskmodel.var_threshold(s)
-        tn = riskmodel.normalize_hinge(s, eta)
-        out["qois"][name] = {
-            "eta": tn.eta,
-            "q_max": tn.q_max,
-            "a": tn.a,
-            "cvar": riskmodel.discrete_cvar(s),
-        }
+        _, tn, cvar = _tail(ens, name)
+        out["qois"][name] = {"eta": tn.eta, "q_max": tn.q_max, "a": tn.a, "cvar": cvar}
     return out
 
 
@@ -285,13 +260,7 @@ def _ensemble_paths(out_dir: str, benchmark: str, seed: int) -> tuple[str, str]:
 
 def cmd_generate(args) -> int:
     cfg = _config_from_args(args)
-    ens = stochfem.build_scenario_ensemble(
-        cfg.benchmark,
-        cfg.n_scenarios,
-        cfg.seed,
-        alpha_level=cfg.alpha_level,
-        overrides=cfg.ensemble,
-    )
+    ens = _build_ensemble(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ens_path, truth_path = _ensemble_paths(cfg.out_dir, cfg.benchmark, cfg.seed)
     stochfem.write_ensemble(ens_path, ens)

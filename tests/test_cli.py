@@ -155,6 +155,8 @@ class TestBenchConfig:
             ({"methods": 5}, "methods must be a nonempty list"),
             ({"methods": "mc"}, "methods must be a nonempty list"),
             ({"ensemble": [1]}, "ensemble must be a mapping"),
+            ({"budgets": [2000, 2000]}, "budgets must be nonempty and strictly ascending"),
+            ({"methods": ["mc", "mc"]}, "methods must be a nonempty list of distinct names"),
         ],
     )
     def test_rejects_wrong_field_types(self, fields, message):
@@ -173,27 +175,23 @@ class TestBenchConfig:
 
 class TestRunBench:
     def test_row_count_and_sort_order(self, small_ensemble):
-        cfg = BenchConfig(**TINY)
-        rows, agg = run_bench(cfg, ens=small_ensemble)
-        assert len(rows) == 2 * 2 * 3
-        keys = [(r.method, r.budget) for r in rows]
-        assert keys == sorted(keys)
-        assert len(agg) == 4
+        for methods in (("mc", "mliqae"), ("mliqae", "mc")):
+            rows, agg = run_bench(BenchConfig(**TINY, methods=methods), ens=small_ensemble)
+            assert len(rows) == 2 * 2 * 3
+            keys = [(r.method, r.budget) for r in rows]
+            assert keys == sorted(keys)
+            assert [rec[:2] for rec in agg] == sorted(set(keys))
 
     def test_aggregates_recompute_from_raw(self, small_ensemble):
         cfg = BenchConfig(**TINY)
         rows, agg = run_bench(cfg, ens=small_ensemble)
-        for method, budget, mean_err, med_err, std_err, fail_rate in agg:
+        for method, budget, mean_err, med_err, std_err in agg:
             errs = np.array(
                 [r.abs_err for r in rows if r.method == method and r.budget == budget]
-            )
-            fails = np.array(
-                [r.failed for r in rows if r.method == method and r.budget == budget]
             )
             assert mean_err == pytest.approx(float(np.mean(errs)), rel=1e-12)
             assert med_err == pytest.approx(float(np.median(errs)), rel=1e-12)
             assert std_err == pytest.approx(float(np.std(errs, ddof=1)), rel=1e-12)
-            assert fail_rate == pytest.approx(float(np.mean(fails)), abs=1e-15)
 
     def test_monte_carlo_error_shrinks_with_budget(self, small_ensemble):
         cfg = BenchConfig(
@@ -217,6 +215,32 @@ class TestRunBench:
         par_rows, par_agg = run_bench(cfg, ens=small_ensemble)
         assert [format_row(r) for r in par_rows] == [format_row(r) for r in serial_rows]
         assert par_agg == serial_agg
+
+    @pytest.mark.parametrize("cpus, started", [(64, [2]), (1, [])])
+    def test_worker_pool_is_capped_by_cells_and_cpus(self, small_ensemble, monkeypatch, cpus, started):
+        # A fake pool records its size and maps in-process, so no process starts.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv(cli.WORKERS_ENV, "1000000")
+        cfg = BenchConfig(**{**TINY, "budgets": (300,), "repetitions": 2, "methods": ("mc",)})
+        rows, _ = run_bench(cfg, ens=small_ensemble)
+        assert len(rows) == 2
+        assert sizes == started
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_worker_count_is_rejected_before_any_work(self, monkeypatch, value):
@@ -368,8 +392,9 @@ class TestCommands:
         raw = (tmp_path / "bar1d_compliance_raw.csv").read_text().splitlines()
         agg = (tmp_path / "bar1d_compliance_agg.csv").read_text().splitlines()
         # The raw header derives from ResultRow's fields; its bytes are pinned.
-        assert raw[0] == "method,qoi,budget,seed,cvar_est,cvar_true,abs_err,oracle_calls,rounds,restarts,failed"
+        assert raw[0] == "method,qoi,budget,seed,cvar_est,cvar_true,abs_err,oracle_calls,rounds"
         assert raw[0] == ",".join(RAW_COLUMNS)
+        assert agg[0] == "method,budget,mean_abs_err,median_abs_err,std_abs_err"
         assert agg[0] == ",".join(AGG_COLUMNS)
         assert len(raw) == 1 + 2 * 2 * 2
         assert len(agg) == 1 + 4
