@@ -4,14 +4,18 @@ The oracle A prepares sum_i sqrt(p_i) |i> (sqrt(1-g_i)|0> + sqrt(g_i)|1>)
 over an index register and one ancilla, so the probability of measuring the
 ancilla in |1> equals a = sum_i p_i g_i.  Grover amplification G = -A S_0
 A^dagger S_chi boosts that probability to sin^2((2k+1) theta) with
-a = sin^2(theta).  Everything here is exact linear algebra on the full
-statevector; it exists to certify the estimation pipeline, not to scale.
+a = sin^2(theta).  Everything here is exact linear algebra on the oracle's
+amplitudes; it exists to certify the estimation pipeline, not to scale.
 
 Two paths share the oracle amplitudes.  The complex gate path (StateVector,
 apply_oracle, apply_grover, the reflections and success_probability) is the
-reference.  StatevectorOracle, which the controller drives, runs the same
-iterate on real arrays: every amplitude of A|0> and of its iterates is real,
-so it keeps the ancilla-|0> and ancilla-|1> halves as two real vectors.
+reference: it runs every iterate on the full statevector, at O(N) each.
+StatevectorOracle, which the controller drives, uses the fact that
+amplification keeps A|0> in the real plane spanned by its ancilla-|0> and
+ancilla-|1> halves (Brassard, Hoyer, Mosca & Tapp 2002, Quantum amplitude
+amplification and estimation, Contemp. Math. 305): it builds the two halves
+once, in O(N), and then follows the state's two coordinates in that plane,
+at O(1) per iterate.
 """
 
 from __future__ import annotations
@@ -327,43 +331,31 @@ class AnalyticOracle:
         return analytic_success_probability(self.a, k)
 
 
-def _split_grover_iterate(x0: np.ndarray, x1: np.ndarray, b: np.ndarray, g: np.ndarray) -> None:
-    """One Grover iterate in place on a real state split by the ancilla.
-
-    (x0, x1) are the ancilla-|0> and ancilla-|1> halves of the state and
-    (b, g) those of psi = A|0>.  S_chi negates x1, I - 2|psi><psi| subtracts
-    c psi with c = 2 (b.x0 - g.x1), and the leading minus sign negates both
-    halves.
-    """
-    c = 2.0 * (np.dot(b, x0) - np.dot(g, x1))
-    x0 *= -1.0
-    x0 += c * b
-    x1 += c * g
-
-
 class StatevectorOracle:
-    """Measurement model backed by explicit Grover simulation.
+    """Measurement model backed by the oracle's statevector.
 
-    Keeps A|0> and the deepest state reached as real ancilla-|0> and
-    ancilla-|1> halves, and p(j) = |x1|^2 for every depth up to it: each new
-    depth costs one split iterate, a revisited one costs nothing.  The
-    complex apply_grover is the reference this path is tested against.
+    Grover iterates never leave the plane spanned by the ancilla-|0> half b
+    and the ancilla-|1> half g of A|0>: after k of them the state is
+    alpha_k b + beta_k g.  S_chi negates the g part, I - 2|psi><psi| subtracts
+    c psi with c = 2 (alpha |b|^2 - beta |g|^2), and the leading minus sign
+    negates the whole, so alpha <- c - alpha and beta <- beta + c from
+    alpha = beta = 1, and p(k) = beta_k^2 |g|^2.  Only |b|^2, |g|^2, the pair
+    and p(j) for every depth reached are kept: a new depth costs one scalar
+    step, a revisited one nothing.  The complex apply_grover is the
+    reference this path is tested against.
     """
 
     def __init__(self, spec: OracleSpec):
-        self.spec = spec
-        self._b, self._g = _oracle_halves(spec)
-        self._x0, self._x1 = self._b.copy(), self._g.copy()
-        self._probs = [float(np.dot(self._x1, self._x1))]
-
-    @property
-    def a(self) -> float:
-        return self.spec.amplitude
+        b, g = _oracle_halves(spec)
+        self._bb, self._gg = float(np.dot(b, b)), float(np.dot(g, g))
+        self._alpha, self._beta = 1.0, 1.0
+        self._probs = [self._gg]
 
     def success_probability(self, k: int) -> float:
         if k < 0:
             raise ValueError("iterate count must be nonnegative")
         while len(self._probs) <= k:
-            _split_grover_iterate(self._x0, self._x1, self._b, self._g)
-            self._probs.append(float(np.dot(self._x1, self._x1)))
+            c = 2.0 * (self._alpha * self._bb - self._beta * self._gg)
+            self._alpha, self._beta = c - self._alpha, self._beta + c
+            self._probs.append(self._beta * self._beta * self._gg)
         return self._probs[k]

@@ -74,12 +74,15 @@ def normalize_hinge(s: ScenarioSet, eta: float) -> TailNormalization:
     """Map responses through the hinge and rescale by the tail span.
 
     g_i = max(Q_i - eta, 0) / (Q_max - eta); a degenerate span (all mass at
-    or below eta) yields g = 0 identically and a = 0.
+    or below eta) yields g = 0 identically and a = 0.  Finite responses can
+    still lie so far apart that the span overflows, which raises ValueError.
     """
     q_max = float(np.max(s.responses))
     if q_max < eta:
         raise ValueError("threshold exceeds the largest response")
-    span = q_max - eta
+    span = q_max - float(eta)
+    if not np.isfinite(span):
+        raise ValueError(f"tail span q_max - eta overflows (q_max {q_max:g}, eta {eta:g})")
     if span > 0.0:
         gs = np.maximum(s.responses - eta, 0.0) / span
     else:

@@ -522,6 +522,31 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == ["error: probabilities must be finite"]
 
+    @pytest.mark.parametrize("method", ["mc", "mliqae"])
+    def test_overflowing_tail_span_in_the_ensemble_is_one_error_line(self, tmp_path, capsys, method):
+        rc = main(
+            ["generate", "--benchmark", "bar1d", "--n-scenarios", "8", "--alpha-level", "0.5",
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        ens_path = next(tmp_path.glob("*.ensemble.txt"))
+        lines = ens_path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("#"):
+                cells = line.split()
+                cells[2] = repr(1.7e308 if int(cells[0]) % 2 else -1.7e308)  # compliance
+                lines[i] = " ".join(cells)
+        ens_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["estimate", "--ensemble", str(ens_path), "--method", method, "--budget", "1000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: tail span q_max - eta overflows")
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

@@ -29,6 +29,26 @@ def example_spec() -> qsim.OracleSpec:
     return qsim.OracleSpec.from_angles(EXAMPLE_PROBS, EXAMPLE_ANGLES)
 
 
+def split_iterate_probabilities(spec: qsim.OracleSpec, depth: int) -> list[float]:
+    """p(0..depth) from Grover iterates on the real halves (x0, x1) of the state.
+
+    (b, g) are the ancilla-|0> and ancilla-|1> halves of psi = A|0>.  S_chi
+    negates x1, I - 2|psi><psi| subtracts c psi with c = 2 (b.x0 - g.x1), and
+    the leading minus sign negates both halves: O(N) per iterate, with no
+    use of the plane the state stays in.
+    """
+    b, g = qsim._oracle_halves(spec)
+    x0, x1 = b.copy(), g.copy()
+    out = [float(np.dot(x1, x1))]
+    for _ in range(depth):
+        c = 2.0 * (np.dot(b, x0) - np.dot(g, x1))
+        x0 *= -1.0
+        x0 += c * b
+        x1 += c * g
+        out.append(float(np.dot(x1, x1)))
+    return out
+
+
 def random_spec(rng: np.random.Generator, n_scenarios: int) -> qsim.OracleSpec:
     probs = rng.dirichlet(np.ones(n_scenarios))
     gs = rng.uniform(0.0, 1.0, size=n_scenarios)
@@ -260,25 +280,14 @@ class TestMeasurementModels:
                 an.success_probability(k), abs=1e-10
             )
 
-    def test_statevector_model_caches_incrementally(self, monkeypatch):
-        iterates = []
-        kernel = qsim._split_grover_iterate
-
-        def counting(x0, x1, b, g):
-            iterates.append(1)
-            kernel(x0, x1, b, g)
-
-        monkeypatch.setattr(qsim, "_split_grover_iterate", counting)
+    def test_statevector_model_caches_incrementally(self):
+        fresh = qsim.StatevectorOracle(example_spec())
+        in_order = [fresh.success_probability(k) for k in range(6)]
         sv = qsim.StatevectorOracle(example_spec())
-        p3 = sv.success_probability(3)
-        assert sum(iterates) == 3
-        p1 = sv.success_probability(1)
-        assert sum(iterates) == 3
-        assert sv.success_probability(3) == p3
-        assert sv.success_probability(1) == p1
-        assert sum(iterates) == 3
-        sv.success_probability(5)
-        assert sum(iterates) == 5
+        depths = (3, 1, 3, 1, 5)
+        got = [sv.success_probability(k) for k in depths]
+        assert got[2] is got[0] and got[3] is got[1]
+        assert got == [in_order[k] for k in depths]
 
     def test_statevector_model_follows_closed_form_to_depth_40(self):
         rng = np.random.default_rng(29)
@@ -302,13 +311,26 @@ class TestMeasurementModels:
         assert qsim.oracle_gates(spec)[0][0] == loading
         sv = qsim.StatevectorOracle(spec)
         psi = qsim.build_oracle_state(spec)
-        for k in range(401):
+        for k, split in enumerate(split_iterate_probabilities(spec, 400)):
             want = qsim.success_probability(qsim.apply_grover(psi, spec, k))
+            assert split == pytest.approx(want, rel=0, abs=1e-12)
             assert sv.success_probability(k) == pytest.approx(want, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("budget", [4_000, 32_000])
-    def test_statevector_model_drives_the_same_runs_as_the_closed_form(self, budget):
-        ens = stochfem.build_scenario_ensemble("bar1d", 1024, 1)
+    def test_recurrence_follows_the_split_iterate_to_depth_4000(self):
+        rng = np.random.default_rng(31)
+        spec = qsim.OracleSpec(rng.dirichlet(np.ones(1024)), rng.uniform(0.0, 0.05, 1024))
+        assert qsim.oracle_gates(spec)[0][0] == "tree"
+        sv = qsim.StatevectorOracle(spec)
+        for k, split in enumerate(split_iterate_probabilities(spec, 4000)):
+            assert sv.success_probability(k) == pytest.approx(split, rel=0, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "n_scenarios, budget",
+        [(1024, 4_000), (1024, 32_000), (16_384, 64_000)],
+        ids=["4000", "32000", "16384-64000"],
+    )
+    def test_statevector_model_drives_the_same_runs_as_the_closed_form(self, n_scenarios, budget):
+        ens = stochfem.build_scenario_ensemble("bar1d", n_scenarios, 1)
         s = riskmodel.ScenarioSet(ens.probs, ens.responses["compliance"], ens.alpha_level)
         spec = riskmodel.to_oracle_spec(s, riskmodel.normalize_hinge(s, riskmodel.var_threshold(s)))
         cfg = mliqae.ControllerConfig(budget=budget)

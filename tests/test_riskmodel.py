@@ -104,6 +104,11 @@ class TestNormalizeHinge:
         with pytest.raises(ValueError):
             normalize_hinge(s, 2.0)
 
+    def test_rejects_a_span_that_overflows(self):
+        s = ScenarioSet(np.full(4, 0.25), np.array([-1.7e308, 1.7e308, -1.7e308, 1.7e308]), 0.5)
+        with pytest.raises(ValueError, match="tail span"):
+            normalize_hinge(s, var_threshold(s))
+
     def test_responses_bounded_after_normalization(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
