@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from tailamp.intervals import theta_preimage
-from tailamp.mliqae import InferenceState, constrained_mle, select_depth, update_feasible
+from tailamp.mliqae import ControllerConfig, InferenceState, constrained_mle, select_depth, update_feasible
 from tailamp.qsim import (
     OracleSpec,
     apply_grover,
@@ -80,7 +80,8 @@ def main():
     update_feasible(pooled, delta)
     lo, hi = pooled.feasible
     print(f"controller's pooled likelihood set after k=0: [{lo:.5f}, {hi:.5f}]")
-    print(f"controller's next order (deepest on one flank): k={select_depth(pooled)}")
+    k_next = select_depth(pooled, ControllerConfig(budget=32_000))
+    print(f"controller's next order (deepest on one flank): k={k_next}")
 
     theta_hat, a_hat = constrained_mle(feasible, order_totals(batches))
     print(f"constrained MLE: theta = {theta_hat:.6f}, a = {a_hat:.6f}"

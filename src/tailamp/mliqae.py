@@ -16,15 +16,18 @@ of Grinko et al. 2021, npj Quantum Inf. 7:52), so every later set, which
 lies inside that one, stays on one flank of every counted order.  The
 likelihood is concave there, and the set is one interval, kept as a
 (lo, hi) pair; the ledger keeps one stats.RoundRecord per batch.  The
+set's width and the unspent budget are the only bounds on the order: no
+depth cap applies, since the set is valid at every depth, and a run
+without a precision target spends its budget to the last call.  The
 per-batch update reads the totals once as per-order rows of Python floats
 (OrderTotals.rows) and runs on them through the scalar kernels of stats:
 with one to a few dozen orders, numpy's per-call overhead would cost more
 than the arithmetic.
 
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
-the module constants: the depth cap _K_MAX, the shot rule's _M_MIN, _M_MAX,
-_RESERVE_FLOOR and _RESERVE_BASE, and the update's _MLE_BRACKET, _CUT_NUDGE
-and _CHORD_SIGMAS.
+the module constants: the shot rule's _M_MIN, _M_MAX, _RESERVE_FLOOR and
+_RESERVE_BASE, and the update's _MLE_BRACKET, _CUT_NUDGE and _CHORD_SIGMAS.
+The depth rule has no constant of its own.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup 
 _NEWTON_MAX_STEPS = 100
 
 # Policy of the loop: the validated operating point, the same for every run.
-_K_MAX = 64
 _M_MIN = 50
 _M_MAX = 1100
 _RESERVE_FLOOR = 10  # pacing horizon R_t = max(floor, base - t) rounds at round t
@@ -256,21 +258,25 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     return cut
 
 
-def select_depth(state: InferenceState) -> int:
+def select_depth(state: InferenceState, cfg: ControllerConfig) -> int:
     """Amplification order for the next round: the deepest single-flank order.
 
-    The largest k <= _K_MAX whose scaled feasible hull (2k+1) [lo, hi] lies
-    within one half-period of sin^2, so the amplified response is monotone
-    over every angle still feasible (the depth rule of Grinko et al. 2021,
-    npj Quantum Inf. 7:52).  Order 0 always qualifies; the full domain,
-    before the first batch, admits no deeper order.  Deeper amplification is
-    what buys information faster than flat sampling: the per-call Fisher
-    information grows linearly with the order.
+    The largest k whose scaled feasible hull (2k+1) [lo, hi] lies within one
+    half-period of sin^2, so the amplified response is monotone over every
+    angle still feasible (the depth rule of Grinko et al. 2021, npj Quantum
+    Inf. 7:52), among the orders whose single shot, 2k+1 oracle calls, the
+    rest of the budget can pay for.  No constant caps k.  Order 0 always
+    qualifies; the full domain, before the first batch, admits no deeper
+    order, and a zero-width hull admits every affordable one.  Deeper
+    amplification is what buys information faster than flat sampling: the
+    per-call Fisher information grows linearly with the order.
     """
     lo, hi = state.feasible
-    # No order with (2k+1) (hi - lo) > pi/2 qualifies, and every k from
-    # pi / (4 (hi - lo)) + 1 up has (2k+1) (hi - lo) > pi/2 + (hi - lo).
-    start = min(_K_MAX, math.floor(math.pi / (4.0 * (hi - lo))) + 1) if hi > lo else _K_MAX
+    start = (cfg.budget - state.spent - 1) // 2
+    if hi > lo:
+        # No order with (2k+1) (hi - lo) > pi/2 qualifies, and every k from
+        # pi / (4 (hi - lo)) + 1 up has (2k+1) (hi - lo) > pi/2 + (hi - lo).
+        start = min(start, math.floor(math.pi / (4.0 * (hi - lo))) + 1)
     for k in range(start, 0, -1):
         if math.floor((2 * k + 1) * lo / _HALF_PI) == math.floor((2 * k + 1) * hi / _HALF_PI):
             return k
@@ -307,7 +313,7 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
             lo, hi = state.feasible
             if 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
                 break
-        k = select_depth(state)
+        k = select_depth(state, cfg)
         m = select_shots(state, cfg, k)
         if m == 0:
             break

@@ -76,6 +76,8 @@ def normalize_hinge(s: ScenarioSet, eta: float) -> TailNormalization:
     g_i = max(Q_i - eta, 0) / (Q_max - eta); a degenerate span (all mass at
     or below eta) yields g = 0 identically and a = 0.  Finite responses can
     still lie so far apart that the span overflows, which raises ValueError.
+    Here and in the CVaR sums below the hinge is max(Q_i, eta) - eta: the
+    same values, with no overflow for responses far below eta.
     """
     q_max = float(np.max(s.responses))
     if q_max < eta:
@@ -84,7 +86,7 @@ def normalize_hinge(s: ScenarioSet, eta: float) -> TailNormalization:
     if not np.isfinite(span):
         raise ValueError(f"tail span q_max - eta overflows (q_max {q_max:g}, eta {eta:g})")
     if span > 0.0:
-        gs = np.maximum(s.responses - eta, 0.0) / span
+        gs = (np.maximum(s.responses, eta) - eta) / span
     else:
         gs = np.zeros_like(s.responses)
     a = float(np.dot(s.probs, gs))
@@ -108,7 +110,7 @@ def discrete_cvar(s: ScenarioSet) -> float:
     exact amplitude.
     """
     eta = var_threshold(s)
-    hinge = np.maximum(s.responses - eta, 0.0)
+    hinge = np.maximum(s.responses, eta) - eta
     return eta + float(np.dot(s.probs, hinge)) / (1.0 - s.alpha_level)
 
 
@@ -124,7 +126,7 @@ def mc_estimate_cvar(
     if n_samples < 1:
         raise ValueError("need at least one sample")
     idx = rng.choice(s.responses.size, size=n_samples, p=s.probs)
-    hinge_mean = float(np.mean(np.maximum(s.responses[idx] - eta, 0.0)))
+    hinge_mean = float(np.mean(np.maximum(s.responses[idx], eta) - eta))
     return eta + hinge_mean / (1.0 - s.alpha_level)
 
 

@@ -41,6 +41,11 @@ ROUND_B = RoundRecord(k=1, m=1000, h=998)
 ROUND_C = RoundRecord(k=3, m=1000, h=341)
 THETA_TRUE = math.asin(math.sqrt(0.2625))
 
+# A fresh state under this contract can afford one shot at any order up to
+# (8193 - 1) // 2 = 4096, so the depth scans below stop there.
+DEEP = ControllerConfig(budget=8193)
+DEEP_K = 4096
+
 
 def loglik(theta, rounds) -> np.ndarray:
     return log_likelihood_terms(np.atleast_1d(np.asarray(theta, dtype=float)), *order_totals(rounds))
@@ -66,7 +71,7 @@ def add_batch(state: InferenceState, rec: RoundRecord, delta_tot: float = 0.05) 
 def two_round_state() -> InferenceState:
     state = InferenceState.initial()
     add_batch(state, ROUND_A)
-    assert select_depth(state) == ROUND_C.k
+    assert select_depth(state, DEEP) == ROUND_C.k
     add_batch(state, ROUND_C)
     return state
 
@@ -106,6 +111,14 @@ def in_single_flank(theta_lo: float, theta_hi: float, k: int) -> bool:
     omega = 2 * k + 1
     half = math.pi / 2.0
     return math.floor(omega * theta_lo / half) == math.floor(omega * theta_hi / half)
+
+
+def deepest_single_flank(theta_lo: float, theta_hi: float, k_max: int) -> int:
+    """Brute force: the largest k <= k_max that in_single_flank accepts."""
+    omega = 2.0 * np.arange(k_max + 1) + 1.0
+    half = math.pi / 2.0
+    flank = np.floor(omega * theta_lo / half) == np.floor(omega * theta_hi / half)
+    return int(np.flatnonzero(flank)[-1])
 
 
 class TestControllerConfig:
@@ -200,16 +213,20 @@ class TestSelectDepth:
         # at every k >= 1.
         state = InferenceState.initial()
         state.feasible = (0.30, 0.90)
-        assert not any(in_single_flank(0.30, 0.90, k) for k in range(1, mliqae._K_MAX + 1))
-        assert select_depth(state) == 0
+        assert deepest_single_flank(0.30, 0.90, DEEP_K) == 0
+        assert select_depth(state, DEEP) == 0
 
     def test_no_estimate_defaults_to_zero(self):
-        assert select_depth(InferenceState.initial()) == 0
+        assert select_depth(InferenceState.initial(), DEEP) == 0
 
-    def test_point_hull_scans_from_the_cap(self):
-        # A zero-width hull has no width bound; off a turning point every
-        # order is single-flank, so the cap itself is chosen.
-        assert select_depth(InferenceState(feasible=(0.5, 0.5))) == mliqae._K_MAX
+    def test_point_hull_scans_from_the_remainder_bound(self):
+        # A zero-width hull has no width bound and every order is
+        # single-flank over it, so the deepest order one shot of which the
+        # rest of the budget affords is chosen, down to order 0 when even
+        # that shot is unaffordable.
+        for spent, k in ((0, DEEP_K), (8000, 96), (8190, 1), (8191, 0), (8192, 0), (8193, 0)):
+            state = InferenceState(feasible=(0.5, 0.5), spent=spent)
+            assert select_depth(state, DEEP) == k
 
     def test_is_the_deepest_single_flank_order(self):
         # Brute force over every order on random hulls, from the full domain
@@ -223,8 +240,7 @@ class TestSelectDepth:
             hulls.append((union.components[0][0], union.components[-1][1]))
         for lo, hi in hulls:
             state = InferenceState(feasible=(lo, hi))
-            deepest = max(k for k in range(mliqae._K_MAX + 1) if in_single_flank(lo, hi, k))
-            assert select_depth(state) == deepest
+            assert select_depth(state, DEEP) == deepest_single_flank(lo, hi, DEEP_K)
 
     def test_positive_depth_is_always_single_flank(self):
         rng = np.random.default_rng(12)
@@ -235,7 +251,7 @@ class TestSelectDepth:
             hi = min(math.pi / 2 - 1e-6, theta + 0.5 * width)
             state = InferenceState.initial()
             state.feasible = (lo, hi)
-            k = select_depth(state)
+            k = select_depth(state, DEEP)
             if k > 0:
                 assert in_single_flank(lo, hi, k)
 
@@ -249,7 +265,7 @@ class TestUpdateFeasible:
         add_batch(state, ROUND_A)
         after_a = state.feasible
         lo, hi = after_a
-        assert lo < math.pi / 6 < hi and select_depth(state) != ROUND_B.k
+        assert lo < math.pi / 6 < hi and select_depth(state, DEEP) != ROUND_B.k
         with pytest.raises(ValueError, match="singular"):
             add_batch(state, ROUND_B)
         # Without a failure at order 1, pi/6 is no singular angle, and pi/3
@@ -286,7 +302,7 @@ class TestUpdateFeasible:
             state = InferenceState.initial()
             for m, h in batches:
                 before = state.feasible
-                state.totals.add(RoundRecord(k=select_depth(state), m=m, h=h))
+                state.totals.add(RoundRecord(k=select_depth(state, DEEP), m=m, h=h))
                 cut = update_feasible(state, 0.05)
             grid = np.linspace(*before, 200_001)
             above = grid[log_likelihood_terms(grid, *state.totals.arrays) >= cut]
@@ -300,7 +316,7 @@ class TestUpdateFeasible:
             state = InferenceState.initial()
             last = measure(state.feasible)
             for _ in range(8):
-                k = select_depth(state)
+                k = select_depth(state, DEEP)
                 h = int(rng.binomial(400, oracle.success_probability(k)))
                 add_batch(state, RoundRecord(k=k, m=400, h=h))
                 now = measure(state.feasible)
@@ -403,7 +419,7 @@ class TestNoRecovery:
         assert not report.feasible.is_empty
         assert report.feasible.contains(report.theta_hat)
         assert report.theta_bounds[0] <= report.theta_hat <= report.theta_bounds[1]
-        assert 0 <= budget - report.oracle_calls < 2 * mliqae._K_MAX + 1
+        assert report.oracle_calls == budget
 
     def test_million_shot_self_contradicting_run_ends_cleanly(self):
         # The loop never nests a recovery inside a batch, so even the largest
@@ -413,7 +429,7 @@ class TestNoRecovery:
         assert not report.failed and report.restarts == 0
         assert report.feasible.contains(report.theta_hat)
         assert report.rounds == len(report.ledger)
-        assert 0 <= budget - report.oracle_calls < 2 * mliqae._K_MAX + 1
+        assert report.oracle_calls == budget
 
     def test_contradictory_batch_mid_run_is_kept_and_the_run_carries_on(self):
         # The second batch reports no success against an honest first batch
@@ -429,7 +445,7 @@ class TestNoRecovery:
             assert not report.feasible.is_empty
             assert report.feasible.contains(report.theta_hat)
             assert report.oracle_calls == sum(b.cost for b in report.ledger)
-            assert 0 <= budget - report.oracle_calls < 2 * mliqae._K_MAX + 1
+            assert report.oracle_calls == budget
 
     def test_unit_amplitude_width_shrinks_with_budget(self):
         # Pooling every batch keeps tightening the set at the saturated edge;
@@ -448,11 +464,12 @@ class TestNoRecovery:
 
 class TestRun:
     def test_spends_within_budget(self):
-        for budget in (300, 2000, 16_000):
+        # Without a precision target a run spends its budget to the last call.
+        for budget in (1, 300, 2000, 16_000):
             for a in (0.05, 0.2625, 0.9):
                 cfg = ControllerConfig(budget=budget)
                 report = run(AnalyticOracle(a), cfg, np.random.default_rng(17))
-                assert report.oracle_calls <= budget
+                assert report.oracle_calls == budget
                 assert report.oracle_calls == sum(b.cost for b in report.ledger)
 
     def test_identical_seeds_give_identical_reports(self):
@@ -473,17 +490,35 @@ class TestRun:
 
     def test_each_batch_runs_at_the_deepest_single_flank_order_before_it(self):
         # Replay each ledger through update_feasible: every batch's order is
-        # the deepest one whose scaled hull, before the batch, lies on one flank.
+        # the deepest one whose scaled hull, before the batch, lies on one
+        # flank, among those one shot of which the rest of the budget
+        # affords.  A single-flank order has omega (hi - lo) < pi/2, so the
+        # brute-force scan stops at k = pi / (4 (hi - lo)).
+        budget = 64_000
         for a, seed in ((0.0, 1), (0.015, 2), (0.1, 5), (0.2625, 7), (0.7, 13), (1.0, 3)):
-            report = run(AnalyticOracle(a), ControllerConfig(budget=64_000), np.random.default_rng(seed))
+            report = run(AnalyticOracle(a), ControllerConfig(budget=budget), np.random.default_rng(seed))
             state = InferenceState.initial()
             for batch in report.ledger:
                 lo, hi = state.feasible
-                assert batch.k == max(k for k in range(mliqae._K_MAX + 1) if in_single_flank(lo, hi, k))
+                k_max = (budget - state.spent - 1) // 2
+                if hi > lo:
+                    k_max = min(k_max, math.ceil(math.pi / (4.0 * (hi - lo))))
+                assert batch.k == deepest_single_flank(lo, hi, k_max)
                 state.totals.add(batch)
+                state.spent += batch.cost
                 update_feasible(state, 0.05)
             assert IntervalUnion([state.feasible]) == report.feasible
             assert max(b.k for b in report.ledger) > 0
+
+    def test_huge_budgets_end_in_a_few_rounds(self):
+        # Only the set's width and the remaining budget bound the order, so
+        # the order grows with the budget and the round count barely does.
+        for a, budget in ((0.0, 10**10), (0.015, 10**10), (1.0, 10**10), (0.015, 10**12)):
+            report = run(AnalyticOracle(a), ControllerConfig(budget=budget), np.random.default_rng(4))
+            assert report.rounds <= 30
+            assert report.oracle_calls == budget
+            assert report.feasible.contains(math.asin(math.sqrt(a)), tol=1e-12)
+            assert report.a_bounds[0] <= a <= report.a_bounds[1]
 
     def test_target_half_width_stops_early(self):
         cfg = ControllerConfig(budget=1_000_000, epsilon_a=0.02)
@@ -532,36 +567,37 @@ class TestRun:
 # Decision-equivalence gate.  The (kind, k, m, h) ledgers of this seeded grid
 # and the estimates below were first recorded with the golden-section MLE and
 # the hand-rolled inverse beta that the Newton refinement and scipy's
-# betaincinv replaced, and re-recorded three times since: when the low-depth
+# betaincinv replaced, and re-recorded four times since: when the low-depth
 # sweep and the saturation back-off were deleted, when the pooled likelihood
-# set replaced the intersection of per-batch bands, and when the deepest
-# single-flank order replaced the depth ladder.  Any change meant to keep
-# the controller's decisions must keep the digest, and the estimates to 1e-8.
-# The budgets reach every branch of select_shots: 300 runs at the _M_MIN
-# floor and spends its last shots at the affordable remainder, and 256k runs
-# past round 20, where the pacing horizon bottoms out at _RESERVE_FLOOR, and
-# hits the _M_MAX clamp.
+# set replaced the intersection of per-batch bands, when the deepest
+# single-flank order replaced the depth ladder, and when the depth cap of
+# k <= 64 was deleted.  Any change meant to keep the controller's decisions
+# must keep the digest, and the estimates to 1e-8.  The budgets reach the
+# shot rule's _M_MIN floor and its affordable remainder (300, and the last
+# batches of every run) and its _M_MAX clamp (64k and 256k).  No run here
+# lasts the 19 rounds after which the pacing horizon bottoms out at
+# _RESERVE_FLOOR.
 EQUIV_AMPLITUDES = (0.0, 0.015, 0.2625, 0.9999, 1.0)
 EQUIV_BUDGETS = (300, 4000, 64000, 256000)
 EQUIV_SEEDS = 3
-EQUIV_DIGEST = "eabc0789ab5e1c4273ab7deacfd39df29a6058cb115092bbda562549bbd2c1c6"
+EQUIV_DIGEST = "e7e1e03b15a0a165139659c5d58401c6b703e9652d920ac27ec20c85095e81fd"
 EQUIV_A_HAT = {
     (0.0, 300): (1e-24,) * 3,
     (0.0, 4000): (1e-24,) * 3,
     (0.0, 64000): (1e-24,) * 3,
     (0.0, 256000): (1e-24,) * 3,
     (0.015, 300): (0.015498109665615736, 0.015498109665615736, 0.010427080143885652),
-    (0.015, 4000): (0.015288082303720895, 0.015088278102094732, 0.015688971757630617),
-    (0.015, 64000): (0.014969178292667031, 0.015011467101930232, 0.015024103991903615),
-    (0.015, 256000): (0.014967149322048874, 0.015005787354288112, 0.014979360718122892),
+    (0.015, 4000): (0.015286622257845087, 0.01509795578640146, 0.01569138283374016),
+    (0.015, 64000): (0.014993074449898603, 0.014986161606902476, 0.014983754335258965),
+    (0.015, 256000): (0.014985253995919346, 0.014994500662258709, 0.014993340624428595),
     (0.2625, 300): (0.25333333333333324, 0.2799999999999999, 0.2700000000000001),
-    (0.2625, 4000): (0.26085783297497855, 0.26310027144139014, 0.2616690134451292),
-    (0.2625, 64000): (0.2626796390038805, 0.2624692822064463, 0.26256591168490784),
-    (0.2625, 256000): (0.26251467627699243, 0.2624418150043429, 0.2624394491276323),
+    (0.2625, 4000): (0.26088619517115136, 0.2629640562340124, 0.26177975849141877),
+    (0.2625, 64000): (0.2626035245469532, 0.2625763766895372, 0.2624951439243617),
+    (0.2625, 256000): (0.26255156312827704, 0.26251004090782704, 0.2625115286640491),
     (0.9999, 300): (1.0,) * 3,
-    (0.9999, 4000): (0.9999157627507188, 0.9999285906046648, 0.9999069756938211),
-    (0.9999, 64000): (0.9999003873541554, 0.9998998716804475, 0.9998993886662203),
-    (0.9999, 256000): (0.9998992171526884, 0.9998980919676005, 0.999897904690038),
+    (0.9999, 4000): (0.9999184702407, 0.9999286563111338, 0.9999070627137049),
+    (0.9999, 64000): (0.9999002537408774, 0.9999011292078066, 0.9998973990642458),
+    (0.9999, 256000): (0.9999002924961724, 0.9999013086151393, 0.9999001074134228),
     (1.0, 300): (1.0,) * 3,
     (1.0, 4000): (1.0,) * 3,
     (1.0, 64000): (1.0,) * 3,

@@ -119,6 +119,27 @@ class TestNormalizeHinge:
             assert 0.0 <= tn.a <= 1.0
 
 
+class TestResponsesFarBelowTheThreshold:
+    # Q - eta overflows for these lower responses, though the hinge of each
+    # is an exact 0; the top response is eta itself, then 2e307 above it.
+    # Eight draws keep the Monte Carlo hinge sum below the float maximum.
+    @pytest.mark.parametrize("top", [1e308, 1.2e308])
+    def test_hinge_is_exact_without_overflow(self, top):
+        s = ScenarioSet(np.full(8, 0.125), np.array([-1.7e308] * 3 + [1e308] * 4 + [top]), 0.5)
+        with np.errstate(over="raise"):
+            eta = var_threshold(s)
+            tn = normalize_hinge(s, eta)
+            cvar = discrete_cvar(s)
+            mc = mc_estimate_cvar(s, eta, 8, np.random.default_rng(3))
+        span = top - eta
+        assert eta == 1e308
+        assert tn.gs.tolist() == [0.0] * 7 + [1.0 if span > 0.0 else 0.0]
+        assert tn.a == (0.125 if span > 0.0 else 0.0)
+        assert cvar == eta + 0.125 * span / 0.5
+        assert cvar == pytest.approx(cvar_from_amplitude(tn.a, eta, tn.q_max, 0.5), rel=1e-15)
+        assert eta <= mc <= eta + span / 0.5
+
+
 class TestCvarMaps:
     def test_zero_amplitude_returns_threshold(self):
         assert cvar_from_amplitude(0.0, 3.5, 9.0, 0.95) == 3.5
