@@ -25,9 +25,9 @@ with one to a few dozen orders, numpy's per-call overhead would cost more
 than the arithmetic.
 
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
-the module constants: the shot rule's _M_MIN, _M_MAX, _RESERVE_FLOOR and
-_RESERVE_BASE, and the update's _MLE_BRACKET, _CUT_NUDGE and _CHORD_SIGMAS.
-The depth rule has no constant of its own.
+the module constants: the shot rule's _M_MIN and _HORIZON, and the update's
+_MLE_BRACKET, _CUT_NUDGE and _CHORD_SIGMAS.  The depth rule has no constant
+of its own.
 """
 
 from __future__ import annotations
@@ -58,10 +58,8 @@ from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup 
 _NEWTON_MAX_STEPS = 100
 
 # Policy of the loop: the validated operating point, the same for every run.
-_M_MIN = 50
-_M_MAX = 1100
-_RESERVE_FLOOR = 10  # pacing horizon R_t = max(floor, base - t) rounds at round t
-_RESERVE_BASE = 28
+_M_MIN = 50  # fewest shots per batch while the remainder affords them
+_HORIZON = 28  # each batch takes 1/_HORIZON of the shots the remainder affords
 _MLE_BRACKET = 1e-10  # Newton stops once its step or bracket is this narrow
 _CUT_NUDGE = 1e-12  # relative inset of a piece edge from a singular angle
 _CHORD_SIGMAS = 1.5  # the likelihood integral is bounded on theta_hat +- this / sqrt(info)
@@ -286,19 +284,13 @@ def select_depth(state: InferenceState, cfg: ControllerConfig) -> int:
 def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
     """Batch size for the next round at amplification order k.
 
-    The pacing bound spreads what remains of the budget over a horizon of
-    rounds that shrinks by one each round down to _RESERVE_FLOOR, clamped to
-    [_M_MIN, _M_MAX].  When even _M_MIN is unaffordable the whole remainder
-    is spent; zero means the budget is exhausted.
+    A fixed share 1/_HORIZON of the shots the rest of the budget affords at
+    order k, at least _M_MIN, and never more than the remainder affords.
+    The depth rule only picks orders one shot of which the remainder can pay
+    for, so zero means the budget is exhausted.
     """
-    cost_per_shot = 2 * k + 1
-    remaining = cfg.budget - state.spent
-    if remaining < cost_per_shot:
-        return 0
-    horizon = max(_RESERVE_FLOOR, _RESERVE_BASE - (len(state.ledger) + 1))
-    m = max(_M_MIN, min(int(remaining / (cost_per_shot * horizon)), _M_MAX))
-    affordable = remaining // cost_per_shot
-    return int(min(m, affordable))
+    affordable = (cfg.budget - state.spent) // (2 * k + 1)
+    return int(min(max(_M_MIN, affordable // _HORIZON), affordable))
 
 
 def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateReport:
@@ -308,15 +300,13 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
     closed-form and the statevector-backed models satisfy it.
     """
     state = InferenceState.initial()
-    while True:
+    while state.spent < cfg.budget:
         if cfg.epsilon_a > 0.0 and state.theta_hat is not None:
             lo, hi = state.feasible
             if 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
                 break
         k = select_depth(state, cfg)
         m = select_shots(state, cfg, k)
-        if m == 0:
-            break
         entry = RoundRecord(k=k, m=m, h=sample_shots(oracle.success_probability(k), m, rng))
         state.ledger.append(entry)
         state.totals.add(entry)

@@ -547,6 +547,41 @@ class TestCommands:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: tail span q_max - eta overflows")
 
+    @pytest.mark.parametrize("method", ["mc", "mliqae"])
+    @pytest.mark.parametrize("budget", [10**21, 10**23])
+    def test_budget_beyond_a_64_bit_draw_is_one_error_line(self, tmp_path, capsys, method, budget):
+        # MC's index draw and the controller's first batch of budget // 28
+        # shots both pass the count to numpy as a C long.
+        ens_path, _ = self.generate(tmp_path)
+        capsys.readouterr()
+        rc = main(["estimate", "--ensemble", str(ens_path), "--method", method, "--budget", str(budget)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 745. GiB"), "error: Unable to allocate 745. GiB"),
+            (MemoryError(), "error: MemoryError"),
+        ],
+    )
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch, exc, line):
+        ens_path, _ = self.generate(tmp_path)
+
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(riskmodel, "mc_estimate_cvar", exhausted)
+        capsys.readouterr()
+        rc = main(["estimate", "--ensemble", str(ens_path), "--method", "mc", "--budget", "100"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [line]
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

@@ -172,22 +172,24 @@ class TestControllerConfig:
 
 class TestSelectShots:
     def test_pacing_bound_binds_early(self):
-        # The pacing bound 10000 / (1 * 27) = 370.4 lies between _M_MIN and
-        # _M_MAX.
+        # A share of 10000 // 28 = 357 shots lies above _M_MIN.
         state = InferenceState.initial()
         cfg = ControllerConfig(budget=10_000)
-        assert select_shots(state, cfg, 0) == 370
+        assert select_shots(state, cfg, 0) == 357
 
     def test_tiny_budget_spends_everything(self):
         state = InferenceState.initial()
         cfg = ControllerConfig(budget=16)
         assert select_shots(state, cfg, 0) == 16
 
-    def test_clamp_binds_for_large_budget_late_round(self):
-        state = InferenceState.initial()
-        state.ledger = [RoundRecord(k=0, m=1, h=0)] * 29
+    def test_share_does_not_depend_on_the_round(self):
+        # 1e6 // (5 * 28) = 7142 shots at order 2, at the first round and
+        # after 29 batches alike: no cap and no shrinking horizon.
         cfg = ControllerConfig(budget=1_000_000)
-        assert select_shots(state, cfg, 2) == mliqae._M_MAX
+        for rounds in (0, 29):
+            state = InferenceState.initial()
+            state.ledger = [RoundRecord(k=0, m=1, h=0)] * rounds
+            assert select_shots(state, cfg, 2) == 7142
 
     def test_zero_when_one_shot_is_unaffordable(self):
         state = InferenceState.initial()
@@ -200,7 +202,6 @@ class TestSelectShots:
         cfg = ControllerConfig(budget=50_000)
         for _ in range(200):
             state = InferenceState.initial()
-            state.ledger = [RoundRecord(k=0, m=1, h=0)] * int(rng.integers(0, 40))
             state.spent = int(rng.integers(0, cfg.budget))
             k = int(rng.integers(0, 12))
             m = select_shots(state, cfg, k)
@@ -520,6 +521,18 @@ class TestRun:
             assert report.feasible.contains(math.asin(math.sqrt(a)), tol=1e-12)
             assert report.a_bounds[0] <= a <= report.a_bounds[1]
 
+    def test_shot_floor_keeps_runs_short(self):
+        # _M_MIN buys wall time, not accuracy: without it (_M_MIN = 1) the
+        # late batches shrink to a few shots each, and the longest run at
+        # each amplitude of this grid lasts 34-107 rounds instead of 7-17.
+        for a in (0.0, 0.015, 0.2625, 0.5, 0.9, 0.9999, 1.0):
+            for budget in (300, 2000, 4000, 16_000, 64_000, 256_000, 10**6, 10**7):
+                for rep in range(3):
+                    rng = np.random.default_rng(run_seed(0, "mliqae", budget, rep))
+                    report = run(AnalyticOracle(a), ControllerConfig(budget=budget), rng)
+                    assert report.rounds <= 20
+                    assert report.oracle_calls == budget
+
     def test_target_half_width_stops_early(self):
         cfg = ControllerConfig(budget=1_000_000, epsilon_a=0.02)
         report = run(AnalyticOracle(0.3), cfg, np.random.default_rng(3))
@@ -567,37 +580,36 @@ class TestRun:
 # Decision-equivalence gate.  The (kind, k, m, h) ledgers of this seeded grid
 # and the estimates below were first recorded with the golden-section MLE and
 # the hand-rolled inverse beta that the Newton refinement and scipy's
-# betaincinv replaced, and re-recorded four times since: when the low-depth
+# betaincinv replaced, and re-recorded five times since: when the low-depth
 # sweep and the saturation back-off were deleted, when the pooled likelihood
 # set replaced the intersection of per-batch bands, when the deepest
-# single-flank order replaced the depth ladder, and when the depth cap of
-# k <= 64 was deleted.  Any change meant to keep the controller's decisions
-# must keep the digest, and the estimates to 1e-8.  The budgets reach the
-# shot rule's _M_MIN floor and its affordable remainder (300, and the last
-# batches of every run) and its _M_MAX clamp (64k and 256k).  No run here
-# lasts the 19 rounds after which the pacing horizon bottoms out at
-# _RESERVE_FLOOR.
+# single-flank order replaced the depth ladder, when the depth cap of
+# k <= 64 was deleted, and when the shot rule became one fixed share of the
+# remainder.  Any change meant to keep the controller's decisions must keep
+# the digest, and the estimates to 1e-8.  Every budget reaches the shot
+# rule's _M_MIN floor in its late batches and its affordable remainder in its
+# last; all but 300 also reach its 1/_HORIZON share.
 EQUIV_AMPLITUDES = (0.0, 0.015, 0.2625, 0.9999, 1.0)
 EQUIV_BUDGETS = (300, 4000, 64000, 256000)
 EQUIV_SEEDS = 3
-EQUIV_DIGEST = "e7e1e03b15a0a165139659c5d58401c6b703e9652d920ac27ec20c85095e81fd"
+EQUIV_DIGEST = "d312c6468c1190d5a9728d2525bcc5908e8856e192a93b4e9f1e6279be22b16c"
 EQUIV_A_HAT = {
     (0.0, 300): (1e-24,) * 3,
     (0.0, 4000): (1e-24,) * 3,
     (0.0, 64000): (1e-24,) * 3,
     (0.0, 256000): (1e-24,) * 3,
     (0.015, 300): (0.015498109665615736, 0.015498109665615736, 0.010427080143885652),
-    (0.015, 4000): (0.015286622257845087, 0.01509795578640146, 0.01569138283374016),
-    (0.015, 64000): (0.014993074449898603, 0.014986161606902476, 0.014983754335258965),
-    (0.015, 256000): (0.014985253995919346, 0.014994500662258709, 0.014993340624428595),
+    (0.015, 4000): (0.01528434185706217, 0.014740288078058134, 0.015720445054728648),
+    (0.015, 64000): (0.014986983121355171, 0.01501696009905138, 0.015002193311922847),
+    (0.015, 256000): (0.015005770886110631, 0.015000683783935823, 0.0149981921283243),
     (0.2625, 300): (0.25333333333333324, 0.2799999999999999, 0.2700000000000001),
-    (0.2625, 4000): (0.26088619517115136, 0.2629640562340124, 0.26177975849141877),
-    (0.2625, 64000): (0.2626035245469532, 0.2625763766895372, 0.2624951439243617),
-    (0.2625, 256000): (0.26255156312827704, 0.26251004090782704, 0.2625115286640491),
+    (0.2625, 4000): (0.2641791641967038, 0.2639775429965282, 0.26451392329811135),
+    (0.2625, 64000): (0.2626247889631516, 0.26254638528790264, 0.26248376296016024),
+    (0.2625, 256000): (0.26249950376233894, 0.2624941903207422, 0.262506143856737),
     (0.9999, 300): (1.0,) * 3,
-    (0.9999, 4000): (0.9999184702407, 0.9999286563111338, 0.9999070627137049),
-    (0.9999, 64000): (0.9999002537408774, 0.9999011292078066, 0.9998973990642458),
-    (0.9999, 256000): (0.9999002924961724, 0.9999013086151393, 0.9999001074134228),
+    (0.9999, 4000): (0.9999114755851416, 0.9999287291559751, 0.9999071594569809),
+    (0.9999, 64000): (0.9998999244932746, 0.9999006643934483, 0.9998977250832628),
+    (0.9999, 256000): (0.9998997758893907, 0.999899775383702, 0.9999002430681151),
     (1.0, 300): (1.0,) * 3,
     (1.0, 4000): (1.0,) * 3,
     (1.0, 64000): (1.0,) * 3,
