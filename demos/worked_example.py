@@ -2,12 +2,11 @@
 
 Four equally likely scenarios carry response rotation angles
 (0, 0.70, 1.20, 1.80).  The script prepares the oracle state, applies one
-amplification iterate reflection by reflection, then runs the interval
-inference that turns two measured batches into a two-component feasible
-set and a constrained maximum-likelihood estimate.  The paper's exact
-per-batch bands are intersected first.  The controller's own step follows:
-its pooled likelihood set after the order-0 batch, and the order its depth
-rule runs next, which keeps that set on one flank.
+amplification iterate reflection by reflection, then intersects the paper's
+exact per-batch bands of two measured batches into a two-component feasible
+set.  The controller's own step follows: its pooled likelihood set after
+the order-0 batch, the order its depth rule runs next, which keeps that set
+on one flank, and its maximum-likelihood estimate over the set it cut.
 """
 
 import math
@@ -15,7 +14,7 @@ import math
 import numpy as np
 
 from tailamp.intervals import theta_preimage
-from tailamp.mliqae import ControllerConfig, InferenceState, constrained_mle, select_depth, update_feasible
+from tailamp.mliqae import ControllerConfig, InferenceState, select_depth, update_feasible
 from tailamp.qsim import (
     OracleSpec,
     apply_grover,
@@ -25,7 +24,7 @@ from tailamp.qsim import (
     reflect_zero,
     success_probability,
 )
-from tailamp.stats import RoundRecord, clopper_pearson, order_totals
+from tailamp.stats import RoundRecord, clopper_pearson
 
 
 def show(label, state):
@@ -83,9 +82,9 @@ def main():
     k_next = select_depth(pooled, ControllerConfig(budget=32_000))
     print(f"controller's next order (deepest on one flank): k={k_next}")
 
-    theta_hat, a_hat = constrained_mle(feasible, order_totals(batches))
-    print(f"constrained MLE: theta = {theta_hat:.6f}, a = {a_hat:.6f}"
-          f"  (true a = {a:.6f})")
+    theta_hat = pooled.theta_hat
+    print(f"controller's estimate after k=0: theta = {theta_hat:.6f},"
+          f" a = {math.sin(theta_hat) ** 2:.6f}  (true a = {a:.6f})")
 
 
 if __name__ == "__main__":

@@ -263,9 +263,10 @@ def cmd_generate(args) -> int:
     ens = _build_ensemble(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     ens_path, truth_path = _ensemble_paths(cfg.out_dir, cfg.benchmark, cfg.seed)
+    truth = truth_sidecar(ens)  # before any write: a tail that fails leaves no file
     stochfem.write_ensemble(ens_path, ens)
     with open(truth_path, "w") as fh:
-        json.dump(truth_sidecar(ens), fh, indent=2, sort_keys=True)
+        json.dump(truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(ens_path)
     print(truth_path)

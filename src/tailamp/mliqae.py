@@ -48,9 +48,9 @@ from .stats import (
     chord_masses,
     log_likelihood_at,
     log_likelihood_slopes,
-    log_likelihood_terms,
 )
 from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup site)
+from .stats import log_likelihood_terms  # noqa: F401  (perfbench traces this lookup site)
 
 # Cap on refinement steps per MLE.  Bisection alone narrows a piece below
 # 1e-10 in under 40 steps, so the cap never binds in practice; it only rules
@@ -197,26 +197,6 @@ def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
             break
         th = newton if lo < newton < hi else 0.5 * (lo + hi)
     return th, score
-
-
-def constrained_mle(union: IntervalUnion, totals) -> tuple[float, float]:
-    """Maximum-likelihood angle restricted to the feasible union.
-
-    totals are the per-order sufficient statistics (omega, hs, tails) of the
-    rounds, as order_totals or OrderTotals.arrays give them.  Each
-    component of the union must lie on one flank of every counted order, as
-    the components of intersected theta_preimage bands do; the likelihood is
-    then concave on each, so a bracketed Newton search finds its maximum.
-    The best component wins, and exact ties go to the smaller angle.
-    Without rounds the likelihood is flat and the leftmost point wins.
-    Returns (theta_hat, a_hat).
-    """
-    if union.is_empty:
-        raise ValueError("cannot take an MLE over an empty feasible set")
-    rows = list(zip(*(a.tolist() for a in totals)))
-    thetas = [_newton_refine(*_concave_piece(lo, hi, rows), rows)[0] for lo, hi in union.components]
-    best = float(thetas[int(np.argmax(log_likelihood_terms(np.array(thetas), *totals)))])
-    return best, math.sin(best) ** 2
 
 
 def update_feasible(state: InferenceState, delta_tot: float) -> float:

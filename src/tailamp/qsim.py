@@ -8,8 +8,10 @@ a = sin^2(theta).  Everything here is exact linear algebra on the oracle's
 amplitudes; it exists to certify the estimation pipeline, not to scale.
 
 Two paths share the oracle amplitudes.  The complex gate path (StateVector,
-apply_oracle, apply_grover, the reflections and success_probability) is the
-reference: it runs every iterate on the full statevector, at O(N) each.
+build_oracle_state, apply_oracle, apply_grover, the reflections and
+success_probability) is the reference: build_oracle_state writes A|0> in
+closed form, apply_oracle runs A gate by gate on any state, and every
+iterate runs on the full statevector, at O(N) each.
 StatevectorOracle, which the controller drives, uses the fact that
 amplification keeps A|0> in the real plane spanned by its ancilla-|0> and
 ancilla-|1> halves (Brassard, Hoyer, Mosca & Tapp 2002, Quantum amplitude
@@ -224,25 +226,15 @@ def _oracle_halves(spec: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
     return zero, one
 
 
-def build_oracle_state(spec: OracleSpec, method: str = "direct") -> StateVector:
-    """Prepare A|0>.
+def build_oracle_state(spec: OracleSpec) -> StateVector:
+    """Prepare A|0> from its closed-form amplitudes.
 
-    method="direct" writes the closed-form amplitudes; method="gates" runs
-    the explicit gate sequence.  The two agree to 1e-12 and the tests hold
-    them to that.
+    apply_oracle applied to the |0> basis state gives the same state gate by
+    gate; the tests hold the two to 1e-12.
     """
-    n = spec.n_index_qubits
-    dim = 1 << (n + 1)
-    if method == "direct":
-        amps = np.zeros(dim, dtype=complex)
-        amps[0::2], amps[1::2] = _oracle_halves(spec)
-        return StateVector(n, amps)
-    if method == "gates":
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        _apply_gates(amps, oracle_gates(spec))
-        return StateVector(n, amps)
-    raise ValueError("method must be 'direct' or 'gates'")
+    amps = np.zeros(1 << (spec.n_index_qubits + 1), dtype=complex)
+    amps[0::2], amps[1::2] = _oracle_halves(spec)
+    return StateVector(spec.n_index_qubits, amps)
 
 
 def reflect_success(state: StateVector) -> StateVector:
@@ -284,7 +276,7 @@ def apply_grover(state: StateVector, spec: OracleSpec, k: int = 1) -> StateVecto
     if k < 0:
         raise ValueError("iterate count must be nonnegative")
     amps = state.amplitudes.copy()
-    psi = build_oracle_state(spec, "direct").amplitudes
+    psi = build_oracle_state(spec).amplitudes
     for _ in range(k):
         amps[1::2] *= -1.0
         amps -= (2.0 * np.vdot(psi, amps)) * psi

@@ -5,14 +5,15 @@ probability is sin^2((2k+1) theta).  The controller's feasible sets and
 estimates are built from the exact log-likelihood of a collection of rounds
 with its first two angle derivatives.  The likelihood depends on the rounds
 only through the success and failure totals at each distinct order, so it
-is evaluated on those: log_likelihood_terms over a grid of angles from the
-per-order arrays, and the controller's per-batch kernels (log_likelihood_at,
-log_likelihood_slopes, chord_masses) at one to three angles from per-order
-rows of Python floats, where numpy's per-call overhead would outweigh the
-arithmetic.  The kernels keep numpy's logs and expm1, because math's differ
-in the last bit on about 1% of inputs.  The exact Clopper-Pearson interval
-of one batch (beta quantiles from scipy's inverse regularized incomplete
-beta) gives the per-batch band view of a run.
+is evaluated on those: the controller's per-batch kernels (log_likelihood_at,
+log_likelihood_slopes, chord_masses) take per-order rows of Python floats
+at one to three angles, where numpy's per-call overhead would outweigh the
+arithmetic, and log_likelihood_terms takes the same totals as numpy columns
+over a grid of angles, the reference the kernels equal bit for bit.  The
+kernels keep numpy's logs and expm1, because math's differ in the last bit
+on about 1% of inputs.  The exact Clopper-Pearson interval of one batch
+(beta quantiles from scipy's inverse regularized incomplete beta) gives the
+per-batch band view of a run.
 """
 
 from __future__ import annotations
@@ -86,13 +87,12 @@ class OrderTotals:
 
     add folds in one round: anything with k, m and h, such as a RoundRecord.
     rows is one (omega, hs, tails) tuple of Python floats per order in
-    ascending k, omega = 2k+1, for the controller's scalar kernels; arrays is
-    the same three columns as numpy arrays, as order_totals returns them, for
-    the grid evaluator.  Both are built on each read.  info is the Fisher
-    information about the angle, 4 sum (2k+1)^2 m: each shot at order k
-    carries 4(2k+1)^2 wherever on the flank it lands.  Integer counts keep
-    every total exact, so adding rounds one at a time gives the same values
-    as a fresh build.
+    ascending k, built on each read for the controller's scalar kernels:
+    omega = 2k+1, hs the summed successes and tails the summed failures
+    m - h at that order.  info is the Fisher information about the angle,
+    4 sum (2k+1)^2 m: each shot at order k carries 4(2k+1)^2 wherever on the
+    flank it lands.  Integer counts keep every total exact, so adding rounds
+    one at a time gives the same values as a fresh build.
     """
 
     __slots__ = ("_counts", "info")
@@ -113,20 +113,6 @@ class OrderTotals:
     def rows(self) -> tuple[tuple[float, float, float], ...]:
         return tuple((2.0 * k + 1.0, float(h), float(t)) for k, (h, t) in sorted(self._counts.items()))
 
-    @property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        omega, hs, tails = np.array(self.rows, dtype=float).reshape(-1, 3).T
-        return omega, hs, tails
-
-
-def order_totals(rounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sufficient statistics of the rounds: one row per distinct order k.
-
-    Returns (omega, hs, tails) with omega = 2k+1 in ascending k, hs the summed
-    successes and tails the summed failures m - h at that order.
-    """
-    return OrderTotals(rounds).arrays
-
 
 def log_likelihood_terms(
     theta: np.ndarray,
@@ -134,12 +120,12 @@ def log_likelihood_terms(
     hs: np.ndarray,
     tails: np.ndarray,
 ) -> np.ndarray:
-    """Log-likelihood over a theta grid from pre-extracted round arrays.
+    """Log-likelihood over a theta grid from per-order columns.
 
-    omega = 2k+1 per row, hs = successes, tails = m - h (per round or, as
-    order_totals gives them, per order).  Zero counts annihilate their term
-    even when the corresponding log is -inf, matching the 0 * log 0 = 0
-    convention; -inf is a legitimate output elsewhere.
+    omega = 2k+1, hs = successes and tails = m - h, one entry per order (or
+    per round).  Zero counts annihilate their term even when the
+    corresponding log is -inf, matching the 0 * log 0 = 0 convention; -inf
+    is a legitimate output elsewhere.
     """
     ang = np.multiply.outer(omega.astype(float), theta)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -583,26 +583,20 @@ def write_ensemble(path, ens: Ensemble) -> None:
     """Persist an ensemble as columnar text.
 
     Header lines carry the benchmark identity, the confidence level, the
-    seed, the generation parameters, and the derived threshold and maximum
-    response per QoI; data rows are (index, p_i, compliance, tipdisp,
-    vmmax).  All floats use 17 significant digits so a reread is exact.
+    seed and the generation parameters; data rows are (index, p_i,
+    compliance, tipdisp, vmmax).  The tail threshold and maximum response
+    per QoI live in the truth sidecar that `tailamp generate` writes next to
+    this file.  All floats use 17 significant digits so a reread is exact.
     A temporary file replaces path at the end, so no reader sees half a file.
     """
-    from . import riskmodel
-
     lines = [
         f"# benchmark {ens.benchmark}",
         f"# alpha_level {ens.alpha_level:.17g}",
         f"# seed {ens.seed}",
         f"# n_scenarios {ens.n_scenarios}",
         f"# params {json.dumps(ens.params, sort_keys=True)}",
+        "# columns index p " + " ".join(QOI_NAMES),
     ]
-    sets = [riskmodel.ScenarioSet(ens.probs, ens.responses[n], ens.alpha_level) for n in QOI_NAMES]
-    etas = [riskmodel.var_threshold(s) for s in sets]
-    peaks = [float(np.max(s.responses)) for s in sets]
-    for tag, vals in (("eta", etas), ("q_max", peaks)):
-        lines.append(f"# {tag} " + " ".join(f"{n} {v:.17g}" for n, v in zip(QOI_NAMES, vals)))
-    lines.append("# columns index p " + " ".join(QOI_NAMES))
     for i in range(ens.n_scenarios):
         row = [str(i), f"{ens.probs[i]:.17g}"]
         row += [f"{ens.responses[name][i]:.17g}" for name in QOI_NAMES]

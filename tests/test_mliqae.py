@@ -17,7 +17,6 @@ from tailamp.intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
 from tailamp.mliqae import (
     ControllerConfig,
     InferenceState,
-    constrained_mle,
     run,
     select_depth,
     select_shots,
@@ -29,8 +28,8 @@ from tailamp.stats import (
     RoundRecord,
     clopper_pearson,
     log_likelihood_terms,
-    order_totals,
 )
+from test_stats import columns
 
 # The worked two-round dataset: 262/1000 successes at order 0 and 998/1000
 # at order 1.  True amplitude 0.2625, true angle asin(sqrt(0.2625)).  The
@@ -48,19 +47,19 @@ DEEP_K = 4096
 
 
 def loglik(theta, rounds) -> np.ndarray:
-    return log_likelihood_terms(np.atleast_1d(np.asarray(theta, dtype=float)), *order_totals(rounds))
-
-
-def flank_cells(ks) -> list[tuple[float, float]]:
-    """The stretches between consecutive turning points j pi / (2(2k+1)) of
-    the given orders: each lies on one flank of every one of them."""
-    turns = sorted({j * math.pi / (2 * (2 * k + 1)) for k in set(ks) for j in range(2 * k + 2)})
-    return [(a, b) for a, b in zip(turns, turns[1:]) if b - a > 1e-9]
+    return log_likelihood_terms(np.atleast_1d(np.asarray(theta, dtype=float)), *columns(OrderTotals(rounds).rows))
 
 
 def band_for(rec: RoundRecord) -> IntervalUnion:
     ci = clopper_pearson(rec.h, rec.m, 0.05)
     return theta_preimage(rec.k, ci.lo, ci.hi)
+
+
+def controller_mle(feasible: tuple[float, float], rounds) -> float:
+    """The controller's MLE over the interval feasible: theta_hat after one update."""
+    state = InferenceState(feasible=feasible, totals=OrderTotals(rounds))
+    update_feasible(state, 0.05)
+    return state.theta_hat
 
 
 def add_batch(state: InferenceState, rec: RoundRecord, delta_tot: float = 0.05) -> None:
@@ -289,8 +288,10 @@ class TestUpdateFeasible:
         before = state.feasible
         add_batch(state, RoundRecord(k=0, m=200, h=0))
         assert nested(state.feasible, before)
-        theta_mle, _ = constrained_mle(IntervalUnion([before]), state.totals.arrays)
-        assert state.theta_hat == pytest.approx(theta_mle, abs=1e-9)
+        arrays = columns(state.totals.rows)
+        ll_grid = log_likelihood_terms(np.linspace(*before, 200_001), *arrays).max()
+        ll_hat = log_likelihood_terms(np.array([state.theta_hat]), *arrays)[0]
+        assert ll_hat >= ll_grid - 1e-9 * abs(ll_grid)
         assert state.feasible[0] <= state.theta_hat <= state.feasible[1]
 
     def test_early_newton_stop_still_bounds_the_set(self, monkeypatch):
@@ -306,7 +307,7 @@ class TestUpdateFeasible:
                 state.totals.add(RoundRecord(k=select_depth(state, DEEP), m=m, h=h))
                 cut = update_feasible(state, 0.05)
             grid = np.linspace(*before, 200_001)
-            above = grid[log_likelihood_terms(grid, *state.totals.arrays) >= cut]
+            above = grid[log_likelihood_terms(grid, *columns(state.totals.rows)) >= cut]
             assert above.size and nested((above.min(), above.max()), state.feasible)
 
     def test_measure_never_increases(self):
@@ -326,87 +327,43 @@ class TestUpdateFeasible:
 
 
 class TestConstrainedMle:
+    """The update's MLE over the set before it, read as state.theta_hat."""
+
     def test_interior_maximum_matches_frequency(self):
-        feasible = band_for(ROUND_A)
-        theta_hat, a_hat = constrained_mle(feasible, order_totals([ROUND_A]))
+        (feasible,) = band_for(ROUND_A).components
+        theta_hat = controller_mle(feasible, [ROUND_A])
         assert theta_hat == pytest.approx(math.asin(math.sqrt(0.262)), abs=1e-5)
-        assert a_hat == pytest.approx(0.262, abs=1e-4)
+        assert math.sin(theta_hat) ** 2 == pytest.approx(0.262, abs=1e-4)
 
     def test_excluded_maximum_lands_on_nearest_endpoint(self):
-        above = IntervalUnion([(0.60, 0.70)])
-        theta_hat, _ = constrained_mle(above, order_totals([ROUND_A]))
-        assert theta_hat == pytest.approx(0.60, abs=1e-6)
-        below = IntervalUnion([(0.30, 0.40)])
-        theta_hat, _ = constrained_mle(below, order_totals([ROUND_A]))
-        assert theta_hat == pytest.approx(0.40, abs=1e-6)
+        assert controller_mle((0.60, 0.70), [ROUND_A]) == pytest.approx(0.60, abs=1e-6)
+        assert controller_mle((0.30, 0.40), [ROUND_A]) == pytest.approx(0.40, abs=1e-6)
 
     def test_two_round_estimate_stays_near_truth(self):
         state = two_round_state()
-        feasible = IntervalUnion([state.feasible])
-        theta_hat, a_hat = constrained_mle(feasible, state.totals.arrays)
-        assert feasible.contains(theta_hat, tol=1e-9)
-        assert abs(a_hat - 0.2625) < 0.03
-
-    def test_agrees_with_dense_grid_oracle(self):
-        # Two random stretches, each on one flank of every counted order.
-        rng = np.random.default_rng(33)
-        for _ in range(20):
-            rounds = [
-                RoundRecord(
-                    k=int(rng.integers(0, 4)),
-                    m=200,
-                    h=int(rng.integers(0, 201)),
-                )
-                for _ in range(3)
-            ]
-            cells = flank_cells(r.k for r in rounds)
-            parts = []
-            for c in rng.integers(len(cells), size=2):
-                a, b = cells[c]
-                u = np.sort(rng.uniform(size=2))
-                parts.append((a + u[0] * (b - a), a + u[1] * (b - a)))
-            feasible = IntervalUnion(parts)
-            theta_hat, _ = constrained_mle(feasible, order_totals(rounds))
-            grid = np.concatenate(
-                [np.linspace(lo, hi, 20_000) for lo, hi in feasible.components]
-            )
-            best = float(grid[int(np.argmax(loglik(grid, rounds)))])
-            ll_gap = loglik(theta_hat, rounds)[0] - loglik(best, rounds)[0]
-            assert ll_gap > -1e-6
-
-    def test_no_rounds_gives_leftmost_point(self):
-        feasible = IntervalUnion([(0.2, 0.3), (0.5, 0.6)])
-        theta_hat, _ = constrained_mle(feasible, order_totals([]))
-        # A flat likelihood ties everywhere; ties break toward smaller angle.
-        assert theta_hat == pytest.approx(0.2, abs=1e-6)
+        theta_hat = controller_mle(state.feasible, [ROUND_A, ROUND_C])
+        assert state.feasible[0] <= theta_hat <= state.feasible[1]
+        assert abs(math.sin(theta_hat) ** 2 - 0.2625) < 0.03
 
     def test_maximum_on_an_edge_returns_the_edge_exactly(self):
-        rounds = [RoundRecord(k=0, m=500, h=0)]
-        theta_hat, a_hat = constrained_mle(IntervalUnion([(0.2, 0.4)]), order_totals(rounds))
-        assert theta_hat == 0.2 and a_hat == math.sin(0.2) ** 2
-        theta_hat, _ = constrained_mle(IntervalUnion([(0.2, 0.4)]), order_totals([ROUND_B]))
-        assert theta_hat == 0.4
+        assert controller_mle((0.2, 0.4), [RoundRecord(k=0, m=500, h=0)]) == 0.2
+        assert controller_mle((0.2, 0.4), [ROUND_B]) == 0.4
 
     def test_refinement_reaches_the_stationary_point(self):
         # Interior optimum of a multi-order dataset: the score vanishes there
         # and the estimate beats a dense grid.
         rounds = [ROUND_A, RoundRecord(k=2, m=400, h=75)]
-        feasible = IntervalUnion([(0.50, 0.58)])
-        theta_hat, _ = constrained_mle(feasible, order_totals(rounds))
+        theta_hat = controller_mle((0.50, 0.58), rounds)
         grid = np.linspace(0.50, 0.58, 200_001)
         assert loglik(theta_hat, rounds)[0] >= loglik(grid, rounds).max()
         step = 1e-7
         up, down = loglik(theta_hat + step, rounds)[0], loglik(theta_hat - step, rounds)[0]
         assert abs(up - down) / (2 * step) < 1e-2
 
-    def test_empty_set_raises(self):
-        with pytest.raises(ValueError):
-            constrained_mle(IntervalUnion(), order_totals([ROUND_A]))
-
     def test_set_starting_on_a_singular_angle_finds_its_interior_maximum(self):
         # Order 1 (omega = 3) is singular at pi/6 through its failures: the
         # edge moves inward past it, and the search runs on what is left.
-        theta_hat, _ = constrained_mle(IntervalUnion([(math.pi / 6, 0.6)]), order_totals([ROUND_A, ROUND_B]))
+        theta_hat = controller_mle((math.pi / 6, 0.6), [ROUND_A, ROUND_B])
         assert theta_hat == pytest.approx(0.538395, abs=1e-6)
 
 

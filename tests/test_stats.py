@@ -14,13 +14,17 @@ from tailamp.stats import (
     log_likelihood_at,
     log_likelihood_slopes,
     log_likelihood_terms,
-    order_totals,
 )
+
+
+def columns(rows) -> np.ndarray:
+    """Per-order (omega, hs, tails) rows as three numpy columns, for the grid forms."""
+    return np.array(rows, dtype=float).reshape(-1, 3).T
 
 
 def loglik(theta, rounds) -> np.ndarray:
     """log_likelihood_terms of the rounds' per-order totals at angle(s) theta."""
-    return log_likelihood_terms(np.atleast_1d(np.asarray(theta, dtype=float)), *order_totals(rounds))
+    return log_likelihood_terms(np.atleast_1d(np.asarray(theta, dtype=float)), *columns(OrderTotals(rounds).rows))
 
 
 def vector_slopes(theta, omega, hs, tails):
@@ -239,10 +243,7 @@ class TestOrderTotals:
             RoundRecord(k=2, m=80, h=70),
             RoundRecord(k=0, m=10, h=0),
         ]
-        omega, hs, tails = order_totals(rounds)
-        assert omega.tolist() == [1.0, 5.0]
-        assert hs.tolist() == [26.0, 82.0]
-        assert tails.tolist() == [84.0, 48.0]
+        assert OrderTotals(rounds).rows == ((1.0, 26.0, 84.0), (5.0, 82.0, 48.0))
 
     def test_pooled_likelihood_matches_per_batch_sum(self):
         rng = np.random.default_rng(43)
@@ -257,9 +258,8 @@ class TestOrderTotals:
         assert np.allclose(loglik(theta, rounds), per_batch, rtol=1e-12, atol=1e-9)
 
     def test_no_rounds_gives_empty_rows(self):
-        omega, hs, tails = order_totals([])
-        assert omega.size == hs.size == tails.size == 0
-        assert log_likelihood_terms(np.array([0.3, 0.7]), omega, hs, tails).tolist() == [0.0, 0.0]
+        assert OrderTotals().rows == ()
+        assert log_likelihood_terms(np.array([0.3, 0.7]), *columns(())).tolist() == [0.0, 0.0]
 
 
 class TestLogLikelihoodSlopes:
@@ -269,10 +269,9 @@ class TestLogLikelihoodSlopes:
             RoundRecord(k=1, m=80, h=70),
             RoundRecord(k=3, m=50, h=0),
         ]
-        totals = order_totals(rounds)
         rows = OrderTotals(rounds).rows
         step = 1e-6
-        f = lambda th: log_likelihood_terms(np.asarray(th), *totals)
+        f = lambda th: log_likelihood_terms(np.asarray(th), *columns(rows))
         for theta in (0.11, 0.37, 0.52, 0.93, 1.21):
             score, curv = log_likelihood_slopes(theta, rows)
             fd_score = (f([theta + step]) - f([theta - step]))[0] / (2.0 * step)
@@ -297,7 +296,8 @@ class TestLogLikelihoodSlopes:
         rng = np.random.default_rng(2024)
         for n_orders in list(range(1, 13)) * 25:
             totals = random_totals(rng, n_orders)
-            rows, arrays = totals.rows, totals.arrays
+            rows = totals.rows
+            arrays = columns(rows)
             lo, hi = sorted(rng.uniform(1e-6, math.pi / 2.0 - 1e-6, size=2).tolist())
             (score_lo, score_hi), (curv_lo, curv_hi) = vector_slopes(np.array([lo, hi]), *arrays)
             assert log_likelihood_slopes(lo, rows) == (score_lo, curv_lo)
@@ -318,7 +318,7 @@ class TestScalarLikelihood:
         for n_orders in list(range(1, 13)) * 25:
             totals = random_totals(rng, n_orders)
             thetas = rng.uniform(1e-6, math.pi / 2.0 - 1e-6, size=3).tolist()
-            want = log_likelihood_terms(np.array(thetas), *totals.arrays).tolist()
+            want = log_likelihood_terms(np.array(thetas), *columns(totals.rows)).tolist()
             assert log_likelihood_at(thetas, totals.rows) == want
 
     def test_zero_count_annihilates_its_degenerate_term(self):
@@ -326,7 +326,7 @@ class TestScalarLikelihood:
         totals = OrderTotals([RoundRecord(k=0, m=5, h=0)])
         thetas = [0.0, 0.3, 0.6]
         got = log_likelihood_at(thetas, totals.rows)
-        assert got == log_likelihood_terms(np.array(thetas), *totals.arrays).tolist()
+        assert got == log_likelihood_terms(np.array(thetas), *columns(totals.rows)).tolist()
         assert got[0] == 0.0
         assert log_likelihood_at([0.3], ()) == [0.0]
 

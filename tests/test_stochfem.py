@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailamp.riskmodel import ScenarioSet, discrete_cvar
+from tailamp.riskmodel import ScenarioSet, discrete_cvar, var_threshold
 from tailamp.stochfem import (
+    QOI_NAMES,
     KernelModel,
     PlaneStressSolver,
     build_bar_mesh,
@@ -404,14 +405,25 @@ class TestEnsembles:
         ens = build_scenario_ensemble("bar1d", 32, seed=3)
         path = tmp_path / "scatter.txt"
         write_ensemble(path, ens)
-        back = read_ensemble(path)
-        assert back.benchmark == ens.benchmark
-        assert back.alpha_level == ens.alpha_level
-        assert back.seed == ens.seed
-        assert back.params == ens.params
-        assert np.array_equal(back.probs, ens.probs)
-        for name in ens.responses:
-            assert np.array_equal(back.responses[name], ens.responses[name])
+        # Files written before the threshold lines left the header still
+        # carry them; the reader skips them.
+        old_format = tmp_path / "old_format.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("# columns"))
+        etas = [var_threshold(ScenarioSet(ens.probs, ens.responses[n], ens.alpha_level)) for n in QOI_NAMES]
+        lines[at:at] = [
+            "# eta " + " ".join(f"{n} {eta:.17g}" for n, eta in zip(QOI_NAMES, etas)) + "\n",
+            "# q_max " + " ".join(f"{n} {ens.responses[n].max():.17g}" for n in QOI_NAMES) + "\n",
+        ]
+        old_format.write_text("".join(lines))
+        for back in (read_ensemble(path), read_ensemble(old_format)):
+            assert back.benchmark == ens.benchmark
+            assert back.alpha_level == ens.alpha_level
+            assert back.seed == ens.seed
+            assert back.params == ens.params
+            assert np.array_equal(back.probs, ens.probs)
+            for name in ens.responses:
+                assert np.array_equal(back.responses[name], ens.responses[name])
 
     def test_write_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
         path = tmp_path / "scatter.txt"
