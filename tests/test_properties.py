@@ -113,6 +113,25 @@ def dense_grid(union: IntervalUnion, points: int = 20_000) -> np.ndarray:
 
 
 @PROPERTY_SETTINGS
+@given(order_counts, unions)
+def test_piecewise_mle_matches_a_dense_grid(counts, union):
+    totals = OrderTotals(RoundRecord(k=k, m=h + t, h=h) for k, (h, t) in counts.items())
+    arrays = columns(totals.rows)
+    union = on_one_flank(union, counts)
+    # The controller's MLE on each component, then the best of them.
+    best = []
+    for piece in union.components:
+        state = mliqae.InferenceState(feasible=piece, totals=totals)
+        mliqae.update_feasible(state, 0.05)
+        assert IntervalUnion([piece]).contains(state.theta_hat)
+        best.append(state.theta_hat)
+    ll_mle = log_likelihood_terms(np.array(best), *arrays).max()
+    ll_grid = log_likelihood_terms(dense_grid(union), *arrays).max()
+    # Never lower, up to the rounding of the likelihood sum itself.
+    assert ll_mle >= ll_grid - 1e-9 * max(1.0, abs(ll_grid))
+
+
+@PROPERTY_SETTINGS
 @given(order_counts, unions, st.sampled_from((0.05, 0.2, 1e-6)))
 def test_feasible_update_keeps_every_point_above_the_cut(counts, previous, delta_tot):
     rounds = [RoundRecord(k=k, m=h + t, h=h) for k, (h, t) in counts.items()]
