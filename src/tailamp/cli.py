@@ -139,13 +139,25 @@ def estimate_once(
     seed: int,
     controller_overrides: dict | None = None,
 ) -> ResultRow:
-    """One seeded estimate against a cached ensemble.
+    """One seeded estimate against a cached ensemble."""
+    return _estimate(_tail(ens, qoi), qoi, method, budget, seed, controller_overrides)
+
+
+def _estimate(
+    tail: tuple[riskmodel.ScenarioSet, riskmodel.TailNormalization, float],
+    qoi: str,
+    method: str,
+    budget: int,
+    seed: int,
+    controller_overrides: dict | None,
+) -> ResultRow:
+    """One seeded estimate against a QoI's tail, as `_tail` returns it.
 
     Both methods share the fixed threshold eta computed once from the full
     ensemble; the amplified estimator runs on the closed-form measurement
     model at the ensemble's exact tail amplitude.
     """
-    s, tn, truth = _tail(ens, qoi)
+    s, tn, truth = tail
     rng = np.random.default_rng(seed)
     if method == "mc":
         est = riskmodel.mc_estimate_cvar(s, tn.eta, budget, rng)
@@ -153,7 +165,7 @@ def estimate_once(
     elif method == "mliqae":
         cfg = mliqae.ControllerConfig(budget=budget, **(controller_overrides or {}))
         rep = mliqae.run(qsim.AnalyticOracle(tn.a), cfg, rng)
-        est = riskmodel.cvar_from_amplitude(rep.a_hat, tn.eta, tn.q_max, ens.alpha_level)
+        est = riskmodel.cvar_from_amplitude(rep.a_hat, tn.eta, tn.q_max, s.alpha_level)
         calls, rounds = rep.oracle_calls, rep.rounds
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -181,8 +193,7 @@ def format_row(row: ResultRow) -> str:
 
 
 def _bench_cell(args) -> ResultRow:
-    ens, qoi, method, budget, seed, overrides = args
-    return estimate_once(ens, qoi, method, budget, seed, overrides)
+    return _estimate(*args)
 
 
 def _workers() -> int:
@@ -203,8 +214,9 @@ def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[l
     workers = _workers()
     if ens is None:
         ens = _build_ensemble(cfg)
+    tail = _tail(ens, cfg.qoi)  # the same for every cell
     cells = [
-        (ens, cfg.qoi, method, budget, run_seed(cfg.seed, method, budget, rep), cfg.controller)
+        (tail, cfg.qoi, method, budget, run_seed(cfg.seed, method, budget, rep), cfg.controller)
         for method in sorted(cfg.methods)
         for budget in cfg.budgets
         for rep in range(cfg.repetitions)

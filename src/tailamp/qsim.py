@@ -14,10 +14,9 @@ closed form, apply_oracle runs A gate by gate on any state, and every
 iterate runs on the full statevector, at O(N) each.
 StatevectorOracle, which the controller drives, uses the fact that
 amplification keeps A|0> in the real plane spanned by its ancilla-|0> and
-ancilla-|1> halves (Brassard, Hoyer, Mosca & Tapp 2002, Quantum amplitude
-amplification and estimation, Contemp. Math. 305): it builds the two halves
-once, in O(N), and then follows the state's two coordinates in that plane,
-at O(1) per iterate.
+ancilla-|1> halves, where each iterate rotates by 2 theta (Brassard, Hoyer,
+Mosca & Tapp 2002, Quantum amplitude amplification and estimation, Contemp.
+Math. 305): it builds the two halves once, in O(N), and reads theta off them.
 """
 
 from __future__ import annotations
@@ -289,12 +288,18 @@ def success_probability(state: StateVector) -> float:
     return float(np.sum(np.abs(state.amplitudes[1::2]) ** 2))
 
 
+def _amplified(theta: float, k: int) -> float:
+    """sin^2((2k+1) theta): the ancilla-|1> probability after k iterates."""
+    if k < 0:
+        raise ValueError("iterate count must be nonnegative")
+    return math.sin((2 * k + 1) * theta) ** 2
+
+
 def analytic_success_probability(a: float, k: int) -> float:
     """Closed-form amplified response sin^2((2k+1) asin(sqrt(a)))."""
     if not 0.0 <= a <= 1.0:
         raise ValueError("amplitude must lie in [0, 1]")
-    theta = math.asin(math.sqrt(a))
-    return math.sin((2 * k + 1) * theta) ** 2
+    return _amplified(math.asin(math.sqrt(a)), k)
 
 
 def sample_shots(p: float, m: int, rng: np.random.Generator) -> int:
@@ -310,44 +315,33 @@ class AnalyticOracle:
     """Measurement model driven by the closed-form response curve.
 
     Fast path for benchmarks: no statevector is held, only the true
-    amplitude.  Interchangeable with StatevectorOracle, which certifies this
-    shortcut in the tests.
+    amplitude and its angle.  The complex apply_grover is the reference both
+    measurement models are tested against.
     """
 
     def __init__(self, a: float):
         if not 0.0 <= a <= 1.0:
             raise ValueError("amplitude must lie in [0, 1]")
         self.a = float(a)
+        self._theta = math.asin(math.sqrt(self.a))
 
     def success_probability(self, k: int) -> float:
-        return analytic_success_probability(self.a, k)
+        return _amplified(self._theta, k)
 
 
 class StatevectorOracle:
     """Measurement model backed by the oracle's statevector.
 
     Grover iterates never leave the plane spanned by the ancilla-|0> half b
-    and the ancilla-|1> half g of A|0>: after k of them the state is
-    alpha_k b + beta_k g.  S_chi negates the g part, I - 2|psi><psi| subtracts
-    c psi with c = 2 (alpha |b|^2 - beta |g|^2), and the leading minus sign
-    negates the whole, so alpha <- c - alpha and beta <- beta + c from
-    alpha = beta = 1, and p(k) = beta_k^2 |g|^2.  Only |b|^2, |g|^2, the pair
-    and p(j) for every depth reached are kept: a new depth costs one scalar
-    step, a revisited one nothing.  The complex apply_grover is the
-    reference this path is tested against.
+    and the ancilla-|1> half g of A|0>, where A|0> sits at angle
+    theta = atan2(|g|, |b|) from b and each iterate rotates it by 2 theta,
+    so p(k) = sin^2((2k+1) theta).  Only theta, taken from the halves, is
+    kept.
     """
 
     def __init__(self, spec: OracleSpec):
         b, g = _oracle_halves(spec)
-        self._bb, self._gg = float(np.dot(b, b)), float(np.dot(g, g))
-        self._alpha, self._beta = 1.0, 1.0
-        self._probs = [self._gg]
+        self._theta = math.atan2(np.linalg.norm(g), np.linalg.norm(b))
 
     def success_probability(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("iterate count must be nonnegative")
-        while len(self._probs) <= k:
-            c = 2.0 * (self._alpha * self._bb - self._beta * self._gg)
-            self._alpha, self._beta = c - self._alpha, self._beta + c
-            self._probs.append(self._beta * self._beta * self._gg)
-        return self._probs[k]
+        return _amplified(self._theta, k)

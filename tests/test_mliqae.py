@@ -22,7 +22,7 @@ from tailamp.mliqae import (
     select_shots,
     update_feasible,
 )
-from tailamp.qsim import AnalyticOracle
+from tailamp.qsim import AnalyticOracle, OracleSpec, StatevectorOracle
 from tailamp.stats import (
     OrderTotals,
     RoundRecord,
@@ -471,8 +471,13 @@ class TestRun:
     def test_huge_budgets_end_in_a_few_rounds(self):
         # Only the set's width and the remaining budget bound the order, so
         # the order grows with the budget and the round count barely does.
-        for a, budget in ((0.0, 10**10), (0.015, 10**10), (1.0, 10**10), (0.015, 10**12)):
-            report = run(AnalyticOracle(a), ControllerConfig(budget=budget), np.random.default_rng(4))
+        # The statevector model answers any order from its rotation angle.
+        grid = ((0.0, 10**10), (0.015, 10**10), (1.0, 10**10), (0.015, 10**12))
+        cases = [(AnalyticOracle(a), a, budget) for a, budget in grid]
+        spec = OracleSpec(np.full(8, 1.0 / 8), np.linspace(0.0, 0.03, 8))
+        cases.append((StatevectorOracle(spec), spec.amplitude, 10**10))
+        for oracle, a, budget in cases:
+            report = run(oracle, ControllerConfig(budget=budget), np.random.default_rng(4))
             assert report.rounds <= 30
             assert report.oracle_calls == budget
             assert report.feasible.contains(math.asin(math.sqrt(a)), tol=1e-12)
