@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -350,6 +351,24 @@ class TestCommands:
         assert cells[0] == "mc"
         assert cells[2] == "100"
 
+    def test_mc_estimate_memory_does_not_grow_with_the_budget(self, tmp_path, capsys):
+        # As indices, 1e8 draws would take 800 MB; per-scenario counts take 64 entries.
+        ens_path, _ = self.generate(tmp_path)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            rc = main(["estimate", "--ensemble", str(ens_path), "--method", "mc", "--budget", "100000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out[0] == ",".join(RAW_COLUMNS)
+        cells = out[1].split(",")
+        assert cells[0] == "mc" and cells[2] == "100000000" and cells[7] == "100000000"
+        assert math.isfinite(float(cells[4]))
+        assert peak < 1_000_000
+
     def test_estimate_on_a_file_leaves_scipy_linalg_unimported(self, tmp_path):
         # Only building an ensemble needs scipy.linalg (about 6 MB of resident
         # memory); a fresh interpreter that estimates on a file never loads it.
@@ -550,8 +569,8 @@ class TestCommands:
     @pytest.mark.parametrize("method", ["mc", "mliqae"])
     @pytest.mark.parametrize("budget", [10**21, 10**23])
     def test_budget_beyond_a_64_bit_draw_is_one_error_line(self, tmp_path, capsys, method, budget):
-        # MC's index draw and the controller's first batch of budget // 28
-        # shots both pass the count to numpy as a C long.
+        # MC's multinomial draw and the controller's first batch of budget // 28
+        # shots both pass the count to numpy as a 64-bit integer; MC names the budget.
         ens_path, _ = self.generate(tmp_path)
         capsys.readouterr()
         rc = main(["estimate", "--ensemble", str(ens_path), "--method", method, "--budget", str(budget)])
@@ -560,6 +579,8 @@ class TestCommands:
         assert captured.out == ""
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
+        if method == "mc":
+            assert err[0].startswith(f"error: Monte Carlo budget {budget} is too large")
 
     @pytest.mark.parametrize(
         "exc, line",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 
 from tailamp.riskmodel import (
     ScenarioSet,
@@ -122,7 +123,6 @@ class TestNormalizeHinge:
 class TestResponsesFarBelowTheThreshold:
     # Q - eta overflows for these lower responses, though the hinge of each
     # is an exact 0; the top response is eta itself, then 2e307 above it.
-    # Eight draws keep the Monte Carlo hinge sum below the float maximum.
     @pytest.mark.parametrize("top", [1e308, 1.2e308])
     def test_hinge_is_exact_without_overflow(self, top):
         s = ScenarioSet(np.full(8, 0.125), np.array([-1.7e308] * 3 + [1e308] * 4 + [top]), 0.5)
@@ -137,6 +137,16 @@ class TestResponsesFarBelowTheThreshold:
         assert tn.a == (0.125 if span > 0.0 else 0.0)
         assert cvar == eta + 0.125 * span / 0.5
         assert cvar == pytest.approx(cvar_from_amplitude(tn.a, eta, tn.q_max, 0.5), rel=1e-15)
+        assert eta <= mc <= eta + span / 0.5
+
+    def test_monte_carlo_mean_stays_below_the_float_maximum(self):
+        # A thousand draws of the top hinge 2e307 sum past the float maximum;
+        # the mean is taken as frequencies times hinges, so no partial sum does.
+        s = ScenarioSet(np.full(8, 0.125), np.array([-1.7e308] * 3 + [1e308] * 4 + [1.2e308]), 0.5)
+        with np.errstate(over="raise"):
+            eta = var_threshold(s)
+            mc = mc_estimate_cvar(s, eta, 1000, np.random.default_rng(3))
+        span = 1.2e308 - eta
         assert eta <= mc <= eta + span / 0.5
 
 
@@ -233,6 +243,31 @@ class TestMonteCarloBaseline:
         slope = np.polyfit(np.log(sizes), np.log(rmse), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
 
+    def test_counts_have_the_distribution_of_index_draws(self):
+        # Hinges 0, 1, 3 are integers, so n times the hinge mean of n iid index
+        # draws has the n-fold convolution of the one-draw law as its exact pmf.
+        s = ScenarioSet(np.array([0.5, 0.3, 0.2]), np.array([0.0, 1.0, 3.0]), 0.5)
+        eta = var_threshold(s)
+        assert eta == 0.0
+        n, runs = 5, 4000
+        one_draw = np.array([0.5, 0.3, 0.0, 0.2])
+        pmf = np.array([1.0])
+        for _ in range(n):
+            pmf = np.convolve(pmf, one_draw)
+        totals = [
+            round((mc_estimate_cvar(s, eta, n, np.random.default_rng(seed)) - eta) * 0.5 * n)
+            for seed in range(runs)
+        ]
+        seen = np.bincount(totals, minlength=pmf.size)
+        assert seen.size == pmf.size and not np.any(seen[pmf == 0.0])
+        # Pool the sparse upper tail so that every expected cell holds at least 5.
+        cut = int(np.argmax(np.cumsum(pmf[::-1]) * runs >= 5))
+        tail = pmf.size - 1 - cut
+        observed = np.append(seen[:tail], seen[tail:].sum())
+        expected = np.append(pmf[:tail], pmf[tail:].sum()) * runs
+        keep = expected > 0
+        assert sps.chisquare(observed[keep], expected[keep]).pvalue > 1e-3
+
     def test_seeded_estimates_reproduce(self):
         rng = np.random.default_rng(7)
         s = random_scenarios(rng, 12, 0.85)
@@ -245,6 +280,36 @@ class TestMonteCarloBaseline:
         s = ScenarioSet(np.array([1.0]), np.array([1.0]), 0.5)
         with pytest.raises(ValueError):
             mc_estimate_cvar(s, 1.0, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("last", [0.0, 1e-10])
+    def test_weights_within_the_set_tolerance_draw(self, last):
+        # numpy's multinomial rejects sum(p[:-1]) > 1 + 1e-12; the set accepts 1e-9.
+        probs = np.array([0.25, 0.25, 0.25, 0.25 + 4.9e-10 - last, last])
+        s = ScenarioSet(probs, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 0.5)
+        assert probs.sum() == pytest.approx(1.0 + 4.9e-10, abs=1e-15)
+        assert probs[:-1].sum() > 1.0 + 1e-12
+        eta = var_threshold(s)
+        mc = mc_estimate_cvar(s, eta, 10_000, np.random.default_rng(0))
+        assert math.isfinite(mc)
+        assert eta <= mc <= eta + (5.0 - eta) / 0.5
+
+    def test_zero_weight_scenario_is_never_drawn(self):
+        # numpy gives the last category whatever count its binomials leave over;
+        # with these weights that happens on about one draw in nine at 1e15.
+        s = ScenarioSet(np.array([0.1] * 10 + [0.0]), np.array([float(i) for i in range(10)] + [1e300]), 0.5)
+        eta = var_threshold(s)
+        for seed in range(50):
+            mc = mc_estimate_cvar(s, eta, 10**15, np.random.default_rng(seed))
+            assert eta <= mc <= eta + (9.0 - eta) / 0.5
+
+    def test_cost_does_not_grow_with_the_sample_count(self):
+        # Per-scenario counts take O(N) memory: a trillion draws of 64 scenarios
+        # would take 8 TB as indices.
+        s = random_scenarios(np.random.default_rng(64), 64, 0.9)
+        eta = var_threshold(s)
+        mc = mc_estimate_cvar(s, eta, 10**12, np.random.default_rng(1))
+        assert eta <= mc <= eta + (s.responses.max() - eta) / (1.0 - s.alpha_level)
+        assert mc == pytest.approx(discrete_cvar(s), rel=1e-4)
 
 
 class TestOracleBridge:
