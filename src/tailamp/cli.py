@@ -84,8 +84,8 @@ class BenchConfig:
         unknown = set(self.controller) - tunable
         if unknown:
             raise ValueError(f"unknown controller fields: {sorted(unknown)}")
-        try:
-            mliqae.ControllerConfig(budget=budgets[0], **self.controller)
+        try:  # the largest budget meets the controller's ceiling only when a cell runs mliqae
+            mliqae.ControllerConfig(budget=budgets[-1] if "mliqae" in methods else 1, **self.controller)
         except TypeError as exc:
             raise ValueError(f"bad controller value: {exc}") from None
         object.__setattr__(self, "budgets", budgets)
@@ -120,9 +120,19 @@ def run_seed(master_seed: int, method: str, budget: int, repetition: int) -> int
 def _tail(
     ens: stochfem.Ensemble, qoi: str
 ) -> tuple[riskmodel.ScenarioSet, riskmodel.TailNormalization, float]:
-    """The QoI's scenario set, its hinge normalisation at the VaR threshold, and its exact CVaR."""
-    s = riskmodel.ScenarioSet(ens.probs, ens.responses[qoi], ens.alpha_level)
-    return s, riskmodel.normalize_hinge(s, riskmodel.var_threshold(s)), riskmodel.discrete_cvar(s)
+    """The QoI's scenario set, its hinge normalisation at the VaR threshold, and its exact CVaR.
+
+    Derived on the first call for each QoI and kept in `ens.tails`; later
+    calls return the same triple.  The ensemble's arrays are read-only, so
+    the kept tail cannot go stale.
+    """
+    tail = ens.tails.get(qoi)
+    if tail is None:
+        s = riskmodel.ScenarioSet(ens.probs, ens.responses[qoi], ens.alpha_level)
+        tn = riskmodel.normalize_hinge(s, riskmodel.var_threshold(s))
+        tn.gs.flags.writeable = False
+        tail = ens.tails[qoi] = (s, tn, riskmodel.discrete_cvar(s))
+    return tail
 
 
 def _build_ensemble(cfg: BenchConfig) -> stochfem.Ensemble:
@@ -139,7 +149,11 @@ def estimate_once(
     seed: int,
     controller_overrides: dict | None = None,
 ) -> ResultRow:
-    """One seeded estimate against a cached ensemble."""
+    """One seeded estimate against a cached ensemble.
+
+    The QoI's tail comes from `_tail`, so repeated calls on one ensemble
+    derive it once; each call still runs its own estimator.
+    """
     return _estimate(_tail(ens, qoi), qoi, method, budget, seed, controller_overrides)
 
 

@@ -66,6 +66,10 @@ _CHORD_SIGMAS = 1.5  # the likelihood integral is bounded on theta_hat +- this /
 
 _HALF_PI = 0.5 * math.pi
 
+# Largest budget a run takes: the update reads the pooled counts as floats
+# (OrderTotals.rows), which are exact integers only up to 2**53.
+MAX_BUDGET = 2**53
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -89,6 +93,10 @@ class ControllerConfig:
                 raise TypeError(f"{name} must be {noun}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
+        if self.budget > MAX_BUDGET:
+            raise ValueError(
+                f"budget {self.budget} is too large: the controller takes at most 2**53 = {MAX_BUDGET}"
+            )
         if not 0.0 < self.delta_tot < 1.0:
             raise ValueError("delta_tot must lie in (0, 1)")
         if not (math.isfinite(self.epsilon_a) and self.epsilon_a >= 0.0):

@@ -565,7 +565,12 @@ _BAR_BLOCK = 1024
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Cached scenario responses: the estimation oracle is a lookup table."""
+    """Cached scenario responses: the estimation oracle is a lookup table.
+
+    `probs` and every `responses` array are made read-only, so a QoI's tail
+    derived once and kept in `tails` (see `cli._tail`) stays that of the
+    ensemble.
+    """
 
     benchmark: str
     alpha_level: float
@@ -573,6 +578,11 @@ class Ensemble:
     params: dict
     probs: np.ndarray
     responses: dict[str, np.ndarray] = field(repr=False)
+    tails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for array in (self.probs, *self.responses.values()):
+            array.flags.writeable = False
 
     @property
     def n_scenarios(self) -> int:

@@ -92,6 +92,53 @@ class TestEstimateOnce:
             estimate_once(small_ensemble, "compliance", "quantum", 100, seed=0)
 
 
+class TestTailMemo:
+    def test_each_qoi_tail_is_derived_once(self, monkeypatch):
+        ens = stochfem.build_scenario_ensemble("bar1d", 64, seed=4)  # nothing derived yet
+        threshold = riskmodel.var_threshold
+        calls = []
+
+        def counted(s):
+            calls.append(s.responses)
+            return threshold(s)
+
+        monkeypatch.setattr(riskmodel, "var_threshold", counted)
+        for qoi in stochfem.QOI_NAMES:
+            estimate_once(ens, qoi, "mc", 300, seed=0)
+        derived = len(calls)
+        assert {id(r) for r in calls} == {id(ens.responses[qoi]) for qoi in stochfem.QOI_NAMES}
+        for seed in range(3):
+            for qoi in stochfem.QOI_NAMES:
+                for method in ("mc", "mliqae"):
+                    estimate_once(ens, qoi, method, 300 + seed, seed)
+        truth_sidecar(ens)
+        run_bench(BenchConfig(**TINY), ens=ens)
+        assert len(calls) == derived
+
+    @pytest.mark.parametrize("method", ["mc", "mliqae"])
+    def test_rows_equal_those_of_a_freshly_read_copy(self, tmp_path, method):
+        path = tmp_path / "bar1d.ensemble.txt"
+        stochfem.write_ensemble(path, stochfem.build_scenario_ensemble("bar1d", 64, seed=6))
+        kept = stochfem.read_ensemble(path)
+        for qoi in stochfem.QOI_NAMES:
+            for budget, seed in ((300, 1), (2000, 2), (9000, 3)):
+                row = estimate_once(kept, qoi, method, budget, seed)
+                fresh = estimate_once(stochfem.read_ensemble(path), qoi, method, budget, seed)
+                assert format_row(row) == format_row(fresh)
+
+    def test_ensemble_arrays_are_read_only(self, tmp_path, small_ensemble):
+        path = tmp_path / "bar1d.ensemble.txt"
+        stochfem.write_ensemble(path, small_ensemble)
+        for ens in (small_ensemble, stochfem.read_ensemble(path)):
+            with pytest.raises(ValueError, match="read-only"):
+                ens.probs[0] = 0.5
+            for qoi in stochfem.QOI_NAMES:
+                with pytest.raises(ValueError, match="read-only"):
+                    ens.responses[qoi][0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    cli._tail(ens, qoi)[1].gs[0] = 1.0
+
+
 class TestBenchConfig:
     def test_defaults_are_valid(self):
         cfg = BenchConfig()
@@ -163,6 +210,14 @@ class TestBenchConfig:
     def test_rejects_wrong_field_types(self, fields, message):
         with pytest.raises(ValueError, match=message):
             BenchConfig(**fields)
+
+    def test_budget_above_the_controller_ceiling_is_rejected_when_mliqae_runs(self):
+        budgets = (1000, 2**53 + 1)
+        with pytest.raises(ValueError, match=r"budget 9007199254740993 is too large: .* at most 2\*\*53"):
+            BenchConfig(budgets=budgets)
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            BenchConfig(budgets=budgets, methods=("mliqae",), controller={"delta_tot": 0.1})
+        assert BenchConfig(budgets=budgets, methods=("mc",)).budgets == budgets
 
     def test_accepts_numpy_integers_and_lists(self):
         cfg = BenchConfig(budgets=[np.int64(300), 600], methods=["mc"], seed=np.int32(2))
@@ -253,6 +308,15 @@ class TestRunBench:
         monkeypatch.setattr(stochfem, "build_scenario_ensemble", no_ensemble)
         with pytest.raises(ValueError, match=f"{cli.WORKERS_ENV} must be an integer of at least 1, got '{value}'"):
             run_bench(BenchConfig(**TINY))
+
+    def test_budget_above_the_controller_ceiling_fails_before_the_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        budgets = f"100,{2**53 + 1}"
+        argv = ["bench", "--n-scenarios", "8", "--budgets", budgets, "--reps", "1", "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: budget {2**53 + 1} is too large: the controller takes at most 2**53 = {2**53}"]
+        assert not out.exists()
 
     def test_bad_worker_count_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(cli.WORKERS_ENV, "abc")
@@ -569,8 +633,8 @@ class TestCommands:
     @pytest.mark.parametrize("method", ["mc", "mliqae"])
     @pytest.mark.parametrize("budget", [10**21, 10**23])
     def test_budget_beyond_a_64_bit_draw_is_one_error_line(self, tmp_path, capsys, method, budget):
-        # MC's multinomial draw and the controller's first batch of budget // 28
-        # shots both pass the count to numpy as a 64-bit integer; MC names the budget.
+        # MC's multinomial draw takes a 64-bit count and the controller at most
+        # 2**53 calls; both lines name the budget.
         ens_path, _ = self.generate(tmp_path)
         capsys.readouterr()
         rc = main(["estimate", "--ensemble", str(ens_path), "--method", method, "--budget", str(budget)])
@@ -581,6 +645,20 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("error: ") and "too large" in err[0]
         if method == "mc":
             assert err[0].startswith(f"error: Monte Carlo budget {budget} is too large")
+        else:
+            assert err[0].startswith(f"error: budget {budget} is too large: the controller takes at most 2**53")
+
+    def test_mliqae_budget_just_above_the_ceiling_is_one_error_line(self, tmp_path, capsys):
+        budget = 2**53 + 1  # fits numpy's 64-bit counts, so only the ceiling rejects it
+        ens_path, _ = self.generate(tmp_path)
+        capsys.readouterr()
+        rc = main(["estimate", "--ensemble", str(ens_path), "--method", "mliqae", "--budget", str(budget)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: budget {budget} is too large: the controller takes at most 2**53 = {2**53}"
+        ]
 
     @pytest.mark.parametrize(
         "exc, line",

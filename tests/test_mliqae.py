@@ -161,6 +161,13 @@ class TestControllerConfig:
         assert (cfg.budget, cfg.delta_tot, cfg.epsilon_a) == (1, 0.5, 0)
         assert ControllerConfig(budget=100, delta_tot=1e-12).delta_tot == 1e-12
 
+    def test_budget_ceiling_is_two_to_the_53(self):
+        assert mliqae.MAX_BUDGET == 2**53
+        assert ControllerConfig(budget=2**53).budget == 2**53
+        ceiling = r"^budget 9007199254740993 is too large: .* at most 2\*\*53 = 9007199254740992$"
+        with pytest.raises(ValueError, match=ceiling):
+            ControllerConfig(budget=2**53 + 1)
+
     def test_fields_are_the_run_contract(self):
         assert [f.name for f in fields(ControllerConfig)] == [
             "budget",
