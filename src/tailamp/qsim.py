@@ -16,7 +16,10 @@ StatevectorOracle, which the controller drives, uses the fact that
 amplification keeps A|0> in the real plane spanned by its ancilla-|0> and
 ancilla-|1> halves, where each iterate rotates by 2 theta (Brassard, Hoyer,
 Mosca & Tapp 2002, Quantum amplitude amplification and estimation, Contemp.
-Math. 305): it builds the two halves once, in O(N), and reads theta off them.
+Math. 305): it builds the two halves once and reads theta off them.
+The halves are sqrt(p_i (1 - g_i)) and sqrt(p_i g_i), one entry per scenario
+with no padding, built in O(N) from square roots and products:
+cos(asin(sqrt(g))) is sqrt(1 - g), so no trigonometric function is evaluated.
 """
 
 from __future__ import annotations
@@ -74,10 +77,7 @@ class OracleSpec:
 
     @property
     def n_index_qubits(self) -> int:
-        n = 0
-        while (1 << n) < self.probs.size:
-            n += 1
-        return n
+        return (self.probs.size - 1).bit_length()
 
     @property
     def angles(self) -> np.ndarray:
@@ -213,26 +213,30 @@ def oracle_gates(spec: OracleSpec) -> list:
 def _oracle_halves(spec: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
     """Real amplitudes of A|0> with the ancilla in |0> and in |1>.
 
-    Entry i of each half is scenario i: sqrt(p_i) cos(phi_i / 2) and
-    sqrt(p_i) sin(phi_i / 2), zero on the padding.
+    Entry i of each half is scenario i: sqrt(p_i) sqrt(1 - g_i) and
+    sqrt(p_i) sqrt(g_i), which equal sqrt(p_i) cos(phi_i / 2) and
+    sqrt(p_i) sin(phi_i / 2).  Each half has one entry per scenario and no
+    padding; building both takes O(N) square roots and products.
     """
-    size = 1 << spec.n_index_qubits
-    zero, one = np.zeros(size), np.zeros(size)
     root_p = np.sqrt(spec.probs)
-    half = spec.angles / 2.0
-    zero[: spec.n_scenarios] = root_p * np.cos(half)
-    one[: spec.n_scenarios] = root_p * np.sin(half)
+    zero = np.subtract(1.0, spec.gs)
+    np.sqrt(zero, out=zero)
+    zero *= root_p
+    one = np.sqrt(spec.gs)
+    one *= root_p
     return zero, one
 
 
 def build_oracle_state(spec: OracleSpec) -> StateVector:
     """Prepare A|0> from its closed-form amplitudes.
 
-    apply_oracle applied to the |0> basis state gives the same state gate by
-    gate; the tests hold the two to 1e-12.
+    The unpadded halves fill the first 2 n_scenarios slots of the register;
+    the padding past them stays zero.  apply_oracle applied to the |0> basis
+    state gives the same state gate by gate; the tests hold the two to 1e-12.
     """
     amps = np.zeros(1 << (spec.n_index_qubits + 1), dtype=complex)
-    amps[0::2], amps[1::2] = _oracle_halves(spec)
+    used = amps[: 2 * spec.n_scenarios]
+    used[0::2], used[1::2] = _oracle_halves(spec)
     return StateVector(spec.n_index_qubits, amps)
 
 
@@ -335,8 +339,9 @@ class StatevectorOracle:
     Grover iterates never leave the plane spanned by the ancilla-|0> half b
     and the ancilla-|1> half g of A|0>, where A|0> sits at angle
     theta = atan2(|g|, |b|) from b and each iterate rotates it by 2 theta,
-    so p(k) = sin^2((2k+1) theta).  Only theta, taken from the halves, is
-    kept.
+    so p(k) = sin^2((2k+1) theta).  Only theta, taken from the unpadded
+    halves sqrt(p (1 - g)) and sqrt(p g), is kept: building it costs O(N)
+    square roots and two norms, with no trigonometric function per scenario.
     """
 
     def __init__(self, spec: OracleSpec):

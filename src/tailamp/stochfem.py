@@ -624,8 +624,9 @@ def write_ensemble(path, ens: Ensemble) -> None:
 def read_ensemble(path) -> Ensemble:
     """Reload a persisted ensemble; floats round-trip exactly.
 
-    A malformed file (missing header key, unparsable value, wrong column or
-    row count, index column not 0..n-1) raises one ValueError line naming it.
+    A malformed file (missing header key, unparsable value, alpha_level
+    outside (0, 1), params not a JSON object, wrong column or row count,
+    index column not 0..n-1) raises one ValueError line naming it.
     """
     header, rows = {}, []
     width = 2 + len(QOI_NAMES)
@@ -645,6 +646,12 @@ def read_ensemble(path) -> Ensemble:
         missing = [k for k in keys if k not in header]
         if missing:
             raise ValueError(f"missing header keys {', '.join(missing)}")
+        alpha_level = float(header["alpha_level"])
+        if not 0.0 < alpha_level < 1.0:
+            raise ValueError(f"alpha_level {header['alpha_level']} must lie in (0, 1)")
+        params = json.loads(header["params"])
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, got {header['params']}")
         n = int(header["n_scenarios"])
         if n < 1:
             raise ValueError("n_scenarios must be positive")
@@ -655,9 +662,9 @@ def read_ensemble(path) -> Ensemble:
             raise ValueError(f"index column must run 0..{n - 1} in order")
         return Ensemble(
             benchmark=header["benchmark"],
-            alpha_level=float(header["alpha_level"]),
+            alpha_level=alpha_level,
             seed=int(header["seed"]),
-            params=json.loads(header["params"]),
+            params=params,
             probs=data[:, 1].copy(),
             responses={name: data[:, 2 + j].copy() for j, name in enumerate(QOI_NAMES)},
         )

@@ -590,6 +590,30 @@ class TestCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(ens_path) in err[0]
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("alpha_level", "1.5", "alpha_level 1.5 must lie in (0, 1)"),
+            ("alpha_level", "0", "alpha_level 0 must lie in (0, 1)"),
+            ("params", "[1,2]", "params must be a JSON object, got [1,2]"),
+        ],
+    )
+    def test_bad_header_value_is_one_error_line_naming_the_file(
+        self, tmp_path, capsys, key, value, message
+    ):
+        ens_path, _ = self.generate(tmp_path)
+        lines = [
+            f"# {key} {value}" if ln.startswith(f"# {key} ") else ln
+            for ln in ens_path.read_text().splitlines()
+        ]
+        ens_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["estimate", "--ensemble", str(ens_path), "--method", "mc", "--budget", "10"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: {ens_path}: {message}"]
+
     @pytest.mark.parametrize("method", ["mc", "mliqae"])
     def test_nan_probability_in_the_ensemble_is_one_error_line(self, tmp_path, capsys, method):
         ens_path, _ = self.generate(tmp_path)

@@ -1,6 +1,7 @@
 """Statevector oracle and Grover amplification tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,9 +74,15 @@ class TestOracleSpec:
         np.testing.assert_allclose(spec.gs, expected, atol=1e-15)
 
     def test_index_qubits_round_up(self):
-        spec = qsim.OracleSpec(np.full(5, 0.2), np.zeros(5))
-        assert spec.n_index_qubits == 3
-        assert spec.padded_probs().size == 8
+        for size, qubits in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (1 << 20, 20)):
+            spec = qsim.OracleSpec(np.full(size, 1.0 / size), np.zeros(size))
+            assert spec.n_index_qubits == qubits
+            assert spec.padded_probs().size == 1 << qubits
+
+    def test_one_past_the_size_cap_is_rejected(self):
+        size = (1 << qsim.MAX_INDEX_QUBITS) + 1
+        with pytest.raises(ValueError, match="size cap"):
+            qsim.OracleSpec(np.full(size, 1.0 / size), np.zeros(size))
 
     def test_rejects_unnormalized_probs(self):
         with pytest.raises(ValueError):
@@ -123,6 +130,26 @@ class TestOracleState:
         np.testing.assert_allclose(
             gate_prepared(spec).amplitudes, qsim.build_oracle_state(spec).amplitudes, atol=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "probs, gs",
+        [
+            (np.random.default_rng(13).dirichlet(np.ones(5)), np.random.default_rng(17).uniform(0.0, 1.0, 5)),
+            (np.random.default_rng(19).dirichlet(np.ones(1000)), np.random.default_rng(23).uniform(0.0, 1.0, 1000)),
+            ([0.5, 0.0, 0.25, 0.0, 0.25], [0.3, 0.7, 0.0, 1.0, 0.9]),
+            ([0.2, 0.3, 0.5], [0.0, 1.0, 0.0]),
+        ],
+        ids=["5", "1000", "zero-weight", "g-0-and-1"],
+    )
+    def test_halves_are_the_unpadded_half_angle_amplitudes(self, probs, gs):
+        spec = qsim.OracleSpec(probs, gs)
+        zero, one = qsim._oracle_halves(spec)
+        assert zero.shape == one.shape == (spec.n_scenarios,)
+        root_p, half = np.sqrt(spec.probs), spec.angles / 2.0
+        np.testing.assert_allclose(zero, root_p * np.cos(half), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(one, root_p * np.sin(half), rtol=0, atol=1e-15)
+        state = qsim.build_oracle_state(spec).amplitudes
+        assert not np.any(state[2 * spec.n_scenarios :])
 
     def test_success_probability_matches_weighted_response(self):
         rng = np.random.default_rng(11)
@@ -288,6 +315,26 @@ class TestMeasurementModels:
             assert sv.success_probability(k) == pytest.approx(
                 an.success_probability(k), abs=1e-10
             )
+
+    @pytest.mark.parametrize("g, theta", [(0.0, 0.0), (1.0, math.pi / 2.0)])
+    def test_rotation_angle_is_exact_at_the_edges(self, g, theta):
+        probs = np.random.default_rng(37).dirichlet(np.ones(7))
+        assert qsim.StatevectorOracle(qsim.OracleSpec(probs, np.full(7, g)))._theta == theta
+
+    def test_oracle_build_holds_no_padded_buffers(self):
+        # One past a power of two, a padded register is almost twice the
+        # scenario count; the unpadded halves and sqrt(p) take 3 N floats.
+        n = (1 << 14) + 1
+        rng = np.random.default_rng(53)
+        spec = qsim.OracleSpec(rng.dirichlet(np.ones(n)), rng.uniform(0.0, 1.0, n))
+        qsim.StatevectorOracle(spec)
+        tracemalloc.start()
+        try:
+            qsim.StatevectorOracle(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * n
 
     def test_statevector_model_answers_depths_in_any_order(self):
         fresh = qsim.StatevectorOracle(example_spec())
