@@ -5,8 +5,8 @@ it with a truth sidecar.  `estimate` runs one Monte Carlo or amplified
 estimate against an ensemble file and prints the result row.  `bench`
 sweeps a budget grid with repetitions for both methods, writing raw rows
 and aggregates as CSV.  Every row is reproducible from (ensemble, method,
-budget, seed); cells are built in output order and `map` keeps it, so
-worker parallelism never changes output bytes.
+budget, seed): a sweep runs its cells one after another, in output order,
+and each cell is one `estimate_once` call.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
@@ -27,7 +26,6 @@ import numpy as np
 from . import mliqae, qsim, riskmodel, stochfem
 
 DEFAULT_BUDGETS = (2000, 4000, 8000, 16000, 32000, 64000, 128000, 256000)
-WORKERS_ENV = "TAILAMP_WORKERS"
 
 AGG_COLUMNS = ("method", "budget", "mean_abs_err", "median_abs_err", "std_abs_err")
 
@@ -151,27 +149,11 @@ def estimate_once(
 ) -> ResultRow:
     """One seeded estimate against a cached ensemble.
 
-    The QoI's tail comes from `_tail`, so repeated calls on one ensemble
-    derive it once; each call still runs its own estimator.
+    The QoI's tail comes from `_tail`, derived once per ensemble.  Both
+    methods share its fixed threshold eta; the amplified estimator runs on
+    the closed-form measurement model at the tail's exact amplitude.
     """
-    return _estimate(_tail(ens, qoi), qoi, method, budget, seed, controller_overrides)
-
-
-def _estimate(
-    tail: tuple[riskmodel.ScenarioSet, riskmodel.TailNormalization, float],
-    qoi: str,
-    method: str,
-    budget: int,
-    seed: int,
-    controller_overrides: dict | None,
-) -> ResultRow:
-    """One seeded estimate against a QoI's tail, as `_tail` returns it.
-
-    Both methods share the fixed threshold eta computed once from the full
-    ensemble; the amplified estimator runs on the closed-form measurement
-    model at the ensemble's exact tail amplitude.
-    """
-    s, tn, truth = tail
+    s, tn, truth = _tail(ens, qoi)
     rng = np.random.default_rng(seed)
     if method == "mc":
         est = riskmodel.mc_estimate_cvar(s, tn.eta, budget, rng)
@@ -206,41 +188,20 @@ def format_row(row: ResultRow) -> str:
     return ",".join(_format_value(getattr(row, name)) for name in RAW_COLUMNS)
 
 
-def _bench_cell(args) -> ResultRow:
-    return _estimate(*args)
-
-
-def _workers() -> int:
-    """Worker count from TAILAMP_WORKERS: a decimal integer of at least 1, default 1."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    if not (raw.isdecimal() and int(raw) >= 1):
-        raise ValueError(f"{WORKERS_ENV} must be an integer of at least 1, got {raw!r}")
-    return int(raw)
-
-
 def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[list[ResultRow], list[tuple]]:
     """Execute the sweep; returns (raw rows, aggregate tuples), both sorted by (method, budget).
 
-    Worker count comes from the TAILAMP_WORKERS environment variable, capped
-    by the cell count and the CPU count.  Cells are built in output order and
-    `map` keeps it, so parallel runs are byte-identical to serial ones.
+    Cells run serially in output order.  Each row is the `estimate_once` row
+    for its cell's seed, so any cell can be rerun alone with the same bytes.
     """
-    workers = _workers()
     if ens is None:
         ens = _build_ensemble(cfg)
-    tail = _tail(ens, cfg.qoi)  # the same for every cell
-    cells = [
-        (tail, cfg.qoi, method, budget, run_seed(cfg.seed, method, budget, rep), cfg.controller)
+    rows = [
+        estimate_once(ens, cfg.qoi, method, budget, run_seed(cfg.seed, method, budget, rep), cfg.controller)
         for method in sorted(cfg.methods)
         for budget in cfg.budgets
         for rep in range(cfg.repetitions)
     ]
-    workers = min(workers, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_cell, cells, chunksize=4))
-    else:
-        rows = [_bench_cell(c) for c in cells]
     agg = []
     # Distinct methods and strictly ascending budgets keep each cell's rows adjacent.
     for (method, budget), group in itertools.groupby(rows, key=lambda r: (r.method, r.budget)):
@@ -311,7 +272,6 @@ def cmd_estimate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    _workers()  # a bad worker count must fail before the output directory exists
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows, agg = run_bench(cfg)
     stem = f"{cfg.benchmark}_{cfg.qoi}"
@@ -339,7 +299,7 @@ def _config_from_args(args, file_fields=None) -> BenchConfig:
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val
-    if getattr(args, "budgets", None):
+    if getattr(args, "budgets", None) is not None:
         data["budgets"] = []
         for entry in args.budgets.split(","):
             try:

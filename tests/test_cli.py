@@ -35,6 +35,10 @@ TINY = dict(
     n_scenarios=64,
 )
 
+# sha256 over the raw then the aggregate CSV of `test_bench_csv_bytes_are_pinned`'s sweep.
+# A change meant to leave behaviour alone keeps it; any other change re-records it.
+BENCH_CSV_DIGEST = "4fe809549a434f9cc7ef17e9fc6967b7e9719adfaded0356ba949af39002383f"
+
 
 @pytest.fixture(scope="module")
 def small_ensemble():
@@ -264,50 +268,29 @@ class TestRunBench:
         assert inversions <= 1
         assert medians[-1] < medians[0]
 
-    def test_parallel_run_is_byte_identical(self, small_ensemble, monkeypatch):
-        cfg = BenchConfig(**TINY)
-        serial_rows, serial_agg = run_bench(cfg, ens=small_ensemble)
-        monkeypatch.setenv(cli.WORKERS_ENV, "2")
-        par_rows, par_agg = run_bench(cfg, ens=small_ensemble)
-        assert [format_row(r) for r in par_rows] == [format_row(r) for r in serial_rows]
-        assert par_agg == serial_agg
-
-    @pytest.mark.parametrize("cpus, started", [(64, [2]), (1, [])])
-    def test_worker_pool_is_capped_by_cells_and_cpus(self, small_ensemble, monkeypatch, cpus, started):
-        # A fake pool records its size and maps in-process, so no process starts.
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells, chunksize=1):
-                return map(fn, cells)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        monkeypatch.setenv(cli.WORKERS_ENV, "1000000")
-        cfg = BenchConfig(**{**TINY, "budgets": (300,), "repetitions": 2, "methods": ("mc",)})
+    def test_every_row_is_its_cell_rerun_alone(self, small_ensemble):
+        controller = {"delta_tot": 0.5}
+        cfg = BenchConfig(**TINY, controller=controller)
         rows, _ = run_bench(cfg, ens=small_ensemble)
-        assert len(rows) == 2
-        assert sizes == started
+        alone = [
+            estimate_once(small_ensemble, cfg.qoi, method, budget, run_seed(cfg.seed, method, budget, rep), controller)
+            for method in ("mc", "mliqae")
+            for budget in cfg.budgets
+            for rep in range(cfg.repetitions)
+        ]
+        assert [format_row(r) for r in rows] == [format_row(r) for r in alone]
+        # The override reaches the controller: the default delta_tot gives other mliqae rows.
+        default_rows, _ = run_bench(BenchConfig(**TINY), ens=small_ensemble)
+        assert [r for r in default_rows if r.method == "mliqae"] != [r for r in rows if r.method == "mliqae"]
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
-    def test_bad_worker_count_is_rejected_before_any_work(self, monkeypatch, value):
-        monkeypatch.setenv(cli.WORKERS_ENV, value)
-
-        def no_ensemble(*args, **kwargs):
-            raise AssertionError("ensemble built before the worker count was checked")
-
-        monkeypatch.setattr(stochfem, "build_scenario_ensemble", no_ensemble)
-        with pytest.raises(ValueError, match=f"{cli.WORKERS_ENV} must be an integer of at least 1, got '{value}'"):
-            run_bench(BenchConfig(**TINY))
+    def test_bench_csv_bytes_are_pinned(self, tmp_path):
+        argv = ["bench", "--benchmark", "bar1d", "--n-scenarios", "256", "--budgets", "2000,8000,32000"]
+        argv += ["--reps", "5", "--seed", "3", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        digest = hashlib.sha256()
+        for name in ("bar1d_compliance_raw.csv", "bar1d_compliance_agg.csv"):
+            digest.update((tmp_path / name).read_bytes())
+        assert digest.hexdigest() == BENCH_CSV_DIGEST
 
     def test_budget_above_the_controller_ceiling_fails_before_the_output_directory(self, tmp_path, capsys):
         out = tmp_path / "X"
@@ -316,15 +299,6 @@ class TestRunBench:
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: budget {2**53 + 1} is too large: the controller takes at most 2**53 = {2**53}"]
-        assert not out.exists()
-
-    def test_bad_worker_count_leaves_no_output_directory(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "abc")
-        out = tmp_path / "X"
-        argv = ["bench", "--n-scenarios", "8", "--budgets", "100", "--reps", "1", "--out-dir", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"{cli.WORKERS_ENV} must be an integer" in err[0]
         assert not out.exists()
 
     def test_rerun_is_deterministic(self, small_ensemble):
@@ -769,7 +743,7 @@ class TestCommands:
             " ['alpha_level', 'budgets', 'methods', 'n_scenarios']"
         )
 
-    @pytest.mark.parametrize("budgets, entry", [("100,x", "'x'"), ("100,,200", "''"), ("1.5", "'1.5'")])
+    @pytest.mark.parametrize("budgets, entry", [("100,x", "'x'"), ("100,,200", "''"), ("1.5", "'1.5'"), ("", "''")])
     def test_bad_budgets_entry_names_the_flag(self, tmp_path, capsys, budgets, entry):
         rc = main(["bench", "--budgets", budgets, "--out-dir", str(tmp_path / "out")])
         assert rc == 1
