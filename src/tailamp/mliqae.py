@@ -60,7 +60,7 @@ _NEWTON_MAX_STEPS = 100
 # Policy of the loop: the validated operating point, the same for every run.
 _M_MIN = 50  # fewest shots per batch while the remainder affords them
 _HORIZON = 28  # each batch takes 1/_HORIZON of the shots the remainder affords
-_MLE_BRACKET = 1e-10  # Newton stops once its step or bracket is this narrow
+_MLE_BRACKET = 1e-10  # Newton stops once its step is this short
 _CUT_NUDGE = 1e-12  # relative inset of a piece edge from a singular angle
 _CHORD_SIGMAS = 1.5  # the likelihood integral is bounded on theta_hat +- this / sqrt(info)
 
@@ -179,9 +179,8 @@ def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
     score points to when it does not change sign.  Newton steps start from
     the midpoint; the score at each iterate moves the bracket edge on its
     side up to it, and a step that leaves the bracket becomes a bisection.
-    The search stops at the iterate whose Newton step, or whose bracket, is
-    narrower than _MLE_BRACKET.  Returns (theta, score): the maximum and the
-    score there.
+    The search stops at the iterate whose Newton step is no longer than
+    _MLE_BRACKET.  Returns (theta, score): the maximum and the score there.
     """
     score_lo, _ = log_likelihood_slopes(lo, rows)
     score_hi, _ = log_likelihood_slopes(hi, rows)
@@ -196,12 +195,10 @@ def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
             lo = th
         elif score < 0.0:
             hi = th
-        else:
-            break
         newton = th - score / curv
         # A converged iterate stops before its step lands on the bracket edge
         # it just moved, which would turn the step into a bisection.
-        if abs(newton - th) <= _MLE_BRACKET or hi - lo <= _MLE_BRACKET:
+        if abs(newton - th) <= _MLE_BRACKET:
             break
         th = newton if lo < newton < hi else 0.5 * (lo + hi)
     return th, score

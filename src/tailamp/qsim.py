@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .stochfem import checked_scenarios
+
 MAX_INDEX_QUBITS = 20
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -44,20 +46,7 @@ class OracleSpec:
     gs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        gs = np.asarray(self.gs, dtype=float)
-        if probs.ndim != 1 or probs.shape != gs.shape:
-            raise ValueError("probs and gs must be matching 1-d arrays")
-        if probs.size < 1:
-            raise ValueError("need at least one scenario")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1 within 1e-9")
-        if not np.all(np.isfinite(gs)):
-            raise ValueError("responses g must be finite")
+        probs, gs = checked_scenarios(self.probs, self.gs, "responses g")
         if np.any((gs < 0.0) | (gs > 1.0)):
             raise ValueError("responses g must lie in [0, 1]")
         object.__setattr__(self, "probs", probs)

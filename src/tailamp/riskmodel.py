@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import OracleSpec
+from .stochfem import checked_scenarios
 
 _MAX_DRAWS = int(np.iinfo(np.int64).max)  # numpy's multinomial takes a 64-bit count
 
@@ -28,20 +29,7 @@ class ScenarioSet:
     alpha_level: float
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        responses = np.asarray(self.responses, dtype=float)
-        if probs.ndim != 1 or probs.shape != responses.shape:
-            raise ValueError("probs and responses must be matching 1-d arrays")
-        if probs.size < 1:
-            raise ValueError("need at least one scenario")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1 within 1e-9")
-        if not np.all(np.isfinite(responses)):
-            raise ValueError("responses must be finite")
+        probs, responses = checked_scenarios(self.probs, self.responses, "responses")
         if not 0.0 < self.alpha_level < 1.0:
             raise ValueError("alpha_level must lie in (0, 1)")
         object.__setattr__(self, "probs", probs)

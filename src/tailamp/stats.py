@@ -190,6 +190,6 @@ def chord_masses(peak: float, ends) -> list[float]:
     chord ends; a drop below zero can only come from rounding and counts as
     zero, whose integral is 1.
     """
-    drops = [max(peak - end, 0.0) for end in ends]
+    drops = [peak - end for end in ends]
     falls = np.expm1([-d for d in drops]).tolist()
     return [-f / d if d > 0.0 else 1.0 for f, d in zip(falls, drops)]

@@ -2,10 +2,11 @@
 
 Scenario generation has two halves.  A Nystrom low-rank basis turns an
 anisotropic Gaussian covariance kernel into r evaluable approximate
-eigenfunctions, so one standard-normal vector of length r yields a spatially
-correlated log-modulus field at the element centroids.  Deterministic linear
-FEM solves then map each modulus realization to scalar quantities of
-interest: compliance, a tip displacement, and the peak von Mises stress.
+eigenfunctions; sample_field draws one standard-normal vector of length r
+and returns the spatially correlated lognormal modulus it induces at the
+element centroids.  Deterministic linear FEM solves then map each modulus
+realization to scalar quantities of interest: compliance, a tip
+displacement, and the peak von Mises stress.
 
 The two-node bar needs no solve: its elements are springs in series, so the
 tip displacement has the closed form P/A * sum_e L_e / E_e, evaluated for a
@@ -23,11 +24,37 @@ import math
 import numbers
 import os
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 QOI_NAMES = ("compliance", "tipdisp", "vmmax")
+
+
+def checked_scenarios(probs, values, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Scenario weights and one value per scenario as float arrays, checked.
+
+    Both must be matching 1-d arrays with at least one scenario; the weights
+    must be finite, nonnegative and sum to 1 within 1e-9, and the values
+    finite.  name is the values' name in the error messages.
+    """
+    probs = np.asarray(probs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if probs.ndim != 1 or probs.shape != values.shape:
+        raise ValueError(f"probs and {name} must be matching 1-d arrays")
+    if probs.size < 1:
+        raise ValueError("need at least one scenario")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
+    if np.any(probs < 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError("probabilities must sum to 1 within 1e-9")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return probs, values
 
 
 # --- random field ------------------------------------------------------------
@@ -81,11 +108,9 @@ class NystromBasis:
     expansion needs no further eigenvalue scaling.
     """
 
-    sample_points: np.ndarray
+    model: KernelModel         # kernel and sample points x_m
     eigenvalues: np.ndarray    # (r,), descending, strictly positive
     weights: np.ndarray        # (M, r), columns u_j / sqrt(lam_j)
-    length_scale_x: float
-    length_scale_y: float
 
     @property
     def rank(self) -> int:
@@ -93,8 +118,8 @@ class NystromBasis:
 
     def evaluate(self, points) -> np.ndarray:
         """phi_j at arbitrary points; returns (n_points, r)."""
-        kx = gaussian_kernel(points, self.sample_points, self.length_scale_x, self.length_scale_y)
-        return kx @ self.weights
+        m = self.model
+        return gaussian_kernel(points, m.sample_points, m.length_scale_x, m.length_scale_y) @ self.weights
 
 
 def nystrom_basis(model: KernelModel) -> NystromBasis:
@@ -124,29 +149,14 @@ def nystrom_basis(model: KernelModel) -> NystromBasis:
         )
         r = n_pos
     lam_r = lam[:r]
-    weights = vecs[:, :r] / np.sqrt(lam_r)[None, :]
-    return NystromBasis(
-        sample_points=model.sample_points,
-        eigenvalues=lam_r,
-        weights=weights,
-        length_scale_x=model.length_scale_x,
-        length_scale_y=model.length_scale_y,
-    )
+    return NystromBasis(model, lam_r, vecs[:, :r] / np.sqrt(lam_r)[None, :])
 
 
-@dataclass(frozen=True)
-class FieldRealization:
-    """One latent draw and the positive modulus it induces per element."""
-
-    xi: np.ndarray
-    modulus: np.ndarray
-
-
-def sample_field(model: KernelModel, phi: np.ndarray, rng: np.random.Generator) -> FieldRealization:
-    """Draw xi ~ N(0, I_r); E = exp(sigma * phi @ xi) with phi the basis at the centroids."""
+def sample_field(model: KernelModel, phi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Modulus per element E = exp(sigma * phi @ xi), xi ~ N(0, I_r), phi the basis at the centroids."""
     xi = rng.standard_normal(phi.shape[1])
     with np.errstate(over="ignore"):  # an overflow is an infinite modulus, which solvers reject
-        return FieldRealization(xi=xi, modulus=np.exp(model.sigma * (phi @ xi)))
+        return np.exp(model.sigma * (phi @ xi))
 
 
 # --- meshes -------------------------------------------------------------------
@@ -220,23 +230,26 @@ def _structured_quads(active, xs, ys):
     order = np.argwhere(used)  # lexicographic: x-major, deterministic
     node_id[order[:, 0], order[:, 1]] = np.arange(order.shape[0])
     coords = np.column_stack([xs[order[:, 0]], ys[order[:, 1]]])
-    elems = np.array(
-        [
-            (node_id[i, j], node_id[i + 1, j], node_id[i + 1, j + 1], node_id[i, j + 1])
-            for i, j in idx
-        ],
-        dtype=int,
-    )
+    i, j = idx.T
+    elems = np.column_stack([node_id[i, j], node_id[i + 1, j], node_id[i + 1, j + 1], node_id[i, j + 1]])
     return coords, elems, node_id
 
 
-def _edge_loads(coords, edge_nodes, seg_len):
-    """Consistent nodal forces for a unit downward traction along one face."""
+def _q4_mesh(active, xs, ys, hx: float, hy: float, clamped, n_loaded: int) -> MeshQ4:
+    """Q4 mesh of the active cells, clamped at grid nodes, loaded on its right face.
+
+    clamped indexes the (len(xs), len(ys)) node grid.  The first n_loaded
+    segments of the face x = xs[-1] carry a unit downward traction, half of
+    each segment's length on each of its nodes; the tip is their middle node.
+    """
+    coords, elems, node_id = _structured_quads(active, xs, ys)
+    fixed_nodes = node_id[clamped]
+    loaded = node_id[-1, : n_loaded + 1]
     load = np.zeros(2 * coords.shape[0])
-    for a, b in edge_nodes:
-        for n in (a, b):
-            load[2 * n + 1] -= 0.5 * seg_len
-    return load
+    load[2 * loaded + 1] = -hy
+    load[2 * loaded[[0, -1]] + 1] = -0.5 * hy
+    fixed = np.sort(np.concatenate([2 * fixed_nodes, 2 * fixed_nodes + 1]))
+    return MeshQ4(coords, elems, hx, hy, fixed, load, tip_node=int(loaded[round(n_loaded / 2)]))
 
 
 def build_cantilever_mesh(
@@ -248,22 +261,7 @@ def build_cantilever_mesh(
     xs = np.linspace(0.0, length, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     active = np.ones((nx, ny), dtype=bool)
-    coords, elems, node_id = _structured_quads(active, xs, ys)
-    left = node_id[0, :]
-    fixed = np.sort(np.concatenate([2 * left, 2 * left + 1]))
-    hy = height / ny
-    edge = [(node_id[nx, j], node_id[nx, j + 1]) for j in range(ny)]
-    load = _edge_loads(coords, edge, hy)
-    tip = int(node_id[nx, int(round(ny / 2))])
-    return MeshQ4(
-        coords=coords,
-        elems=elems,
-        hx=length / nx,
-        hy=hy,
-        fixed_dofs=fixed,
-        unit_load=load,
-        tip_node=tip,
-    )
+    return _q4_mesh(active, xs, ys, length / nx, height / ny, np.s_[0, :], ny)
 
 
 def build_lbracket_mesh(
@@ -294,22 +292,8 @@ def build_lbracket_mesh(
     ys = np.linspace(0.0, leg_length, n_total + 1)
     ii, jj = np.meshgrid(np.arange(n_total), np.arange(n_total), indexing="ij")
     active = (ii < n_width) | (jj < n_width)
-    coords, elems, node_id = _structured_quads(active, xs, ys)
-    top = node_id[: n_width + 1, n_total]
-    fixed = np.sort(np.concatenate([2 * top, 2 * top + 1]))
     h = leg_length / n_total
-    edge = [(node_id[n_total, j], node_id[n_total, j + 1]) for j in range(n_width)]
-    load = _edge_loads(coords, edge, h)
-    tip = int(node_id[n_total, int(round(n_width / 2))])
-    return MeshQ4(
-        coords=coords,
-        elems=elems,
-        hx=h,
-        hy=h,
-        fixed_dofs=fixed,
-        unit_load=load,
-        tip_node=tip,
-    )
+    return _q4_mesh(active, xs, ys, h, h, np.s_[: n_width + 1, -1], n_width)
 
 
 # --- solvers ------------------------------------------------------------------
@@ -430,7 +414,6 @@ class PlaneStressSolver:
         if not -1.0 < nu < 0.5:
             raise ValueError("Poisson ratio out of the plane-stress range")
         self.mesh = mesh
-        self.nu = nu
         self.ke_unit, self.d1, self.b_mats = _q4_unit_stiffness(mesh.hx, mesh.hy, nu)
         dofs = np.empty((mesh.n_elems, 8), dtype=int)
         dofs[:, 0::2] = 2 * mesh.elems
@@ -510,11 +493,8 @@ BAR1D_DEFAULTS = {
     "level_hi": 2.0,
 }
 
-CANTILEVER_DEFAULTS = {
-    "length": 2.0,
-    "height": 1.0,
-    "nx": 32,
-    "ny": 16,
+# Material, load and random-field defaults shared by both plane-stress benchmarks.
+_PLANE_STRESS_DEFAULTS = {
     "nu": 0.3,
     "traction": 1.0,
     "sigma": 0.3,
@@ -524,17 +504,13 @@ CANTILEVER_DEFAULTS = {
     "n_sample_grid": 8,
 }
 
+CANTILEVER_DEFAULTS = {"length": 2.0, "height": 1.0, "nx": 32, "ny": 16, **_PLANE_STRESS_DEFAULTS}
+
 LBRACKET_DEFAULTS = {
     "leg_length": 1.0,
     "leg_width": 0.4,
     "n_elems_per_unit": 25,
-    "nu": 0.3,
-    "traction": 1.0,
-    "sigma": 0.3,
-    "length_scale_x": 0.4,
-    "length_scale_y": 0.4,
-    "rank": 12,
-    "n_sample_grid": 8,
+    **_PLANE_STRESS_DEFAULTS,
 }
 
 BENCHMARK_DEFAULTS = {
@@ -567,9 +543,9 @@ _BAR_BLOCK = 1024
 class Ensemble:
     """Cached scenario responses: the estimation oracle is a lookup table.
 
-    `probs` and every `responses` array are made read-only, so a QoI's tail
-    derived once and kept in `tails` (see `cli._tail`) stays that of the
-    ensemble.
+    `probs` and every `responses` array are made read-only, and `responses`
+    is a read-only view of its dict, so a QoI's tail derived once and kept in
+    `tails` (see `cli._tail`) stays that of the ensemble.
     """
 
     benchmark: str
@@ -577,10 +553,11 @@ class Ensemble:
     seed: int
     params: dict
     probs: np.ndarray
-    responses: dict[str, np.ndarray] = field(repr=False)
+    responses: Mapping[str, np.ndarray] = field(repr=False)
     tails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))
         for array in (self.probs, *self.responses.values()):
             array.flags.writeable = False
 
@@ -599,22 +576,21 @@ def write_ensemble(path, ens: Ensemble) -> None:
     this file.  All floats use 17 significant digits so a reread is exact.
     A temporary file replaces path at the end, so no reader sees half a file.
     """
-    lines = [
-        f"# benchmark {ens.benchmark}",
-        f"# alpha_level {ens.alpha_level:.17g}",
-        f"# seed {ens.seed}",
-        f"# n_scenarios {ens.n_scenarios}",
-        f"# params {json.dumps(ens.params, sort_keys=True)}",
-        "# columns index p " + " ".join(QOI_NAMES),
+    header = [
+        f"benchmark {ens.benchmark}",
+        f"alpha_level {ens.alpha_level:.17g}",
+        f"seed {ens.seed}",
+        f"n_scenarios {ens.n_scenarios}",
+        f"params {json.dumps(ens.params, sort_keys=True)}",
+        "columns index p " + " ".join(QOI_NAMES),
     ]
-    for i in range(ens.n_scenarios):
-        row = [str(i), f"{ens.probs[i]:.17g}"]
-        row += [f"{ens.responses[name][i]:.17g}" for name in QOI_NAMES]
-        lines.append(" ".join(row))
+    data = np.column_stack(
+        [np.arange(ens.n_scenarios), ens.probs, *(ens.responses[name] for name in QOI_NAMES)]
+    )
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        # The name ends in .tmp, so savetxt never gzips it.
+        np.savetxt(tmp, data, fmt="%.17g", header="\n".join(header), comments="# ")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -626,7 +602,8 @@ def read_ensemble(path) -> Ensemble:
 
     A malformed file (missing header key, unparsable value, alpha_level
     outside (0, 1), params not a JSON object, wrong column or row count,
-    index column not 0..n-1) raises one ValueError line naming it.
+    index column not 0..n-1, weights or a response column failing
+    checked_scenarios) raises one ValueError line naming it.
     """
     header, rows = {}, []
     width = 2 + len(QOI_NAMES)
@@ -660,13 +637,17 @@ def read_ensemble(path) -> Ensemble:
         data = np.array(rows)
         if not np.array_equal(data[:, 0], np.arange(n)):
             raise ValueError(f"index column must run 0..{n - 1} in order")
+        probs = data[:, 1].copy()
+        responses = {name: data[:, 2 + j].copy() for j, name in enumerate(QOI_NAMES)}
+        for name, values in responses.items():
+            checked_scenarios(probs, values, name)
         return Ensemble(
             benchmark=header["benchmark"],
             alpha_level=alpha_level,
             seed=int(header["seed"]),
             params=params,
-            probs=data[:, 1].copy(),
-            responses={name: data[:, 2 + j].copy() for j, name in enumerate(QOI_NAMES)},
+            probs=probs,
+            responses=responses,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -701,7 +682,7 @@ def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict[st
     solver = PlaneStressSolver(mesh, params["nu"])
     responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
     for i in range(n_scenarios):
-        modulus = sample_field(model, phi, rng).modulus
+        modulus = sample_field(model, phi, rng)
         try:
             qoi = solver.solve(modulus, params["traction"]).qoi
         except (ValueError, np.linalg.LinAlgError) as exc:

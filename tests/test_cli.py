@@ -39,6 +39,14 @@ TINY = dict(
 # A change meant to leave behaviour alone keeps it; any other change re-records it.
 BENCH_CSV_DIGEST = "4fe809549a434f9cc7ef17e9fc6967b7e9719adfaded0356ba949af39002383f"
 
+# sha256 over the ensemble file then the truth sidecar of `tailamp generate` at seed 4,
+# per (benchmark, n_scenarios); pins the field draw, the meshes, the solves and the writer.
+GENERATE_DIGESTS = {
+    ("bar1d", 64): "8b221d151104396d50acff9585ca207fde30b1262c9408aa75a946e4c697cc2a",
+    ("cantilever", 32): "08818414d7921fead094b7266e7ae949f84cd8597895b4546328a838b1842206",
+    ("lbracket", 32): "e9a735d1bd3a94decf3fadd1a584ed92f8496c71d3f42caa7cb61db9cc985f52",
+}
+
 
 @pytest.fixture(scope="module")
 def small_ensemble():
@@ -136,6 +144,8 @@ class TestTailMemo:
         for ens in (small_ensemble, stochfem.read_ensemble(path)):
             with pytest.raises(ValueError, match="read-only"):
                 ens.probs[0] = 0.5
+            with pytest.raises(TypeError):
+                ens.responses["compliance"] = ens.responses["compliance"] * 10
             for qoi in stochfem.QOI_NAMES:
                 with pytest.raises(ValueError, match="read-only"):
                     ens.responses[qoi][0] = 1.0
@@ -291,6 +301,14 @@ class TestRunBench:
         for name in ("bar1d_compliance_raw.csv", "bar1d_compliance_agg.csv"):
             digest.update((tmp_path / name).read_bytes())
         assert digest.hexdigest() == BENCH_CSV_DIGEST
+
+    @pytest.mark.parametrize("name, n_scenarios", sorted(GENERATE_DIGESTS))
+    def test_generate_bytes_are_pinned(self, tmp_path, capsys, name, n_scenarios):
+        argv = ["generate", "--benchmark", name, "--n-scenarios", str(n_scenarios), "--seed", "4"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        ens_path, truth_path = capsys.readouterr().out.split()
+        digest = hashlib.sha256(Path(ens_path).read_bytes() + Path(truth_path).read_bytes())
+        assert digest.hexdigest() == GENERATE_DIGESTS[(name, n_scenarios)]
 
     def test_budget_above_the_controller_ceiling_fails_before_the_output_directory(self, tmp_path, capsys):
         out = tmp_path / "X"
@@ -588,6 +606,32 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [f"error: {ens_path}: {message}"]
 
+    @pytest.mark.parametrize(
+        "row, column, value, message",
+        [
+            (0, 1, "-0.015625", "probabilities must be nonnegative"),
+            (None, 1, "0.07", "probabilities must sum to 1 within 1e-9"),
+            (-1, 4, "nan", "vmmax must be finite"),
+        ],
+    )
+    def test_bad_weight_or_response_is_one_error_line_naming_the_file(
+        self, tmp_path, capsys, row, column, value, message
+    ):
+        ens_path, _ = self.generate(tmp_path)
+        lines = ens_path.read_text().splitlines()
+        data = [i for i, ln in enumerate(lines) if not ln.startswith("#")]
+        for i in data if row is None else [data[row]]:
+            cells = lines[i].split()
+            cells[column] = value
+            lines[i] = " ".join(cells)
+        ens_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["estimate", "--ensemble", str(ens_path), "--qoi", "compliance", "--method", "mc", "--budget", "10"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: {ens_path}: {message}"]
+
     @pytest.mark.parametrize("method", ["mc", "mliqae"])
     def test_nan_probability_in_the_ensemble_is_one_error_line(self, tmp_path, capsys, method):
         ens_path, _ = self.generate(tmp_path)
@@ -601,7 +645,7 @@ class TestCommands:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.strip().splitlines() == ["error: probabilities must be finite"]
+        assert captured.err.strip().splitlines() == [f"error: {ens_path}: probabilities must be finite"]
 
     @pytest.mark.parametrize("method", ["mc", "mliqae"])
     def test_overflowing_tail_span_in_the_ensemble_is_one_error_line(self, tmp_path, capsys, method):

@@ -335,6 +335,8 @@ class TestScalarLikelihood:
         got = chord_masses(-10.0, (-12.0, -10.0, -9.999, -math.inf))
         assert got[0] == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-15)
         assert got[1:] == [1.0, 1.0, 0.0]
+        # A drop of minus two ulps counts as none, so J_t stays a lower bound.
+        assert chord_masses(1.0, [1.0 + 4e-16]) == [1.0]
 
     def test_chord_masses_use_numpy_expm1(self):
         # math.expm1 differs from numpy's in the last bit on some inputs; the
