@@ -11,7 +11,9 @@ Two paths share the oracle amplitudes.  The complex gate path (StateVector,
 build_oracle_state, apply_oracle, apply_grover, the reflections and
 success_probability) is the reference: build_oracle_state writes A|0> in
 closed form, apply_oracle runs A gate by gate on any state, and every
-iterate runs on the full statevector, at O(N) each.
+iterate runs on the full statevector, at O(N) each.  Every gate of A is one
+real 2x2 matrix on one qubit (a Hadamard or an R_y rotation), applied by one
+kernel; A^dagger is the reversed list of transposes.
 StatevectorOracle, which the controller drives, uses the fact that
 amplification keeps A|0> in the real plane spanned by its ancilla-|0> and
 ancilla-|1> halves, where each iterate rotates by 2 theta (Brassard, Hoyer,
@@ -32,10 +34,9 @@ import numpy as np
 from .stochfem import checked_scenarios
 
 MAX_INDEX_QUBITS = 20
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleSpec:
     """Scenario probabilities and normalized tail responses g_i in [0, 1].
 
@@ -77,13 +78,8 @@ class OracleSpec:
         """Exact success amplitude a = sum_i p_i g_i."""
         return float(np.dot(self.probs, self.gs))
 
-    def padded_probs(self) -> np.ndarray:
-        out = np.zeros(1 << self.n_index_qubits)
-        out[: self.probs.size] = self.probs
-        return out
 
-
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Flat statevector over n index qubits plus one ancilla.
 
@@ -105,59 +101,25 @@ class StateVector:
 
 # --- gate kernels -----------------------------------------------------------
 #
-# Gates are (tag, *args) tuples applied in list order.  Only three kinds are
-# needed: Hadamards on index qubits, prefix-controlled R_y rotations on index
-# qubits (the probability-loading tree), and per-scenario R_y rotations on
-# the ancilla.
+# Every gate is a (level, prefix, u) tuple: the real 2x2 matrix u acts on qubit
+# `level` of the basis states whose more significant qubits spell `prefix`
+# (slice(None) for all of them).  Qubit n is the ancilla, so the R_y gate
+# (n, i, _ry(phi_i)) rotates scenario i's amplitude pair (2i, 2i+1).  Both
+# matrices below are real orthogonal, so the adjoint of a gate list is the
+# reversed list of transposes.
+
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-def _apply_h(amps: np.ndarray, level: int) -> None:
-    v = amps.reshape(1 << level, 2, -1)
-    a = v[:, 0, :].copy()
-    b = v[:, 1, :]
-    v[:, 0, :] = (a + b) * _SQRT_HALF
-    v[:, 1, :] = (a - b) * _SQRT_HALF
-
-
-def _apply_tree_ry(amps: np.ndarray, level: int, prefix: int, beta: float) -> None:
+def _ry(beta: float) -> np.ndarray:
     c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    v = amps.reshape(1 << level, 2, -1)
-    a = v[prefix, 0, :].copy()
-    b = v[prefix, 1, :]
-    v[prefix, 0, :] = c * a - s * b
-    v[prefix, 1, :] = s * a + c * b
+    return np.array([[c, -s], [s, c]])
 
 
-def _apply_ancilla_ry(amps: np.ndarray, scenario: int, phi: float) -> None:
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    a = amps[2 * scenario]
-    b = amps[2 * scenario + 1]
-    amps[2 * scenario] = c * a - s * b
-    amps[2 * scenario + 1] = s * a + c * b
-
-
-def _apply_gates(amps: np.ndarray, gates) -> None:
-    for gate in gates:
-        tag = gate[0]
-        if tag == "h":
-            _apply_h(amps, gate[1])
-        elif tag == "tree":
-            _apply_tree_ry(amps, gate[1], gate[2], gate[3])
-        else:
-            _apply_ancilla_ry(amps, gate[1], gate[2])
-
-
-def _adjoint(gates) -> list:
-    out = []
-    for gate in reversed(gates):
-        tag = gate[0]
-        if tag == "h":
-            out.append(gate)
-        elif tag == "tree":
-            out.append(("tree", gate[1], gate[2], -gate[3]))
-        else:
-            out.append(("anc", gate[1], -gate[2]))
-    return out
+def _apply_gates(amps: np.ndarray, gates, adjoint: bool = False) -> None:
+    for level, prefix, u in reversed(gates) if adjoint else gates:
+        v = amps.reshape(1 << level, 2, -1)
+        v[prefix] = (u.T if adjoint else u) @ v[prefix]
 
 
 def _loading_gates(spec: OracleSpec) -> list:
@@ -168,11 +130,12 @@ def _loading_gates(spec: OracleSpec) -> list:
     probability mass level by level.
     """
     n = spec.n_index_qubits
-    padded = spec.padded_probs()
     if n == 0:
         return []
+    padded = np.zeros(1 << n)
+    padded[: spec.n_scenarios] = spec.probs
     if np.all(np.abs(padded - 1.0 / padded.size) <= 1e-12):
-        return [("h", level) for level in range(n)]
+        return [(level, slice(None), _HADAMARD) for level in range(n)]
     gates = []
     masses = padded
     for level in reversed(range(n)):
@@ -184,7 +147,7 @@ def _loading_gates(spec: OracleSpec) -> list:
             right = masses[2 * prefix + 1]
             if parents[prefix] > 0.0 and right > 0.0:
                 beta = 2.0 * math.atan2(math.sqrt(right), math.sqrt(left))
-                gates.append(("tree", level, prefix, beta))
+                gates.append((level, prefix, _ry(beta)))
         masses = parents
     gates.reverse()  # shallow levels first
     return gates
@@ -193,9 +156,10 @@ def _loading_gates(spec: OracleSpec) -> list:
 def oracle_gates(spec: OracleSpec) -> list:
     """Full gate list for A: probability loading then ancilla rotations."""
     gates = _loading_gates(spec)
+    n = spec.n_index_qubits
     for i, phi in enumerate(spec.angles):
         if phi != 0.0:
-            gates.append(("anc", i, phi))
+            gates.append((n, i, _ry(phi)))
     return gates
 
 
@@ -250,11 +214,8 @@ def apply_oracle(state: StateVector, spec: OracleSpec, adjoint: bool = False) ->
     with the two reflections reproduces apply_grover step by step, which the
     tests use to pin each intermediate state.
     """
-    gates = oracle_gates(spec)
-    if adjoint:
-        gates = _adjoint(gates)
     amps = state.amplitudes.copy()
-    _apply_gates(amps, gates)
+    _apply_gates(amps, oracle_gates(spec), adjoint)
     return StateVector(state.n_index_qubits, amps)
 
 
@@ -290,9 +251,7 @@ def _amplified(theta: float, k: int) -> float:
 
 def analytic_success_probability(a: float, k: int) -> float:
     """Closed-form amplified response sin^2((2k+1) asin(sqrt(a)))."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("amplitude must lie in [0, 1]")
-    return _amplified(math.asin(math.sqrt(a)), k)
+    return AnalyticOracle(a).success_probability(k)
 
 
 def sample_shots(p: float, m: int, rng: np.random.Generator) -> int:

@@ -20,7 +20,7 @@ from .stochfem import checked_scenarios
 _MAX_DRAWS = int(np.iinfo(np.int64).max)  # numpy's multinomial takes a 64-bit count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSet:
     """Finite response distribution: values Q_i with weights p_i."""
 
@@ -36,7 +36,7 @@ class ScenarioSet:
         object.__setattr__(self, "responses", responses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailNormalization:
     """Hinge responses rescaled to [0, 1] plus the exact tail amplitude."""
 

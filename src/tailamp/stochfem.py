@@ -60,7 +60,7 @@ def checked_scenarios(probs, values, name: str) -> tuple[np.ndarray, np.ndarray]
 # --- random field ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelModel:
     """Anisotropic Gaussian covariance kernel with Nystrom sample points."""
 
@@ -99,7 +99,7 @@ def gaussian_kernel(x, x_prime, lx: float, ly: float = 1.0) -> np.ndarray:
     return np.exp(-0.5 * quad)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NystromBasis:
     """Evaluable approximate eigenfunctions of the covariance kernel.
 
@@ -162,7 +162,7 @@ def sample_field(model: KernelModel, phi: np.ndarray, rng: np.random.Generator) 
 # --- meshes -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh1D:
     """Uniform two-node bar mesh on [0, length], left end fixed."""
 
@@ -185,7 +185,7 @@ def build_bar_mesh(length: float = 1.0, n_elems: int = 20) -> Mesh1D:
     return Mesh1D(length=length, n_elems=n_elems, node_x=np.linspace(0.0, length, n_elems + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeshQ4:
     """Structured mesh of congruent 4-node rectangles.
 
@@ -366,13 +366,13 @@ def _q4_unit_stiffness(hx: float, hy: float, nu: float):
     return ke, d1, b_mats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneStressResult:
     u: np.ndarray
     qoi: QoIVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BandMap:
     """Scatter map from element-matrix entries into the banded K_ff.
 
@@ -539,7 +539,7 @@ _PARAM_RANGES = {
 _BAR_BLOCK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Cached scenario responses: the estimation oracle is a lookup table.
 
@@ -554,7 +554,7 @@ class Ensemble:
     params: dict
     probs: np.ndarray
     responses: Mapping[str, np.ndarray] = field(repr=False)
-    tails: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    tails: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "responses", MappingProxyType(dict(self.responses)))

@@ -77,7 +77,6 @@ class TestOracleSpec:
         for size, qubits in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (1 << 20, 20)):
             spec = qsim.OracleSpec(np.full(size, 1.0 / size), np.zeros(size))
             assert spec.n_index_qubits == qubits
-            assert spec.padded_probs().size == 1 << qubits
 
     def test_one_past_the_size_cap_is_rejected(self):
         size = (1 << qsim.MAX_INDEX_QUBITS) + 1
@@ -160,6 +159,10 @@ class TestOracleState:
                 spec.amplitude, abs=1e-12
             )
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="amplitude vector has wrong length"):
+            qsim.StateVector(2, np.zeros(4))
+
     def test_state_is_normalized(self):
         rng = np.random.default_rng(3)
         spec = random_spec(rng, 6)
@@ -225,7 +228,7 @@ class TestGrover:
     )
     def test_reflection_identity_matches_the_circuit(self, spec, loading):
         """apply_grover's I - 2|psi><psi| step equals A S_0 A^dagger gate by gate."""
-        assert qsim.oracle_gates(spec)[0][0] == loading
+        assert (qsim.oracle_gates(spec)[0][2] is qsim._HADAMARD) == (loading == "h")
         rng = np.random.default_rng(37)
         dim = 1 << (spec.n_index_qubits + 1)
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -283,7 +286,7 @@ class TestAnalyticResponse:
         )
 
     def test_rejects_out_of_range_amplitude(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"amplitude must lie in \[0, 1\]"):
             qsim.analytic_success_probability(1.2, 0)
 
 
@@ -292,6 +295,14 @@ class TestSampling:
         rng = np.random.default_rng(0)
         assert qsim.sample_shots(0.0, 50, rng) == 0
         assert qsim.sample_shots(1.0, 50, rng) == 50
+
+    def test_rejects_out_of_range_inputs(self):
+        rng = np.random.default_rng(0)
+        for p in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="probability out of range"):
+                qsim.sample_shots(p, 50, rng)
+        with pytest.raises(ValueError, match="shot count must be nonnegative"):
+            qsim.sample_shots(0.5, -1, rng)
 
     def test_empirical_frequency_near_truth(self):
         rng = np.random.default_rng(42)
@@ -347,7 +358,7 @@ class TestMeasurementModels:
     def test_statevector_model_follows_closed_form_to_depth_40(self):
         rng = np.random.default_rng(29)
         spec = qsim.OracleSpec(rng.dirichlet(np.ones(1024)), rng.uniform(0.0, 0.05, 1024))
-        assert qsim.oracle_gates(spec)[0][0] == "tree"
+        assert qsim.oracle_gates(spec)[0][2] is not qsim._HADAMARD
         sv = qsim.StatevectorOracle(spec)
         for k in range(41):
             assert sv.success_probability(k) == pytest.approx(
@@ -363,7 +374,7 @@ class TestMeasurementModels:
         ids=["tree", "hadamard"],
     )
     def test_split_iterates_match_the_complex_reference_to_depth_400(self, spec, loading):
-        assert qsim.oracle_gates(spec)[0][0] == loading
+        assert (qsim.oracle_gates(spec)[0][2] is qsim._HADAMARD) == (loading == "h")
         sv = qsim.StatevectorOracle(spec)
         psi = qsim.build_oracle_state(spec)
         for k, split in enumerate(split_iterate_probabilities(spec, 400)):
@@ -374,7 +385,7 @@ class TestMeasurementModels:
     def test_rotation_angle_follows_the_split_iterate_to_depth_4000(self):
         rng = np.random.default_rng(31)
         spec = qsim.OracleSpec(rng.dirichlet(np.ones(1024)), rng.uniform(0.0, 0.05, 1024))
-        assert qsim.oracle_gates(spec)[0][0] == "tree"
+        assert qsim.oracle_gates(spec)[0][2] is not qsim._HADAMARD
         sv = qsim.StatevectorOracle(spec)
         for k, split in enumerate(split_iterate_probabilities(spec, 4000)):
             assert sv.success_probability(k) == pytest.approx(split, rel=0, abs=1e-11)

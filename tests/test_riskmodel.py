@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 
+from tailamp import qsim, stochfem
 from tailamp.riskmodel import (
     ScenarioSet,
     cvar_from_amplitude,
@@ -39,6 +40,8 @@ class TestScenarioSet:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             ScenarioSet(np.array([1.0]), np.array([1.0, 2.0]), 0.9)
+        with pytest.raises(ValueError, match="need at least one scenario"):
+            ScenarioSet(np.array([]), np.array([]), 0.9)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError):
@@ -206,6 +209,9 @@ class TestCvarMaps:
     def test_rejects_invalid_amplitude(self):
         with pytest.raises(ValueError):
             cvar_from_amplitude(1.5, 0.0, 1.0, 0.9)
+        for level in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"alpha_level must lie in \(0, 1\)"):
+                cvar_from_amplitude(0.5, 0.0, 1.0, level)
 
 
 class TestMonteCarloBaseline:
@@ -319,3 +325,37 @@ class TestOracleBridge:
         tn = normalize_hinge(s, var_threshold(s))
         spec = to_oracle_spec(s, tn)
         assert spec.amplitude == pytest.approx(tn.a, abs=1e-12)
+
+
+def _bar_chain():
+    ens = stochfem.build_scenario_ensemble("bar1d", 8, seed=1)
+    s = ScenarioSet(ens.probs, ens.responses["compliance"], ens.alpha_level)
+    tn = normalize_hinge(s, var_threshold(s))
+    spec = to_oracle_spec(s, tn)
+    return ens, s, tn, spec
+
+
+_LINE = np.linspace(0.0, 1.0, 9)[:, None]
+_ARRAY_HOLDERS = {
+    "KernelModel": lambda: stochfem.KernelModel(0.3, 1.0, 0.3, 3, _LINE),
+    "NystromBasis": lambda: stochfem.nystrom_basis(stochfem.KernelModel(0.3, 1.0, 0.3, 3, _LINE)),
+    "Mesh1D": lambda: stochfem.build_bar_mesh(1.0, 10),
+    "MeshQ4": lambda: stochfem.build_cantilever_mesh(2.0, 1.0, 4, 2),
+    "PlaneStressResult": lambda: stochfem.PlaneStressSolver(
+        stochfem.build_cantilever_mesh(2.0, 1.0, 4, 2)
+    ).solve(np.ones(8)),
+    "Ensemble": lambda: _bar_chain()[0],
+    "ScenarioSet": lambda: _bar_chain()[1],
+    "TailNormalization": lambda: _bar_chain()[2],
+    "OracleSpec": lambda: _bar_chain()[3],
+    "StateVector": lambda: qsim.build_oracle_state(_bar_chain()[3]),
+}
+
+
+@pytest.mark.parametrize("name, make", _ARRAY_HOLDERS.items(), ids=_ARRAY_HOLDERS.keys())
+def test_classes_holding_arrays_compare_by_identity(name, make):
+    """== on an array-holding record is identity: it never raises on its arrays."""
+    x, twin = make(), make()
+    assert type(x).__name__ == name
+    assert x == x
+    assert (x == twin) is False

@@ -61,6 +61,8 @@ class TestKernel:
             KernelModel(0.3, 1.0, 0.3, 26, LINE_POINTS)
         with pytest.raises(ValueError):
             KernelModel(0.3, 1.0, 0.3, 0, LINE_POINTS)
+        with pytest.raises(ValueError, match=r"sample points must be \(M, 1\) or \(M, 2\)"):
+            KernelModel(0.3, 1.0, 0.3, 3, np.zeros((25, 3)))
 
 
 class TestNystromBasis:
@@ -271,6 +273,9 @@ class TestPlaneStress:
         assert r2.qoi.compliance == pytest.approx(2.5**2 * r1.qoi.compliance, rel=1e-12)
 
     def test_solver_validation(self):
+        for dims in ((0.0, 1.0, 4, 2), (2.0, 1.0, 0, 2)):
+            with pytest.raises(ValueError, match="invalid cantilever dimensions"):
+                build_cantilever_mesh(*dims)
         mesh = build_cantilever_mesh(2.0, 1.0, 4, 2)
         with pytest.raises(ValueError):
             PlaneStressSolver(mesh, nu=0.5)
@@ -356,6 +361,9 @@ class TestLBracket:
     def test_pitch_must_tile_exactly(self):
         with pytest.raises(ValueError):
             build_lbracket_mesh(1.0, 0.3, 7)
+        for width in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"'leg_width': must lie in \(0, leg_length = 1.0\)"):
+                build_lbracket_mesh(1.0, width, 25)
 
     def test_stress_peaks_at_reentrant_corner(self):
         mesh = build_lbracket_mesh(1.0, 0.4, 25)
