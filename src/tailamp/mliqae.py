@@ -19,10 +19,10 @@ likelihood is concave there, and the set is one interval, kept as a
 set's width and the unspent budget are the only bounds on the order: no
 depth cap applies, since the set is valid at every depth, and a run
 without a precision target spends its budget to the last call.  The
-per-batch update reads the totals once as per-order rows of Python floats
-(OrderTotals.rows) and runs on them through the scalar kernels of stats:
-with one to a few dozen orders, numpy's per-call overhead would cost more
-than the arithmetic.
+per-batch update reads the per-order rows of Python floats that
+OrderTotals keeps current and runs on them through the scalar kernels of
+stats, on math's functions alone: with one to a few dozen orders, numpy's
+per-call overhead would cost more than the arithmetic.
 
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
 the module constants: the shot rule's _M_MIN and _HORIZON, and the update's
@@ -42,13 +42,7 @@ import numpy as np
 from .intervals import THETA_HI, THETA_LO, IntervalUnion
 from .intervals import theta_preimage  # noqa: F401  (perfbench traces this lookup site)
 from .qsim import sample_shots
-from .stats import (
-    OrderTotals,
-    RoundRecord,
-    chord_masses,
-    log_likelihood_at,
-    log_likelihood_slopes,
-)
+from .stats import OrderTotals, RoundRecord, chord_mass, log_likelihood, log_likelihood_slopes
 from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup site)
 from .stats import log_likelihood_terms  # noqa: F401  (perfbench traces this lookup site)
 
@@ -176,21 +170,26 @@ def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
     """Maximize the likelihood on the concave piece [lo, hi].
 
     The maximum is where the score changes sign from + to -, or the edge the
-    score points to when it does not change sign.  Newton steps start from
-    the midpoint; the score at each iterate moves the bracket edge on its
-    side up to it, and a step that leaves the bracket becomes a bisection.
-    The search stops at the iterate whose Newton step is no longer than
-    _MLE_BRACKET.  Returns (theta, score): the maximum and the score there.
+    score points to when it does not change sign.  The score falls across
+    the piece, so the sign at the midpoint says which edge can hold the
+    maximum, and only that edge is checked.  Otherwise Newton steps go on
+    from the midpoint; the score at each iterate moves the bracket edge on
+    its side up to it, and a step that leaves the bracket becomes a
+    bisection.  The search stops at the iterate whose Newton step is no
+    longer than _MLE_BRACKET.  Returns (theta, score): the maximum and the
+    score there.
     """
-    score_lo, _ = log_likelihood_slopes(lo, rows)
-    score_hi, _ = log_likelihood_slopes(hi, rows)
-    if score_lo <= 0.0:
-        return lo, score_lo
-    if score_hi >= 0.0:
-        return hi, score_hi
     th = 0.5 * (lo + hi)
+    score, curv = log_likelihood_slopes(th, rows)
+    if score > 0.0:
+        score_hi, _ = log_likelihood_slopes(hi, rows)
+        if score_hi >= 0.0:
+            return hi, score_hi
+    else:
+        score_lo, _ = log_likelihood_slopes(lo, rows)
+        if score_lo <= 0.0:
+            return lo, score_lo
     for _ in range(_NEWTON_MAX_STEPS):
-        score, curv = log_likelihood_slopes(th, rows)
         if score > 0.0:
             lo = th
         elif score < 0.0:
@@ -201,6 +200,7 @@ def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
         if abs(newton - th) <= _MLE_BRACKET:
             break
         th = newton if lo < newton < hi else 0.5 * (lo + hi)
+        score, curv = log_likelihood_slopes(th, rows)
     return th, score
 
 
@@ -227,8 +227,9 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     theta, score = _newton_refine(lo, hi, rows)
     reach = _CHORD_SIGMAS / math.sqrt(info)
     end_lo, end_hi = max(lo, theta - reach), min(hi, theta + reach)
-    ll, ll_lo, ll_hi = log_likelihood_at((theta, end_lo, end_hi), rows)
-    mass_lo, mass_hi = chord_masses(ll, (ll_lo, ll_hi))
+    ll = log_likelihood(theta, rows)
+    mass_lo = chord_mass(ll - log_likelihood(end_lo, rows))
+    mass_hi = chord_mass(ll - log_likelihood(end_hi, rows))
     chord = (theta - end_lo) * mass_lo + (end_hi - theta) * mass_hi
     log_j = ll + math.log(chord) if chord > 0.0 else -math.inf
     cut = log_j - math.log(_HALF_PI) + math.log(delta_tot)

@@ -5,19 +5,20 @@ probability is sin^2((2k+1) theta).  The controller's feasible sets and
 estimates are built from the exact log-likelihood of a collection of rounds
 with its first two angle derivatives.  The likelihood depends on the rounds
 only through the success and failure totals at each distinct order, so it
-is evaluated on those: the controller's per-batch kernels (log_likelihood_at,
-log_likelihood_slopes, chord_masses) take per-order rows of Python floats
-at one to three angles, where numpy's per-call overhead would outweigh the
-arithmetic, and log_likelihood_terms takes the same totals as numpy columns
-over a grid of angles, the reference the kernels equal bit for bit.  The
-kernels keep numpy's logs and expm1, because math's differ in the last bit
-on about 1% of inputs.  The exact Clopper-Pearson interval of one batch
-(beta quantiles from scipy's inverse regularized incomplete beta) gives the
-per-batch band view of a run.
+is evaluated on those.  The controller's per-batch kernels run on Python
+floats and math's sin, cos, log and expm1: log_likelihood and
+log_likelihood_slopes on per-order rows at one angle, chord_mass on one
+likelihood drop.  With one to a few dozen orders, numpy's per-call overhead
+would outweigh the arithmetic.  log_likelihood_terms takes the same totals
+as numpy columns over a grid of angles, the reference the slopes equal bit
+for bit.  The exact Clopper-Pearson interval of one batch (beta quantiles
+from scipy's inverse regularized incomplete beta) gives the per-batch band
+view of a run.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -87,18 +88,21 @@ class OrderTotals:
 
     add folds in one round: anything with k, m and h, such as a RoundRecord.
     rows is one (omega, hs, tails) tuple of Python floats per order in
-    ascending k, built on each read for the controller's scalar kernels:
-    omega = 2k+1, hs the summed successes and tails the summed failures
-    m - h at that order.  info is the Fisher information about the angle,
-    4 sum (2k+1)^2 m: each shot at order k carries 4(2k+1)^2 wherever on the
-    flank it lands.  Integer counts keep every total exact, so adding rounds
-    one at a time gives the same values as a fresh build.
+    ascending k, for the controller's scalar kernels: omega = 2k+1, hs the
+    summed successes and tails the summed failures m - h at that order.  add
+    replaces rows with a new tuple in which only its order's row changed, or
+    was inserted in its sorted place, so a rows read earlier stays as it was.
+    info is the Fisher information about the angle, 4 sum (2k+1)^2 m: each
+    shot at order k carries 4(2k+1)^2 wherever on the flank it lands.
+    Integer counts keep every total exact, so adding rounds one at a time
+    gives the same values as a fresh build.
     """
 
-    __slots__ = ("_counts", "info")
+    __slots__ = ("_counts", "rows", "info")
 
     def __init__(self, rounds=()):
         self._counts: dict[int, list[int]] = {}
+        self.rows: tuple[tuple[float, float, float], ...] = ()
         self.info = 0
         for r in rounds:
             self.add(r)
@@ -108,10 +112,12 @@ class OrderTotals:
         acc[0] += rec.h
         acc[1] += rec.m - rec.h
         self.info += 4 * (2 * rec.k + 1) ** 2 * rec.m
-
-    @property
-    def rows(self) -> tuple[tuple[float, float, float], ...]:
-        return tuple((2.0 * k + 1.0, float(h), float(t)) for k, (h, t) in sorted(self._counts.items()))
+        w = 2.0 * rec.k + 1.0
+        rows = self.rows
+        # (w,) sorts before every row of order w and after every lower order.
+        i = bisect.bisect_left(rows, (w,))
+        rest = i + 1 if i < len(rows) and rows[i][0] == w else i
+        self.rows = rows[:i] + ((w, float(acc[0]), float(acc[1])),) + rows[rest:]
 
 
 def log_likelihood_terms(
@@ -136,31 +142,23 @@ def log_likelihood_terms(
     return 2.0 * (t1 + t2).sum(axis=0)
 
 
-def log_likelihood_at(thetas, rows) -> list[float]:
-    """log_likelihood_terms at a few angles, from per-order rows of floats.
+def log_likelihood(theta: float, rows) -> float:
+    """log_likelihood_terms at one angle theta, from per-order rows of floats.
 
     rows are (omega, hs, tails) per order, as OrderTotals.rows gives them.
-    The result equals log_likelihood_terms bit for bit: the same products,
-    numpy's logs, and each angle's terms added over the orders in row order,
-    as numpy reduces the rows of a grid.
+    One pass over the rows on math's sin, cos and log, added left to right.
+    A zero count contributes nothing.  No double but 0 has a sine of 0, and
+    none has a cosine of 0, so only successes counted at theta = 0 reach
+    log 0, where math.log raises ValueError; the controller's angles are
+    never 0.
     """
-    needed = []
-    for theta in thetas:
-        for w, h, t in rows:
-            if h > 0:
-                needed.append(abs(math.sin(w * theta)))
-            if t > 0:
-                needed.append(abs(math.cos(w * theta)))
-    logs = iter(np.log(needed).tolist())
-    out = []
-    for _ in thetas:
-        acc = 0.0
-        for _, h, t in rows:
-            lp = h * next(logs) if h > 0 else 0.0
-            lq = t * next(logs) if t > 0 else 0.0
-            acc += lp + lq
-        out.append(2.0 * acc)
-    return out
+    acc = 0.0
+    for w, h, t in rows:
+        x = w * theta
+        lp = h * math.log(abs(math.sin(x))) if h > 0 else 0.0
+        lq = t * math.log(abs(math.cos(x))) if t > 0 else 0.0
+        acc += lp + lq
+    return 2.0 * acc
 
 
 def log_likelihood_slopes(theta: float, rows) -> tuple[float, float]:
@@ -183,13 +181,11 @@ def log_likelihood_slopes(theta: float, rows) -> tuple[float, float]:
     return 2.0 * score, -2.0 * curv
 
 
-def chord_masses(peak: float, ends) -> list[float]:
-    """Integral of exp(-drop u) over u in [0, 1] for each drop peak - end.
+def chord_mass(drop: float) -> float:
+    """Integral of exp(-drop u) over u in [0, 1]: (1 - exp(-drop)) / drop.
 
-    peak is the log-likelihood at the maximum and ends its values at the
-    chord ends; a drop below zero can only come from rounding and counts as
-    zero, whose integral is 1.
+    drop is the log-likelihood at the maximum less its value at a chord end;
+    a drop at or below zero can only come from rounding and counts as zero,
+    whose integral is 1.
     """
-    drops = [peak - end for end in ends]
-    falls = np.expm1([-d for d in drops]).tolist()
-    return [-f / d if d > 0.0 else 1.0 for f, d in zip(falls, drops)]
+    return -math.expm1(-drop) / drop if drop > 0.0 else 1.0

@@ -27,6 +27,7 @@ from tailamp.stats import (
     OrderTotals,
     RoundRecord,
     clopper_pearson,
+    log_likelihood_slopes,
     log_likelihood_terms,
 )
 from test_stats import columns
@@ -73,6 +74,54 @@ def two_round_state() -> InferenceState:
     assert select_depth(state, DEEP) == ROUND_C.k
     add_batch(state, ROUND_C)
     return state
+
+
+def two_edge_refine(lo: float, hi: float, rows) -> tuple[float, float]:
+    """The MLE search that checks both edges before any Newton step.
+
+    The reference the one-edge search of mliqae._newton_refine is held to.
+    """
+    score_lo, _ = log_likelihood_slopes(lo, rows)
+    score_hi, _ = log_likelihood_slopes(hi, rows)
+    if score_lo <= 0.0:
+        return lo, score_lo
+    if score_hi >= 0.0:
+        return hi, score_hi
+    th = 0.5 * (lo + hi)
+    for _ in range(mliqae._NEWTON_MAX_STEPS):
+        score, curv = log_likelihood_slopes(th, rows)
+        if score > 0.0:
+            lo = th
+        elif score < 0.0:
+            hi = th
+        newton = th - score / curv
+        if abs(newton - th) <= mliqae._MLE_BRACKET:
+            return th, score
+        th = newton if lo < newton < hi else 0.5 * (lo + hi)
+    raise AssertionError(f"no convergence on [{lo!r}, {hi!r}]")
+
+
+def single_flank_pieces(rng, n: int):
+    """n (lo, hi, rows): totals at one to four orders and a piece on one flank of each.
+
+    The counts are drawn at a true angle anywhere on the flanks the piece
+    lies on, so the maximum falls below, inside or above the piece.
+    """
+    for _ in range(n):
+        ks = rng.choice(12, size=int(rng.integers(1, 5)), replace=False).tolist()
+        centre = float(rng.uniform(0.01, math.pi / 2.0 - 0.01))
+        cell_lo, cell_hi = 0.0, math.pi / 2.0
+        for k in ks:
+            step = math.pi / (2.0 * (2 * k + 1))
+            j = math.floor(centre / step)
+            cell_lo, cell_hi = max(cell_lo, j * step), min(cell_hi, (j + 1) * step)
+        lo, hi = sorted(rng.uniform(cell_lo, cell_hi, size=2).tolist())
+        truth = float(rng.uniform(cell_lo, cell_hi))
+        totals = OrderTotals()
+        for k in ks:
+            m = int(rng.integers(1, 2000))
+            totals.add(RoundRecord(k=k, m=m, h=int(rng.binomial(m, math.sin((2 * k + 1) * truth) ** 2))))
+        yield lo, hi, totals.rows
 
 
 def measure(feasible: tuple[float, float]) -> float:
@@ -366,6 +415,27 @@ class TestConstrainedMle:
         step = 1e-7
         up, down = loglik(theta_hat + step, rounds)[0], loglik(theta_hat - step, rounds)[0]
         assert abs(up - down) / (2 * step) < 1e-2
+
+    def test_one_edge_search_equals_the_two_edge_search(self):
+        # The midpoint's score picks the one edge worth checking; on every
+        # piece the result is the two-edge search's, bit for bit.
+        where = {"lo": 0, "hi": 0, "inside": 0}
+        for lo, hi, rows in single_flank_pieces(np.random.default_rng(31), 1500):
+            lo, hi = mliqae._concave_piece(lo, hi, rows)
+            theta, score = mliqae._newton_refine(lo, hi, rows)
+            assert (theta, score) == two_edge_refine(lo, hi, rows)
+            where["lo" if theta == lo else "hi" if theta == hi else "inside"] += 1
+        assert min(where.values()) >= 100, where
+
+    def test_capped_search_returns_the_score_at_its_angle(self, monkeypatch):
+        # With the step cap binding, the search stops at an iterate short of
+        # the maximum; the score it returns, which the update's outer bound
+        # takes as the residual, is the one at that iterate.
+        monkeypatch.setattr(mliqae, "_NEWTON_MAX_STEPS", 1)
+        rows = OrderTotals([RoundRecord(k=0, m=100, h=3), RoundRecord(k=1, m=200, h=40)]).rows
+        theta, score = mliqae._newton_refine(0.1, 0.3, rows)
+        assert 0.1 < theta < 0.3
+        assert score == log_likelihood_slopes(theta, rows)[0] > 0.0
 
     def test_set_starting_on_a_singular_angle_finds_its_interior_maximum(self):
         # Order 1 (omega = 3) is singular at pi/6 through its failures: the

@@ -5,7 +5,7 @@ The controller's feasible set is the part of the previous set where the
 pooled likelihood clears a cut; the properties below hold that set, and the
 maximum-likelihood search behind it, to dense-grid answers on sets that lie
 on one flank of every counted order, where the likelihood is concave.  The
-scalar kernels of the per-batch update are held to the grid forms bit for
+scalar slopes of the per-batch update are held to the grid form bit for
 bit.
 Needs hypothesis (the ``test`` extra); skipped without it.
 """
@@ -24,7 +24,6 @@ from tailamp.intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
 from tailamp.stats import (
     OrderTotals,
     RoundRecord,
-    log_likelihood_at,
     log_likelihood_slopes,
     log_likelihood_terms,
 )
@@ -179,7 +178,14 @@ def test_order_totals_kept_in_place_match_a_fresh_build(draws, cuts):
     rounds = [RoundRecord(k=k, m=m, h=int(u * m)) for k, m, u in draws]
     acc = OrderTotals()
     for i, r in enumerate(rounds, 1):
+        before = acc.rows
+        snapshot = [list(row) for row in before]
         acc.add(r)
+        # An add leaves rows read before it as they were, and keeps rows
+        # ascending float triples, one per order.
+        assert [list(row) for row in before] == snapshot
+        assert all(type(x) is float for row in acc.rows for x in row)
+        assert [row[0] for row in acc.rows] == sorted({row[0] for row in acc.rows})
         if i in cuts:
             assert acc.rows == OrderTotals(rounds[:i]).rows
     assert acc.rows == OrderTotals(rounds).rows
@@ -198,11 +204,10 @@ kernel_counts = st.dictionaries(
 
 @PROPERTY_SETTINGS
 @given(kernel_counts, st.lists(inner_angles, min_size=3, max_size=3))
-def test_scalar_kernels_equal_the_grid_forms_bit_for_bit(counts, thetas):
+def test_scalar_slopes_equal_the_grid_form_bit_for_bit(counts, thetas):
     totals = OrderTotals(RoundRecord(k=k, m=h + t, h=h) for k, (h, t) in counts.items())
     rows = totals.rows
     arrays = columns(rows)
-    assert log_likelihood_at(thetas, rows) == log_likelihood_terms(np.array(thetas), *arrays).tolist()
     # Over three angles numpy adds the orders row by row, as the kernel does.
     scores, curvs = vector_slopes(np.array(thetas), *arrays)
     assert [log_likelihood_slopes(th, rows) for th in thetas] == list(zip(scores.tolist(), curvs.tolist()))

@@ -9,12 +9,15 @@ from scipy import stats as sps
 from tailamp.stats import (
     OrderTotals,
     RoundRecord,
-    chord_masses,
+    chord_mass,
     clopper_pearson,
-    log_likelihood_at,
+    log_likelihood,
     log_likelihood_slopes,
     log_likelihood_terms,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def columns(rows) -> np.ndarray:
@@ -63,6 +66,27 @@ def random_totals(rng, n_orders: int) -> OrderTotals:
         h = int(rng.choice([0, m, int(rng.integers(0, m + 1))], p=[1 / 6, 1 / 6, 2 / 3]))
         totals.add(RoundRecord(k=int(k), m=m, h=h))
     return totals
+
+
+def likelihood_error_scale(theta: float, rows) -> float:
+    """Bound on the rounding error of log_likelihood at theta, in units of eps.
+
+    Each term h log|sin x| (or t log|cos x|) at the rounded x = omega theta
+    is off by up to h (|x cot x| + 1) eps from the angle's rounding and the
+    sine's, plus a few ulps of its own size from the log and the product;
+    each of the n additions adds up to eps times the sum of the terms' sizes.
+    """
+    sizes = cond = 0.0
+    for w, h, t in rows:
+        x = w * theta
+        s, c = abs(math.sin(x)), abs(math.cos(x))
+        if h > 0:
+            sizes += h * abs(math.log(s))
+            cond += h * (x * c / s + 1.0)
+        if t > 0:
+            sizes += t * abs(math.log(c))
+            cond += t * (x * s / c + 1.0)
+    return 2.0 * (cond + (len(rows) + 2) * sizes)
 
 
 def binom_tail_cp(h: int, m: int, delta: float) -> tuple[float, float]:
@@ -313,34 +337,40 @@ class TestLogLikelihoodSlopes:
 
 
 class TestScalarLikelihood:
-    def test_three_points_equal_the_grid_evaluator_bit_for_bit(self):
+    def test_matches_a_50_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(7)
-        for n_orders in list(range(1, 13)) * 25:
-            totals = random_totals(rng, n_orders)
-            thetas = rng.uniform(1e-6, math.pi / 2.0 - 1e-6, size=3).tolist()
-            want = log_likelihood_terms(np.array(thetas), *columns(totals.rows)).tolist()
-            assert log_likelihood_at(thetas, totals.rows) == want
+        for n_orders in list(range(1, 13)) * 10:
+            rows = random_totals(rng, n_orders).rows
+            theta = float(rng.uniform(1e-6, math.pi / 2.0 - 1e-6))
+            with mpmath.workdps(50):
+                want = 0
+                for w, h, t in rows:
+                    x = mpmath.mpf(w) * mpmath.mpf(theta)
+                    want += h * mpmath.log(abs(mpmath.sin(x))) + t * mpmath.log(abs(mpmath.cos(x)))
+                want = float(2 * want)
+            got = log_likelihood(theta, rows)
+            assert abs(got - want) <= likelihood_error_scale(theta, rows) * EPS
 
     def test_zero_count_annihilates_its_degenerate_term(self):
         # 0 * log 0 = 0: no successes at theta = 0, where sin(theta) = 0.
-        totals = OrderTotals([RoundRecord(k=0, m=5, h=0)])
-        thetas = [0.0, 0.3, 0.6]
-        got = log_likelihood_at(thetas, totals.rows)
-        assert got == log_likelihood_terms(np.array(thetas), *columns(totals.rows)).tolist()
-        assert got[0] == 0.0
-        assert log_likelihood_at([0.3], ()) == [0.0]
+        rows = OrderTotals([RoundRecord(k=0, m=5, h=0)]).rows
+        assert log_likelihood(0.0, rows) == 0.0
+        assert log_likelihood(0.3, rows) == pytest.approx(10.0 * math.log(math.cos(0.3)), rel=1e-15)
+        assert log_likelihood(0.3, ()) == 0.0
 
     def test_chord_masses_integrate_the_exponential_drop(self):
         # A drop of 2, none, a negative one from rounding, and an infinite one.
-        got = chord_masses(-10.0, (-12.0, -10.0, -9.999, -math.inf))
-        assert got[0] == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-15)
-        assert got[1:] == [1.0, 1.0, 0.0]
+        assert chord_mass(-10.0 - -12.0) == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-15)
+        assert [chord_mass(-10.0 - end) for end in (-10.0, -9.999, -math.inf)] == [1.0, 1.0, 0.0]
         # A drop of minus two ulps counts as none, so J_t stays a lower bound.
-        assert chord_masses(1.0, [1.0 + 4e-16]) == [1.0]
+        assert chord_mass(1.0 - (1.0 + 4e-16)) == 1.0
 
-    def test_chord_masses_use_numpy_expm1(self):
-        # math.expm1 differs from numpy's in the last bit on some inputs; the
-        # controller's cut is pinned to numpy's.
-        drops = np.random.default_rng(11).uniform(0.0, 40.0, size=2000)
-        want = (-np.expm1(-drops) / drops).tolist()
-        assert [chord_masses(0.0, (-d,))[0] for d in drops.tolist()] == want
+    def test_chord_mass_matches_a_50_digit_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        drops = [2.0, *rng.uniform(0.0, 40.0, size=2000).tolist(), *(10.0 ** rng.uniform(-300, 3, size=500)).tolist()]
+        for drop in drops:
+            with mpmath.workdps(50):
+                want = float(-mpmath.expm1(-mpmath.mpf(drop)) / drop)
+            assert abs(chord_mass(drop) - want) <= 2 * EPS * want
