@@ -6,6 +6,8 @@ conditional value at risk is an affine function of the normalized tail
 expectation a = sum_i p_i g_i, g_i = max(Q_i - eta, 0) / (Q_max - eta).
 That single number a in [0, 1] is what both the Monte Carlo baseline and the
 amplitude estimator measure; the affine map back to CVaR is exact and shared.
+Only the scenarios above eta move either number, so the Monte Carlo baseline
+draws counts for those alone: O(N) to select them, O(tail) to draw.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .qsim import OracleSpec
 from .stochfem import checked_scenarios
 
-_MAX_DRAWS = int(np.iinfo(np.int64).max)  # numpy's multinomial takes a 64-bit count
+_MAX_DRAWS = int(np.iinfo(np.int64).max)  # numpy's binomial and multinomial take a 64-bit count
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,25 +112,35 @@ def mc_estimate_cvar(
     """Monte Carlo baseline at the shared fixed threshold.
 
     The hinge mean of n iid scenario draws from p depends on the draws only
-    through how often each scenario comes up, so one multinomial draw of
-    per-scenario counts has the distribution of n index draws, in O(N) time
-    and memory for N scenarios.  One draw is still one oracle call, so
-    n_samples is directly comparable to the amplified estimator's
-    oracle-call budget.  The mean is taken as frequencies times hinges,
-    so no partial sum exceeds the largest hinge.
+    through how often each tail scenario (Q_i > eta) comes up; every other
+    draw adds a zero hinge.  So the draw is two-stage, which gives the law
+    of n index draws exactly (Devroye 1986, Non-Uniform Random Variate
+    Generation, ch. XI): one binomial for how many of the n land in the
+    tail, then one multinomial that splits those hits over the tail
+    scenarios in proportion to their weights.  Selecting the tail and its
+    share takes O(N) time for N scenarios; the draws take O(tail) time and
+    memory, and an empty tail returns eta without drawing.  One draw is
+    still one oracle call, so n_samples is directly comparable to the
+    amplified estimator's oracle-call budget.  The mean is taken as
+    frequencies times hinges, so no partial sum exceeds the largest hinge.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if n_samples > _MAX_DRAWS:
         raise ValueError(f"Monte Carlo budget {n_samples} is too large: a draw takes at most {_MAX_DRAWS}")
+    tail = np.flatnonzero(s.responses > eta)
     # numpy hands any count its binomials leave over to the last category,
     # so a zero-weight scenario there could be drawn; only weighted ones enter.
+    tail = tail[s.probs[tail] > 0.0]
+    if tail.size == 0:
+        return eta
+    p = s.probs[tail]
+    p_tail = p.sum()
+    # The share can round past 1 when every weighted scenario lies above eta.
+    hits = rng.binomial(n_samples, min(p_tail / s.probs.sum(), 1.0))
     # Renormalising meets numpy's sum(p[:-1]) <= 1 + 1e-12, tighter than ScenarioSet's 1e-9.
-    drawn = np.flatnonzero(s.probs)
-    p = s.probs[drawn]
-    counts = rng.multinomial(n_samples, p / p.sum())
-    hinge = np.maximum(s.responses[drawn], eta) - eta
-    hinge_mean = float(np.dot(counts / n_samples, hinge))
+    counts = rng.multinomial(hits, p / p_tail)
+    hinge_mean = float(np.dot(counts / n_samples, s.responses[tail] - eta))
     return eta + hinge_mean / (1.0 - s.alpha_level)
 
 

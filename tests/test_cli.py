@@ -37,7 +37,7 @@ TINY = dict(
 
 # sha256 over the raw then the aggregate CSV of `test_bench_csv_bytes_are_pinned`'s sweep.
 # A change meant to leave behaviour alone keeps it; any other change re-records it.
-BENCH_CSV_DIGEST = "4fe809549a434f9cc7ef17e9fc6967b7e9719adfaded0356ba949af39002383f"
+BENCH_CSV_DIGEST = "4cf75aef40e249194622f173c976dcc41331c06ad9aef41e4ec86e0788496fd4"
 
 # sha256 over the ensemble file then the truth sidecar of `tailamp generate` at seed 4,
 # per (benchmark, n_scenarios); pins the field draw, the meshes, the solves and the writer.
@@ -408,7 +408,7 @@ class TestCommands:
         assert cells[2] == "100"
 
     def test_mc_estimate_memory_does_not_grow_with_the_budget(self, tmp_path, capsys):
-        # As indices, 1e8 draws would take 800 MB; per-scenario counts take 64 entries.
+        # As indices, 1e8 draws would take 800 MB; tail counts take at most 64 entries.
         ens_path, _ = self.generate(tmp_path)
         capsys.readouterr()
         tracemalloc.start()
@@ -675,7 +675,7 @@ class TestCommands:
     @pytest.mark.parametrize("method", ["mc", "mliqae"])
     @pytest.mark.parametrize("budget", [10**21, 10**23])
     def test_budget_beyond_a_64_bit_draw_is_one_error_line(self, tmp_path, capsys, method, budget):
-        # MC's multinomial draw takes a 64-bit count and the controller at most
+        # MC's binomial and multinomial draws take a 64-bit count and the controller at most
         # 2**53 calls; both lines name the budget.
         ens_path, _ = self.generate(tmp_path)
         capsys.readouterr()

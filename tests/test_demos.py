@@ -40,5 +40,5 @@ def test_budget_sweep_demo_prints_both_slopes(tmp_path):
     shutil.copy(ROOT / "demos" / "budget_sweep_demo.py", tmp_path)
     lines = run_demo("budget_sweep_demo.py", tmp_path).splitlines()
     assert (tmp_path / "sweep_output" / "bar1d_compliance_agg.csv").exists()
-    assert "mc: fitted log-log slope of median error = -0.673" in lines
+    assert "mc: fitted log-log slope of median error = -0.956" in lines
     assert "mliqae: fitted log-log slope of median error = -1.158" in lines

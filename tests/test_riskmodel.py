@@ -36,6 +36,34 @@ def threshold_by_scan(s: ScenarioSet) -> float:
     return float(s.responses[order[-1]])
 
 
+def index_draw_law_pvalue(s: ScenarioSet, n: int, runs: int) -> float:
+    """Chi-square p-value of n times the Monte Carlo hinge mean over seeded runs.
+
+    The hinges must be integers.  Then n times the hinge mean of n iid index
+    draws has the n-fold convolution of the one-draw law as its exact pmf.
+    A total that pmf gives no mass fails outright.
+    """
+    eta = var_threshold(s)
+    hinge = (np.maximum(s.responses, eta) - eta).astype(int)
+    one_draw = np.bincount(hinge, weights=s.probs)
+    pmf = np.array([1.0])
+    for _ in range(n):
+        pmf = np.convolve(pmf, one_draw)
+    totals = [
+        round((mc_estimate_cvar(s, eta, n, np.random.default_rng(seed)) - eta) * (1.0 - s.alpha_level) * n)
+        for seed in range(runs)
+    ]
+    seen = np.bincount(totals, minlength=pmf.size)
+    assert seen.size == pmf.size and not np.any(seen[pmf == 0.0])
+    # Pool the sparse upper tail so that every expected cell holds at least 5.
+    cut = int(np.argmax(np.cumsum(pmf[::-1]) * runs >= 5))
+    tail = pmf.size - 1 - cut
+    observed = np.append(seen[:tail], seen[tail:].sum())
+    expected = np.append(pmf[:tail], pmf[tail:].sum()) * runs
+    keep = expected > 0
+    return sps.chisquare(observed[keep], expected[keep]).pvalue
+
+
 class TestScenarioSet:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -250,29 +278,19 @@ class TestMonteCarloBaseline:
         assert slope == pytest.approx(-0.5, abs=0.1)
 
     def test_counts_have_the_distribution_of_index_draws(self):
-        # Hinges 0, 1, 3 are integers, so n times the hinge mean of n iid index
-        # draws has the n-fold convolution of the one-draw law as its exact pmf.
         s = ScenarioSet(np.array([0.5, 0.3, 0.2]), np.array([0.0, 1.0, 3.0]), 0.5)
-        eta = var_threshold(s)
-        assert eta == 0.0
-        n, runs = 5, 4000
-        one_draw = np.array([0.5, 0.3, 0.0, 0.2])
-        pmf = np.array([1.0])
-        for _ in range(n):
-            pmf = np.convolve(pmf, one_draw)
-        totals = [
-            round((mc_estimate_cvar(s, eta, n, np.random.default_rng(seed)) - eta) * 0.5 * n)
-            for seed in range(runs)
-        ]
-        seen = np.bincount(totals, minlength=pmf.size)
-        assert seen.size == pmf.size and not np.any(seen[pmf == 0.0])
-        # Pool the sparse upper tail so that every expected cell holds at least 5.
-        cut = int(np.argmax(np.cumsum(pmf[::-1]) * runs >= 5))
-        tail = pmf.size - 1 - cut
-        observed = np.append(seen[:tail], seen[tail:].sum())
-        expected = np.append(pmf[:tail], pmf[tail:].sum()) * runs
-        keep = expected > 0
-        assert sps.chisquare(observed[keep], expected[keep]).pvalue > 1e-3
+        assert var_threshold(s) == 0.0
+        assert index_draw_law_pvalue(s, n=5, runs=4000) > 1e-3
+
+    def test_tail_draws_have_the_distribution_of_index_draws(self):
+        # Two scenarios tie at eta = 1 and a third lies below it: none of them
+        # enters the tail.  Of the four above eta, the last has zero weight and
+        # a hinge of 100, so one draw of it would give a total no index draw can.
+        probs = np.array([0.3, 0.2, 0.1, 0.15, 0.1, 0.15, 0.0])
+        responses = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 5.0, 101.0])
+        s = ScenarioSet(probs, responses, 0.5)
+        assert var_threshold(s) == 1.0
+        assert index_draw_law_pvalue(s, n=5, runs=4000) > 1e-3
 
     def test_seeded_estimates_reproduce(self):
         rng = np.random.default_rng(7)
@@ -299,6 +317,18 @@ class TestMonteCarloBaseline:
         assert math.isfinite(mc)
         assert eta <= mc <= eta + (5.0 - eta) / 0.5
 
+    def test_tail_holding_every_weight_draws(self):
+        # A level below var_threshold's 1e-12 slack puts eta at the lowest response,
+        # here a zero-weight one, so every weighted scenario lies above eta.  Summed
+        # without that zero, their share of the total rounds past 1.
+        probs = np.array([0.0] + [i / 66 for i in range(1, 12)])
+        assert probs[1:].sum() / probs.sum() > 1.0
+        s = ScenarioSet(probs, np.arange(12.0), 1e-13)
+        eta = var_threshold(s)
+        assert eta == 0.0
+        mc = mc_estimate_cvar(s, eta, 10_000, np.random.default_rng(0))
+        assert mc == pytest.approx(discrete_cvar(s), rel=0.05)
+
     def test_zero_weight_scenario_is_never_drawn(self):
         # numpy gives the last category whatever count its binomials leave over;
         # with these weights that happens on about one draw in nine at 1e15.
@@ -316,6 +346,51 @@ class TestMonteCarloBaseline:
         mc = mc_estimate_cvar(s, eta, 10**12, np.random.default_rng(1))
         assert eta <= mc <= eta + (s.responses.max() - eta) / (1.0 - s.alpha_level)
         assert mc == pytest.approx(discrete_cvar(s), rel=1e-4)
+
+
+class RecordingRng:
+    """The two draws mc_estimate_cvar makes, recorded on their way to a seeded generator."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.binomial_calls = []
+        self.multinomial_calls = []
+
+    def binomial(self, n, p):
+        self.binomial_calls.append((n, p))
+        return self._rng.binomial(n, p)
+
+    def multinomial(self, n, pvals):
+        self.multinomial_calls.append((n, np.asarray(pvals)))
+        return self._rng.multinomial(n, pvals)
+
+
+@pytest.fixture(scope="module")
+def bar_ensemble():
+    return stochfem.build_scenario_ensemble("bar1d", 1024, seed=1)
+
+
+class TestMonteCarloDrawsOnlyTheTail:
+    def test_multinomial_splits_the_hits_over_the_scenarios_above_eta(self, bar_ensemble):
+        s = ScenarioSet(bar_ensemble.probs, bar_ensemble.responses["compliance"], bar_ensemble.alpha_level)
+        eta = var_threshold(s)
+        above = s.responses > eta
+        assert np.count_nonzero(above) == 51
+        rng = RecordingRng(1)
+        mc_estimate_cvar(s, eta, 20_000, rng)
+        [(hits, pvals)] = rng.multinomial_calls
+        np.testing.assert_array_equal(pvals, s.probs[above] / s.probs[above].sum())
+        [(n, share)] = rng.binomial_calls
+        assert n == 20_000 and share == pytest.approx(51 / 1024, rel=1e-12)
+        assert 0 <= hits <= n
+
+    def test_empty_tail_returns_the_threshold_without_drawing(self, bar_ensemble):
+        s = ScenarioSet(bar_ensemble.probs, bar_ensemble.responses["vmmax"], bar_ensemble.alpha_level)
+        eta = var_threshold(s)
+        assert normalize_hinge(s, eta).a == 0.0
+        rng = RecordingRng(1)
+        assert mc_estimate_cvar(s, eta, 20_000, rng) == eta
+        assert rng.binomial_calls == [] and rng.multinomial_calls == []
 
 
 class TestOracleBridge:
