@@ -74,7 +74,7 @@ def main():
     for lo, hi in feasible.components:
         print(f"      [{lo:.5f}, {hi:.5f}]")
 
-    pooled = InferenceState.initial()
+    pooled = InferenceState()
     pooled.totals.add(batches[0])
     update_feasible(pooled, delta)
     lo, hi = pooled.feasible

@@ -320,10 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, builds_ensemble=True):
+    def common(p, builds_ensemble=True, takes_qoi=True):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--qoi", choices=stochfem.QOI_NAMES)
         p.add_argument("--seed", type=int)
+        if takes_qoi:  # generate writes every QoI
+            p.add_argument("--qoi", choices=stochfem.QOI_NAMES)
         if builds_ensemble:  # estimate reads these from its ensemble file
             p.add_argument("--benchmark", choices=sorted(stochfem.BENCHMARK_DEFAULTS))
             p.add_argument("--alpha-level", dest="alpha_level", type=float)
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n-scenarios", dest="n_scenarios", type=int)
 
     gen = sub.add_parser("generate", help="build and persist a scenario ensemble")
-    common(gen)
+    common(gen, takes_qoi=False)
     gen.set_defaults(handler=cmd_generate)
 
     est = sub.add_parser("estimate", help="run one estimate against an ensemble file")

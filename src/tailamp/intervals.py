@@ -51,18 +51,14 @@ class IntervalUnion:
     """Normalized union of disjoint closed intervals inside (0, pi/2).
 
     Instances are immutable; all operations return new unions.  The empty
-    union is a valid value (the intersection of disjoint bands is empty)
-    and callers are expected to test ``is_empty``.
+    union is a valid value (the intersection of disjoint bands is empty),
+    and its len() is 0.
     """
 
     __slots__ = ("components",)
 
     def __init__(self, pairs=()):
         self.components: tuple[tuple[float, float], ...] = _normalize(pairs)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.components
 
     def __len__(self) -> int:
         return len(self.components)

@@ -104,15 +104,11 @@ class InferenceState:
     feasible is the feasible interval as a (lo, hi) pair of floats.
     """
 
-    feasible: tuple[float, float]
+    feasible: tuple[float, float] = (THETA_LO, THETA_HI)
     totals: OrderTotals = field(default_factory=OrderTotals)
     ledger: list[RoundRecord] = field(default_factory=list)
     spent: int = 0
     theta_hat: float | None = None
-
-    @classmethod
-    def initial(cls) -> "InferenceState":
-        return cls(feasible=(THETA_LO, THETA_HI))
 
 
 @dataclass(frozen=True)
@@ -282,15 +278,12 @@ def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
 def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateReport:
     """Execute the full estimation loop until the budget or the target is hit.
 
-    The oracle only needs a success_probability(k) method; both the
-    closed-form and the statevector-backed models satisfy it.
+    The target half-width is tested after each update, as IQAE tests its
+    stop (Grinko et al. 2021).  The oracle only needs a success_probability(k)
+    method; both the closed-form and the statevector-backed models satisfy it.
     """
-    state = InferenceState.initial()
+    state = InferenceState()
     while state.spent < cfg.budget:
-        if cfg.epsilon_a > 0.0 and state.theta_hat is not None:
-            lo, hi = state.feasible
-            if 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
-                break
         k = select_depth(state, cfg)
         m = select_shots(state, cfg, k)
         entry = RoundRecord(k=k, m=m, h=sample_shots(oracle.success_probability(k), m, rng))
@@ -298,6 +291,9 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
         state.totals.add(entry)
         state.spent += entry.cost
         update_feasible(state, cfg.delta_tot)
+        lo, hi = state.feasible
+        if cfg.epsilon_a > 0.0 and 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
+            break
     return _build_report(state)
 
 

@@ -51,15 +51,16 @@ class TailNormalization:
 def var_threshold(s: ScenarioSet) -> float:
     """alpha-quantile eta = Q_(k) at k = min{k : sum of sorted p >= alpha}.
 
-    Ties in Q keep original scenario order (stable sort), which pins the
-    quantile deterministically.
+    Only scenarios with positive weight are sorted, so eta is always a
+    response that carries mass.  Ties in Q keep original scenario order
+    (stable sort), which pins the quantile deterministically.
     """
     order = np.argsort(s.responses, kind="stable")
+    order = order[s.probs[order] > 0.0]
     cum = np.cumsum(s.probs[order])
     # Tiny slack keeps an exact boundary hit from flipping on rounding.
     idx = int(np.searchsorted(cum, s.alpha_level - 1e-12, side="left"))
-    idx = min(idx, s.responses.size - 1)
-    return float(s.responses[order][idx])
+    return float(s.responses[order[min(idx, order.size - 1)]])
 
 
 def normalize_hinge(s: ScenarioSet, eta: float) -> TailNormalization:

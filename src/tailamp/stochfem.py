@@ -112,10 +112,6 @@ class NystromBasis:
     eigenvalues: np.ndarray    # (r,), descending, strictly positive
     weights: np.ndarray        # (M, r), columns u_j / sqrt(lam_j)
 
-    @property
-    def rank(self) -> int:
-        return int(self.eigenvalues.size)
-
     def evaluate(self, points) -> np.ndarray:
         """phi_j at arbitrary points; returns (n_points, r)."""
         m = self.model
@@ -441,7 +437,7 @@ class PlaneStressSolver:
         u[self.band.free] = self.band.solve(moduli, f[self.band.free])
         compliance = float(f @ u)
         tip = abs(float(u[2 * self.mesh.tip_node + 1]))
-        vm = self.von_mises_max(u, moduli)
+        vm = float(self._element_peak_stress(u, moduli).max())
         return PlaneStressResult(u=u, qoi=QoIVector(compliance, tip, vm))
 
     def solve_prescribed(
@@ -469,9 +465,6 @@ class PlaneStressSolver:
             sx, sy, txy = stress[:, 0], stress[:, 1], stress[:, 2]
             peak = np.maximum(peak, np.sqrt(sx * sx - sx * sy + sy * sy + 3.0 * txy * txy))
         return peak
-
-    def von_mises_max(self, u: np.ndarray, moduli: np.ndarray) -> float:
-        return float(self._element_peak_stress(u, moduli).max())
 
 
 def solve_plane_stress_q4(
@@ -665,18 +658,18 @@ def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict[st
         mesh = build_cantilever_mesh(
             params["length"], params["height"], params["nx"], params["ny"]
         )
-        box = (params["length"], params["height"])
     else:
         mesh = build_lbracket_mesh(
             params["leg_length"], params["leg_width"], params["n_elems_per_unit"]
         )
-        box = (params["leg_length"], params["leg_length"])
+    # Both meshes start at the origin, so the sample grid spans their bounding box.
+    x_hi, y_hi = mesh.coords.max(axis=0)
     model = KernelModel(
         length_scale_x=params["length_scale_x"],
         length_scale_y=params["length_scale_y"],
         sigma=params["sigma"],
         rank=params["rank"],
-        sample_points=_grid_sample_points(box[0], box[1], params["n_sample_grid"]),
+        sample_points=_grid_sample_points(x_hi, y_hi, params["n_sample_grid"]),
     )
     phi = nystrom_basis(model).evaluate(mesh.centroids)
     solver = PlaneStressSolver(mesh, params["nu"])

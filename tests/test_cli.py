@@ -765,6 +765,19 @@ class TestCommands:
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
 
+    def test_generate_rejects_qoi_since_it_writes_every_qoi(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--n-scenarios", "8", "--out-dir", str(tmp_path), "--qoi", "vmmax"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --qoi vmmax" in captured.err
+        assert not any(tmp_path.iterdir())
+        # A config file may still carry qoi, so one file serves generate and bench.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"qoi": "vmmax", "n_scenarios": 8}))
+        assert main(["generate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+
     def test_estimate_config_accepts_only_the_fields_it_uses(self, tmp_path, capsys):
         ens_path, _ = self.generate(tmp_path, seed=2)
         cfg_path = tmp_path / "cfg.json"

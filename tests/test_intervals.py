@@ -28,14 +28,14 @@ def full_domain() -> IntervalUnion:
 
 def hull(union: IntervalUnion) -> tuple[float, float]:
     """Smallest single interval containing the union; the empty union has none."""
-    if union.is_empty:
+    if not union:
         raise ValueError("hull of empty interval union")
     return union.components[0][0], union.components[-1][1]
 
 
 def grid_over(union: IntervalUnion, points_per_component: int = 512) -> np.ndarray:
     """Dense evaluation grid covering every component, endpoints included."""
-    if union.is_empty:
+    if not union:
         return np.empty(0)
     return np.concatenate(
         [np.linspace(lo, hi, points_per_component) for lo, hi in union.components]
@@ -82,10 +82,10 @@ class TestNormalization:
         assert u.components == ((0.3, 0.3),)
 
     def test_inverted_pairs_drop(self):
-        assert IntervalUnion([(0.5, 0.4)]).is_empty
+        assert len(IntervalUnion([(0.5, 0.4)])) == 0
 
     def test_empty_and_full(self):
-        assert IntervalUnion().is_empty
+        assert len(IntervalUnion()) == 0
         full = full_domain()
         assert len(full) == 1
         assert measure(full) == pytest.approx(math.pi / 2.0, abs=1e-9)
@@ -129,7 +129,7 @@ class TestIntersection:
     def test_disjoint_sets_intersect_empty(self):
         a = IntervalUnion([(0.1, 0.2)])
         b = IntervalUnion([(0.3, 0.4)])
-        assert a.intersect(b).is_empty
+        assert len(a.intersect(b)) == 0
 
     def test_commutative_associative_idempotent(self):
         rng = np.random.default_rng(13)

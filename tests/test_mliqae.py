@@ -69,7 +69,7 @@ def add_batch(state: InferenceState, rec: RoundRecord, delta_tot: float = 0.05) 
 
 
 def two_round_state() -> InferenceState:
-    state = InferenceState.initial()
+    state = InferenceState()
     add_batch(state, ROUND_A)
     assert select_depth(state, DEEP) == ROUND_C.k
     add_batch(state, ROUND_C)
@@ -228,12 +228,12 @@ class TestControllerConfig:
 class TestSelectShots:
     def test_pacing_bound_binds_early(self):
         # A share of 10000 // 28 = 357 shots lies above _M_MIN.
-        state = InferenceState.initial()
+        state = InferenceState()
         cfg = ControllerConfig(budget=10_000)
         assert select_shots(state, cfg, 0) == 357
 
     def test_tiny_budget_spends_everything(self):
-        state = InferenceState.initial()
+        state = InferenceState()
         cfg = ControllerConfig(budget=16)
         assert select_shots(state, cfg, 0) == 16
 
@@ -242,12 +242,12 @@ class TestSelectShots:
         # after 29 batches alike: no cap and no shrinking horizon.
         cfg = ControllerConfig(budget=1_000_000)
         for rounds in (0, 29):
-            state = InferenceState.initial()
+            state = InferenceState()
             state.ledger = [RoundRecord(k=0, m=1, h=0)] * rounds
             assert select_shots(state, cfg, 2) == 7142
 
     def test_zero_when_one_shot_is_unaffordable(self):
-        state = InferenceState.initial()
+        state = InferenceState()
         state.spent = 995
         cfg = ControllerConfig(budget=1000)
         assert select_shots(state, cfg, 3) == 0
@@ -256,7 +256,7 @@ class TestSelectShots:
         rng = np.random.default_rng(2)
         cfg = ControllerConfig(budget=50_000)
         for _ in range(200):
-            state = InferenceState.initial()
+            state = InferenceState()
             state.spent = int(rng.integers(0, cfg.budget))
             k = int(rng.integers(0, 12))
             m = select_shots(state, cfg, k)
@@ -267,13 +267,13 @@ class TestSelectDepth:
     def test_wide_hull_keeps_order_zero(self):
         # A hull wider than pi/6 straddles a turning point of sin^2((2k+1) theta)
         # at every k >= 1.
-        state = InferenceState.initial()
+        state = InferenceState()
         state.feasible = (0.30, 0.90)
         assert deepest_single_flank(0.30, 0.90, DEEP_K) == 0
         assert select_depth(state, DEEP) == 0
 
     def test_no_estimate_defaults_to_zero(self):
-        assert select_depth(InferenceState.initial(), DEEP) == 0
+        assert select_depth(InferenceState(), DEEP) == 0
 
     def test_point_hull_scans_from_the_remainder_bound(self):
         # A zero-width hull has no width bound and every order is
@@ -305,7 +305,7 @@ class TestSelectDepth:
             width = float(rng.uniform(1e-6, 0.05))
             lo = max(1e-6, theta - 0.5 * width)
             hi = min(math.pi / 2 - 1e-6, theta + 0.5 * width)
-            state = InferenceState.initial()
+            state = InferenceState()
             state.feasible = (lo, hi)
             k = select_depth(state, DEEP)
             if k > 0:
@@ -317,7 +317,7 @@ class TestUpdateFeasible:
         # The set after ROUND_A holds pi/6, where order 1 (omega = 3) is
         # singular through ROUND_B's failures, so the depth rule never runs
         # order 1 over it.
-        state = InferenceState.initial()
+        state = InferenceState()
         add_batch(state, ROUND_A)
         after_a = state.feasible
         lo, hi = after_a
@@ -357,7 +357,7 @@ class TestUpdateFeasible:
         # its (m, h) batches at the orders the depth rule picks.
         monkeypatch.setattr(mliqae, "_MLE_BRACKET", 1e-2)
         for batches in ([(1000, 262)], [(1000, 262), (1000, 998)], [(300, 40), (500, 100)]):
-            state = InferenceState.initial()
+            state = InferenceState()
             for m, h in batches:
                 before = state.feasible
                 state.totals.add(RoundRecord(k=select_depth(state, DEEP), m=m, h=h))
@@ -371,7 +371,7 @@ class TestUpdateFeasible:
         for trial in range(10):
             a = float(rng.uniform(0.05, 0.9))
             oracle = AnalyticOracle(a)
-            state = InferenceState.initial()
+            state = InferenceState()
             last = measure(state.feasible)
             for _ in range(8):
                 k = select_depth(state, DEEP)
@@ -451,7 +451,7 @@ class TestNoRecovery:
         budget = 50_000
         report = run(FlipOracle(), ControllerConfig(budget=budget), np.random.default_rng(8))
         assert not report.failed and report.restarts == 0
-        assert not report.feasible.is_empty
+        assert len(report.feasible)
         assert report.feasible.contains(report.theta_hat)
         assert report.theta_bounds[0] <= report.theta_hat <= report.theta_bounds[1]
         assert report.oracle_calls == budget
@@ -477,7 +477,7 @@ class TestNoRecovery:
             first, second = report.ledger[:2]
             assert (first.k, second.h) == (0, 0) and first.h > 0
             assert not report.failed and report.restarts == 0
-            assert not report.feasible.is_empty
+            assert len(report.feasible)
             assert report.feasible.contains(report.theta_hat)
             assert report.oracle_calls == sum(b.cost for b in report.ledger)
             assert report.oracle_calls == budget
@@ -532,7 +532,7 @@ class TestRun:
         budget = 64_000
         for a, seed in ((0.0, 1), (0.015, 2), (0.1, 5), (0.2625, 7), (0.7, 13), (1.0, 3)):
             report = run(AnalyticOracle(a), ControllerConfig(budget=budget), np.random.default_rng(seed))
-            state = InferenceState.initial()
+            state = InferenceState()
             for batch in report.ledger:
                 lo, hi = state.feasible
                 k_max = (budget - state.spent - 1) // 2
@@ -579,6 +579,14 @@ class TestRun:
         half_width = 0.5 * (report.a_bounds[1] - report.a_bounds[0])
         assert half_width <= 0.02
         assert report.oracle_calls < 1_000_000
+
+    def test_a_target_every_set_meets_stops_after_one_batch(self):
+        # No amplitude interval is wider than 1, so the test after the first
+        # update stops the run.
+        cfg = ControllerConfig(budget=1_000_000, epsilon_a=0.5)
+        report = run(AnalyticOracle(0.3), cfg, np.random.default_rng(3))
+        assert report.rounds == len(report.ledger) == 1
+        assert report.oracle_calls == report.ledger[0].cost < 1_000_000
 
     def test_a_run_loads_no_scipy(self):
         # The controller works on per-order totals alone; only an exact
@@ -656,6 +664,14 @@ EQUIV_A_HAT = {
 }
 
 
+def ledger_digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        for b in report.ledger:
+            digest.update(f"{b.kind},{b.k},{b.m},{b.h};".encode())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def equivalence_grid():
     reports = {}
@@ -669,15 +685,82 @@ def equivalence_grid():
 
 class TestDecisionEquivalence:
     def test_ledgers_match_the_recorded_digest(self, equivalence_grid):
-        digest = hashlib.sha256()
-        for report in equivalence_grid.values():
-            for b in report.ledger:
-                digest.update(f"{b.kind},{b.k},{b.m},{b.h};".encode())
-        assert digest.hexdigest() == EQUIV_DIGEST
+        assert ledger_digest(equivalence_grid.values()) == EQUIV_DIGEST
 
     def test_estimates_match_the_recorded_values(self, equivalence_grid):
         for (a, budget, rep), report in equivalence_grid.items():
             assert report.a_hat == pytest.approx(EQUIV_A_HAT[a, budget][rep], abs=1e-8)
+
+
+# The same gate on the precision-stop path, which EQUIV_DIGEST (epsilon_a = 0)
+# never takes: the grid above at two targets.  Recorded when the stop test
+# moved from the top of the loop to just after each update.
+EQUIV_EPSILONS = (1e-2, 1e-3)
+EQUIV_EPS_DIGEST = "8dc91a10aa49d9141a75dc004f3ace304b62f6556aef2f7d6c5c4f37ff5715f5"
+EQUIV_EPS_A_HAT = {
+    (0.0, 300, 0.01): (1e-24,) * 3,
+    (0.0, 300, 0.001): (1e-24,) * 3,
+    (0.0, 4000, 0.01): (1e-24,) * 3,
+    (0.0, 4000, 0.001): (1e-24,) * 3,
+    (0.0, 64000, 0.01): (1e-24,) * 3,
+    (0.0, 64000, 0.001): (1e-24,) * 3,
+    (0.0, 256000, 0.01): (1e-24,) * 3,
+    (0.0, 256000, 0.001): (1e-24,) * 3,
+    (0.015, 300, 0.01): (0.015498109665615736, 0.015498109665615736, 0.010427080143885652),
+    (0.015, 300, 0.001): (0.015498109665615736, 0.015498109665615736, 0.010427080143885652),
+    (0.015, 4000, 0.01): (0.015971905933259173, 0.01702758804874933, 0.0159736252022516),
+    (0.015, 4000, 0.001): (0.01528434185706217, 0.014740288078058134, 0.015720445054728648),
+    (0.015, 64000, 0.01): (0.015430336676097715, 0.015246272624570142, 0.01339585590839373),
+    (0.015, 64000, 0.001): (0.014959468617675973, 0.014903624387570459, 0.015201198443657547),
+    (0.015, 256000, 0.01): (0.01334500109385177, 0.012688689564645375, 0.014548238897396329),
+    (0.015, 256000, 0.001): (0.014772460477011301, 0.015126156974062627, 0.01488444276578421),
+    (0.2625, 300, 0.01): (0.25333333333333324, 0.2799999999999999, 0.2700000000000001),
+    (0.2625, 300, 0.001): (0.25333333333333324, 0.2799999999999999, 0.2700000000000001),
+    (0.2625, 4000, 0.01): (0.2642251796806472, 0.2640498338834355, 0.26451392329811135),
+    (0.2625, 4000, 0.001): (0.2641791641967038, 0.2639775429965282, 0.26451392329811135),
+    (0.2625, 64000, 0.01): (0.26131412774852264, 0.260969580518912, 0.26080376265561084),
+    (0.2625, 64000, 0.001): (0.26260183542190174, 0.2625852695683919, 0.26240152627868685),
+    (0.2625, 256000, 0.01): (0.26073849348168976, 0.26292112312315247, 0.26319563138786084),
+    (0.2625, 256000, 0.001): (0.2625634050773581, 0.2623099646336515, 0.2624924292489808),
+    (0.9999, 300, 0.01): (1.0,) * 3,
+    (0.9999, 300, 0.001): (1.0,) * 3,
+    (0.9999, 4000, 0.01): (1.0,) * 3,
+    (0.9999, 4000, 0.001): (0.9999742156287588, 0.9999480819352743, 0.9999480819352743),
+    (0.9999, 64000, 0.01): (0.999562363240048, 1.0, 1.0),
+    (0.9999, 64000, 0.001): (0.9998391127261227, 0.9998372405576255, 0.9999290927976671),
+    (0.9999, 256000, 0.01): (1.0, 0.9997812294903949, 0.9998906147451376),
+    (0.9999, 256000, 0.001): (1.0, 0.9997812294903949, 0.9998906147451376),
+    (1.0, 300, 0.01): (1.0,) * 3,
+    (1.0, 300, 0.001): (1.0,) * 3,
+    (1.0, 4000, 0.01): (1.0,) * 3,
+    (1.0, 4000, 0.001): (1.0,) * 3,
+    (1.0, 64000, 0.01): (1.0,) * 3,
+    (1.0, 64000, 0.001): (1.0,) * 3,
+    (1.0, 256000, 0.01): (1.0,) * 3,
+    (1.0, 256000, 0.001): (1.0,) * 3,
+}
+
+
+@pytest.fixture(scope="module")
+def precision_grid():
+    reports = {}
+    for a in EQUIV_AMPLITUDES:
+        for budget in EQUIV_BUDGETS:
+            for eps in EQUIV_EPSILONS:
+                for rep in range(EQUIV_SEEDS):
+                    rng = np.random.default_rng(run_seed(0, "mliqae", budget, rep))
+                    cfg = ControllerConfig(budget=budget, epsilon_a=eps)
+                    reports[a, budget, eps, rep] = run(AnalyticOracle(a), cfg, rng)
+    return reports
+
+
+class TestPrecisionStopEquivalence:
+    def test_ledgers_match_the_recorded_digest(self, precision_grid):
+        assert ledger_digest(precision_grid.values()) == EQUIV_EPS_DIGEST
+
+    def test_estimates_match_the_recorded_values(self, precision_grid):
+        for (a, budget, eps, rep), report in precision_grid.items():
+            assert report.a_hat == pytest.approx(EQUIV_EPS_A_HAT[a, budget, eps][rep], abs=1e-8)
 
 
 class TestAmplitudeBoundsAtDomainEdges:

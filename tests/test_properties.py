@@ -6,7 +6,8 @@ pooled likelihood clears a cut; the properties below hold that set, and the
 maximum-likelihood search behind it, to dense-grid answers on sets that lie
 on one flank of every counted order, where the likelihood is concave.  The
 scalar slopes of the per-batch update are held to the grid form bit for
-bit.
+bit.  The scenario layer's threshold and CVaR are held to their brute-force
+definitions on weighted scenario sets with ties and zero weights.
 Needs hypothesis (the ``test`` extra); skipped without it.
 """
 
@@ -16,11 +17,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailamp import mliqae
 from tailamp.intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
+from tailamp.riskmodel import ScenarioSet, cvar_from_amplitude, discrete_cvar, normalize_hinge, var_threshold
 from tailamp.stats import (
     OrderTotals,
     RoundRecord,
@@ -140,7 +142,7 @@ def test_feasible_update_keeps_every_point_above_the_cut(counts, previous, delta
     state = mliqae.InferenceState(feasible=previous.components[0], totals=OrderTotals(rounds))
     cut = mliqae.update_feasible(state, delta_tot)
     new = IntervalUnion([state.feasible])
-    assert not new.is_empty
+    assert len(new)
     assert new.intersect(previous) == new
     grid = dense_grid(previous)
     arrays = columns(state.totals.rows)
@@ -211,3 +213,90 @@ def test_scalar_slopes_equal_the_grid_form_bit_for_bit(counts, thetas):
     # Over three angles numpy adds the orders row by row, as the kernel does.
     scores, curvs = vector_slopes(np.array(thetas), *arrays)
     assert [log_likelihood_slopes(th, rows) for th in thetas] == list(zip(scores.tolist(), curvs.tolist()))
+
+
+@st.composite
+def scenario_sets(draw):
+    """Up to 12 scenarios with integer weights (some zero) and tied responses.
+
+    The level is a float anywhere in [1e-15, 1 - 1e-15], one of the extreme
+    levels, or a cumulative-weight boundary exactly.
+    """
+    weights = draw(st.lists(st.integers(0, 8), min_size=1, max_size=12).filter(any))
+    n, total = len(weights), sum(weights)
+    responses = draw(
+        st.lists(
+            st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3, allow_subnormal=False),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    levels = st.floats(1e-15, 1.0 - 1e-15) | st.sampled_from((1e-15, 1e-13, 1e-12, 1.0 - 1e-15))
+    if total > 1:
+        levels |= st.integers(1, total - 1).map(lambda j: j / total)
+    return ScenarioSet(np.array(weights) / total, np.array(responses), draw(levels))
+
+
+# Scenario sets are cheap to check but slow to draw, so these tests take
+# fewer examples than the interval properties.
+SCENARIO_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
+
+# The weights 0, 1/66, ..., 11/66 on responses 0..11 at a level below the
+# threshold's 1e-12 slack: the zero-weight response 0 must not be the threshold.
+FOUND_ZERO_WEIGHT = ScenarioSet(np.arange(12) / 66, np.arange(12.0), 1e-13)
+
+
+def quantile_by_definition(s: ScenarioSet, level: float) -> float:
+    """Smallest response carrying weight whose P(Q <= q) reaches level; the largest if none does."""
+    support = sorted(set(s.responses[s.probs > 0.0].tolist()))
+    for q in support:
+        if s.probs[s.responses <= q].sum() >= level:
+            return q
+    return support[-1]
+
+
+def ru_objective(s: ScenarioSet, eta: float) -> float:
+    """Rockafellar-Uryasev objective eta + E[(Q - eta)+] / (1 - alpha)."""
+    return eta + float(np.dot(s.probs, np.maximum(s.responses - eta, 0.0))) / (1.0 - s.alpha_level)
+
+
+@SCENARIO_SETTINGS
+@given(scenario_sets())
+@example(FOUND_ZERO_WEIGHT)
+def test_var_threshold_is_the_quantile_by_definition(s):
+    # The threshold searches the level alpha - 1e-12; its running sums and
+    # these direct sums round apart by far less than 1e-13.
+    level = s.alpha_level - 1e-12
+    eta = var_threshold(s)
+    assert quantile_by_definition(s, level - 1e-13) <= eta <= quantile_by_definition(s, level + 1e-13)
+    assert np.any((s.responses == eta) & (s.probs > 0.0))
+
+
+@SCENARIO_SETTINGS
+@given(scenario_sets())
+@example(FOUND_ZERO_WEIGHT)
+def test_discrete_cvar_is_the_rockafellar_uryasev_minimum(s):
+    # The objective is convex and piecewise linear with kinks at the
+    # responses, so its minimum over eta is attained at one of them
+    # (Rockafellar & Uryasev 2002, J. Banking & Finance 26(7)).
+    best = min(ru_objective(s, float(q)) for q in s.responses)
+    eta = var_threshold(s)
+    span = float(s.responses.max() - s.responses.min())
+    # Rounding, plus the threshold's slack: an eta whose P(Q <= eta) falls
+    # short of alpha lies below the minimum, where the objective's slope is
+    # -(alpha - P(Q <= eta)) / (1 - alpha).
+    short = max(0.0, s.alpha_level - float(s.probs[s.responses <= eta].sum()))
+    rounding = 8.0 * np.finfo(float).eps * s.responses.size * (abs(best) + abs(eta) + span)
+    assert abs(discrete_cvar(s) - best) <= rounding + span * short / (1.0 - s.alpha_level)
+
+
+@SCENARIO_SETTINGS
+@given(scenario_sets())
+@example(FOUND_ZERO_WEIGHT)
+def test_cvar_from_the_amplitude_equals_the_direct_sum(s):
+    eta = var_threshold(s)
+    tn = normalize_hinge(s, eta)
+    direct = discrete_cvar(s)
+    tail = (tn.q_max - eta) * tn.a / (1.0 - s.alpha_level)
+    tol = 8.0 * np.finfo(float).eps * (abs(eta) + tail) * s.responses.size
+    assert abs(cvar_from_amplitude(tn.a, eta, tn.q_max, s.alpha_level) - direct) <= tol

@@ -106,6 +106,12 @@ class TestVarThreshold:
         s = ScenarioSet(probs, responses, 0.5)
         assert var_threshold(s) == 2.0
 
+    def test_zero_weight_scenario_is_never_the_threshold(self):
+        # Below the search's 1e-12 slack every cumulative weight reaches the
+        # level, so the first sorted scenario was taken even with weight 0.
+        s = ScenarioSet(np.arange(12) / 66, np.arange(12.0), 1e-13)
+        assert var_threshold(s) == 1.0
+
 
 class TestNormalizeHinge:
     def test_empty_tail_is_all_zero(self):
@@ -318,16 +324,14 @@ class TestMonteCarloBaseline:
         assert eta <= mc <= eta + (5.0 - eta) / 0.5
 
     def test_tail_holding_every_weight_draws(self):
-        # A level below var_threshold's 1e-12 slack puts eta at the lowest response,
-        # here a zero-weight one, so every weighted scenario lies above eta.  Summed
-        # without that zero, their share of the total rounds past 1.
+        # A caller's eta at the zero-weight scenario's response puts every
+        # weighted scenario above it.  Summed without that zero, their share
+        # of the total rounds past 1.
         probs = np.array([0.0] + [i / 66 for i in range(1, 12)])
         assert probs[1:].sum() / probs.sum() > 1.0
         s = ScenarioSet(probs, np.arange(12.0), 1e-13)
-        eta = var_threshold(s)
-        assert eta == 0.0
-        mc = mc_estimate_cvar(s, eta, 10_000, np.random.default_rng(0))
-        assert mc == pytest.approx(discrete_cvar(s), rel=0.05)
+        mc = mc_estimate_cvar(s, 0.0, 10_000, np.random.default_rng(0))
+        assert mc == pytest.approx(float(np.dot(probs, s.responses)) / (1.0 - 1e-13), rel=0.05)
 
     def test_zero_weight_scenario_is_never_drawn(self):
         # numpy gives the last category whatever count its binomials leave over;
