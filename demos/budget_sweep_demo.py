@@ -14,10 +14,11 @@ tests/test_acceptance.py, which fits RMSE over 50 repetitions at budgets
 """
 
 import os
+from dataclasses import astuple
 
 import numpy as np
 
-from tailamp.cli import BenchConfig, run_bench, write_agg_csv, write_raw_csv
+from tailamp.cli import AGG_COLUMNS, RAW_COLUMNS, BenchConfig, run_bench, write_csv
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "sweep_output")
 BUDGETS = (2000, 4000, 8000, 16000, 32000)
@@ -39,8 +40,8 @@ def main():
     os.makedirs(OUT_DIR, exist_ok=True)
     raw_path = os.path.join(OUT_DIR, "bar1d_compliance_raw.csv")
     agg_path = os.path.join(OUT_DIR, "bar1d_compliance_agg.csv")
-    write_raw_csv(raw_path, rows)
-    write_agg_csv(agg_path, agg)
+    write_csv(raw_path, RAW_COLUMNS, map(astuple, rows))
+    write_csv(agg_path, AGG_COLUMNS, agg)
     print(f"wrote {raw_path}")
     print(f"wrote {agg_path}\n")
 

@@ -18,7 +18,7 @@ import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -185,7 +185,7 @@ def _format_value(v) -> str:
 
 
 def format_row(row: ResultRow) -> str:
-    return ",".join(_format_value(getattr(row, name)) for name in RAW_COLUMNS)
+    return ",".join(map(_format_value, astuple(row)))
 
 
 def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[list[ResultRow], list[tuple]]:
@@ -211,18 +211,12 @@ def run_bench(cfg: BenchConfig, ens: stochfem.Ensemble | None = None) -> tuple[l
     return rows, agg
 
 
-def write_raw_csv(path, rows) -> None:
+def write_csv(path, columns, records) -> None:
+    """A header line of the column names, then one line per record, a tuple in column order."""
     with open(path, "w") as fh:
-        fh.write(",".join(RAW_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(format_row(row) + "\n")
-
-
-def write_agg_csv(path, agg) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(AGG_COLUMNS) + "\n")
-        for rec in agg:
-            fh.write(",".join(_format_value(v) for v in rec) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for rec in records:
+            fh.write(",".join(map(_format_value, rec)) + "\n")
 
 
 def truth_sidecar(ens: stochfem.Ensemble) -> dict:
@@ -277,8 +271,8 @@ def cmd_bench(args) -> int:
     stem = f"{cfg.benchmark}_{cfg.qoi}"
     raw_path = os.path.join(cfg.out_dir, f"{stem}_raw.csv")
     agg_path = os.path.join(cfg.out_dir, f"{stem}_agg.csv")
-    write_raw_csv(raw_path, rows)
-    write_agg_csv(agg_path, agg)
+    write_csv(raw_path, RAW_COLUMNS, map(astuple, rows))
+    write_csv(agg_path, AGG_COLUMNS, agg)
     print(raw_path)
     print(agg_path)
     return 0

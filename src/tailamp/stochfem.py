@@ -62,41 +62,38 @@ def checked_scenarios(probs, values, name: str) -> tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
-    """Anisotropic Gaussian covariance kernel with Nystrom sample points."""
+    """Anisotropic Gaussian covariance kernel on the plane; a line is the y = 0 axis."""
 
     length_scale_x: float
     length_scale_y: float
     sigma: float
     rank: int
-    sample_points: np.ndarray  # (M, d) with d = 1 or 2
+    sample_points: np.ndarray  # (M, 2)
 
     def __post_init__(self):
         if self.length_scale_x <= 0.0 or self.length_scale_y <= 0.0:
             raise ValueError("length scales must be positive")
         if self.sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
-        pts = np.atleast_2d(np.asarray(self.sample_points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] not in (1, 2):
-            raise ValueError("sample points must be (M, 1) or (M, 2)")
+        pts = np.asarray(self.sample_points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("sample points must be (M, 2)")
         if not 1 <= self.rank <= pts.shape[0]:
             raise ValueError("rank must lie in [1, M]")
         object.__setattr__(self, "sample_points", pts)
 
 
-def gaussian_kernel(x, x_prime, lx: float, ly: float = 1.0) -> np.ndarray:
-    """Pairwise correlation exp(-[(dx/lx)^2 + (dy/ly)^2] / 2).
+def gaussian_kernel(x, x_prime, lx: float, ly: float) -> np.ndarray:
+    """Pairwise correlation exp(-[(dx/lx)^2 + (dy/ly)^2] / 2) of (n, 2) and (m, 2) points.
 
-    Accepts (n, d) point arrays with d = 1 or 2; 1-d points use only the
-    first term.
+    A line is the plane's y = 0 axis: there dy = 0, so the y term adds
+    exactly 0.0 and the values are those of the one-dimensional kernel.
     """
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    b = np.atleast_2d(np.asarray(x_prime, dtype=float))
+    a = np.asarray(x, dtype=float)
+    b = np.asarray(x_prime, dtype=float)
     dx = a[:, 0][:, None] - b[:, 0][None, :]
-    quad = (dx / lx) ** 2
-    if a.shape[1] > 1:
-        dy = a[:, 1][:, None] - b[:, 1][None, :]
-        quad = quad + (dy / ly) ** 2
-    return np.exp(-0.5 * quad)
+    dy = a[:, 1][:, None] - b[:, 1][None, :]
+    return np.exp(-0.5 * ((dx / lx) ** 2 + (dy / ly) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +110,7 @@ class NystromBasis:
     weights: np.ndarray        # (M, r), columns u_j / sqrt(lam_j)
 
     def evaluate(self, points) -> np.ndarray:
-        """phi_j at arbitrary points; returns (n_points, r)."""
+        """phi_j at (n, 2) points; returns (n, r)."""
         m = self.model
         return gaussian_kernel(points, m.sample_points, m.length_scale_x, m.length_scale_y) @ self.weights
 
@@ -158,17 +155,12 @@ def sample_field(model: KernelModel, phi: np.ndarray, rng: np.random.Generator) 
 # --- meshes -------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Mesh1D:
     """Uniform two-node bar mesh on [0, length], left end fixed."""
 
     length: float
     n_elems: int
-    node_x: np.ndarray
-
-    @property
-    def centroids(self) -> np.ndarray:
-        return 0.5 * (self.node_x[:-1] + self.node_x[1:])[:, None]
 
     @property
     def elem_length(self) -> float:
@@ -178,7 +170,7 @@ class Mesh1D:
 def build_bar_mesh(length: float = 1.0, n_elems: int = 20) -> Mesh1D:
     if length <= 0.0 or n_elems < 1:
         raise ValueError("need positive length and at least one element")
-    return Mesh1D(length=length, n_elems=n_elems, node_x=np.linspace(0.0, length, n_elems + 1))
+    return Mesh1D(length=length, n_elems=n_elems)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +189,6 @@ class MeshQ4:
     fixed_dofs: np.ndarray    # int dof indices
     unit_load: np.ndarray     # (2N,)
     tip_node: int             # where tip_displacement is read (y dof)
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.coords.shape[0])
 
     @property
     def n_elems(self) -> int:
@@ -415,7 +403,7 @@ class PlaneStressSolver:
         dofs[:, 0::2] = 2 * mesh.elems
         dofs[:, 1::2] = 2 * mesh.elems + 1
         self.dof_map = dofs
-        self.n_dof = 2 * mesh.n_nodes
+        self.n_dof = 2 * mesh.coords.shape[0]
         self.band = self._band(mesh.fixed_dofs)
 
     def _band(self, fixed_dofs: np.ndarray) -> _BandMap:

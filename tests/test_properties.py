@@ -7,7 +7,9 @@ maximum-likelihood search behind it, to dense-grid answers on sets that lie
 on one flank of every counted order, where the likelihood is concave.  The
 scalar slopes of the per-batch update are held to the grid form bit for
 bit.  The scenario layer's threshold and CVaR are held to their brute-force
-definitions on weighted scenario sets with ties and zero weights.
+definitions on weighted scenario sets with ties and zero weights.  Whole
+controller runs on the closed-form oracle are held to the run's contract:
+spend, bounds, single-flank depths and nested sets.
 Needs hypothesis (the ``test`` extra); skipped without it.
 """
 
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from tailamp import mliqae
 from tailamp.intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
+from tailamp.qsim import AnalyticOracle
 from tailamp.riskmodel import ScenarioSet, cvar_from_amplitude, discrete_cvar, normalize_hinge, var_threshold
 from tailamp.stats import (
     OrderTotals,
@@ -300,3 +303,62 @@ def test_cvar_from_the_amplitude_equals_the_direct_sum(s):
     tail = (tn.q_max - eta) * tn.a / (1.0 - s.alpha_level)
     tol = 8.0 * np.finfo(float).eps * (abs(eta) + tail) * s.responses.size
     assert abs(cvar_from_amplitude(tn.a, eta, tn.q_max, s.alpha_level) - direct) <= tol
+
+
+# Amplitudes anywhere in [0, 1], with both ends and their neighbourhoods
+# drawn more often than a uniform draw would.
+contract_amplitudes = st.floats(0.0, 1.0) | st.sampled_from((0.0, 1e-12, 1.0 - 1e-12, 1.0))
+# Budgets from 1 to 1e7, a decade first, then a budget in it: at 1e9 and
+# above the depth walk alone can take most of a second (ROADMAP item 2).
+contract_budgets = st.sampled_from(range(7)).flatmap(lambda d: st.integers(10**d, 10 ** (d + 1)))
+
+
+@PROPERTY_SETTINGS
+@given(
+    contract_amplitudes,
+    contract_budgets,
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.just(0.0) | st.floats(0.0, 1.0),
+    st.integers(0, 2**32),
+)
+def test_whole_run_keeps_the_controller_contract(a, budget, delta_tot, epsilon_a, seed):
+    depths, updates = [], []
+    select_depth, update_feasible = mliqae.select_depth, mliqae.update_feasible
+
+    def depth_spy(state, cfg):
+        k = select_depth(state, cfg)
+        depths.append((k, state.feasible))
+        return k
+
+    def update_spy(state, delta):
+        before = state.feasible
+        cut = update_feasible(state, delta)
+        updates.append((before, state.feasible))
+        return cut
+
+    cfg = mliqae.ControllerConfig(budget=budget, delta_tot=delta_tot, epsilon_a=epsilon_a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mliqae, "select_depth", depth_spy)
+        mp.setattr(mliqae, "update_feasible", update_spy)
+        report = mliqae.run(AnalyticOracle(a), cfg, np.random.default_rng(seed))
+
+    cost = sum(r.cost for r in report.ledger)
+    assert report.oracle_calls == cost <= budget
+    if epsilon_a == 0.0:
+        assert cost == budget
+    a_lo, a_hi = report.a_bounds
+    assert 0.0 <= a_lo <= report.a_hat <= a_hi <= 1.0
+    # One depth and one update per batch, in the ledger's order.
+    assert [k for k, _ in depths] == [r.k for r in report.ledger]
+    assert len(updates) == len(report.ledger)
+    # Each order above 0 lies on one flank over the set its batch started from.
+    for k, (lo, hi) in depths:
+        if k > 0:
+            w = 2 * k + 1
+            assert math.floor(w * lo / (math.pi / 2)) == math.floor(w * hi / (math.pi / 2))
+    # Each set lies inside the one before; the first is the whole domain.
+    sets = [(THETA_LO, THETA_HI)] + [after for _, after in updates]
+    assert [before for before, _ in updates] == sets[:-1]
+    for (lo, hi), (new_lo, new_hi) in zip(sets, sets[1:]):
+        assert lo <= new_lo <= new_hi <= hi
+    assert sets[-1] == report.theta_bounds

@@ -414,11 +414,10 @@ def _bar_chain():
     return ens, s, tn, spec
 
 
-_LINE = np.linspace(0.0, 1.0, 9)[:, None]
+_LINE = np.column_stack([np.linspace(0.0, 1.0, 9), np.zeros(9)])
 _ARRAY_HOLDERS = {
     "KernelModel": lambda: stochfem.KernelModel(0.3, 1.0, 0.3, 3, _LINE),
     "NystromBasis": lambda: stochfem.nystrom_basis(stochfem.KernelModel(0.3, 1.0, 0.3, 3, _LINE)),
-    "Mesh1D": lambda: stochfem.build_bar_mesh(1.0, 10),
     "MeshQ4": lambda: stochfem.build_cantilever_mesh(2.0, 1.0, 4, 2),
     "PlaneStressResult": lambda: stochfem.PlaneStressSolver(
         stochfem.build_cantilever_mesh(2.0, 1.0, 4, 2)

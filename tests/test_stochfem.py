@@ -27,12 +27,21 @@ from tailamp.stochfem import (
     write_ensemble,
 )
 
-LINE_POINTS = np.linspace(0.0, 1.0, 25)[:, None]
+
+def on_line(x) -> np.ndarray:
+    """Points (x, 0): a line is the plane's y = 0 axis."""
+    x = np.asarray(x, dtype=float)
+    return np.column_stack([x, np.zeros_like(x)])
+
+
+LINE_POINTS = on_line(np.linspace(0.0, 1.0, 25))
+# The centroids of a 20-element bar on [0, 1].
+BAR_CENTROIDS = on_line((np.arange(20) + 0.5) / 20)
 
 
 class TestKernel:
     def test_unit_diagonal(self):
-        k = gaussian_kernel(LINE_POINTS, LINE_POINTS, 0.3)
+        k = gaussian_kernel(LINE_POINTS, LINE_POINTS, 0.3, 1.0)
         assert np.allclose(np.diag(k), 1.0, atol=1e-15)
 
     def test_symmetry(self):
@@ -42,8 +51,15 @@ class TestKernel:
         assert np.allclose(k, k.T, atol=1e-15)
 
     def test_known_value_one_dimensional(self):
-        k = gaussian_kernel([[0.0]], [[0.3]], 0.5)
+        k = gaussian_kernel([[0.0, 0.0]], [[0.3, 0.0]], 0.5, 1.0)
         assert k[0, 0] == pytest.approx(math.exp(-0.5 * 0.09 / 0.25), abs=1e-15)
+
+    @pytest.mark.parametrize("ly", [1e-3, 1.0, 1e3])
+    def test_line_on_the_y_axis_is_the_one_dimensional_kernel_bit_for_bit(self, ly):
+        x = np.random.default_rng(2).uniform(0.0, 1.0, 40)
+        dx = x[:, None] - x[None, :]
+        want = np.exp(-0.5 * (dx / 0.3) ** 2)
+        assert np.array_equal(gaussian_kernel(on_line(x), on_line(x), 0.3, ly), want)
 
     def test_anisotropy_separates_axes(self):
         kx = gaussian_kernel([[0.0, 0.0]], [[0.3, 0.0]], 0.5, 0.1)
@@ -61,8 +77,9 @@ class TestKernel:
             KernelModel(0.3, 1.0, 0.3, 26, LINE_POINTS)
         with pytest.raises(ValueError):
             KernelModel(0.3, 1.0, 0.3, 0, LINE_POINTS)
-        with pytest.raises(ValueError, match=r"sample points must be \(M, 1\) or \(M, 2\)"):
-            KernelModel(0.3, 1.0, 0.3, 3, np.zeros((25, 3)))
+        for shape in ((25, 1), (25, 3)):
+            with pytest.raises(ValueError, match=r"sample points must be \(M, 2\)"):
+                KernelModel(0.3, 1.0, 0.3, 3, np.zeros(shape))
 
 
 class TestNystromBasis:
@@ -82,15 +99,15 @@ class TestNystromBasis:
     def test_reconstructs_kernel_on_samples(self):
         basis = nystrom_basis(KernelModel(0.3, 1.0, 0.5, 12, LINE_POINTS))
         phi = basis.evaluate(LINE_POINTS)
-        gram = gaussian_kernel(LINE_POINTS, LINE_POINTS, 0.3)
+        gram = gaussian_kernel(LINE_POINTS, LINE_POINTS, 0.3, 1.0)
         assert np.abs(phi @ phi.T - gram).max() < 1e-6
 
     def test_reconstructs_kernel_at_probe_points(self):
         basis = nystrom_basis(KernelModel(0.3, 1.0, 0.5, 12, LINE_POINTS))
         rng = np.random.default_rng(7)
-        probes = rng.uniform(0.0, 1.0, (30, 1))
+        probes = on_line(rng.uniform(0.0, 1.0, 30))
         phi = basis.evaluate(probes)
-        assert np.abs(phi @ phi.T - gaussian_kernel(probes, probes, 0.3)).max() < 1e-6
+        assert np.abs(phi @ phi.T - gaussian_kernel(probes, probes, 0.3, 1.0)).max() < 1e-6
 
     def test_captured_energy_fraction(self):
         # The Gaussian kernel spectrum decays fast: a dozen modes carry
@@ -116,34 +133,31 @@ class TestSampleField:
     def test_zero_sigma_gives_unit_modulus(self):
         model = KernelModel(0.3, 1.0, 0.0, 8, LINE_POINTS)
         basis = nystrom_basis(model)
-        mesh = build_bar_mesh(1.0, 20)
-        modulus = sample_field(model, basis.evaluate(mesh.centroids), np.random.default_rng(0))
+        modulus = sample_field(model, basis.evaluate(BAR_CENTROIDS), np.random.default_rng(0))
         assert np.all(modulus == 1.0)
 
     def test_positivity_and_latent_shape(self):
         model = KernelModel(0.3, 1.0, 0.8, 8, LINE_POINTS)
         basis = nystrom_basis(model)
-        mesh = build_bar_mesh(1.0, 20)
-        phi = basis.evaluate(mesh.centroids)
+        phi = basis.evaluate(BAR_CENTROIDS)
         rng = np.random.default_rng(3)
         for _ in range(50):
             modulus = sample_field(model, phi, rng)
-            assert modulus.shape == (mesh.n_elems,)
+            assert modulus.shape == (BAR_CENTROIDS.shape[0],)
             assert np.all(modulus > 0.0)
 
     def test_seeded_draws_repeat(self):
         model = KernelModel(0.3, 1.0, 0.5, 8, LINE_POINTS)
         basis = nystrom_basis(model)
-        mesh = build_bar_mesh(1.0, 20)
-        a = sample_field(model, basis.evaluate(mesh.centroids), np.random.default_rng(11))
-        b = sample_field(model, basis.evaluate(mesh.centroids), np.random.default_rng(11))
+        a = sample_field(model, basis.evaluate(BAR_CENTROIDS), np.random.default_rng(11))
+        b = sample_field(model, basis.evaluate(BAR_CENTROIDS), np.random.default_rng(11))
         assert np.array_equal(a, b)
 
     def test_log_field_covariance_matches_kernel(self):
         sigma = 0.5
         model = KernelModel(0.3, 1.0, sigma, 12, LINE_POINTS)
         basis = nystrom_basis(model)
-        probes = np.array([[0.1], [0.45], [0.9]])
+        probes = on_line([0.1, 0.45, 0.9])
         phi = basis.evaluate(probes)
         rng = np.random.default_rng(17)
         n_draws = 10_000
@@ -151,7 +165,7 @@ class TestSampleField:
         for i in range(n_draws):
             logs[i] = np.log(sample_field(model, phi, rng))
         emp = np.cov(logs, rowvar=False)
-        want = sigma**2 * gaussian_kernel(probes, probes, 0.3)
+        want = sigma**2 * gaussian_kernel(probes, probes, 0.3, 1.0)
         assert np.abs(emp - want).max() < 0.02
 
 
@@ -197,6 +211,12 @@ class TestBar1D:
                 solve_bar_1d(mesh, moduli)
         with pytest.raises(ValueError):
             build_bar_mesh(0.0, 10)
+
+    def test_mesh_compares_by_value(self):
+        # The bar mesh holds no array, so it takes dataclass equality.
+        assert build_bar_mesh(1.0, 10) == build_bar_mesh(1.0, 10)
+        assert build_bar_mesh(1.0, 10) != build_bar_mesh(1.0, 11)
+        assert build_bar_mesh(1.0, 10) != build_bar_mesh(2.0, 10)
 
 
 class TestPlaneStress:
