@@ -299,15 +299,14 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
 
 def _build_report(state: InferenceState) -> EstimateReport:
     lo, hi = state.feasible
-    # The domain inset keeps angles off 0 and pi/2; a set reaching an inset
-    # edge admits the degenerate amplitude itself.
+    # The domain inset keeps angles off 0 and pi/2; a set reaching the lower
+    # inset edge admits a = 0 itself (sin(THETA_HI) ** 2 is exactly 1.0).
     a_lo = 0.0 if lo <= THETA_LO else math.sin(lo) ** 2
-    a_hi = 1.0 if hi >= THETA_HI else math.sin(hi) ** 2
     return EstimateReport(
         theta_hat=state.theta_hat,
         a_hat=math.sin(state.theta_hat) ** 2,
         theta_bounds=state.feasible,
-        a_bounds=(a_lo, a_hi),
+        a_bounds=(a_lo, math.sin(hi) ** 2),
         feasible=IntervalUnion([state.feasible]),
         oracle_calls=state.spent,
         rounds=len(state.ledger),

@@ -11,9 +11,10 @@ Two paths share the oracle amplitudes.  The complex gate path (StateVector,
 build_oracle_state, apply_oracle, apply_grover, the reflections and
 success_probability) is the reference: build_oracle_state writes A|0> in
 closed form, apply_oracle runs A gate by gate on any state, and every
-iterate runs on the full statevector, at O(N) each.  Every gate of A is one
-real 2x2 matrix on one qubit (a Hadamard or an R_y rotation), applied by one
-kernel; A^dagger is the reversed list of transposes.
+iterate runs on the full statevector, at O(N) each.  A is n + 1 layers, one
+per qubit: each applies real 2x2 matrices (a Hadamard, or one R_y rotation
+per setting of the more significant qubits) as one broadcast matmul, and
+A^dagger is the reversed list of transposes.
 StatevectorOracle, which the controller drives, uses the fact that
 amplification keeps A|0> in the real plane spanned by its ancilla-|0> and
 ancilla-|1> halves, where each iterate rotates by 2 theta (Brassard, Hoyer,
@@ -101,66 +102,46 @@ class StateVector:
 
 # --- gate kernels -----------------------------------------------------------
 #
-# Every gate is a (level, prefix, u) tuple: the real 2x2 matrix u acts on qubit
-# `level` of the basis states whose more significant qubits spell `prefix`
-# (slice(None) for all of them).  Qubit n is the ancilla, so the R_y gate
-# (n, i, _ry(phi_i)) rotates scenario i's amplitude pair (2i, 2i+1).  Both
-# matrices below are real orthogonal, so the adjoint of a gate list is the
-# reversed list of transposes.
+# Every gate is a (level, u) layer on qubit `level`: u is one real 2x2 matrix
+# for every setting of the more significant qubits, or a (2**level, 2, 2)
+# stack with one matrix per setting.  Qubit n is the ancilla, so matrix i of
+# its layer rotates scenario i's amplitude pair (2i, 2i+1).  Every matrix is
+# real orthogonal, so the adjoint of a gate list is the reversed list of
+# transposes.
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
-def _ry(beta: float) -> np.ndarray:
-    c, s = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    return np.array([[c, -s], [s, c]])
+def _ry(beta: np.ndarray) -> np.ndarray:
+    """The (beta.size, 2, 2) stack of rotations R_y(beta_j); R_y(0) is the identity."""
+    c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
 
 
-def _apply_gates(amps: np.ndarray, gates, adjoint: bool = False) -> None:
-    for level, prefix, u in reversed(gates) if adjoint else gates:
-        v = amps.reshape(1 << level, 2, -1)
-        v[prefix] = (u.T if adjoint else u) @ v[prefix]
+def _loading_gates(n: int, masses: np.ndarray) -> list:
+    """Layers taking n index qubits from |0...0> to sum sqrt(masses_i)|i>.
 
-
-def _loading_gates(spec: OracleSpec) -> list:
-    """Gates taking the index register from |0...0> to sum sqrt(p_i)|i>.
-
-    A plain Hadamard layer when the padded distribution is exactly uniform,
-    otherwise a binary tree of prefix-controlled R_y rotations that splits
-    probability mass level by level.
+    masses are the 2**n padded probabilities.  A plain Hadamard layer when
+    they are exactly uniform.  Otherwise level l is one uniformly controlled
+    R_y (Grover & Rudolph 2002, arXiv:quant-ph/0208112): the rotation at each
+    node of the binary mass tree sends sqrt(parent) to (sqrt(left), sqrt(right)).
     """
-    n = spec.n_index_qubits
-    if n == 0:
-        return []
-    padded = np.zeros(1 << n)
-    padded[: spec.n_scenarios] = spec.probs
-    if np.all(np.abs(padded - 1.0 / padded.size) <= 1e-12):
-        return [(level, slice(None), _HADAMARD) for level in range(n)]
+    if np.all(np.abs(masses - 1.0 / masses.size) <= 1e-12):
+        return [(level, _HADAMARD) for level in range(n)]
     gates = []
-    masses = padded
     for level in reversed(range(n)):
-        parents = masses.reshape(-1, 2).sum(axis=1)
-        # Rotation at each occupied node sends sqrt(parent) to
-        # (sqrt(left), sqrt(right)).
-        for prefix in range(parents.size):
-            left = masses[2 * prefix]
-            right = masses[2 * prefix + 1]
-            if parents[prefix] > 0.0 and right > 0.0:
-                beta = 2.0 * math.atan2(math.sqrt(right), math.sqrt(left))
-                gates.append((level, prefix, _ry(beta)))
-        masses = parents
+        pairs = masses.reshape(-1, 2)
+        gates.append((level, _ry(2.0 * np.arctan2(np.sqrt(pairs[:, 1]), np.sqrt(pairs[:, 0])))))
+        masses = pairs.sum(axis=1)
     gates.reverse()  # shallow levels first
     return gates
 
 
 def oracle_gates(spec: OracleSpec) -> list:
-    """Full gate list for A: probability loading then ancilla rotations."""
-    gates = _loading_gates(spec)
+    """Full gate list for A: probability loading, then one ancilla R_y layer."""
     n = spec.n_index_qubits
-    for i, phi in enumerate(spec.angles):
-        if phi != 0.0:
-            gates.append((n, i, _ry(phi)))
-    return gates
+    probs, angles = np.pad([spec.probs, spec.angles], ((0, 0), (0, (1 << n) - spec.n_scenarios)))
+    return _loading_gates(n, probs) + [(n, _ry(angles))]
 
 
 def _oracle_halves(spec: OracleSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +196,10 @@ def apply_oracle(state: StateVector, spec: OracleSpec, adjoint: bool = False) ->
     tests use to pin each intermediate state.
     """
     amps = state.amplitudes.copy()
-    _apply_gates(amps, oracle_gates(spec), adjoint)
+    gates = oracle_gates(spec)
+    for level, u in reversed(gates) if adjoint else gates:
+        v = amps.reshape(1 << level, 2, -1)
+        v[...] = (np.swapaxes(u, -1, -2) if adjoint else u) @ v
     return StateVector(state.n_index_qubits, amps)
 
 

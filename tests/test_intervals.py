@@ -193,6 +193,15 @@ class TestPreimage:
             assert len(u) == 1
             assert u.components[0] == (THETA_LO, THETA_HI)
 
+    def test_bands_meeting_at_a_zero_of_the_response_merge(self):
+        # From p = 0, band j's rising flank starts at j pi / omega, where band
+        # j - 1's falling flank ends at ((j - 1) pi + pi) / omega.  The two
+        # differ by an ulp for some j, and MERGE_TOL closes that gap, so the
+        # preimage has one component per zero of the response in [0, pi/2].
+        for k in (1, 5, 16, 33, 50, 64):
+            for p_hi in (0.3, 0.7):
+                assert len(theta_preimage(k, 0.0, p_hi)) == k + 1
+
     def test_branch_count_bounded(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

@@ -328,6 +328,14 @@ class TestUpdateFeasible:
         # lies above the set.
         all_hits = OrderTotals([ROUND_A, RoundRecord(k=1, m=1000, h=1000)])
         update_feasible(InferenceState(feasible=after_a, totals=all_hits), 0.05)
+        # pi/6 within _CUT_NUDGE of both edges: each edge moves inward past
+        # it, nothing is left, and the update raises instead of storing an
+        # inverted set.
+        tight = (math.pi / 6 * (1 - 4e-13), math.pi / 6 * (1 + 4e-13))
+        state = InferenceState(feasible=tight, totals=OrderTotals([ROUND_B]))
+        with pytest.raises(ValueError, match="within a nudge of a singular angle"):
+            update_feasible(state, 0.05)
+        assert state.feasible == tight
 
     def test_uninformative_batch_barely_moves_the_set(self):
         state = two_round_state()

@@ -117,12 +117,16 @@ class TestOracleState:
         assert qsim.success_probability(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_direct_and_gate_paths_agree(self):
+        # Up to the statevector benchmark's 16,384 scenarios: the circuit is
+        # one layer per qubit, and its adjoint takes A|0> back to |0>.
         rng = np.random.default_rng(7)
-        for n in (1, 2, 3, 5, 8, 16):
+        for n in (1, 2, 3, 5, 8, 16, 1 << 14):
             spec = random_spec(rng, n)
-            np.testing.assert_allclose(
-                gate_prepared(spec).amplitudes, qsim.build_oracle_state(spec).amplitudes, atol=1e-12
-            )
+            assert len(qsim.oracle_gates(spec)) == spec.n_index_qubits + 1
+            prepared = gate_prepared(spec).amplitudes
+            np.testing.assert_allclose(prepared, qsim.build_oracle_state(spec).amplitudes, rtol=0, atol=1e-12)
+            back = qsim.apply_oracle(qsim.StateVector(spec.n_index_qubits, prepared), spec, adjoint=True)
+            np.testing.assert_allclose(back.amplitudes, np.eye(1, prepared.size)[0], rtol=0, atol=1e-12)
 
     def test_gate_path_handles_zero_probability_scenarios(self):
         spec = qsim.OracleSpec([0.5, 0.0, 0.5], [0.3, 0.7, 0.9])
@@ -228,7 +232,9 @@ class TestGrover:
     )
     def test_reflection_identity_matches_the_circuit(self, spec, loading):
         """apply_grover's I - 2|psi><psi| step equals A S_0 A^dagger gate by gate."""
-        assert (qsim.oracle_gates(spec)[0][2] is qsim._HADAMARD) == (loading == "h")
+        gates = qsim.oracle_gates(spec)
+        assert len(gates) == spec.n_index_qubits + 1
+        assert (gates[0][1] is qsim._HADAMARD) == (loading == "h")
         rng = np.random.default_rng(37)
         dim = 1 << (spec.n_index_qubits + 1)
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -358,7 +364,7 @@ class TestMeasurementModels:
     def test_statevector_model_follows_closed_form_to_depth_40(self):
         rng = np.random.default_rng(29)
         spec = qsim.OracleSpec(rng.dirichlet(np.ones(1024)), rng.uniform(0.0, 0.05, 1024))
-        assert qsim.oracle_gates(spec)[0][2] is not qsim._HADAMARD
+        assert qsim.oracle_gates(spec)[0][1] is not qsim._HADAMARD
         sv = qsim.StatevectorOracle(spec)
         for k in range(41):
             assert sv.success_probability(k) == pytest.approx(
@@ -374,7 +380,7 @@ class TestMeasurementModels:
         ids=["tree", "hadamard"],
     )
     def test_split_iterates_match_the_complex_reference_to_depth_400(self, spec, loading):
-        assert (qsim.oracle_gates(spec)[0][2] is qsim._HADAMARD) == (loading == "h")
+        assert (qsim.oracle_gates(spec)[0][1] is qsim._HADAMARD) == (loading == "h")
         sv = qsim.StatevectorOracle(spec)
         psi = qsim.build_oracle_state(spec)
         for k, split in enumerate(split_iterate_probabilities(spec, 400)):
@@ -385,7 +391,7 @@ class TestMeasurementModels:
     def test_rotation_angle_follows_the_split_iterate_to_depth_4000(self):
         rng = np.random.default_rng(31)
         spec = qsim.OracleSpec(rng.dirichlet(np.ones(1024)), rng.uniform(0.0, 0.05, 1024))
-        assert qsim.oracle_gates(spec)[0][2] is not qsim._HADAMARD
+        assert qsim.oracle_gates(spec)[0][1] is not qsim._HADAMARD
         sv = qsim.StatevectorOracle(spec)
         for k, split in enumerate(split_iterate_probabilities(spec, 4000)):
             assert sv.success_probability(k) == pytest.approx(split, rel=0, abs=1e-11)
