@@ -143,10 +143,13 @@ def _concave_piece(lo: float, hi: float, rows) -> tuple[float, float]:
     rows are the per-order (omega, hs, tails) floats of OrderTotals.rows.
     """
     piece_lo, piece_hi = lo, hi
+    lo_in, hi_out = lo * (1.0 - _CUT_NUDGE), hi * (1.0 + _CUT_NUDGE)
     for w, h, t in rows:
         step = _HALF_PI / w
-        first = math.floor(lo * (1.0 - _CUT_NUDGE) / step) + 1
-        last = math.ceil(hi * (1.0 + _CUT_NUDGE) / step)
+        first = math.floor(lo_in / step) + 1
+        last = math.ceil(hi_out / step)
+        if first >= last:
+            continue
         for j in range(first, last):
             if (t if j % 2 else h) == 0:
                 continue
@@ -168,29 +171,31 @@ def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
     The maximum is where the score changes sign from + to -, or the edge the
     score points to when it does not change sign.  The score falls across
     the piece, so the sign at the midpoint says which edge can hold the
-    maximum, and only that edge is checked.  Otherwise Newton steps go on
-    from the midpoint; the score at each iterate moves the bracket edge on
-    its side up to it, and a step that leaves the bracket becomes a
-    bisection.  The search stops at the iterate whose Newton step is no
-    longer than _MLE_BRACKET.  Returns (theta, score): the maximum and the
-    score there.
+    maximum.  Newton steps go on from the midpoint; the score at each
+    iterate moves the bracket edge on its side up to it, and a step that
+    leaves the bracket becomes a bisection.  The edge is checked once, at
+    the first iterate whose Newton step is at least half its distance from
+    the edge (a step that reaches the edge is one), and returned if its
+    score points outward; a maximum inside the piece costs no edge check
+    unless the search closes in on that edge.  The search stops at the
+    iterate whose Newton step is no longer than _MLE_BRACKET.  Returns
+    (theta, score): the maximum and the score there.
     """
     th = 0.5 * (lo + hi)
     score, curv = log_likelihood_slopes(th, rows)
-    if score > 0.0:
-        score_hi, _ = log_likelihood_slopes(hi, rows)
-        if score_hi >= 0.0:
-            return hi, score_hi
-    else:
-        score_lo, _ = log_likelihood_slopes(lo, rows)
-        if score_lo <= 0.0:
-            return lo, score_lo
+    # The edge's score points outward, and the edge is the maximum, when side * score >= 0.
+    edge, side = (hi, 1.0) if score > 0.0 else (lo, -1.0)
     for _ in range(_NEWTON_MAX_STEPS):
         if score > 0.0:
             lo = th
         elif score < 0.0:
             hi = th
         newton = th - score / curv
+        if edge is not None and abs(edge - th) <= 2.0 * abs(newton - th):
+            score_edge, _ = log_likelihood_slopes(edge, rows)
+            if side * score_edge >= 0.0:
+                return edge, score_edge
+            edge = None
         # A converged iterate stops before its step lands on the bracket edge
         # it just moved, which would turn the step into a bisection.
         if abs(newton - th) <= _MLE_BRACKET:
@@ -211,7 +216,9 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     counted order, as the depth rule keeps it, or ValueError is raised; l_t
     is then concave on it, and D_t is one interval.  J_t integrates the
     concavity chords from theta_hat, the maximum over D_{t-1}, to
-    theta_hat -+ _CHORD_SIGMAS / sqrt(info).  -l'' >= info / 2, so with
+    theta_hat -+ _CHORD_SIGMAS / sqrt(info), clipped to D_{t-1}; a chord end
+    on theta_hat itself, as when the maximum is an edge, drops by 0, so its
+    mass is 1 and it takes no likelihood pass.  -l'' >= info / 2, so with
     residual score g at theta_hat,
     l_t(theta_hat + x) <= l_t(theta_hat) + g x - info x^2 / 4, and the
     interval where that bound clears c_t, clipped to D_{t-1}, is kept: an
@@ -224,8 +231,8 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     reach = _CHORD_SIGMAS / math.sqrt(info)
     end_lo, end_hi = max(lo, theta - reach), min(hi, theta + reach)
     ll = log_likelihood(theta, rows)
-    mass_lo = chord_mass(ll - log_likelihood(end_lo, rows))
-    mass_hi = chord_mass(ll - log_likelihood(end_hi, rows))
+    mass_lo = 1.0 if end_lo == theta else chord_mass(ll - log_likelihood(end_lo, rows))
+    mass_hi = 1.0 if end_hi == theta else chord_mass(ll - log_likelihood(end_hi, rows))
     chord = (theta - end_lo) * mass_lo + (end_hi - theta) * mass_hi
     log_j = ll + math.log(chord) if chord > 0.0 else -math.inf
     cut = log_j - math.log(_HALF_PI) + math.log(delta_tot)

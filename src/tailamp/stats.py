@@ -152,11 +152,12 @@ def log_likelihood(theta: float, rows) -> float:
     log 0, where math.log raises ValueError; the controller's angles are
     never 0.
     """
+    sin, cos, log = math.sin, math.cos, math.log
     acc = 0.0
     for w, h, t in rows:
         x = w * theta
-        lp = h * math.log(abs(math.sin(x))) if h > 0 else 0.0
-        lq = t * math.log(abs(math.cos(x))) if t > 0 else 0.0
+        lp = h * log(abs(sin(x))) if h > 0.0 else 0.0
+        lq = t * log(abs(cos(x))) if t > 0.0 else 0.0
         acc += lp + lq
     return 2.0 * acc
 
@@ -173,11 +174,13 @@ def log_likelihood_slopes(theta: float, rows) -> tuple[float, float]:
     left to right over the rows; the builtin sum is compensated from Python
     3.12 on and would round differently.
     """
+    sin, cos = math.sin, math.cos
     score = curv = 0.0
     for w, h, t in rows:
-        s, c = math.sin(w * theta), math.cos(w * theta)
-        score += w * ((h * c / s if h > 0 else 0.0) - (t * s / c if t > 0 else 0.0))
-        curv += w * w * ((h / (s * s) if h > 0 else 0.0) + (t / (c * c) if t > 0 else 0.0))
+        x = w * theta
+        s, c = sin(x), cos(x)
+        score += w * ((h * c / s if h > 0.0 else 0.0) - (t * s / c if t > 0.0 else 0.0))
+        curv += w * w * ((h / (s * s) if h > 0.0 else 0.0) + (t / (c * c) if t > 0.0 else 0.0))
     return 2.0 * score, -2.0 * curv
 
 

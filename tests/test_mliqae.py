@@ -26,7 +26,9 @@ from tailamp.qsim import AnalyticOracle, OracleSpec, StatevectorOracle
 from tailamp.stats import (
     OrderTotals,
     RoundRecord,
+    chord_mass,
     clopper_pearson,
+    log_likelihood,
     log_likelihood_slopes,
     log_likelihood_terms,
 )
@@ -122,6 +124,31 @@ def single_flank_pieces(rng, n: int):
             m = int(rng.integers(1, 2000))
             totals.add(RoundRecord(k=k, m=m, h=int(rng.binomial(m, math.sin((2 * k + 1) * truth) ** 2))))
         yield lo, hi, totals.rows
+
+
+def edge_pieces(rng, n: int):
+    """(lo, hi, rows) whose maximum lies just inside or outside an edge, or on a singular edge.
+
+    From each of n single_flank_pieces with an inside maximum r, one edge
+    moves to r -+ d for d = 1e-12, 1e-10 and 1e-8 on either side of r.  Each
+    piece also yields two whose lo or hi is the singular angle of an order
+    nearest below lo or above hi, which _concave_piece nudges off when that
+    order's term is singular there.
+    """
+    for lo, hi, rows in single_flank_pieces(rng, n):
+        steps = [math.pi / (2.0 * w) for w, _, _ in rows]
+        below = max(math.floor(lo / step) * step for step in steps)
+        above = min(math.ceil(hi / step) * step for step in steps)
+        if below > 0.0:
+            yield below, hi, rows
+        yield lo, above, rows
+        lo, hi = mliqae._concave_piece(lo, hi, rows)
+        r, _ = two_edge_refine(lo, hi, rows)
+        if lo < r < hi:
+            for d in (1e-12, 1e-10, 1e-8):
+                for offset in (d, -d):
+                    yield lo, r + offset, rows
+                    yield r + offset, hi, rows
 
 
 def measure(feasible: tuple[float, float]) -> float:
@@ -425,15 +452,76 @@ class TestConstrainedMle:
         assert abs(up - down) / (2 * step) < 1e-2
 
     def test_one_edge_search_equals_the_two_edge_search(self):
-        # The midpoint's score picks the one edge worth checking; on every
-        # piece the result is the two-edge search's, bit for bit.
-        where = {"lo": 0, "hi": 0, "inside": 0}
-        for lo, hi, rows in single_flank_pieces(np.random.default_rng(31), 1500):
-            lo, hi = mliqae._concave_piece(lo, hi, rows)
-            theta, score = mliqae._newton_refine(lo, hi, rows)
-            assert (theta, score) == two_edge_refine(lo, hi, rows)
-            where["lo" if theta == lo else "hi" if theta == hi else "inside"] += 1
-        assert min(where.values()) >= 100, where
+        # The midpoint's score picks the one edge worth checking, and the
+        # search checks it only when it closes in on it; on every piece the
+        # result is the two-edge search's, bit for bit.  The edge pieces put
+        # the maximum within 1e-12 to 1e-8 of an edge, on either side, or
+        # start the piece on a singular angle.
+        pieces = (single_flank_pieces(np.random.default_rng(31), 1500), edge_pieces(np.random.default_rng(32), 300))
+        for source in pieces:
+            where = {"lo": 0, "hi": 0, "inside": 0}
+            for lo, hi, rows in source:
+                lo, hi = mliqae._concave_piece(lo, hi, rows)
+                theta, score = mliqae._newton_refine(lo, hi, rows)
+                assert (theta, score) == two_edge_refine(lo, hi, rows)
+                where["lo" if theta == lo else "hi" if theta == hi else "inside"] += 1
+            assert min(where.values()) >= 100, where
+
+    def test_the_search_checks_an_edge_only_when_it_closes_in_on_it(self, monkeypatch):
+        seen = []
+
+        def spy(theta, rows):
+            seen.append(theta)
+            return log_likelihood_slopes(theta, rows)
+
+        monkeypatch.setattr(mliqae, "log_likelihood_slopes", spy)
+        # From the full domain, 262/1000 at order 0 has its maximum far from
+        # either edge: five Newton iterates and no edge.
+        rows = OrderTotals([ROUND_A]).rows
+        lo, hi = mliqae._concave_piece(THETA_LO, THETA_HI, rows)
+        theta, _ = mliqae._newton_refine(lo, hi, rows)
+        assert lo < theta < hi
+        assert len(seen) == 5 and lo not in seen and hi not in seen
+        # A maximum on an edge: that edge is evaluated once, and is the result.
+        for piece, edge, other in (((0.60, 0.70), 0.60, 0.70), ((0.30, 0.40), 0.40, 0.30)):
+            seen.clear()
+            assert mliqae._newton_refine(*piece, rows)[0] == edge
+            assert seen.count(edge) == 1 and other not in seen
+
+    def test_a_chord_end_at_the_maximum_costs_no_likelihood_pass(self, monkeypatch):
+        # 100 of 100 at order 0 puts the maximum on the upper edge of the
+        # full domain, so the upper chord end is theta_hat itself: its drop
+        # is 0 and its mass 1, and only theta_hat and the lower end take a
+        # likelihood pass.  The set and the cut are those of the three-pass
+        # update, bit for bit.
+        state = InferenceState(totals=OrderTotals([RoundRecord(k=0, m=100, h=100)]))
+        rows, info = state.totals.rows, state.totals.info
+        calls = []
+
+        def spy(theta, rows):
+            calls.append(theta)
+            return log_likelihood(theta, rows)
+
+        monkeypatch.setattr(mliqae, "log_likelihood", spy)
+        cut = update_feasible(state, 0.05)
+        assert state.theta_hat == THETA_HI and len(calls) == 2
+        assert state.feasible == (1.3196803661654453, THETA_HI) and cut == -6.305922568234987
+
+        lo, hi = mliqae._concave_piece(THETA_LO, THETA_HI, rows)
+        theta, score = mliqae._newton_refine(lo, hi, rows)
+        reach = mliqae._CHORD_SIGMAS / math.sqrt(info)
+        end_lo, end_hi = max(lo, theta - reach), min(hi, theta + reach)
+        ll = log_likelihood(theta, rows)
+        masses = [chord_mass(ll - log_likelihood(end, rows)) for end in (end_lo, end_hi)]
+        chord = (theta - end_lo) * masses[0] + (end_hi - theta) * masses[1]
+        want = ll + math.log(chord) - math.log(mliqae._HALF_PI) + math.log(0.05)
+        slack = info * (ll - want)
+        up, down = max(score, 0.0), max(-score, 0.0)
+        assert cut == want
+        assert state.feasible == (
+            max(lo, theta - 2.0 * (down + math.sqrt(down * down + slack)) / info),
+            min(hi, theta + 2.0 * (up + math.sqrt(up * up + slack)) / info),
+        )
 
     def test_capped_search_returns_the_score_at_its_angle(self, monkeypatch):
         # With the step cap binding, the search stops at an iterate short of
@@ -450,6 +538,30 @@ class TestConstrainedMle:
         # edge moves inward past it, and the search runs on what is left.
         theta_hat = controller_mle((math.pi / 6, 0.6), [ROUND_A, ROUND_B])
         assert theta_hat == pytest.approx(0.538395, abs=1e-6)
+
+
+class TestUpdateCost:
+    def test_kernel_passes_per_update_stay_low(self, monkeypatch):
+        # Closed-form runs at 64k: 77 updates over three amplitudes and three
+        # seeds.  The search makes 280 score passes and the chord 225
+        # likelihood passes; checking an edge before any Newton step and a
+        # likelihood pass at a chord end on theta_hat made 343 and 231.
+        passes = {"score": 0, "likelihood": 0}
+
+        def counted(kernel, name):
+            def wrapper(theta, rows):
+                passes[name] += 1
+                return kernel(theta, rows)
+
+            return wrapper
+
+        monkeypatch.setattr(mliqae, "log_likelihood_slopes", counted(log_likelihood_slopes, "score"))
+        monkeypatch.setattr(mliqae, "log_likelihood", counted(log_likelihood, "likelihood"))
+        updates = 0
+        for a in (0.015, 0.5, 1.0 - 1e-6):
+            for seed in range(3):
+                updates += run(AnalyticOracle(a), ControllerConfig(budget=64000), np.random.default_rng(seed)).rounds
+        assert passes["score"] / updates <= 3.64 and passes["likelihood"] / updates <= 2.93, (passes, updates)
 
 
 class TestNoRecovery:
