@@ -89,8 +89,7 @@ class IntervalUnion:
         while i < len(a) and j < len(b):
             lo = max(a[i][0], b[j][0])
             hi = min(a[i][1], b[j][1])
-            if hi >= lo:
-                out.append((lo, hi))
+            out.append((lo, hi))  # normalization drops the empty pieces
             if a[i][1] < b[j][1]:
                 i += 1
             else:

@@ -188,7 +188,7 @@ def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
     for _ in range(_NEWTON_MAX_STEPS):
         if score > 0.0:
             lo = th
-        elif score < 0.0:
+        else:
             hi = th
         newton = th - score / curv
         if edge is not None and abs(edge - th) <= 2.0 * abs(newton - th):

@@ -170,17 +170,18 @@ def log_likelihood_slopes(theta: float, rows) -> tuple[float, float]:
     curvature = -2 sum w^2 (h csc^2(w theta) + t sec^2(w theta)), which is
     negative wherever it is finite: the likelihood is concave between the
     singular angles where a counted outcome has probability zero.  A zero
-    count contributes nothing, even at its own singular angle.  The sums run
-    left to right over the rows; the builtin sum is compensated from Python
-    3.12 on and would round differently.
+    success count contributes nothing, even at theta = 0; a zero failure
+    count adds exactly +-0.0 unguarded, as no double has a cosine of 0.  The
+    sums run left to right over the rows; the builtin sum is compensated
+    from Python 3.12 on and would round differently.
     """
     sin, cos = math.sin, math.cos
     score = curv = 0.0
     for w, h, t in rows:
         x = w * theta
         s, c = sin(x), cos(x)
-        score += w * ((h * c / s if h > 0.0 else 0.0) - (t * s / c if t > 0.0 else 0.0))
-        curv += w * w * ((h / (s * s) if h > 0.0 else 0.0) + (t / (c * c) if t > 0.0 else 0.0))
+        score += w * ((h * c / s if h > 0.0 else 0.0) - t * s / c)
+        curv += w * w * ((h / (s * s) if h > 0.0 else 0.0) + t / (c * c))
     return 2.0 * score, -2.0 * curv
 
 

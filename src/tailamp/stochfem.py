@@ -93,7 +93,8 @@ def gaussian_kernel(x, x_prime, lx: float, ly: float) -> np.ndarray:
     b = np.asarray(x_prime, dtype=float)
     dx = a[:, 0][:, None] - b[:, 0][None, :]
     dy = a[:, 1][:, None] - b[:, 1][None, :]
-    return np.exp(-0.5 * ((dx / lx) ** 2 + (dy / ly) ** 2))
+    with np.errstate(over="ignore"):  # an overflow is an infinite distance, whose exp is exactly 0
+        return np.exp(-0.5 * ((dx / lx) ** 2 + (dy / ly) ** 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +310,8 @@ def _checked_moduli(moduli, n_elems: int) -> np.ndarray:
 
 def _bar_tip(elem_length: float, moduli: np.ndarray, P: float, A: float) -> np.ndarray:
     """Series-spring tip displacement P/A * sum_e L_e / E_e over the last axis."""
-    return P / A * np.sum(elem_length / moduli, axis=-1)
+    with np.errstate(over="ignore"):  # an overflow is an infinite displacement; ensembles reject it
+        return P / A * np.sum(elem_length / moduli, axis=-1)
 
 
 def solve_bar_1d(mesh: Mesh1D, moduli: np.ndarray, P: float = 1.0, A: float = 1.0) -> QoIVector:

@@ -565,6 +565,22 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, err",
+        [
+            # A modulus of 1e-320 makes L_e / E_e overflow: an infinite displacement.
+            (["--benchmark", "bar1d"], {"ensemble": {"level_lo": 1e-320}}, ["error: responses must be finite"]),
+            # Every distance over 1e-320 overflows, where the kernel is exactly 0.
+            (["--benchmark", "cantilever", "--n-scenarios", "4"], {"ensemble": {"length_scale_x": 1e-320}}, []),
+        ],
+    )
+    def test_an_overflow_in_numpy_prints_no_warning(self, tmp_path, capsys, argv, config, err):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["generate", "--config", str(cfg_path), *argv, "--out-dir", str(tmp_path / "out")])
+        assert rc == (1 if err else 0)
+        assert capsys.readouterr().err.splitlines() == err
+
     @pytest.mark.parametrize("cut", ["header_only", "truncated", "short_row"])
     def test_malformed_ensemble_is_one_error_line(self, tmp_path, capsys, cut):
         ens_path, _ = self.generate(tmp_path)

@@ -72,6 +72,10 @@ class TestNormalization:
         u = IntervalUnion([(0.1, 0.25), (0.2, 0.3), (0.28, 0.31)])
         assert u.components == ((0.1, 0.31),)
 
+    def test_a_nested_component_keeps_the_outer_end(self):
+        u = IntervalUnion([(0.1, 0.5), (0.2, 0.3)])
+        assert u.components == ((0.1, 0.5),)
+
     def test_clipped_to_open_domain(self):
         u = IntervalUnion([(-1.0, 0.2), (1.5, 3.0)])
         assert u.components[0][0] == THETA_LO

@@ -523,6 +523,33 @@ class TestConstrainedMle:
             min(hi, theta + 2.0 * (up + math.sqrt(up * up + slack)) / info),
         )
 
+    def test_a_lower_chord_end_at_the_maximum_costs_no_likelihood_pass(self, monkeypatch):
+        # The mirror of the test above: 0 of 100 at order 0 puts the maximum
+        # on the lower edge of the full domain, so the lower chord end is
+        # theta_hat itself, and only theta_hat and the upper end take a pass.
+        state = InferenceState(totals=OrderTotals([RoundRecord(k=0, m=100, h=0)]))
+        calls = []
+
+        def spy(theta, rows):
+            calls.append(theta)
+            return log_likelihood(theta, rows)
+
+        monkeypatch.setattr(mliqae, "log_likelihood", spy)
+        cut = update_feasible(state, 0.05)
+        assert state.theta_hat == THETA_LO and len(calls) == 2
+        assert state.feasible == (THETA_LO, 0.2511159606294512) and cut == -6.305922568234986
+
+    def test_an_edge_with_zero_score_is_the_maximum(self):
+        # 1 success in 5 shots at order 0 has its maximum at asin(sqrt(1/5)),
+        # where the score is exactly 0.0 in double.  On a piece ending there,
+        # that edge is the maximum and is returned as it is, not approached
+        # by Newton steps from inside the piece.
+        rows = OrderTotals([RoundRecord(k=0, m=5, h=1)]).rows
+        edge = math.asin(math.sqrt(0.2))
+        assert log_likelihood_slopes(edge, rows)[0] == 0.0
+        assert mliqae._newton_refine(0.3, edge, rows) == (edge, 0.0)
+        assert mliqae._newton_refine(edge, 0.6, rows) == (edge, 0.0)
+
     def test_capped_search_returns_the_score_at_its_angle(self, monkeypatch):
         # With the step cap binding, the search stops at an iterate short of
         # the maximum; the score it returns, which the update's outer bound
