@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from tailamp.intervals import theta_preimage
-from tailamp.mliqae import ControllerConfig, InferenceState, select_depth, update_feasible
+from tailamp.intervals import THETA_HI, THETA_LO, theta_preimage
+from tailamp.mliqae import select_depth, update_feasible
 from tailamp.qsim import (
     OracleSpec,
     apply_grover,
@@ -24,7 +24,7 @@ from tailamp.qsim import (
     reflect_zero,
     success_probability,
 )
-from tailamp.stats import RoundRecord, clopper_pearson
+from tailamp.stats import OrderTotals, RoundRecord, clopper_pearson
 
 
 def show(label, state):
@@ -74,15 +74,13 @@ def main():
     for lo, hi in feasible.components:
         print(f"      [{lo:.5f}, {hi:.5f}]")
 
-    pooled = InferenceState()
-    pooled.totals.add(batches[0])
-    update_feasible(pooled, delta)
-    lo, hi = pooled.feasible
+    pooled, theta_hat, _ = update_feasible((THETA_LO, THETA_HI), OrderTotals(batches[:1]), delta)
+    lo, hi = pooled
     print(f"controller's pooled likelihood set after k=0: [{lo:.5f}, {hi:.5f}]")
-    k_next = select_depth(pooled, ControllerConfig(budget=32_000))
+    # A 32,000-call run has 31,000 calls left after its first batch.
+    k_next = select_depth(pooled, 32_000 - batches[0].cost)
     print(f"controller's next order (deepest on one flank): k={k_next}")
 
-    theta_hat = pooled.theta_hat
     print(f"controller's estimate after k=0: theta = {theta_hat:.6f},"
           f" a = {math.sin(theta_hat) ** 2:.6f}  (true a = {a:.6f})")
 

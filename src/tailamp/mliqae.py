@@ -24,6 +24,9 @@ OrderTotals keeps current and runs on them through the scalar kernels of
 stats, on math's functions alone: with one to a few dozen orders, numpy's
 per-call overhead would cost more than the arithmetic.
 
+run loops over three steps, each a function of the values it reads:
+select_depth picks the order, select_shots the batch size, and
+update_feasible returns the new set, its maximum-likelihood point and its cut.
 ControllerConfig holds only a run's contract; the loop's policy is fixed by
 the module constants: the shot rule's _M_MIN and _HORIZON, and the update's
 _MLE_BRACKET, _CUT_NUDGE and _CHORD_SIGMAS.  The depth rule has no constant
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -95,20 +98,6 @@ class ControllerConfig:
             raise ValueError("delta_tot must lie in (0, 1)")
         if not (math.isfinite(self.epsilon_a) and self.epsilon_a >= 0.0):
             raise ValueError("epsilon_a must be a finite number >= 0")
-
-
-@dataclass
-class InferenceState:
-    """Everything the controller carries between batches.
-
-    feasible is the feasible interval as a (lo, hi) pair of floats.
-    """
-
-    feasible: tuple[float, float] = (THETA_LO, THETA_HI)
-    totals: OrderTotals = field(default_factory=OrderTotals)
-    ledger: list[RoundRecord] = field(default_factory=list)
-    spent: int = 0
-    theta_hat: float | None = None
 
 
 @dataclass(frozen=True)
@@ -205,17 +194,19 @@ def _newton_refine(lo: float, hi: float, rows) -> tuple[float, float]:
     return th, score
 
 
-def update_feasible(state: InferenceState, delta_tot: float) -> float:
+def update_feasible(
+    feasible: tuple[float, float], totals: OrderTotals, delta_tot: float
+) -> tuple[tuple[float, float], float, float]:
     """Cut the feasible set to the points that clear the pooled likelihood cut.
 
-    state.totals already holds the new batch.  The new set is
+    totals already holds the new batch.  The new set is
     D_t = {theta in D_{t-1} : l_t(theta) >= c_t} with
     c_t = log J_t - log(pi/2) - log(1/delta_tot), where J_t is a lower bound
     on the integral of L_t over D_{t-1}; a lower J_t only widens the set.
-    D_{t-1}, the interval state.feasible, must lie on one flank of every
-    counted order, as the depth rule keeps it, or ValueError is raised; l_t
-    is then concave on it, and D_t is one interval.  J_t integrates the
-    concavity chords from theta_hat, the maximum over D_{t-1}, to
+    D_{t-1}, the interval feasible, must lie on one flank of every counted
+    order, as the depth rule keeps it, or ValueError is raised; l_t is then
+    concave on it, and D_t is one interval.  J_t integrates the concavity
+    chords from theta_hat, the maximum over D_{t-1}, to
     theta_hat -+ _CHORD_SIGMAS / sqrt(info), clipped to D_{t-1}; a chord end
     on theta_hat itself, as when the maximum is an edge, drops by 0, so its
     mass is 1 and it takes no likelihood pass.  -l'' >= info / 2, so with
@@ -223,10 +214,11 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     l_t(theta_hat + x) <= l_t(theta_hat) + g x - info x^2 / 4, and the
     interval where that bound clears c_t, clipped to D_{t-1}, is kept: an
     outer bound of D_t.  theta_hat always clears the cut, so it becomes the
-    estimate and the set is never empty.  Returns c_t.
+    estimate and the set is never empty.  Returns the new set, theta_hat
+    and c_t.
     """
-    rows, info = state.totals.rows, state.totals.info
-    lo, hi = _concave_piece(*state.feasible, rows)
+    rows, info = totals.rows, totals.info
+    lo, hi = _concave_piece(*feasible, rows)
     theta, score = _newton_refine(lo, hi, rows)
     reach = _CHORD_SIGMAS / math.sqrt(info)
     end_lo, end_hi = max(lo, theta - reach), min(hi, theta + reach)
@@ -240,26 +232,24 @@ def update_feasible(state: InferenceState, delta_tot: float) -> float:
     up, down = max(score, 0.0), max(-score, 0.0)
     new_lo = max(lo, theta - 2.0 * (down + math.sqrt(down * down + slack)) / info)
     new_hi = min(hi, theta + 2.0 * (up + math.sqrt(up * up + slack)) / info)
-    state.feasible = (new_lo, new_hi)
-    state.theta_hat = theta
-    return cut
+    return (new_lo, new_hi), theta, cut
 
 
-def select_depth(state: InferenceState, cfg: ControllerConfig) -> int:
+def select_depth(feasible: tuple[float, float], remaining: int) -> int:
     """Amplification order for the next round: the deepest single-flank order.
 
     The largest k whose scaled feasible hull (2k+1) [lo, hi] lies within one
     half-period of sin^2, so the amplified response is monotone over every
     angle still feasible (the depth rule of Grinko et al. 2021, npj Quantum
     Inf. 7:52), among the orders whose single shot, 2k+1 oracle calls, the
-    rest of the budget can pay for.  No constant caps k.  Order 0 always
+    remaining budget can pay for.  No constant caps k.  Order 0 always
     qualifies; the full domain, before the first batch, admits no deeper
     order, and a zero-width hull admits every affordable one.  Deeper
     amplification is what buys information faster than flat sampling: the
     per-call Fisher information grows linearly with the order.
     """
-    lo, hi = state.feasible
-    start = (cfg.budget - state.spent - 1) // 2
+    lo, hi = feasible
+    start = (remaining - 1) // 2
     if hi > lo:
         # No order with (2k+1) (hi - lo) > pi/2 qualifies, and every k from
         # pi / (4 (hi - lo)) + 1 up has (2k+1) (hi - lo) > pi/2 + (hi - lo).
@@ -270,15 +260,16 @@ def select_depth(state: InferenceState, cfg: ControllerConfig) -> int:
     return 0
 
 
-def select_shots(state: InferenceState, cfg: ControllerConfig, k: int) -> int:
+def select_shots(remaining: int, k: int) -> int:
     """Batch size for the next round at amplification order k.
 
-    A fixed share 1/_HORIZON of the shots the rest of the budget affords at
+    A fixed share 1/_HORIZON of the shots the remaining budget affords at
     order k, at least _M_MIN, and never more than the remainder affords.
     The depth rule only picks orders one shot of which the remainder can pay
     for, so zero means the budget is exhausted.
     """
-    affordable = (cfg.budget - state.spent) // (2 * k + 1)
+    affordable = remaining // (2 * k + 1)
+    # A numpy-integer budget makes remaining a numpy integer; the ledger keeps Python ints.
     return int(min(max(_M_MIN, affordable // _HORIZON), affordable))
 
 
@@ -289,33 +280,29 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
     stop (Grinko et al. 2021).  The oracle only needs a success_probability(k)
     method; both the closed-form and the statevector-backed models satisfy it.
     """
-    state = InferenceState()
-    while state.spent < cfg.budget:
-        k = select_depth(state, cfg)
-        m = select_shots(state, cfg, k)
+    feasible = (THETA_LO, THETA_HI)
+    totals, ledger, spent = OrderTotals(), [], 0
+    while spent < cfg.budget:
+        k = select_depth(feasible, cfg.budget - spent)
+        m = select_shots(cfg.budget - spent, k)
         entry = RoundRecord(k=k, m=m, h=sample_shots(oracle.success_probability(k), m, rng))
-        state.ledger.append(entry)
-        state.totals.add(entry)
-        state.spent += entry.cost
-        update_feasible(state, cfg.delta_tot)
-        lo, hi = state.feasible
+        ledger.append(entry)
+        totals.add(entry)
+        spent += entry.cost
+        feasible, theta_hat, _ = update_feasible(feasible, totals, cfg.delta_tot)
+        lo, hi = feasible
         if cfg.epsilon_a > 0.0 and 0.5 * (math.sin(hi) ** 2 - math.sin(lo) ** 2) <= cfg.epsilon_a:
             break
-    return _build_report(state)
-
-
-def _build_report(state: InferenceState) -> EstimateReport:
-    lo, hi = state.feasible
     # The domain inset keeps angles off 0 and pi/2; a set reaching the lower
     # inset edge admits a = 0 itself (sin(THETA_HI) ** 2 is exactly 1.0).
     a_lo = 0.0 if lo <= THETA_LO else math.sin(lo) ** 2
     return EstimateReport(
-        theta_hat=state.theta_hat,
-        a_hat=math.sin(state.theta_hat) ** 2,
-        theta_bounds=state.feasible,
+        theta_hat=theta_hat,
+        a_hat=math.sin(theta_hat) ** 2,
+        theta_bounds=feasible,
         a_bounds=(a_lo, math.sin(hi) ** 2),
-        feasible=IntervalUnion([state.feasible]),
-        oracle_calls=state.spent,
-        rounds=len(state.ledger),
-        ledger=tuple(state.ledger),
+        feasible=IntervalUnion([feasible]),
+        oracle_calls=spent,
+        rounds=len(ledger),
+        ledger=tuple(ledger),
     )

@@ -76,7 +76,7 @@ MUTANTS = [
     ("mliqae", "select_depth: no zero-width case", "    if hi > lo:\n", "    if True:\n"),
     ("mliqae", "select_shots: no _M_MIN floor", "max(_M_MIN, affordable // _HORIZON)", "affordable // _HORIZON"),
     ("mliqae", "run: the precision stop ignores epsilon_a = 0", "if cfg.epsilon_a > 0.0 and ", "if "),
-    ("mliqae", "_build_report: a_lo not pinned to 0 at THETA_LO", "a_lo = 0.0 if lo <= THETA_LO else math.sin(lo) ** 2", "a_lo = math.sin(lo) ** 2"),
+    ("mliqae", "run: a_lo not pinned to 0 at THETA_LO", "a_lo = 0.0 if lo <= THETA_LO else math.sin(lo) ** 2", "a_lo = math.sin(lo) ** 2"),
 ]
 
 # Mutants no tier-1 test kills, each with the measured reason its branch stays.

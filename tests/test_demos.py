@@ -23,7 +23,11 @@ def run_demo(name: str, where: Path = ROOT / "demos") -> str:
 def test_worked_example_runs_to_its_estimate():
     out = run_demo("worked_example.py")
     lines = out.strip().splitlines()
-    assert lines[-1] == "controller's estimate after k=0: theta = 0.537348, a = 0.262000  (true a = 0.262500)"
+    assert lines[-3:] == [
+        "controller's pooled likelihood set after k=0: [0.45364, 0.62105]",
+        "controller's next order (deepest on one flank): k=3",
+        "controller's estimate after k=0: theta = 0.537348, a = 0.262000  (true a = 0.262500)",
+    ]
     depths = re.findall(r"measured success probability (\S+)  \(closed form (\S+)\)", out)
     assert len(depths) == 4
     assert all(measured == closed for measured, closed in depths)

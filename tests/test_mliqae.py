@@ -16,7 +16,6 @@ from tailamp.cli import run_seed
 from tailamp.intervals import THETA_HI, THETA_LO, IntervalUnion, theta_preimage
 from tailamp.mliqae import (
     ControllerConfig,
-    InferenceState,
     run,
     select_depth,
     select_shots,
@@ -43,10 +42,11 @@ ROUND_B = RoundRecord(k=1, m=1000, h=998)
 ROUND_C = RoundRecord(k=3, m=1000, h=341)
 THETA_TRUE = math.asin(math.sqrt(0.2625))
 
-# A fresh state under this contract can afford one shot at any order up to
+# A remaining budget of 8193 calls affords one shot at any order up to
 # (8193 - 1) // 2 = 4096, so the depth scans below stop there.
-DEEP = ControllerConfig(budget=8193)
+DEEP = 8193
 DEEP_K = 4096
+FULL = (THETA_LO, THETA_HI)
 
 
 def loglik(theta, rounds) -> np.ndarray:
@@ -60,22 +60,22 @@ def band_for(rec: RoundRecord) -> IntervalUnion:
 
 def controller_mle(feasible: tuple[float, float], rounds) -> float:
     """The controller's MLE over the interval feasible: theta_hat after one update."""
-    state = InferenceState(feasible=feasible, totals=OrderTotals(rounds))
-    update_feasible(state, 0.05)
-    return state.theta_hat
+    return update_feasible(feasible, OrderTotals(rounds), 0.05)[1]
 
 
-def add_batch(state: InferenceState, rec: RoundRecord, delta_tot: float = 0.05) -> None:
-    state.totals.add(rec)
-    update_feasible(state, delta_tot)
+def add_batch(feasible: tuple[float, float], totals: OrderTotals, rec: RoundRecord):
+    """Pool rec into totals and update feasible: the new set, theta_hat and the cut."""
+    totals.add(rec)
+    return update_feasible(feasible, totals, 0.05)
 
 
-def two_round_state() -> InferenceState:
-    state = InferenceState()
-    add_batch(state, ROUND_A)
-    assert select_depth(state, DEEP) == ROUND_C.k
-    add_batch(state, ROUND_C)
-    return state
+def two_round_set() -> tuple[tuple[float, float], OrderTotals]:
+    """The set and totals after ROUND_A, then ROUND_C at the order the depth rule picks."""
+    totals = OrderTotals()
+    feasible, _, _ = add_batch(FULL, totals, ROUND_A)
+    assert select_depth(feasible, DEEP) == ROUND_C.k
+    feasible, _, _ = add_batch(feasible, totals, ROUND_C)
+    return feasible, totals
 
 
 def two_edge_refine(lo: float, hi: float, rows) -> tuple[float, float]:
@@ -255,52 +255,40 @@ class TestControllerConfig:
 class TestSelectShots:
     def test_pacing_bound_binds_early(self):
         # A share of 10000 // 28 = 357 shots lies above _M_MIN.
-        state = InferenceState()
-        cfg = ControllerConfig(budget=10_000)
-        assert select_shots(state, cfg, 0) == 357
+        assert select_shots(10_000, 0) == 357
 
     def test_tiny_budget_spends_everything(self):
-        state = InferenceState()
-        cfg = ControllerConfig(budget=16)
-        assert select_shots(state, cfg, 0) == 16
+        assert select_shots(16, 0) == 16
 
     def test_share_does_not_depend_on_the_round(self):
-        # 1e6 // (5 * 28) = 7142 shots at order 2, at the first round and
-        # after 29 batches alike: no cap and no shrinking horizon.
-        cfg = ControllerConfig(budget=1_000_000)
-        for rounds in (0, 29):
-            state = InferenceState()
-            state.ledger = [RoundRecord(k=0, m=1, h=0)] * rounds
-            assert select_shots(state, cfg, 2) == 7142
+        # 1e6 // (5 * 28) = 7142 shots at order 2.  The step reads only the
+        # remaining budget and the order, so no round count can cap the
+        # batch or shrink the horizon.
+        assert select_shots(1_000_000, 2) == 7142
 
     def test_zero_when_one_shot_is_unaffordable(self):
-        state = InferenceState()
-        state.spent = 995
-        cfg = ControllerConfig(budget=1000)
-        assert select_shots(state, cfg, 3) == 0
+        # One shot at order 3 costs 7 calls.
+        assert select_shots(5, 3) == 0
 
     def test_never_exceeds_remaining_budget(self):
         rng = np.random.default_rng(2)
-        cfg = ControllerConfig(budget=50_000)
+        budget = 50_000
         for _ in range(200):
-            state = InferenceState()
-            state.spent = int(rng.integers(0, cfg.budget))
+            remaining = budget - int(rng.integers(0, budget))
             k = int(rng.integers(0, 12))
-            m = select_shots(state, cfg, k)
-            assert (2 * k + 1) * m <= cfg.budget - state.spent
+            m = select_shots(remaining, k)
+            assert (2 * k + 1) * m <= remaining
 
 
 class TestSelectDepth:
     def test_wide_hull_keeps_order_zero(self):
         # A hull wider than pi/6 straddles a turning point of sin^2((2k+1) theta)
         # at every k >= 1.
-        state = InferenceState()
-        state.feasible = (0.30, 0.90)
         assert deepest_single_flank(0.30, 0.90, DEEP_K) == 0
-        assert select_depth(state, DEEP) == 0
+        assert select_depth((0.30, 0.90), DEEP) == 0
 
     def test_no_estimate_defaults_to_zero(self):
-        assert select_depth(InferenceState(), DEEP) == 0
+        assert select_depth(FULL, DEEP) == 0
 
     def test_point_hull_scans_from_the_remainder_bound(self):
         # A zero-width hull has no width bound and every order is
@@ -308,8 +296,7 @@ class TestSelectDepth:
         # rest of the budget affords is chosen, down to order 0 when even
         # that shot is unaffordable.
         for spent, k in ((0, DEEP_K), (8000, 96), (8190, 1), (8191, 0), (8192, 0), (8193, 0)):
-            state = InferenceState(feasible=(0.5, 0.5), spent=spent)
-            assert select_depth(state, DEEP) == k
+            assert select_depth((0.5, 0.5), DEEP - spent) == k
 
     def test_is_the_deepest_single_flank_order(self):
         # Brute force over every order on random hulls, from the full domain
@@ -322,8 +309,7 @@ class TestSelectDepth:
             union = IntervalUnion(zip(centres - 0.5 * widths, centres + 0.5 * widths))
             hulls.append((union.components[0][0], union.components[-1][1]))
         for lo, hi in hulls:
-            state = InferenceState(feasible=(lo, hi))
-            assert select_depth(state, DEEP) == deepest_single_flank(lo, hi, DEEP_K)
+            assert select_depth((lo, hi), DEEP) == deepest_single_flank(lo, hi, DEEP_K)
 
     def test_positive_depth_is_always_single_flank(self):
         rng = np.random.default_rng(12)
@@ -332,9 +318,7 @@ class TestSelectDepth:
             width = float(rng.uniform(1e-6, 0.05))
             lo = max(1e-6, theta - 0.5 * width)
             hi = min(math.pi / 2 - 1e-6, theta + 0.5 * width)
-            state = InferenceState()
-            state.feasible = (lo, hi)
-            k = select_depth(state, DEEP)
+            k = select_depth((lo, hi), DEEP)
             if k > 0:
                 assert in_single_flank(lo, hi, k)
 
@@ -344,46 +328,40 @@ class TestUpdateFeasible:
         # The set after ROUND_A holds pi/6, where order 1 (omega = 3) is
         # singular through ROUND_B's failures, so the depth rule never runs
         # order 1 over it.
-        state = InferenceState()
-        add_batch(state, ROUND_A)
-        after_a = state.feasible
+        after_a, _, _ = update_feasible(FULL, OrderTotals([ROUND_A]), 0.05)
         lo, hi = after_a
-        assert lo < math.pi / 6 < hi and select_depth(state, DEEP) != ROUND_B.k
+        assert lo < math.pi / 6 < hi and select_depth(after_a, DEEP) != ROUND_B.k
         with pytest.raises(ValueError, match="singular"):
-            add_batch(state, ROUND_B)
+            update_feasible(after_a, OrderTotals([ROUND_A, ROUND_B]), 0.05)
         # Without a failure at order 1, pi/6 is no singular angle, and pi/3
         # lies above the set.
         all_hits = OrderTotals([ROUND_A, RoundRecord(k=1, m=1000, h=1000)])
-        update_feasible(InferenceState(feasible=after_a, totals=all_hits), 0.05)
+        update_feasible(after_a, all_hits, 0.05)
         # pi/6 within _CUT_NUDGE of both edges: each edge moves inward past
-        # it, nothing is left, and the update raises instead of storing an
+        # it, nothing is left, and the update raises instead of returning an
         # inverted set.
         tight = (math.pi / 6 * (1 - 4e-13), math.pi / 6 * (1 + 4e-13))
-        state = InferenceState(feasible=tight, totals=OrderTotals([ROUND_B]))
         with pytest.raises(ValueError, match="within a nudge of a singular angle"):
-            update_feasible(state, 0.05)
-        assert state.feasible == tight
+            update_feasible(tight, OrderTotals([ROUND_B]), 0.05)
 
     def test_uninformative_batch_barely_moves_the_set(self):
-        state = two_round_state()
-        before = state.feasible
+        before, totals = two_round_set()
         # Two successes out of four at order 0 add almost no information.
-        add_batch(state, RoundRecord(k=0, m=4, h=2))
-        assert nested(state.feasible, before)
-        assert measure(state.feasible) >= 0.99 * measure(before)
+        after, _, _ = add_batch(before, totals, RoundRecord(k=0, m=4, h=2))
+        assert nested(after, before)
+        assert measure(after) >= 0.99 * measure(before)
 
     def test_contradictory_batch_never_empties_the_set(self):
         # No success in 200 shots at order 0 contradicts the 262/1000 before
         # it.  The set shrinks, but keeps the MLE over the set before.
-        state = two_round_state()
-        before = state.feasible
-        add_batch(state, RoundRecord(k=0, m=200, h=0))
-        assert nested(state.feasible, before)
-        arrays = columns(state.totals.rows)
+        before, totals = two_round_set()
+        after, theta_hat, _ = add_batch(before, totals, RoundRecord(k=0, m=200, h=0))
+        assert nested(after, before)
+        arrays = columns(totals.rows)
         ll_grid = log_likelihood_terms(np.linspace(*before, 200_001), *arrays).max()
-        ll_hat = log_likelihood_terms(np.array([state.theta_hat]), *arrays)[0]
+        ll_hat = log_likelihood_terms(np.array([theta_hat]), *arrays)[0]
         assert ll_hat >= ll_grid - 1e-9 * abs(ll_grid)
-        assert state.feasible[0] <= state.theta_hat <= state.feasible[1]
+        assert after[0] <= theta_hat <= after[1]
 
     def test_early_newton_stop_still_bounds_the_set(self, monkeypatch):
         # A coarse refinement stops short of the maximum; the residual score
@@ -392,33 +370,33 @@ class TestUpdateFeasible:
         # its (m, h) batches at the orders the depth rule picks.
         monkeypatch.setattr(mliqae, "_MLE_BRACKET", 1e-2)
         for batches in ([(1000, 262)], [(1000, 262), (1000, 998)], [(300, 40), (500, 100)]):
-            state = InferenceState()
+            feasible, totals = FULL, OrderTotals()
             for m, h in batches:
-                before = state.feasible
-                state.totals.add(RoundRecord(k=select_depth(state, DEEP), m=m, h=h))
-                cut = update_feasible(state, 0.05)
+                before = feasible
+                batch = RoundRecord(k=select_depth(before, DEEP), m=m, h=h)
+                feasible, _, cut = add_batch(before, totals, batch)
             grid = np.linspace(*before, 200_001)
-            above = grid[log_likelihood_terms(grid, *columns(state.totals.rows)) >= cut]
-            assert above.size and nested((above.min(), above.max()), state.feasible)
+            above = grid[log_likelihood_terms(grid, *columns(totals.rows)) >= cut]
+            assert above.size and nested((above.min(), above.max()), feasible)
 
     def test_measure_never_increases(self):
         rng = np.random.default_rng(21)
         for trial in range(10):
             a = float(rng.uniform(0.05, 0.9))
             oracle = AnalyticOracle(a)
-            state = InferenceState()
-            last = measure(state.feasible)
+            feasible, totals = FULL, OrderTotals()
+            last = measure(feasible)
             for _ in range(8):
-                k = select_depth(state, DEEP)
+                k = select_depth(feasible, DEEP)
                 h = int(rng.binomial(400, oracle.success_probability(k)))
-                add_batch(state, RoundRecord(k=k, m=400, h=h))
-                now = measure(state.feasible)
+                feasible, _, _ = add_batch(feasible, totals, RoundRecord(k=k, m=400, h=h))
+                now = measure(feasible)
                 assert now <= last + 1e-12
                 last = now
 
 
 class TestConstrainedMle:
-    """The update's MLE over the set before it, read as state.theta_hat."""
+    """The update's MLE over the set before it, the theta_hat it returns."""
 
     def test_interior_maximum_matches_frequency(self):
         (feasible,) = band_for(ROUND_A).components
@@ -431,9 +409,9 @@ class TestConstrainedMle:
         assert controller_mle((0.30, 0.40), [ROUND_A]) == pytest.approx(0.40, abs=1e-6)
 
     def test_two_round_estimate_stays_near_truth(self):
-        state = two_round_state()
-        theta_hat = controller_mle(state.feasible, [ROUND_A, ROUND_C])
-        assert state.feasible[0] <= theta_hat <= state.feasible[1]
+        feasible, _ = two_round_set()
+        theta_hat = controller_mle(feasible, [ROUND_A, ROUND_C])
+        assert feasible[0] <= theta_hat <= feasible[1]
         assert abs(math.sin(theta_hat) ** 2 - 0.2625) < 0.03
 
     def test_maximum_on_an_edge_returns_the_edge_exactly(self):
@@ -494,8 +472,8 @@ class TestConstrainedMle:
         # is 0 and its mass 1, and only theta_hat and the lower end take a
         # likelihood pass.  The set and the cut are those of the three-pass
         # update, bit for bit.
-        state = InferenceState(totals=OrderTotals([RoundRecord(k=0, m=100, h=100)]))
-        rows, info = state.totals.rows, state.totals.info
+        totals = OrderTotals([RoundRecord(k=0, m=100, h=100)])
+        rows, info = totals.rows, totals.info
         calls = []
 
         def spy(theta, rows):
@@ -503,9 +481,9 @@ class TestConstrainedMle:
             return log_likelihood(theta, rows)
 
         monkeypatch.setattr(mliqae, "log_likelihood", spy)
-        cut = update_feasible(state, 0.05)
-        assert state.theta_hat == THETA_HI and len(calls) == 2
-        assert state.feasible == (1.3196803661654453, THETA_HI) and cut == -6.305922568234987
+        feasible, theta_hat, cut = update_feasible(FULL, totals, 0.05)
+        assert theta_hat == THETA_HI and len(calls) == 2
+        assert feasible == (1.3196803661654453, THETA_HI) and cut == -6.305922568234987
 
         lo, hi = mliqae._concave_piece(THETA_LO, THETA_HI, rows)
         theta, score = mliqae._newton_refine(lo, hi, rows)
@@ -518,7 +496,7 @@ class TestConstrainedMle:
         slack = info * (ll - want)
         up, down = max(score, 0.0), max(-score, 0.0)
         assert cut == want
-        assert state.feasible == (
+        assert feasible == (
             max(lo, theta - 2.0 * (down + math.sqrt(down * down + slack)) / info),
             min(hi, theta + 2.0 * (up + math.sqrt(up * up + slack)) / info),
         )
@@ -527,7 +505,7 @@ class TestConstrainedMle:
         # The mirror of the test above: 0 of 100 at order 0 puts the maximum
         # on the lower edge of the full domain, so the lower chord end is
         # theta_hat itself, and only theta_hat and the upper end take a pass.
-        state = InferenceState(totals=OrderTotals([RoundRecord(k=0, m=100, h=0)]))
+        totals = OrderTotals([RoundRecord(k=0, m=100, h=0)])
         calls = []
 
         def spy(theta, rows):
@@ -535,9 +513,9 @@ class TestConstrainedMle:
             return log_likelihood(theta, rows)
 
         monkeypatch.setattr(mliqae, "log_likelihood", spy)
-        cut = update_feasible(state, 0.05)
-        assert state.theta_hat == THETA_LO and len(calls) == 2
-        assert state.feasible == (THETA_LO, 0.2511159606294512) and cut == -6.305922568234986
+        feasible, theta_hat, cut = update_feasible(FULL, totals, 0.05)
+        assert theta_hat == THETA_LO and len(calls) == 2
+        assert feasible == (THETA_LO, 0.2511159606294512) and cut == -6.305922568234986
 
     def test_an_edge_with_zero_score_is_the_maximum(self):
         # 1 success in 5 shots at order 0 has its maximum at asin(sqrt(1/5)),
@@ -671,26 +649,39 @@ class TestRun:
             )
 
     def test_each_batch_runs_at_the_deepest_single_flank_order_before_it(self):
-        # Replay each ledger through update_feasible: every batch's order is
-        # the deepest one whose scaled hull, before the batch, lies on one
+        # Replay each ledger through the three public steps: every batch's
+        # order and size are the ones select_depth and select_shots pick,
+        # and the last update returns the report's set and estimate bit for
+        # bit, so run is these steps in a loop.  Every order is also the
+        # deepest one whose scaled hull, before the batch, lies on one
         # flank, among those one shot of which the rest of the budget
         # affords.  A single-flank order has omega (hi - lo) < pi/2, so the
         # brute-force scan stops at k = pi / (4 (hi - lo)).
         budget = 64_000
         for a, seed in ((0.0, 1), (0.015, 2), (0.1, 5), (0.2625, 7), (0.7, 13), (1.0, 3)):
             report = run(AnalyticOracle(a), ControllerConfig(budget=budget), np.random.default_rng(seed))
-            state = InferenceState()
+            feasible, totals, spent = FULL, OrderTotals(), 0
             for batch in report.ledger:
-                lo, hi = state.feasible
-                k_max = (budget - state.spent - 1) // 2
+                lo, hi = feasible
+                k_max = (budget - spent - 1) // 2
                 if hi > lo:
                     k_max = min(k_max, math.ceil(math.pi / (4.0 * (hi - lo))))
                 assert batch.k == deepest_single_flank(lo, hi, k_max)
-                state.totals.add(batch)
-                state.spent += batch.cost
-                update_feasible(state, 0.05)
-            assert IntervalUnion([state.feasible]) == report.feasible
+                assert batch.k == select_depth(feasible, budget - spent)
+                assert batch.m == select_shots(budget - spent, batch.k)
+                spent += batch.cost
+                feasible, theta_hat, _ = add_batch(feasible, totals, batch)
+            assert feasible == report.theta_bounds
+            assert theta_hat == report.theta_hat
+            assert IntervalUnion([feasible]) == report.feasible
             assert max(b.k for b in report.ledger) > 0
+
+    def test_a_numpy_integer_budget_runs_as_its_python_int(self):
+        # ControllerConfig takes any integer; the ledger and the spend stay Python ints.
+        want = run(AnalyticOracle(0.3), ControllerConfig(budget=5000), np.random.default_rng(1))
+        got = run(AnalyticOracle(0.3), ControllerConfig(budget=np.int64(5000)), np.random.default_rng(1))
+        assert got == want
+        assert {type(b.m) for b in got.ledger} == {int} and type(got.oracle_calls) is int
 
     def test_huge_budgets_end_in_a_few_rounds(self):
         # Only the set's width and the remaining budget bound the order, so

@@ -125,10 +125,9 @@ def test_piecewise_mle_matches_a_dense_grid(counts, union):
     # The controller's MLE on each component, then the best of them.
     best = []
     for piece in union.components:
-        state = mliqae.InferenceState(feasible=piece, totals=totals)
-        mliqae.update_feasible(state, 0.05)
-        assert IntervalUnion([piece]).contains(state.theta_hat)
-        best.append(state.theta_hat)
+        _, theta_hat, _ = mliqae.update_feasible(piece, totals, 0.05)
+        assert IntervalUnion([piece]).contains(theta_hat)
+        best.append(theta_hat)
     ll_mle = log_likelihood_terms(np.array(best), *arrays).max()
     ll_grid = log_likelihood_terms(dense_grid(union), *arrays).max()
     # Never lower, up to the rounding of the likelihood sum itself.
@@ -142,13 +141,13 @@ def test_feasible_update_keeps_every_point_above_the_cut(counts, previous, delta
     # One interval on one flank of every order: the widest clipped component.
     pieces = on_one_flank(previous, counts).components
     previous = IntervalUnion([max(pieces, key=lambda c: c[1] - c[0])])
-    state = mliqae.InferenceState(feasible=previous.components[0], totals=OrderTotals(rounds))
-    cut = mliqae.update_feasible(state, delta_tot)
-    new = IntervalUnion([state.feasible])
+    totals = OrderTotals(rounds)
+    feasible, theta_hat, cut = mliqae.update_feasible(previous.components[0], totals, delta_tot)
+    new = IntervalUnion([feasible])
     assert len(new)
     assert new.intersect(previous) == new
     grid = dense_grid(previous)
-    arrays = columns(state.totals.rows)
+    arrays = columns(totals.rows)
     ll = log_likelihood_terms(grid, *arrays)
     # The cut is valid: no higher than the mixture bound from the integral
     # of the likelihood over the previous set (a log-sum over the grid).
@@ -162,11 +161,11 @@ def test_feasible_update_keeps_every_point_above_the_cut(counts, previous, delta
     # Every grid point that clears the cut stays, and so does the MLE.
     for theta in grid[ll >= cut]:
         assert new.contains(theta, tol=1e-12 * theta)
-    assert new.contains(state.theta_hat)
+    assert new.contains(theta_hat)
     # The MLE is never below the grid's best, up to the rounding of the
     # likelihood sum itself.
     ll_grid = ll.max()
-    ll_mle = log_likelihood_terms(np.array([state.theta_hat]), *arrays)[0]
+    ll_mle = log_likelihood_terms(np.array([theta_hat]), *arrays)[0]
     assert ll_mle >= ll_grid - 1e-9 * max(1.0, abs(ll_grid))
 
 
@@ -325,16 +324,15 @@ def test_whole_run_keeps_the_controller_contract(a, budget, delta_tot, epsilon_a
     depths, updates = [], []
     select_depth, update_feasible = mliqae.select_depth, mliqae.update_feasible
 
-    def depth_spy(state, cfg):
-        k = select_depth(state, cfg)
-        depths.append((k, state.feasible))
+    def depth_spy(feasible, remaining):
+        k = select_depth(feasible, remaining)
+        depths.append((k, feasible))
         return k
 
-    def update_spy(state, delta):
-        before = state.feasible
-        cut = update_feasible(state, delta)
-        updates.append((before, state.feasible))
-        return cut
+    def update_spy(feasible, totals, delta):
+        decided = update_feasible(feasible, totals, delta)
+        updates.append((feasible, decided[0]))
+        return decided
 
     cfg = mliqae.ControllerConfig(budget=budget, delta_tot=delta_tot, epsilon_a=epsilon_a)
     with pytest.MonkeyPatch.context() as mp:
