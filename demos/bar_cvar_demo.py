@@ -39,7 +39,7 @@ def main():
     est = riskmodel.cvar_from_amplitude(rep.a_hat, tn.eta, tn.q_max, ens.alpha_level)
     print(f"amplified (MLE) ({rep.oracle_calls} oracle calls): {est:.6f}"
           f"  abs err {abs(est - truth):.2e}")
-    print(f"  rounds {rep.rounds}")
+    print(f"  rounds {len(rep.ledger)}")
     lo, hi = rep.a_bounds
     clo = riskmodel.cvar_from_amplitude(lo, tn.eta, tn.q_max, ens.alpha_level)
     chi = riskmodel.cvar_from_amplitude(hi, tn.eta, tn.q_max, ens.alpha_level)

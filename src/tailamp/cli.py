@@ -162,7 +162,7 @@ def estimate_once(
         cfg = mliqae.ControllerConfig(budget=budget, **(controller_overrides or {}))
         rep = mliqae.run(qsim.AnalyticOracle(tn.a), cfg, rng)
         est = riskmodel.cvar_from_amplitude(rep.a_hat, tn.eta, tn.q_max, s.alpha_level)
-        calls, rounds = rep.oracle_calls, rep.rounds
+        calls, rounds = rep.oracle_calls, len(rep.ledger)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ResultRow(

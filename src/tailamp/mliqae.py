@@ -106,12 +106,10 @@ class EstimateReport:
 
     theta_hat: float
     a_hat: float
-    theta_bounds: tuple[float, float]
     a_bounds: tuple[float, float]
-    feasible: IntervalUnion  # theta_bounds as a one-component union
+    feasible: IntervalUnion  # the final set, one interval
     oracle_calls: int
-    rounds: int
-    ledger: tuple[RoundRecord, ...]
+    ledger: tuple[RoundRecord, ...]  # one record per batch
     # The feasible set never empties, so no run restarts or fails.
     restarts: ClassVar[int] = 0
     failed: ClassVar[bool] = False
@@ -299,10 +297,8 @@ def run(oracle, cfg: ControllerConfig, rng: np.random.Generator) -> EstimateRepo
     return EstimateReport(
         theta_hat=theta_hat,
         a_hat=math.sin(theta_hat) ** 2,
-        theta_bounds=feasible,
         a_bounds=(a_lo, math.sin(hi) ** 2),
         feasible=IntervalUnion([feasible]),
         oracle_calls=spent,
-        rounds=len(ledger),
         ledger=tuple(ledger),
     )

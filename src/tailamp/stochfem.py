@@ -71,10 +71,8 @@ class KernelModel:
     sample_points: np.ndarray  # (M, 2)
 
     def __post_init__(self):
-        if self.length_scale_x <= 0.0 or self.length_scale_y <= 0.0:
-            raise ValueError("length scales must be positive")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        for name in ("length_scale_x", "length_scale_y", "sigma"):
+            _checked(name, getattr(self, name))
         pts = np.asarray(self.sample_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("sample points must be (M, 2)")
@@ -169,8 +167,8 @@ class Mesh1D:
 
 
 def build_bar_mesh(length: float = 1.0, n_elems: int = 20) -> Mesh1D:
-    if length <= 0.0 or n_elems < 1:
-        raise ValueError("need positive length and at least one element")
+    _checked("length", length)
+    _checked("n_elems", n_elems, integer=True)
     return Mesh1D(length=length, n_elems=n_elems)
 
 
@@ -241,8 +239,10 @@ def build_cantilever_mesh(
     length: float = 2.0, height: float = 1.0, nx: int = 32, ny: int = 16
 ) -> MeshQ4:
     """Rectangular cantilever: clamped at x = 0, unit shear traction at x = length."""
-    if length <= 0.0 or height <= 0.0 or nx < 1 or ny < 1:
-        raise ValueError("invalid cantilever dimensions")
+    _checked("length", length)
+    _checked("height", height)
+    _checked("nx", nx, integer=True)
+    _checked("ny", ny, integer=True)
     xs = np.linspace(0.0, length, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     active = np.ones((nx, ny), dtype=bool)
@@ -258,7 +258,9 @@ def build_lbracket_mesh(
     grid pitch must tile the leg width exactly so the re-entrant corner lies
     on mesh lines.
     """
-    if not 0.0 < leg_width < leg_length:
+    _checked("leg_length", leg_length)
+    _checked("leg_width", leg_width)
+    if not leg_width < leg_length:
         raise ValueError(
             f"bad value {leg_width!r} for parameter 'leg_width': "
             f"must lie in (0, leg_length = {leg_length!r})"
@@ -397,8 +399,7 @@ class PlaneStressSolver:
     """
 
     def __init__(self, mesh: MeshQ4, nu: float = 0.3):
-        if not -1.0 < nu < 0.5:
-            raise ValueError("Poisson ratio out of the plane-stress range")
+        _checked("nu", nu)
         self.mesh = mesh
         self.ke_unit, self.d1, self.b_mats = _q4_unit_stiffness(mesh.hx, mesh.hy, nu)
         dofs = np.empty((mesh.n_elems, 8), dtype=int)
@@ -438,11 +439,10 @@ class PlaneStressSolver:
         u = np.zeros(self.n_dof)
         u[dirichlet_dofs] = dirichlet_values
         band = self._band(dirichlet_dofs)
-        if band.free.size:
-            # K @ u_d, element by element: u is zero on the free dofs here.
-            fe = moduli[:, None] * (u[self.dof_map] @ self.ke_unit)
-            k_ud = np.bincount(self.dof_map.ravel(), weights=fe.ravel(), minlength=self.n_dof)
-            u[band.free] = band.solve(moduli, -k_ud[band.free])
+        # K @ u_d, element by element: u is zero on the free dofs here.
+        fe = moduli[:, None] * (u[self.dof_map] @ self.ke_unit)
+        k_ud = np.bincount(self.dof_map.ravel(), weights=fe.ravel(), minlength=self.n_dof)
+        u[band.free] = band.solve(moduli, -k_ud[band.free])
         return u
 
     def _element_peak_stress(self, u: np.ndarray, moduli: np.ndarray) -> np.ndarray:
@@ -699,32 +699,32 @@ def _ensemble_bar(n_scenarios: int, params: dict, rng) -> dict[str, np.ndarray]:
     return {"compliance": load * tip, "tipdisp": tip, "vmmax": vm}
 
 
-def _checked_params(benchmark: str, overrides: dict) -> dict:
-    """Defaults with the overrides applied; every value is checked by name.
+def _checked(name: str, value, integer: bool = False) -> None:
+    """Raise one ValueError naming parameter name unless value lies in its range.
 
-    Integer parameters take integers only (never bool, never a float to be
-    truncated); the others take finite real numbers in their range.
+    An integer parameter takes an integer >= 1 (never a float to be
+    truncated), any other a finite number in its _PARAM_RANGES range; a bool
+    is neither.
     """
+    if integer:
+        ok, need = isinstance(value, numbers.Integral) and value >= 1, "an integer >= 1"
+    else:
+        rule, where = _PARAM_RANGES.get(name, (None, ""))
+        ok = isinstance(value, numbers.Real) and math.isfinite(value) and (rule is None or rule(value))
+        need = f"a finite number{where}"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"bad value {value!r} for parameter {name!r}: must be {need}")
+
+
+def _checked_params(benchmark: str, overrides: dict) -> dict:
+    """Defaults with the overrides applied, each checked by _checked under its name."""
     params = dict(BENCHMARK_DEFAULTS[benchmark])
     for key in overrides:
         if key not in params:
             raise ValueError(f"unknown parameter {key!r} for {benchmark}")
     for key, default in params.items():
         value = overrides.get(key, default)
-        if isinstance(default, int):
-            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-            need = "an integer >= 1"
-        else:
-            ok = (
-                isinstance(value, numbers.Real)
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-            )
-            rule, where = _PARAM_RANGES.get(key, (None, ""))
-            ok = ok and (rule is None or rule(value))
-            need = f"a finite number{where}"
-        if not ok:
-            raise ValueError(f"bad value {value!r} for parameter {key!r}: must be {need}")
+        _checked(key, value, integer=isinstance(default, int))
         params[key] = type(default)(value)
     if "rank" in params and params["rank"] > params["n_sample_grid"] ** 2:
         raise ValueError(

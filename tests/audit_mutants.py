@@ -1,15 +1,15 @@
-"""Mutation gate: every guard branch of the controller is held by a tier-1 test.
+"""Mutation gate: every listed guard branch is held by a tier-1 test.
 
     python tests/audit_mutants.py
 
 Each entry of MUTANTS is a (module, label, old, new) text replacement in
 src/tailamp: it disables one guard branch, zeroes one constant or flips one
-comparison of mliqae, stats or intervals.  The script copies the checkout
-into a temporary directory, checks that tier-1 passes on the copy as it
-is, then runs tier-1 with -x once per mutant, on the copy with that one
-replacement made.  A nonzero exit or a run longer than the timeout kills
-the mutant.  It prints one row per mutant: killed, with the first test
-that failed, or survived.
+comparison of the controller (mliqae, stats, intervals) or of an input path
+(riskmodel, stochfem, cli).  The script copies the checkout into a temporary
+directory, checks that tier-1 passes on the copy as it is, then runs tier-1
+with -x once per mutant, on the copy with that one replacement made.  A
+nonzero exit or a run longer than the timeout kills the mutant.  It prints
+one row per mutant: killed, with the first test that failed, or survived.
 
 It exits 1 when an ``old`` text does not occur exactly once in its module
 (so a refactor forces the list to be updated), when a mutant survives that
@@ -77,6 +77,10 @@ MUTANTS = [
     ("mliqae", "select_shots: no _M_MIN floor", "max(_M_MIN, affordable // _HORIZON)", "affordable // _HORIZON"),
     ("mliqae", "run: the precision stop ignores epsilon_a = 0", "if cfg.epsilon_a > 0.0 and ", "if "),
     ("mliqae", "run: a_lo not pinned to 0 at THETA_LO", "a_lo = 0.0 if lo <= THETA_LO else math.sin(lo) ** 2", "a_lo = math.sin(lo) ** 2"),
+    # input paths
+    ("riskmodel", "var_threshold: no clamp to the last scenario", "order[min(idx, order.size - 1)]", "order[idx]"),
+    ("stochfem", "read_ensemble: no blank-line skip", "                elif line:\n", "                else:\n"),
+    ("cli", "main: no OverflowError catch", "KeyError, MemoryError, OverflowError)", "KeyError, MemoryError)"),
 ]
 
 # Mutants no tier-1 test kills, each with the measured reason its branch stays.

@@ -526,6 +526,8 @@ class TestCommands:
             ({"ensemble": {"n_elems": [3]}}, "bad value [3] for parameter 'n_elems'"),
             ([{"benchmark": "bar1d"}], "config must be a JSON object"),
             ("bar1d", "config must be a JSON object"),
+            # JSON takes any integer; this one overflows the float that epsilon_a's check makes.
+            ({"controller": {"epsilon_a": 10**400}}, "error: int too large to convert to float"),
         ],
     )
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, config, message):

@@ -359,4 +359,4 @@ def test_whole_run_keeps_the_controller_contract(a, budget, delta_tot, epsilon_a
     assert [before for before, _ in updates] == sets[:-1]
     for (lo, hi), (new_lo, new_hi) in zip(sets, sets[1:]):
         assert lo <= new_lo <= new_hi <= hi
-    assert sets[-1] == report.theta_bounds
+    assert report.feasible.components == (sets[-1],)

@@ -94,6 +94,12 @@ class TestVarThreshold:
         s = ScenarioSet(np.full(4, 0.25), np.array([4.0, 1.0, 3.0, 2.0]), 1e-9)
         assert var_threshold(s) == 1.0
 
+    def test_a_level_above_the_rounded_total_takes_the_largest_response(self):
+        # The weights sum to 1 - 4e-10 (within the set's 1e-9 tolerance), so
+        # no cumulative weight reaches the level: the index clamps to the last.
+        s = ScenarioSet(np.full(4, 0.25) * (1 - 4e-10), [1.0, 2.0, 3.0, 4.0], 0.9999999999)
+        assert var_threshold(s) == 4.0
+
     def test_matches_cumulative_scan_oracle(self):
         rng = np.random.default_rng(101)
         for _ in range(30):

@@ -293,8 +293,8 @@ class TestPlaneStress:
         assert r2.qoi.compliance == pytest.approx(2.5**2 * r1.qoi.compliance, rel=1e-12)
 
     def test_solver_validation(self):
-        for dims in ((0.0, 1.0, 4, 2), (2.0, 1.0, 0, 2)):
-            with pytest.raises(ValueError, match="invalid cantilever dimensions"):
+        for dims, name in (((0.0, 1.0, 4, 2), "length"), ((2.0, 1.0, 0, 2), "nx")):
+            with pytest.raises(ValueError, match=f"for parameter '{name}': must be"):
                 build_cantilever_mesh(*dims)
         mesh = build_cantilever_mesh(2.0, 1.0, 4, 2)
         with pytest.raises(ValueError):
@@ -360,6 +360,14 @@ class TestBandedSolve:
         got = solver.solve_prescribed(moduli, fixed, values)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
+    def test_every_dof_prescribed_returns_the_prescribed_values(self):
+        # No dof is free: the banded solve is empty and u is the data itself.
+        mesh = build_cantilever_mesh(2.0, 1.0, 4, 2)
+        solver = PlaneStressSolver(mesh)
+        values = np.random.default_rng(47).normal(0.0, 0.01, solver.n_dof)
+        got = solver.solve_prescribed(np.ones(mesh.n_elems), np.arange(solver.n_dof), values)
+        assert np.array_equal(got, values)
+
     def test_band_stays_in_natural_dof_order(self):
         # x-major numbering: an element spans ny + 3 nodes, so the half
         # bandwidth is 2 * (ny + 1) + 3 dofs without any reordering.
@@ -381,9 +389,10 @@ class TestLBracket:
     def test_pitch_must_tile_exactly(self):
         with pytest.raises(ValueError):
             build_lbracket_mesh(1.0, 0.3, 7)
-        for width in (0.0, 1.0):
-            with pytest.raises(ValueError, match=r"'leg_width': must lie in \(0, leg_length = 1.0\)"):
-                build_lbracket_mesh(1.0, width, 25)
+        with pytest.raises(ValueError, match=r"'leg_width': must be a finite number > 0"):
+            build_lbracket_mesh(1.0, 0.0, 25)
+        with pytest.raises(ValueError, match=r"'leg_width': must lie in \(0, leg_length = 1.0\)"):
+            build_lbracket_mesh(1.0, 1.0, 25)
 
     def test_stress_peaks_at_reentrant_corner(self):
         mesh = build_lbracket_mesh(1.0, 0.4, 25)
@@ -420,6 +429,50 @@ class TestLBracket:
         assert peaks[0] < peaks[1] < peaks[2]
 
 
+# Each real parameter of a constructor: (constructor, parameter, a benchmark that
+# takes the same parameter) -> a call of the constructor with value for it.
+REAL_PARAMETERS = {
+    ("build_bar_mesh", "length", "bar1d"): lambda v: build_bar_mesh(v, 4),
+    ("build_cantilever_mesh", "length", "cantilever"): lambda v: build_cantilever_mesh(v, 1.0, 4, 2),
+    ("build_cantilever_mesh", "height", "cantilever"): lambda v: build_cantilever_mesh(2.0, v, 4, 2),
+    ("build_lbracket_mesh", "leg_length", "lbracket"): lambda v: build_lbracket_mesh(v, 0.4, 25),
+    ("build_lbracket_mesh", "leg_width", "lbracket"): lambda v: build_lbracket_mesh(1.0, v, 25),
+    ("KernelModel", "length_scale_x", "cantilever"): lambda v: KernelModel(v, 1.0, 0.3, 2, LINE_POINTS),
+    ("KernelModel", "length_scale_y", "cantilever"): lambda v: KernelModel(1.0, v, 0.3, 2, LINE_POINTS),
+    ("KernelModel", "sigma", "cantilever"): lambda v: KernelModel(1.0, 1.0, v, 2, LINE_POINTS),
+    ("PlaneStressSolver", "nu", "cantilever"): lambda v: PlaneStressSolver(
+        build_cantilever_mesh(2.0, 1.0, 4, 2), v
+    ),
+}
+
+
+class TestConstructorParameters:
+    """The constructors check each parameter by the rule and message of the CLI."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", sorted(REAL_PARAMETERS), ids="-".join)
+    def test_rejects_a_non_finite_real_parameter(self, key, value):
+        _, name, benchmark = key
+        with pytest.raises(ValueError) as raised:
+            REAL_PARAMETERS[key](value)
+        message = str(raised.value)
+        assert message.startswith(f"bad value {value!r} for parameter {name!r}: must be a finite number")
+        assert "\n" not in message
+        with pytest.raises(ValueError) as cli:
+            build_scenario_ensemble(benchmark, 1, 0, overrides={name: value})
+        assert str(cli.value) == message
+
+    def test_integer_parameters_take_integers_of_at_least_one(self):
+        for call, name in (
+            (lambda: build_bar_mesh(1.0, 0), "n_elems"),
+            (lambda: build_bar_mesh(1.0, 4.0), "n_elems"),
+            (lambda: build_cantilever_mesh(2.0, 1.0, True, 2), "nx"),
+            (lambda: build_cantilever_mesh(2.0, 1.0, 4, -1), "ny"),
+        ):
+            with pytest.raises(ValueError, match=f"for parameter '{name}': must be an integer >= 1$"):
+                call()
+
+
 class TestEnsembles:
     def test_same_seed_rebuild_is_identical(self):
         a = build_scenario_ensemble("bar1d", 64, seed=5)
@@ -443,7 +496,11 @@ class TestEnsembles:
             "# q_max " + " ".join(f"{n} {ens.responses[n].max():.17g}" for n in QOI_NAMES) + "\n",
         ]
         old_format.write_text("".join(lines))
-        for back in (read_ensemble(path), read_ensemble(old_format)):
+        # A blank line between data rows is skipped.
+        blank_line = tmp_path / "blank_line.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        blank_line.write_text("".join(lines[:-2] + ["\n"] + lines[-2:]))
+        for back in (read_ensemble(path), read_ensemble(old_format), read_ensemble(blank_line)):
             assert back.benchmark == ens.benchmark
             assert back.alpha_level == ens.alpha_level
             assert back.seed == ens.seed
