@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import numbers
 import os
 import sys
 from dataclasses import astuple, dataclass, field, fields
@@ -28,10 +27,6 @@ from . import mliqae, qsim, riskmodel, stochfem
 DEFAULT_BUDGETS = (2000, 4000, 8000, 16000, 32000, 64000, 128000, 256000)
 
 AGG_COLUMNS = ("method", "budget", "mean_abs_err", "median_abs_err", "std_abs_err")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,19 +53,17 @@ class BenchConfig:
             raise ValueError(f"unknown benchmark {self.benchmark!r}")
         if self.qoi not in stochfem.QOI_NAMES:
             raise ValueError(f"unknown qoi {self.qoi!r}")
-        alpha = self.alpha_level
-        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 < alpha < 1.0:
-            raise ValueError("alpha_level must be a number in (0, 1)")
+        stochfem.checked("alpha_level", self.alpha_level)
         budgets = self.budgets
-        if not isinstance(budgets, (list, tuple)) or not all(_is_int(b) and b > 0 for b in budgets):
+        if not isinstance(budgets, (list, tuple)):
             raise ValueError("budgets must be a list of positive integers")
+        for budget in budgets:
+            stochfem.checked("budget", budget, integer=True)
         budgets = tuple(int(b) for b in budgets)
         if not budgets or any(a >= b for a, b in zip(budgets, budgets[1:])):
             raise ValueError("budgets must be nonempty and strictly ascending")
-        for name, least in (("repetitions", 1), ("seed", 0), ("n_scenarios", 1)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}")
+        for name in ("repetitions", "seed", "n_scenarios"):
+            stochfem.checked(name, getattr(self, name), integer=True)
         methods = self.methods if isinstance(self.methods, (list, tuple)) else ()
         if not methods or any(m not in ("mc", "mliqae") for m in methods) or len(set(methods)) < len(methods):
             raise ValueError("methods must be a nonempty list of distinct names from {mc, mliqae}")
@@ -82,10 +75,8 @@ class BenchConfig:
         unknown = set(self.controller) - tunable
         if unknown:
             raise ValueError(f"unknown controller fields: {sorted(unknown)}")
-        try:  # the largest budget meets the controller's ceiling only when a cell runs mliqae
-            mliqae.ControllerConfig(budget=budgets[-1] if "mliqae" in methods else 1, **self.controller)
-        except TypeError as exc:
-            raise ValueError(f"bad controller value: {exc}") from None
+        # The largest budget meets the controller's ceiling only when a cell runs mliqae.
+        mliqae.ControllerConfig(budget=budgets[-1] if "mliqae" in methods else 1, **self.controller)
         object.__setattr__(self, "budgets", budgets)
         object.__setattr__(self, "methods", tuple(methods))
 

@@ -36,7 +36,6 @@ of its own.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -48,6 +47,7 @@ from .qsim import sample_shots
 from .stats import OrderTotals, RoundRecord, chord_mass, log_likelihood, log_likelihood_slopes
 from .stats import clopper_pearson  # noqa: F401  (perfbench traces this lookup site)
 from .stats import log_likelihood_terms  # noqa: F401  (perfbench traces this lookup site)
+from .stochfem import checked
 
 # Cap on refinement steps per MLE.  Bisection alone narrows a piece below
 # 1e-10 in under 40 steps, so the cap never binds in practice; it only rules
@@ -80,24 +80,13 @@ class ControllerConfig:
     epsilon_a: float = 0.0  # amplitude half-width stop; 0 runs the budget out
 
     def __post_init__(self):
-        for name, kind, noun in (
-            ("budget", numbers.Integral, "an integer"),
-            ("delta_tot", numbers.Real, "a real number"),
-            ("epsilon_a", numbers.Real, "a real number"),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise TypeError(f"{name} must be {noun}")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        checked("budget", self.budget, integer=True)
         if self.budget > MAX_BUDGET:
             raise ValueError(
                 f"budget {self.budget} is too large: the controller takes at most 2**53 = {MAX_BUDGET}"
             )
-        if not 0.0 < self.delta_tot < 1.0:
-            raise ValueError("delta_tot must lie in (0, 1)")
-        if not (math.isfinite(self.epsilon_a) and self.epsilon_a >= 0.0):
-            raise ValueError("epsilon_a must be a finite number >= 0")
+        checked("delta_tot", self.delta_tot)
+        checked("epsilon_a", self.epsilon_a)
 
 
 @dataclass(frozen=True)

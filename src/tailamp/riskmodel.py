@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qsim import OracleSpec
-from .stochfem import checked_scenarios
+from .stochfem import checked, checked_scenarios
 
 _MAX_DRAWS = int(np.iinfo(np.int64).max)  # numpy's binomial and multinomial take a 64-bit count
 
@@ -32,8 +32,7 @@ class ScenarioSet:
 
     def __post_init__(self):
         probs, responses = checked_scenarios(self.probs, self.responses, "responses")
-        if not 0.0 < self.alpha_level < 1.0:
-            raise ValueError("alpha_level must lie in (0, 1)")
+        checked("alpha_level", self.alpha_level)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "responses", responses)
 
@@ -88,8 +87,7 @@ def normalize_hinge(s: ScenarioSet, eta: float) -> TailNormalization:
 
 def cvar_from_amplitude(a: float, eta: float, q_max: float, alpha_level: float) -> float:
     """Affine map from tail amplitude to CVaR at fixed threshold."""
-    if not 0.0 < alpha_level < 1.0:
-        raise ValueError("alpha_level must lie in (0, 1)")
+    checked("alpha_level", alpha_level)
     if not 0.0 <= a <= 1.0 + 1e-12:
         raise ValueError("amplitude must lie in [0, 1]")
     return eta + (q_max - eta) / (1.0 - alpha_level) * a
@@ -108,27 +106,26 @@ def discrete_cvar(s: ScenarioSet) -> float:
 
 
 def mc_estimate_cvar(
-    s: ScenarioSet, eta: float, n_samples: int, rng: np.random.Generator
+    s: ScenarioSet, eta: float, budget: int, rng: np.random.Generator
 ) -> float:
     """Monte Carlo baseline at the shared fixed threshold.
 
-    The hinge mean of n iid scenario draws from p depends on the draws only
-    through how often each tail scenario (Q_i > eta) comes up; every other
-    draw adds a zero hinge.  So the draw is two-stage, which gives the law
-    of n index draws exactly (Devroye 1986, Non-Uniform Random Variate
-    Generation, ch. XI): one binomial for how many of the n land in the
-    tail, then one multinomial that splits those hits over the tail
-    scenarios in proportion to their weights.  Selecting the tail and its
-    share takes O(N) time for N scenarios; the draws take O(tail) time and
-    memory, and an empty tail returns eta without drawing.  One draw is
-    still one oracle call, so n_samples is directly comparable to the
+    The hinge mean of budget iid scenario draws from p depends on the
+    draws only through how often each tail scenario (Q_i > eta) comes up;
+    every other draw adds a zero hinge.  So the draw is two-stage, which
+    gives the law of budget index draws exactly (Devroye 1986, Non-Uniform
+    Random Variate Generation, ch. XI): one binomial for how many of them
+    land in the tail, then one multinomial that splits those hits over the
+    tail scenarios in proportion to their weights.  Selecting the tail and
+    its share takes O(N) time for N scenarios; the draws take O(tail) time
+    and memory, and an empty tail returns eta without drawing.  One draw is
+    still one oracle call, so budget is directly comparable to the
     amplified estimator's oracle-call budget.  The mean is taken as
     frequencies times hinges, so no partial sum exceeds the largest hinge.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    if n_samples > _MAX_DRAWS:
-        raise ValueError(f"Monte Carlo budget {n_samples} is too large: a draw takes at most {_MAX_DRAWS}")
+    checked("budget", budget, integer=True)
+    if budget > _MAX_DRAWS:
+        raise ValueError(f"Monte Carlo budget {budget} is too large: a draw takes at most {_MAX_DRAWS}")
     tail = np.flatnonzero(s.responses > eta)
     # numpy hands any count its binomials leave over to the last category,
     # so a zero-weight scenario there could be drawn; only weighted ones enter.
@@ -138,10 +135,10 @@ def mc_estimate_cvar(
     p = s.probs[tail]
     p_tail = p.sum()
     # The share can round past 1 when every weighted scenario lies above eta.
-    hits = rng.binomial(n_samples, min(p_tail / s.probs.sum(), 1.0))
+    hits = rng.binomial(budget, min(p_tail / s.probs.sum(), 1.0))
     # Renormalising meets numpy's sum(p[:-1]) <= 1 + 1e-12, tighter than ScenarioSet's 1e-9.
     counts = rng.multinomial(hits, p / p_tail)
-    hinge_mean = float(np.dot(counts / n_samples, s.responses[tail] - eta))
+    hinge_mean = float(np.dot(counts / budget, s.responses[tail] - eta))
     return eta + hinge_mean / (1.0 - s.alpha_level)
 
 

@@ -72,7 +72,7 @@ class KernelModel:
 
     def __post_init__(self):
         for name in ("length_scale_x", "length_scale_y", "sigma"):
-            _checked(name, getattr(self, name))
+            checked(name, getattr(self, name))
         pts = np.asarray(self.sample_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("sample points must be (M, 2)")
@@ -167,8 +167,8 @@ class Mesh1D:
 
 
 def build_bar_mesh(length: float = 1.0, n_elems: int = 20) -> Mesh1D:
-    _checked("length", length)
-    _checked("n_elems", n_elems, integer=True)
+    checked("length", length)
+    checked("n_elems", n_elems, integer=True)
     return Mesh1D(length=length, n_elems=n_elems)
 
 
@@ -239,10 +239,10 @@ def build_cantilever_mesh(
     length: float = 2.0, height: float = 1.0, nx: int = 32, ny: int = 16
 ) -> MeshQ4:
     """Rectangular cantilever: clamped at x = 0, unit shear traction at x = length."""
-    _checked("length", length)
-    _checked("height", height)
-    _checked("nx", nx, integer=True)
-    _checked("ny", ny, integer=True)
+    checked("length", length)
+    checked("height", height)
+    checked("nx", nx, integer=True)
+    checked("ny", ny, integer=True)
     xs = np.linspace(0.0, length, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     active = np.ones((nx, ny), dtype=bool)
@@ -258,8 +258,8 @@ def build_lbracket_mesh(
     grid pitch must tile the leg width exactly so the re-entrant corner lies
     on mesh lines.
     """
-    _checked("leg_length", leg_length)
-    _checked("leg_width", leg_width)
+    checked("leg_length", leg_length)
+    checked("leg_width", leg_width)
     if not leg_width < leg_length:
         raise ValueError(
             f"bad value {leg_width!r} for parameter 'leg_width': "
@@ -399,7 +399,7 @@ class PlaneStressSolver:
     """
 
     def __init__(self, mesh: MeshQ4, nu: float = 0.3):
-        _checked("nu", nu)
+        checked("nu", nu)
         self.mesh = mesh
         self.ke_unit, self.d1, self.b_mats = _q4_unit_stiffness(mesh.hx, mesh.hy, nu)
         dofs = np.empty((mesh.n_elems, 8), dtype=int)
@@ -502,8 +502,12 @@ BENCHMARK_DEFAULTS = {
     "lbracket": LBRACKET_DEFAULTS,
 }
 
-# Range of each real parameter beyond finiteness: (test, what the message says).
+# Range of each parameter and run setting beyond its type: (test, what the
+# message says).  An integer one not named here takes any integer >= 1.
 _POSITIVE = (lambda v: v > 0.0, " > 0")
+_NONNEGATIVE = (lambda v: v >= 0.0, " >= 0")
+_UNIT_OPEN = (lambda v: 0.0 < v < 1.0, " in (0, 1)")
+_AT_LEAST_ONE = (lambda v: v >= 1, " >= 1")
 _PARAM_RANGES = {
     "length": _POSITIVE,
     "area": _POSITIVE,
@@ -514,8 +518,12 @@ _PARAM_RANGES = {
     "leg_width": _POSITIVE,
     "length_scale_x": _POSITIVE,
     "length_scale_y": _POSITIVE,
-    "sigma": (lambda v: v >= 0.0, " >= 0"),
+    "sigma": _NONNEGATIVE,
     "nu": (lambda v: -1.0 < v < 0.5, " in (-1, 0.5)"),
+    "alpha_level": _UNIT_OPEN,
+    "delta_tot": _UNIT_OPEN,
+    "epsilon_a": _NONNEGATIVE,
+    "seed": _NONNEGATIVE,
 }
 
 # Scenarios drawn per block by the bar ensemble; bounds its temporaries.
@@ -583,10 +591,10 @@ def write_ensemble(path, ens: Ensemble) -> None:
 def read_ensemble(path) -> Ensemble:
     """Reload a persisted ensemble; floats round-trip exactly.
 
-    A malformed file (missing header key, unparsable value, alpha_level
-    outside (0, 1), params not a JSON object, wrong column or row count,
-    index column not 0..n-1, weights or a response column failing
-    checked_scenarios) raises one ValueError line naming it.
+    A malformed file (missing header key, unparsable value, alpha_level,
+    n_scenarios or seed failing checked, params not a JSON object, wrong
+    column or row count, index column not 0..n-1, weights or a response
+    column failing checked_scenarios) raises one ValueError line naming it.
     """
     header, rows = {}, []
     width = 2 + len(QOI_NAMES)
@@ -606,15 +614,13 @@ def read_ensemble(path) -> Ensemble:
         missing = [k for k in keys if k not in header]
         if missing:
             raise ValueError(f"missing header keys {', '.join(missing)}")
-        alpha_level = float(header["alpha_level"])
-        if not 0.0 < alpha_level < 1.0:
-            raise ValueError(f"alpha_level {header['alpha_level']} must lie in (0, 1)")
+        alpha_level, seed, n = float(header["alpha_level"]), int(header["seed"]), int(header["n_scenarios"])
+        checked("alpha_level", alpha_level)
+        checked("seed", seed, integer=True)
+        checked("n_scenarios", n, integer=True)
         params = json.loads(header["params"])
         if not isinstance(params, dict):
             raise ValueError(f"params must be a JSON object, got {header['params']}")
-        n = int(header["n_scenarios"])
-        if n < 1:
-            raise ValueError("n_scenarios must be positive")
         if len(rows) != n:
             raise ValueError(f"{len(rows)} data rows, but the header says n_scenarios {n}")
         data = np.array(rows)
@@ -627,7 +633,7 @@ def read_ensemble(path) -> Ensemble:
         return Ensemble(
             benchmark=header["benchmark"],
             alpha_level=alpha_level,
-            seed=int(header["seed"]),
+            seed=seed,
             params=params,
             probs=probs,
             responses=responses,
@@ -699,32 +705,31 @@ def _ensemble_bar(n_scenarios: int, params: dict, rng) -> dict[str, np.ndarray]:
     return {"compliance": load * tip, "tipdisp": tip, "vmmax": vm}
 
 
-def _checked(name: str, value, integer: bool = False) -> None:
+def checked(name: str, value, integer: bool = False) -> None:
     """Raise one ValueError naming parameter name unless value lies in its range.
 
-    An integer parameter takes an integer >= 1 (never a float to be
-    truncated), any other a finite number in its _PARAM_RANGES range; a bool
-    is neither.
+    An integer parameter takes an integer (never a float to be truncated),
+    any other a finite number; either must lie in its _PARAM_RANGES range,
+    which for an integer defaults to >= 1.  A bool is neither.
     """
+    rule, where = _PARAM_RANGES.get(name, _AT_LEAST_ONE if integer else (None, ""))
     if integer:
-        ok, need = isinstance(value, numbers.Integral) and value >= 1, "an integer >= 1"
+        ok, kind = isinstance(value, numbers.Integral), "an integer"
     else:
-        rule, where = _PARAM_RANGES.get(name, (None, ""))
-        ok = isinstance(value, numbers.Real) and math.isfinite(value) and (rule is None or rule(value))
-        need = f"a finite number{where}"
-    if isinstance(value, bool) or not ok:
-        raise ValueError(f"bad value {value!r} for parameter {name!r}: must be {need}")
+        ok, kind = isinstance(value, numbers.Real) and math.isfinite(value), "a finite number"
+    if isinstance(value, bool) or not (ok and (rule is None or rule(value))):
+        raise ValueError(f"bad value {value!r} for parameter {name!r}: must be {kind}{where}")
 
 
 def _checked_params(benchmark: str, overrides: dict) -> dict:
-    """Defaults with the overrides applied, each checked by _checked under its name."""
+    """Defaults with the overrides applied, each passed through checked under its name."""
     params = dict(BENCHMARK_DEFAULTS[benchmark])
     for key in overrides:
         if key not in params:
             raise ValueError(f"unknown parameter {key!r} for {benchmark}")
     for key, default in params.items():
         value = overrides.get(key, default)
-        _checked(key, value, integer=isinstance(default, int))
+        checked(key, value, integer=isinstance(default, int))
         params[key] = type(default)(value)
     if "rank" in params and params["rank"] > params["n_sample_grid"] ** 2:
         raise ValueError(
@@ -746,13 +751,15 @@ def build_scenario_ensemble(
     The 1D bar draws element moduli independently from a discrete
     log-uniform level set; the 2D benchmarks use the correlated lognormal
     field.  Responses are cached per QoI so downstream estimators treat the
-    ensemble as a lookup table.  Every parameter is checked by name before
-    any mesh is built, so a bad one fails with one ValueError line.
+    ensemble as a lookup table.  The settings and every parameter are
+    checked by name before any mesh is built, so a bad one fails with one
+    ValueError line.
     """
     if benchmark not in BENCHMARK_DEFAULTS:
         raise ValueError(f"unknown benchmark {benchmark!r}")
-    if n_scenarios < 1:
-        raise ValueError("need at least one scenario")
+    checked("n_scenarios", n_scenarios, integer=True)
+    checked("seed", seed, integer=True)
+    checked("alpha_level", alpha_level)
     params = _checked_params(benchmark, overrides or {})
     rng = np.random.default_rng(seed)
     if benchmark == "bar1d":

@@ -4,12 +4,13 @@
 
 Each entry of MUTANTS is a (module, label, old, new) text replacement in
 src/tailamp: it disables one guard branch, zeroes one constant or flips one
-comparison of the controller (mliqae, stats, intervals) or of an input path
-(riskmodel, stochfem, cli).  The script copies the checkout into a temporary
-directory, checks that tier-1 passes on the copy as it is, then runs tier-1
-with -x once per mutant, on the copy with that one replacement made.  A
-nonzero exit or a run longer than the timeout kills the mutant.  It prints
-one row per mutant: killed, with the first test that failed, or survived.
+comparison of the controller (mliqae, stats, intervals), of an input path
+(riskmodel, stochfem, cli) or of the one input rule stochfem.checked.  The
+script copies the checkout into a temporary directory, checks that tier-1
+passes on the copy as it is, then runs tier-1 with -x once per mutant, on
+the copy with that one replacement made.  A nonzero exit or a run longer
+than the timeout kills the mutant.  It prints one row per mutant: killed,
+with the first test that failed, or survived.
 
 It exits 1 when an ``old`` text does not occur exactly once in its module
 (so a refactor forces the list to be updated), when a mutant survives that
@@ -80,6 +81,11 @@ MUTANTS = [
     # input paths
     ("riskmodel", "var_threshold: no clamp to the last scenario", "order[min(idx, order.size - 1)]", "order[idx]"),
     ("stochfem", "read_ensemble: no blank-line skip", "                elif line:\n", "                else:\n"),
+    ("stochfem", "checked: a bool passes", "if isinstance(value, bool) or not (ok", "if not (ok"),
+    ("stochfem", "checked: no finiteness test", "numbers.Real) and math.isfinite(value),", "numbers.Real),"),
+    ("stochfem", "checked: integer settings ignore the table (the seed's floor becomes 1)",
+     '_PARAM_RANGES.get(name, _AT_LEAST_ONE if integer else (None, ""))',
+     '_AT_LEAST_ONE if integer else _PARAM_RANGES.get(name, (None, ""))'),
     ("cli", "main: no OverflowError catch", "KeyError, MemoryError, OverflowError)", "KeyError, MemoryError)"),
 ]
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -178,19 +179,19 @@ class TestBenchConfig:
             ({"spam": 1}, "unknown controller fields"),
             ({"budget": 10}, "unknown controller fields"),
             ({"restart_cap": 101}, "restart_cap"),
-            ({"delta_tot": "deep"}, "bad controller value"),
+            ({"delta_tot": "deep"}, "bad value 'deep' for parameter 'delta_tot'"),
             (["delta_tot"], "mapping"),
             ({"kappa": 0.3}, "unknown controller fields"),
             ({"grid_points": 10.5}, "unknown controller fields"),
-            ({"delta_tot": None}, "bad controller value: delta_tot must be a real number"),
-            ({"epsilon_a": "0"}, "bad controller value: epsilon_a must be a real number"),
-            ({"delta_tot": "0.05"}, "bad controller value: delta_tot must be a real number"),
-            ({"epsilon_a": False}, "bad controller value: epsilon_a must be a real number"),
-            ({"epsilon_a": 1e309}, "epsilon_a must be a finite number"),
+            ({"delta_tot": None}, "bad value None for parameter 'delta_tot': must be a finite number in (0, 1)"),
+            ({"epsilon_a": "0"}, "bad value '0' for parameter 'epsilon_a': must be a finite number >= 0"),
+            ({"delta_tot": "0.05"}, "bad value '0.05' for parameter 'delta_tot': must be a finite number in (0, 1)"),
+            ({"epsilon_a": False}, "bad value False for parameter 'epsilon_a': must be a finite number >= 0"),
+            ({"epsilon_a": 1e309}, "bad value inf for parameter 'epsilon_a': must be a finite number >= 0"),
         ],
     )
     def test_rejects_bad_controller_overrides(self, controller, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             BenchConfig(controller=controller)
 
     @pytest.mark.parametrize(
@@ -204,16 +205,16 @@ class TestBenchConfig:
             ({"alpha_level": "0.9"}, "alpha_level"),
             ({"alpha_level": True}, "alpha_level"),
             ({"budgets": 2000}, "budgets must be a list of positive integers"),
-            ({"budgets": ["2000"]}, "budgets must be a list of positive integers"),
-            ({"budgets": [2000.5]}, "budgets must be a list of positive integers"),
-            ({"budgets": [True]}, "budgets must be a list of positive integers"),
-            ({"budgets": [0, 10]}, "budgets must be a list of positive integers"),
-            ({"repetitions": "3"}, "repetitions must be an integer"),
-            ({"repetitions": 2.0}, "repetitions must be an integer"),
-            ({"n_scenarios": "64"}, "n_scenarios must be an integer"),
-            ({"n_scenarios": 0}, "n_scenarios must be an integer of at least 1"),
-            ({"seed": "x"}, "seed must be an integer"),
-            ({"seed": -1}, "seed must be an integer of at least 0"),
+            ({"budgets": ["2000"]}, "bad value '2000' for parameter 'budget': must be an integer >= 1"),
+            ({"budgets": [2000.5]}, "bad value 2000.5 for parameter 'budget': must be an integer >= 1"),
+            ({"budgets": [True]}, "bad value True for parameter 'budget': must be an integer >= 1"),
+            ({"budgets": [0, 10]}, "bad value 0 for parameter 'budget': must be an integer >= 1"),
+            ({"repetitions": "3"}, "bad value '3' for parameter 'repetitions': must be an integer >= 1"),
+            ({"repetitions": 2.0}, "bad value 2.0 for parameter 'repetitions': must be an integer >= 1"),
+            ({"n_scenarios": "64"}, "bad value '64' for parameter 'n_scenarios': must be an integer >= 1"),
+            ({"n_scenarios": 0}, "bad value 0 for parameter 'n_scenarios': must be an integer >= 1"),
+            ({"seed": "x"}, "bad value 'x' for parameter 'seed': must be an integer >= 0"),
+            ({"seed": -1}, "bad value -1 for parameter 'seed': must be an integer >= 0"),
             ({"methods": 5}, "methods must be a nonempty list"),
             ({"methods": "mc"}, "methods must be a nonempty list"),
             ({"ensemble": [1]}, "ensemble must be a mapping"),
@@ -222,7 +223,7 @@ class TestBenchConfig:
         ],
     )
     def test_rejects_wrong_field_types(self, fields, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             BenchConfig(**fields)
 
     def test_budget_above_the_controller_ceiling_is_rejected_when_mliqae_runs(self):
@@ -499,7 +500,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "controller, message",
         [
-            ({"delta_tot": 0}, "delta_tot must lie in (0, 1)"),
+            ({"delta_tot": 0}, "bad value 0 for parameter 'delta_tot': must be a finite number in (0, 1)"),
             ({"spam": 1}, "unknown controller fields"),
             ({"restart_cap": 3}, "restart_cap"),
         ],
@@ -519,9 +520,9 @@ class TestCommands:
         "config, message",
         [
             ({"budgets": 2000}, "budgets must be a list of positive integers"),
-            ({"repetitions": "3"}, "repetitions must be an integer"),
-            ({"n_scenarios": "64"}, "n_scenarios must be an integer"),
-            ({"seed": "x"}, "seed must be an integer"),
+            ({"repetitions": "3"}, "bad value '3' for parameter 'repetitions': must be an integer >= 1"),
+            ({"n_scenarios": "64"}, "bad value '64' for parameter 'n_scenarios': must be an integer >= 1"),
+            ({"seed": "x"}, "bad value 'x' for parameter 'seed': must be an integer >= 0"),
             ({"methods": 5}, "methods must be a nonempty list"),
             ({"ensemble": {"n_elems": [3]}}, "bad value [3] for parameter 'n_elems'"),
             ([{"benchmark": "bar1d"}], "config must be a JSON object"),
@@ -603,9 +604,10 @@ class TestCommands:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("alpha_level", "1.5", "alpha_level 1.5 must lie in (0, 1)"),
-            ("alpha_level", "0", "alpha_level 0 must lie in (0, 1)"),
+            ("alpha_level", "1.5", "bad value 1.5 for parameter 'alpha_level': must be a finite number in (0, 1)"),
+            ("alpha_level", "0", "bad value 0.0 for parameter 'alpha_level': must be a finite number in (0, 1)"),
             ("params", "[1,2]", "params must be a JSON object, got [1,2]"),
+            ("seed", "-7", "bad value -7 for parameter 'seed': must be an integer >= 0"),
         ],
     )
     def test_bad_header_value_is_one_error_line_naming_the_file(
@@ -707,6 +709,19 @@ class TestCommands:
             assert err[0].startswith(f"error: Monte Carlo budget {budget} is too large")
         else:
             assert err[0].startswith(f"error: budget {budget} is too large: the controller takes at most 2**53")
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_a_budget_below_one_is_the_same_error_line_for_both_methods(self, tmp_path, capsys, budget):
+        ens_path, _ = self.generate(tmp_path)
+        for method in ("mc", "mliqae"):
+            capsys.readouterr()
+            rc = main(["estimate", "--ensemble", str(ens_path), "--method", method, "--budget", str(budget)])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: bad value {budget} for parameter 'budget': must be an integer >= 1"
+            ]
 
     def test_mliqae_budget_just_above_the_ceiling_is_one_error_line(self, tmp_path, capsys):
         budget = 2**53 + 1  # fits numpy's 64-bit counts, so only the ceiling rejects it

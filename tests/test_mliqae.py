@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -229,7 +230,7 @@ class TestControllerConfig:
     )
     def test_rejects_wrong_types(self, field, value):
         kwargs = {"budget": 100, field: value}
-        with pytest.raises(TypeError, match=f"{field} must be"):
+        with pytest.raises(ValueError, match=re.escape(f"bad value {value!r} for parameter {field!r}: must be ")):
             ControllerConfig(**kwargs)
 
     def test_accepts_boundary_settings(self):

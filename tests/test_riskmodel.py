@@ -250,7 +250,7 @@ class TestCvarMaps:
         with pytest.raises(ValueError):
             cvar_from_amplitude(1.5, 0.0, 1.0, 0.9)
         for level in (0.0, 1.0):
-            with pytest.raises(ValueError, match=r"alpha_level must lie in \(0, 1\)"):
+            with pytest.raises(ValueError, match=r"for parameter 'alpha_level': must be a finite number in \(0, 1\)$"):
                 cvar_from_amplitude(0.5, 0.0, 1.0, level)
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailamp.riskmodel import ScenarioSet, discrete_cvar, var_threshold
+from tailamp.cli import BenchConfig
+from tailamp.mliqae import ControllerConfig
+from tailamp.riskmodel import ScenarioSet, cvar_from_amplitude, discrete_cvar, mc_estimate_cvar, var_threshold
 from tailamp.stochfem import (
     QOI_NAMES,
     KernelModel,
@@ -18,6 +20,7 @@ from tailamp.stochfem import (
     build_cantilever_mesh,
     build_lbracket_mesh,
     build_scenario_ensemble,
+    checked,
     gaussian_kernel,
     nystrom_basis,
     read_ensemble,
@@ -446,8 +449,50 @@ REAL_PARAMETERS = {
 }
 
 
+# Each run setting of an entry point: (entry point, setting) -> (whether it is
+# an integer, a call of the entry point with value for it).
+FOUR_SCENARIOS = ScenarioSet(np.full(4, 0.25), np.arange(4.0), 0.5)
+RUN_SETTINGS = {
+    ("ControllerConfig", "budget"): (True, lambda v: ControllerConfig(budget=v)),
+    ("ControllerConfig", "delta_tot"): (False, lambda v: ControllerConfig(budget=100, delta_tot=v)),
+    ("ControllerConfig", "epsilon_a"): (False, lambda v: ControllerConfig(budget=100, epsilon_a=v)),
+    ("BenchConfig", "alpha_level"): (False, lambda v: BenchConfig(alpha_level=v)),
+    ("BenchConfig", "budget"): (True, lambda v: BenchConfig(budgets=[v])),
+    ("BenchConfig", "repetitions"): (True, lambda v: BenchConfig(repetitions=v)),
+    ("BenchConfig", "seed"): (True, lambda v: BenchConfig(seed=v)),
+    ("BenchConfig", "n_scenarios"): (True, lambda v: BenchConfig(n_scenarios=v)),
+    ("build_scenario_ensemble", "n_scenarios"): (True, lambda v: build_scenario_ensemble("bar1d", v, 1)),
+    ("build_scenario_ensemble", "seed"): (True, lambda v: build_scenario_ensemble("bar1d", 8, v)),
+    ("build_scenario_ensemble", "alpha_level"): (
+        False, lambda v: build_scenario_ensemble("bar1d", 8, 1, alpha_level=v)
+    ),
+    ("ScenarioSet", "alpha_level"): (False, lambda v: ScenarioSet(np.ones(2) / 2, np.ones(2), v)),
+    ("cvar_from_amplitude", "alpha_level"): (False, lambda v: cvar_from_amplitude(0.5, 0.0, 1.0, v)),
+    ("mc_estimate_cvar", "budget"): (
+        True, lambda v: mc_estimate_cvar(FOUR_SCENARIOS, 1.0, v, np.random.default_rng(0))
+    ),
+}
+# The values just outside each setting's range.
+RANGE_EDGES = {
+    "alpha_level": [0.0, 1.0],
+    "delta_tot": [0.0, 1.0],
+    "epsilon_a": [-5e-324],
+    "seed": [-1],
+    "budget": [0],
+    "repetitions": [0],
+    "n_scenarios": [0],
+}
+BAD_RUN_SETTINGS = [
+    (key, value)
+    for key, (integer, _) in sorted(RUN_SETTINGS.items())
+    for value in [True, False, math.nan, math.inf, -math.inf, "0.9", None]
+    + ([2.5, 4.0] if integer else []) + RANGE_EDGES[key[1]]
+]
+
+
 class TestConstructorParameters:
-    """The constructors check each parameter by the rule and message of the CLI."""
+    """The constructors and entry points check each parameter and run setting
+    by the one rule and message of stochfem.checked, which the CLI prints."""
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", sorted(REAL_PARAMETERS), ids="-".join)
@@ -471,6 +516,27 @@ class TestConstructorParameters:
         ):
             with pytest.raises(ValueError, match=f"for parameter '{name}': must be an integer >= 1$"):
                 call()
+
+    @pytest.mark.parametrize(
+        "key, value", BAD_RUN_SETTINGS, ids=[f"{e}-{n}-{v!r}" for (e, n), v in BAD_RUN_SETTINGS]
+    )
+    def test_rejects_a_bad_run_setting_with_the_message_of_checked(self, key, value):
+        integer, call = RUN_SETTINGS[key]
+        with pytest.raises(ValueError) as rule:
+            checked(key[1], value, integer=integer)
+        assert str(rule.value).startswith(f"bad value {value!r} for parameter {key[1]!r}: must be ")
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert raised.type is ValueError and raised.value.__context__ is None
+        assert str(raised.value) == str(rule.value)
+
+    def test_takes_a_run_setting_at_its_range_edge(self):
+        assert BenchConfig(seed=0, alpha_level=5e-324, budgets=[1], repetitions=1, n_scenarios=1).seed == 0
+        assert build_scenario_ensemble("bar1d", 1, 0, alpha_level=1.0 - 2**-53).n_scenarios == 1
+        cfg = ControllerConfig(budget=1, delta_tot=1.0 - 2**-53, epsilon_a=0.0)
+        assert (cfg.budget, cfg.epsilon_a) == (1, 0.0)
+        for budget in (1, np.int64(3)):
+            assert math.isfinite(mc_estimate_cvar(FOUR_SCENARIOS, 1.0, budget, np.random.default_rng(0)))
 
 
 class TestEnsembles:
@@ -702,7 +768,12 @@ class TestEnsembleFileValidation:
         lines[-1] = lines[-1].replace(lines[-1].split()[1], "nope", 1)
         assert "'nope'" in self._read(tmp_path, lines)
 
+    def test_negative_seed(self, tmp_path, lines):
+        lines = [("# seed -7" if ln.startswith("# seed ") else ln) for ln in lines]
+        message = self._read(tmp_path, lines)
+        assert message.endswith("bad.txt: bad value -7 for parameter 'seed': must be an integer >= 0")
+
     def test_nonpositive_scenario_count(self, tmp_path, lines):
         kept = [("# n_scenarios 0" if ln.startswith("# n_scenarios ") else ln)
                 for ln in lines if ln.startswith("#")]
-        assert "n_scenarios must be positive" in self._read(tmp_path, kept)
+        assert "bad value 0 for parameter 'n_scenarios': must be an integer >= 1" in self._read(tmp_path, kept)
