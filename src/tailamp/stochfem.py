@@ -11,10 +11,13 @@ displacement, and the peak von Mises stress.
 The two-node bar needs no solve: its elements are springs in series, so the
 tip displacement has the closed form P/A * sum_e L_e / E_e, evaluated for a
 whole block of scenarios at once.  The bilinear plane-stress quadrilateral
-models solve K_ff u = f by banded Cholesky (LAPACK lower band storage) in
-natural dof order, which the x-major node numbering keeps narrow.  A band
-map built once per mesh scatters the scaled unit element matrix straight into
-band storage, so no sparse matrix is ever formed.
+models solve K_ff u = f by banded Cholesky (LAPACK ?pbsv on lower band
+storage) in natural dof order, which the x-major node numbering keeps
+narrow.  A band map built once per mesh scatters the scaled unit element
+matrix straight into LAPACK's column-major band layout, so no sparse matrix
+is ever formed and the band is factored in place.  The plane-stress
+ensembles solve in blocks of scenarios: each scenario costs its band
+assembly and one ?pbsv, and the peak stress is taken once per block.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import numbers
 import os
 import warnings
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -292,21 +295,22 @@ class QoIVector:
     tip_displacement: float
     vm_max: float
 
-    def as_dict(self) -> dict:
-        return {
-            "compliance": self.compliance,
-            "tipdisp": self.tip_displacement,
-            "vmmax": self.vm_max,
-        }
+
+_BAD_MODULI = "moduli must be positive and finite"
+
+
+def _positive_finite(moduli: np.ndarray) -> np.ndarray:
+    """Whether every modulus is positive and finite, over the last axis."""
+    # NaN fails both comparisons, so this also rejects it.
+    return np.all((moduli > 0.0) & (moduli < np.inf), axis=-1)
 
 
 def _checked_moduli(moduli, n_elems: int) -> np.ndarray:
     moduli = np.asarray(moduli, dtype=float)
     if moduli.shape != (n_elems,):
         raise ValueError("one modulus per element required")
-    # NaN fails both comparisons, so this also rejects it.
-    if not np.all((moduli > 0.0) & (moduli < np.inf)):
-        raise ValueError("moduli must be positive and finite")
+    if not _positive_finite(moduli):
+        raise ValueError(_BAD_MODULI)
     return moduli
 
 
@@ -365,26 +369,31 @@ class _BandMap:
     """Scatter map from element-matrix entries into the banded K_ff.
 
     K_ff is K restricted to the free dofs in natural order, held in LAPACK
-    lower band storage: entry (i, j), i >= j, lives at ab[i - j, j].  Entry t
-    of the map adds moduli[elem[t]] * ke[t] to the flat slot pos[t].
+    lower band storage: entry (i, j), i >= j, lives at ab[i - j, j], and ab
+    is column-major, as LAPACK reads it.  Entry t of the map adds
+    moduli[elem[t]] * ke[t] to the flat column-major slot pos[t].
     """
 
     free: np.ndarray    # free dof indices, ascending
-    pos: np.ndarray     # flat index into ab
+    pos: np.ndarray     # flat column-major index into ab
     elem: np.ndarray    # element of each entry
     ke: np.ndarray      # unit-modulus value of each entry
     shape: tuple        # (half-bandwidth + 1, number of free dofs)
+    pbsv: Callable      # LAPACK dpbsv
 
     def solve(self, moduli: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Assemble K_ff for these moduli and solve it by banded Cholesky."""
-        from scipy.linalg import solveh_banded  # imported on first use, as in nystrom_basis
-
         ab = np.bincount(
             self.pos, weights=moduli[self.elem] * self.ke, minlength=self.shape[0] * self.shape[1]
-        ).reshape(self.shape)
+        ).reshape(self.shape, order="F")
         # The lower form: on the default meshes it ran about 5x faster than the
-        # upper form with two OpenBLAS threads, and no slower with one.
-        return solveh_banded(ab, rhs, overwrite_ab=True, lower=True, check_finite=False)
+        # upper form with two OpenBLAS threads, and no slower with one.  The
+        # band is already in LAPACK's layout, so ?pbsv factors it in place;
+        # rhs is copied, since a block of scenarios shares it.
+        _, x, info = self.pbsv(ab, rhs, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+        return x
 
 
 class PlaneStressSolver:
@@ -393,9 +402,10 @@ class PlaneStressSolver:
     Congruent elements mean a single unit stiffness matrix serves every
     element.  The band map of the stiffness is built once, so each
     realization costs one scale, one bincount into band storage and one
-    banded Cholesky solve.  The x-major node numbering already keeps the
-    band narrow (half-bandwidth 2 * (ny + 1) + 3 on the cantilever), so the
-    dofs stay in natural order.
+    banded Cholesky solve; solve_rows takes a block of realizations and
+    computes their peak stresses together.  The x-major node numbering
+    already keeps the band narrow (half-bandwidth 2 * (ny + 1) + 3 on the
+    cantilever), so the dofs stay in natural order.
     """
 
     def __init__(self, mesh: MeshQ4, nu: float = 0.3):
@@ -411,6 +421,9 @@ class PlaneStressSolver:
 
     def _band(self, fixed_dofs: np.ndarray) -> _BandMap:
         """Band map of K_ff for the dofs not in fixed_dofs, kept in natural order."""
+        # scipy.linalg is imported on first use, as in nystrom_basis.
+        from scipy.linalg import get_lapack_funcs
+
         free = np.setdiff1d(np.arange(self.n_dof), fixed_dofs)
         index = np.full(self.n_dof, -1)
         index[free] = np.arange(free.size)
@@ -419,17 +432,56 @@ class PlaneStressSolver:
         elem, a, b = np.nonzero((cols >= 0) & (rows >= cols))
         i, j = loc[elem, a], loc[elem, b]
         shape = (int((i - j).max(initial=0)) + 1, free.size)
-        return _BandMap(free, (i - j) * free.size + j, elem, self.ke_unit[a, b], shape)
+        (pbsv,) = get_lapack_funcs(("pbsv",), (self.ke_unit,))
+        return _BandMap(free, j * shape[0] + (i - j), elem, self.ke_unit[a, b], shape, pbsv)
 
     def solve(self, moduli: np.ndarray, traction: float = 1.0) -> PlaneStressResult:
         moduli = _checked_moduli(moduli, self.mesh.n_elems)
+        u, qoi, error = self.solve_rows(moduli[None, :], traction)
+        if error is not None:
+            raise error
+        return PlaneStressResult(
+            u=u[0],
+            qoi=QoIVector(
+                compliance=float(qoi["compliance"][0]),
+                tip_displacement=float(qoi["tipdisp"][0]),
+                vm_max=float(qoi["vmmax"][0]),
+            ),
+        )
+
+    def solve_rows(
+        self, moduli: np.ndarray, traction: float = 1.0
+    ) -> tuple[np.ndarray, dict[str, np.ndarray], Exception | None]:
+        """Solve each row of a (B, E) block of moduli, in row order.
+
+        Returns (u, qoi, error).  u holds the displacements of the rows
+        before the first that cannot be solved, (n, n_dof), and qoi maps
+        each of QOI_NAMES to their (n,) values.  error is that first row's
+        ValueError (a modulus not positive and finite) or LinAlgError (a band
+        that is not positive definite), or None when all B rows solved.  The
+        rows are solved in order, so an earlier row's LinAlgError comes
+        before a later row's bad modulus.
+        """
+        ok = _positive_finite(moduli)
+        n = int(ok.argmin()) if not ok.all() else ok.size
+        error = None if n == ok.size else ValueError(_BAD_MODULI)
         f = traction * self.mesh.unit_load
-        u = np.zeros(self.n_dof)
-        u[self.band.free] = self.band.solve(moduli, f[self.band.free])
-        compliance = float(f @ u)
-        tip = abs(float(u[2 * self.mesh.tip_node + 1]))
-        vm = float(self._element_peak_stress(u, moduli).max())
-        return PlaneStressResult(u=u, qoi=QoIVector(compliance, tip, vm))
+        rhs = f[self.band.free]
+        u = np.zeros((n, self.n_dof))
+        for i in range(n):
+            try:
+                u[i, self.band.free] = self.band.solve(moduli[i], rhs)
+            except np.linalg.LinAlgError as exc:
+                u, error = u[:i], exc
+                break
+        moduli = moduli[: len(u)]
+        qoi = {
+            # One dot per row: a (B, n_dof) @ f product rounds differently.
+            "compliance": np.array([f @ row for row in u]),
+            "tipdisp": np.abs(u[:, 2 * self.mesh.tip_node + 1]),
+            "vmmax": self._element_peak_stress(u, moduli).max(axis=1),
+        }
+        return u, qoi, error
 
     def solve_prescribed(
         self, moduli: np.ndarray, dirichlet_dofs: np.ndarray, dirichlet_values: np.ndarray
@@ -446,15 +498,22 @@ class PlaneStressSolver:
         return u
 
     def _element_peak_stress(self, u: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        """Peak von Mises stress of each element over its Gauss points, (E,)."""
-        ue = u[self.dof_map]  # (E, 8)
-        peak = np.zeros(self.mesh.n_elems)
+        """Peak von Mises stress of each element over its Gauss points.
+
+        u holds displacements and moduli element moduli over their last axes,
+        (..., n_dof) and (..., E); returns (..., E).  Each Gauss point's
+        strain and stress products run over the elements of every row at once.
+        """
+        ue = u[..., self.dof_map].reshape(-1, 8)
+        scale = moduli.reshape(-1, 1)
+        peak = np.zeros(ue.shape[0])
         for b in self.b_mats:
-            strain = ue @ b.T             # (E, 3)
-            stress = (strain @ self.d1.T) * moduli[:, None]
+            stress = ((ue @ b.T) @ self.d1.T) * scale
             sx, sy, txy = stress[:, 0], stress[:, 1], stress[:, 2]
-            peak = np.maximum(peak, np.sqrt(sx * sx - sx * sy + sy * sy + 3.0 * txy * txy))
-        return peak
+            # The square of the stress: sqrt is correctly rounded and monotone,
+            # so the root of the largest square is the largest root.
+            peak = np.maximum(peak, sx * sx - sx * sy + sy * sy + 3.0 * txy * txy)
+        return np.sqrt(peak).reshape(moduli.shape)
 
 
 def solve_plane_stress_q4(
@@ -528,6 +587,11 @@ _PARAM_RANGES = {
 
 # Scenarios drawn per block by the bar ensemble; bounds its temporaries.
 _BAR_BLOCK = 1024
+# Scenarios solved per block by the plane-stress ensembles.  Blocks of 8 to
+# 32 built as fast; at 8 the largest stress temporary, (block * n_elems, 8),
+# stays below the default cantilever's band, and the heap no larger than
+# with one scenario at a time (BENCH_plane_blocks.json).
+_PLANE_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -670,19 +734,18 @@ def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict[st
     phi = nystrom_basis(model).evaluate(mesh.centroids)
     solver = PlaneStressSolver(mesh, params["nu"])
     responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
-    for i in range(n_scenarios):
-        modulus = sample_field(model, phi, rng)
-        try:
-            qoi = solver.solve(modulus, params["traction"]).qoi
-        except (ValueError, np.linalg.LinAlgError) as exc:
+    for start in range(0, n_scenarios, _PLANE_BLOCK):
+        fields = [sample_field(model, phi, rng) for _ in range(min(_PLANE_BLOCK, n_scenarios - start))]
+        u, qoi, error = solver.solve_rows(np.array(fields), params["traction"])
+        if error is not None:
             # The mesh and every other parameter are checked already: the
             # field exp(sigma * z) itself spans too many decades to solve.
             raise ValueError(
                 f"bad value {params['sigma']!r} for parameter 'sigma': "
-                f"scenario {i}'s modulus field cannot be solved ({exc})"
-            ) from None
-        for name, value in qoi.as_dict().items():
-            responses[name][i] = value
+                f"scenario {start + len(u)}'s modulus field cannot be solved ({error})"
+            )
+        for name, values in qoi.items():
+            responses[name][start : start + len(u)] = values
     return responses
 
 
@@ -705,18 +768,26 @@ def _ensemble_bar(n_scenarios: int, params: dict, rng) -> dict[str, np.ndarray]:
     return {"compliance": load * tip, "tipdisp": tip, "vmmax": vm}
 
 
+def _finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def checked(name: str, value, integer: bool = False) -> None:
     """Raise one ValueError naming parameter name unless value lies in its range.
 
     An integer parameter takes an integer (never a float to be truncated),
-    any other a finite number; either must lie in its _PARAM_RANGES range,
-    which for an integer defaults to >= 1.  A bool is neither.
+    any other a finite number, which an integer too large for a float is
+    not; either must lie in its _PARAM_RANGES range, which for an integer
+    defaults to >= 1.  A bool is neither.
     """
     rule, where = _PARAM_RANGES.get(name, _AT_LEAST_ONE if integer else (None, ""))
     if integer:
         ok, kind = isinstance(value, numbers.Integral), "an integer"
     else:
-        ok, kind = isinstance(value, numbers.Real) and math.isfinite(value), "a finite number"
+        ok, kind = isinstance(value, numbers.Real) and _finite(value), "a finite number"
     if isinstance(value, bool) or not (ok and (rule is None or rule(value))):
         raise ValueError(f"bad value {value!r} for parameter {name!r}: must be {kind}{where}")
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,10 @@ import pytest
 
 from tailamp.cli import BenchConfig
 from tailamp.mliqae import ControllerConfig
+from tailamp import stochfem
 from tailamp.riskmodel import ScenarioSet, cvar_from_amplitude, discrete_cvar, mc_estimate_cvar, var_threshold
 from tailamp.stochfem import (
+    _PLANE_BLOCK,
     QOI_NAMES,
     KernelModel,
     PlaneStressSolver,
@@ -494,7 +497,9 @@ class TestConstructorParameters:
     """The constructors and entry points check each parameter and run setting
     by the one rule and message of stochfem.checked, which the CLI prints."""
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+    )
     @pytest.mark.parametrize("key", sorted(REAL_PARAMETERS), ids="-".join)
     def test_rejects_a_non_finite_real_parameter(self, key, value):
         _, name, benchmark = key
@@ -529,6 +534,16 @@ class TestConstructorParameters:
             call(value)
         assert raised.type is ValueError and raised.value.__context__ is None
         assert str(raised.value) == str(rule.value)
+
+    @pytest.mark.parametrize(
+        "key", sorted(key for key, (integer, _) in RUN_SETTINGS.items() if not integer), ids="-".join
+    )
+    def test_an_integer_too_large_for_a_float_is_not_a_finite_setting(self, key):
+        # math.isfinite raises OverflowError on it; checked says which setting is bad instead.
+        with pytest.raises(ValueError) as raised:
+            RUN_SETTINGS[key][1](10**400)
+        assert raised.type is ValueError and raised.value.__context__ is None
+        assert str(raised.value).startswith(f"bad value {10**400} for parameter {key[1]!r}: must be a finite number")
 
     def test_takes_a_run_setting_at_its_range_edge(self):
         assert BenchConfig(seed=0, alpha_level=5e-324, budgets=[1], repetitions=1, n_scenarios=1).seed == 0
@@ -641,6 +656,72 @@ class TestEnsembles:
             assert ens.responses["vmmax"][i] == qoi.vm_max
 
     @pytest.mark.parametrize(
+        "kind, overrides",
+        [
+            ("cantilever", {"nx": 5, "ny": 3, "rank": 5, "n_sample_grid": 3, "sigma": 0.8}),
+            ("lbracket", {"n_elems_per_unit": 10, "rank": 5, "n_sample_grid": 3, "sigma": 0.8}),
+        ],
+    )
+    def test_plane_ensemble_is_one_draw_and_one_solve_per_scenario(self, kind, overrides):
+        # Two whole blocks and a partial one: each response has the bits of one
+        # field draw and one solve of that scenario alone.
+        n = 2 * _PLANE_BLOCK + 5
+        ens = build_scenario_ensemble(kind, n, seed=6, overrides=overrides)
+        p = ens.params
+        if kind == "cantilever":
+            mesh = build_cantilever_mesh(p["length"], p["height"], p["nx"], p["ny"])
+        else:
+            mesh = build_lbracket_mesh(p["leg_length"], p["leg_width"], p["n_elems_per_unit"])
+        x_hi, y_hi = mesh.coords.max(axis=0)
+        points = stochfem._grid_sample_points(x_hi, y_hi, p["n_sample_grid"])
+        model = KernelModel(p["length_scale_x"], p["length_scale_y"], p["sigma"], p["rank"], points)
+        phi = nystrom_basis(model).evaluate(mesh.centroids)
+        solver = PlaneStressSolver(mesh, p["nu"])
+        rng = np.random.default_rng(6)
+        for i in range(n):
+            qoi = solver.solve(sample_field(model, phi, rng), p["traction"]).qoi
+            assert ens.responses["compliance"][i] == qoi.compliance
+            assert ens.responses["tipdisp"][i] == qoi.tip_displacement
+            assert ens.responses["vmmax"][i] == qoi.vm_max
+
+    # A modulus field that cannot be solved, of each kind.  Stiff and soft
+    # elements side by side (1e200 against 1) leave a band that Cholesky finds
+    # not positive definite, though every modulus is positive and finite.
+    BAD_FIELDS = {
+        "inf": lambda m: np.where(np.arange(m.size) == 5, np.inf, m),
+        "nan": lambda m: np.where(np.arange(m.size) == 5, np.nan, m),
+        "zero": lambda m: np.where(np.arange(m.size) == 5, 0.0, m),
+        "negative": lambda m: -m,
+        "indefinite": lambda m: np.where(np.arange(m.size) % 2 == 0, 1e200, 1.0),
+    }
+    BAD_MODULUS = "moduli must be positive and finite"
+    INDEFINITE = r"\d+th leading minor not positive definite"
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("inf",), ("nan",), ("zero",), ("negative",), ("indefinite",), ("indefinite", "inf"), ("nan", "indefinite")],
+        ids="-then-".join,
+    )
+    def test_the_error_names_the_first_scenario_that_cannot_be_solved(self, kinds, monkeypatch):
+        # The bad scenarios sit two apart in the middle of the second block, so a
+        # check of the whole block must not report the later one first.
+        first = _PLANE_BLOCK + 5
+        bad = {first + 2 * j: self.BAD_FIELDS[kind] for j, kind in enumerate(kinds)}
+        draw, drawn = stochfem.sample_field, []
+
+        def field(model, phi, rng):
+            drawn.append(None)
+            return bad.get(len(drawn) - 1, lambda m: m)(draw(model, phi, rng))
+
+        monkeypatch.setattr(stochfem, "sample_field", field)
+        overrides = {"nx": 4, "ny": 3, "rank": 4, "n_sample_grid": 3}
+        with pytest.raises(ValueError) as raised:
+            build_scenario_ensemble("cantilever", 3 * _PLANE_BLOCK, seed=2, overrides=overrides)
+        reason = self.INDEFINITE if kinds[0] == "indefinite" else re.escape(self.BAD_MODULUS)
+        want = rf"bad value 0\.3 for parameter 'sigma': scenario {first}'s modulus field cannot be solved \({reason}\)"
+        assert re.fullmatch(want, str(raised.value))
+
+    @pytest.mark.parametrize(
         "kind, overrides, message",
         [
             ("bar1d", {"n_elems": 2.7}, "parameter 'n_elems': must be an integer"),
@@ -663,7 +744,7 @@ class TestEnsembles:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran before the parameters were checked")
 
-        monkeypatch.setattr(PlaneStressSolver, "solve", no_solve)
+        monkeypatch.setattr(PlaneStressSolver, "solve_rows", no_solve)
         monkeypatch.setattr("tailamp.stochfem._bar_tip", no_solve)
         with pytest.raises(ValueError) as info:
             build_scenario_ensemble(kind, 4, seed=0, overrides=overrides)
