@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ValueError, KeyError, MemoryError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         # A bare MemoryError carries no message; its name is the message then.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

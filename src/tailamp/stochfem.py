@@ -8,16 +8,19 @@ element centroids.  Deterministic linear FEM solves then map each modulus
 realization to scalar quantities of interest: compliance, a tip
 displacement, and the peak von Mises stress.
 
-The two-node bar needs no solve: its elements are springs in series, so the
-tip displacement has the closed form P/A * sum_e L_e / E_e, evaluated for a
-whole block of scenarios at once.  The bilinear plane-stress quadrilateral
-models solve K_ff u = f by banded Cholesky (LAPACK ?pbsv on lower band
-storage) in natural dof order, which the x-major node numbering keeps
-narrow.  A band map built once per mesh scatters the scaled unit element
-matrix straight into LAPACK's column-major band layout, so no sparse matrix
-is ever formed and the band is factored in place.  The plane-stress
-ensembles solve in blocks of scenarios: each scenario costs its band
-assembly and one ?pbsv, and the peak stress is taken once per block.
+Each model states its QoIs once, for a block of scenarios; a single
+scenario is a block of one.  The two-node bar needs no solve: its elements
+are springs in series, so _bar_responses evaluates the tip displacement in
+the closed form P/A * sum_e L_e / E_e.  The bilinear plane-stress
+quadrilateral models solve K_ff u = f by banded Cholesky (LAPACK ?pbsv on
+lower band storage) in natural dof order, which the x-major node numbering
+keeps narrow.  A band map built once per mesh scatters the scaled unit
+element matrix straight into LAPACK's column-major band layout, so no
+sparse matrix is ever formed and the band is factored in place.
+PlaneStressSolver.solve solves one field, at the cost of its band assembly
+and one ?pbsv, and raises when it cannot; PlaneStressSolver.responses gives
+the QoIs of a block of solved fields, with the peak stress taken once per
+block.
 """
 
 from __future__ import annotations
@@ -271,7 +274,7 @@ def build_lbracket_mesh(
     n_total = leg_length * n_elems_per_unit
     n_width = leg_width * n_elems_per_unit
     for name, cells in (("leg_length", n_total), ("leg_width", n_width)):
-        if abs(cells - round(cells)) > 1e-9:
+        if not math.isfinite(cells) or abs(cells - round(cells)) > 1e-9:
             raise ValueError(
                 f"bad value {n_elems_per_unit!r} for parameter 'n_elems_per_unit': "
                 f"{name} * n_elems_per_unit = {cells:g} is not a whole number of elements"
@@ -296,41 +299,38 @@ class QoIVector:
     vm_max: float
 
 
-_BAD_MODULI = "moduli must be positive and finite"
-
-
-def _positive_finite(moduli: np.ndarray) -> np.ndarray:
-    """Whether every modulus is positive and finite, over the last axis."""
-    # NaN fails both comparisons, so this also rejects it.
-    return np.all((moduli > 0.0) & (moduli < np.inf), axis=-1)
-
-
 def _checked_moduli(moduli, n_elems: int) -> np.ndarray:
     moduli = np.asarray(moduli, dtype=float)
     if moduli.shape != (n_elems,):
         raise ValueError("one modulus per element required")
-    if not _positive_finite(moduli):
-        raise ValueError(_BAD_MODULI)
+    # NaN fails both comparisons, so this also rejects it.
+    if not np.all((moduli > 0.0) & (moduli < np.inf)):
+        raise ValueError("moduli must be positive and finite")
     return moduli
 
 
-def _bar_tip(elem_length: float, moduli: np.ndarray, P: float, A: float) -> np.ndarray:
-    """Series-spring tip displacement P/A * sum_e L_e / E_e over the last axis."""
+def _qoi_vector(responses: Mapping[str, np.ndarray]) -> QoIVector:
+    """The one row of a block-of-one response map, as a QoIVector."""
+    return QoIVector(*(float(responses[name][0]) for name in QOI_NAMES))
+
+
+def _bar_responses(elem_length: float, moduli: np.ndarray, P: float, A: float) -> dict[str, np.ndarray]:
+    """Each of QOI_NAMES, (B,), for a (B, n_elems) block of bar moduli.
+
+    The elements act as springs in series, so the tip displacement is the
+    closed form P/A * sum_e L_e / E_e and the compliance P times it.  The
+    axial stress is P/A in every element by equilibrium, so vmmax is
+    constant and carried only for schema uniformity.
+    """
     with np.errstate(over="ignore"):  # an overflow is an infinite displacement; ensembles reject it
-        return P / A * np.sum(elem_length / moduli, axis=-1)
+        tip = P / A * np.sum(elem_length / moduli, axis=-1)
+    return {"compliance": P * tip, "tipdisp": tip, "vmmax": np.full(tip.shape, abs(P / A))}
 
 
 def solve_bar_1d(mesh: Mesh1D, moduli: np.ndarray, P: float = 1.0, A: float = 1.0) -> QoIVector:
-    """Axial two-node bar with element-wise modulus; left node clamped.
-
-    The elements act as springs in series, so the tip displacement is the
-    closed form P/A * sum_e L_e / E_e and no system is solved.  The axial
-    stress is P/A in every element by equilibrium, so vm_max is constant and
-    carried only for schema uniformity.
-    """
+    """Axial two-node bar with element-wise modulus, left node clamped: _bar_responses on a block of one."""
     moduli = _checked_moduli(moduli, mesh.n_elems)
-    tip = float(_bar_tip(mesh.elem_length, moduli, P, A))
-    return QoIVector(compliance=P * tip, tip_displacement=tip, vm_max=abs(P / A))
+    return _qoi_vector(_bar_responses(mesh.elem_length, moduli[None, :], P, A))
 
 
 def _q4_unit_stiffness(hx: float, hy: float, nu: float):
@@ -356,12 +356,6 @@ def _q4_unit_stiffness(hx: float, hy: float, nu: float):
             ke += b.T @ d1 @ b * det_j
             b_mats.append(b)
     return ke, d1, b_mats
-
-
-@dataclass(frozen=True, eq=False)
-class PlaneStressResult:
-    u: np.ndarray
-    qoi: QoIVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,10 +396,10 @@ class PlaneStressSolver:
     Congruent elements mean a single unit stiffness matrix serves every
     element.  The band map of the stiffness is built once, so each
     realization costs one scale, one bincount into band storage and one
-    banded Cholesky solve; solve_rows takes a block of realizations and
-    computes their peak stresses together.  The x-major node numbering
-    already keeps the band narrow (half-bandwidth 2 * (ny + 1) + 3 on the
-    cantilever), so the dofs stay in natural order.
+    banded Cholesky solve.  solve solves one realization; responses takes a
+    block of solved realizations and computes their peak stresses together.
+    The x-major node numbering already keeps the band narrow (half-bandwidth
+    2 * (ny + 1) + 3 on the cantilever), so the dofs stay in natural order.
     """
 
     def __init__(self, mesh: MeshQ4, nu: float = 0.3):
@@ -435,53 +429,26 @@ class PlaneStressSolver:
         (pbsv,) = get_lapack_funcs(("pbsv",), (self.ke_unit,))
         return _BandMap(free, j * shape[0] + (i - j), elem, self.ke_unit[a, b], shape, pbsv)
 
-    def solve(self, moduli: np.ndarray, traction: float = 1.0) -> PlaneStressResult:
-        moduli = _checked_moduli(moduli, self.mesh.n_elems)
-        u, qoi, error = self.solve_rows(moduli[None, :], traction)
-        if error is not None:
-            raise error
-        return PlaneStressResult(
-            u=u[0],
-            qoi=QoIVector(
-                compliance=float(qoi["compliance"][0]),
-                tip_displacement=float(qoi["tipdisp"][0]),
-                vm_max=float(qoi["vmmax"][0]),
-            ),
-        )
+    def solve(self, moduli: np.ndarray, traction: float = 1.0) -> np.ndarray:
+        """Displacements (n_dof,) of one modulus field under traction times the unit load.
 
-    def solve_rows(
-        self, moduli: np.ndarray, traction: float = 1.0
-    ) -> tuple[np.ndarray, dict[str, np.ndarray], Exception | None]:
-        """Solve each row of a (B, E) block of moduli, in row order.
-
-        Returns (u, qoi, error).  u holds the displacements of the rows
-        before the first that cannot be solved, (n, n_dof), and qoi maps
-        each of QOI_NAMES to their (n,) values.  error is that first row's
-        ValueError (a modulus not positive and finite) or LinAlgError (a band
-        that is not positive definite), or None when all B rows solved.  The
-        rows are solved in order, so an earlier row's LinAlgError comes
-        before a later row's bad modulus.
+        Raises ValueError unless moduli holds one positive, finite modulus per
+        element, and LinAlgError when the band is not positive definite.
         """
-        ok = _positive_finite(moduli)
-        n = int(ok.argmin()) if not ok.all() else ok.size
-        error = None if n == ok.size else ValueError(_BAD_MODULI)
+        moduli = _checked_moduli(moduli, self.mesh.n_elems)
+        u = np.zeros(self.n_dof)
+        u[self.band.free] = self.band.solve(moduli, (traction * self.mesh.unit_load)[self.band.free])
+        return u
+
+    def responses(self, u: np.ndarray, moduli: np.ndarray, traction: float = 1.0) -> dict[str, np.ndarray]:
+        """Each of QOI_NAMES, (B,), for a block of solved fields: u (B, n_dof), moduli (B, E)."""
         f = traction * self.mesh.unit_load
-        rhs = f[self.band.free]
-        u = np.zeros((n, self.n_dof))
-        for i in range(n):
-            try:
-                u[i, self.band.free] = self.band.solve(moduli[i], rhs)
-            except np.linalg.LinAlgError as exc:
-                u, error = u[:i], exc
-                break
-        moduli = moduli[: len(u)]
-        qoi = {
+        return {
             # One dot per row: a (B, n_dof) @ f product rounds differently.
             "compliance": np.array([f @ row for row in u]),
             "tipdisp": np.abs(u[:, 2 * self.mesh.tip_node + 1]),
             "vmmax": self._element_peak_stress(u, moduli).max(axis=1),
         }
-        return u, qoi, error
 
     def solve_prescribed(
         self, moduli: np.ndarray, dirichlet_dofs: np.ndarray, dirichlet_values: np.ndarray
@@ -520,7 +487,9 @@ def solve_plane_stress_q4(
     mesh: MeshQ4, moduli: np.ndarray, nu: float = 0.3, traction: float = 1.0
 ) -> QoIVector:
     """One-shot plane-stress solve; see PlaneStressSolver for batch use."""
-    return PlaneStressSolver(mesh, nu).solve(moduli, traction).qoi
+    solver = PlaneStressSolver(mesh, nu)
+    u = solver.solve(moduli, traction)
+    return _qoi_vector(solver.responses(u[None, :], np.asarray(moduli, dtype=float)[None, :], traction))
 
 
 # --- scenario ensembles ---------------------------------------------------------
@@ -562,12 +531,20 @@ BENCHMARK_DEFAULTS = {
 }
 
 # Range of each parameter and run setting beyond its type: (test, what the
-# message says).  An integer one not named here takes any integer >= 1.
+# message says).  An integer one not named here takes any integer >= 1.  A
+# count that sizes an array takes at most numpy's largest count, so a larger
+# one fails here by name, not inside numpy.
 _POSITIVE = (lambda v: v > 0.0, " > 0")
 _NONNEGATIVE = (lambda v: v >= 0.0, " >= 0")
 _UNIT_OPEN = (lambda v: 0.0 < v < 1.0, " in (0, 1)")
 _AT_LEAST_ONE = (lambda v: v >= 1, " >= 1")
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+_COUNT = (lambda v: 1 <= v <= _MAX_COUNT, f" in [1, {_MAX_COUNT}]")
 _PARAM_RANGES = {
+    **dict.fromkeys(
+        ("n_elems", "n_levels", "nx", "ny", "n_elems_per_unit", "rank", "n_sample_grid", "n_scenarios"),
+        _COUNT,
+    ),
     "length": _POSITIVE,
     "area": _POSITIVE,
     "level_lo": _POSITIVE,
@@ -734,18 +711,23 @@ def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict[st
     phi = nystrom_basis(model).evaluate(mesh.centroids)
     solver = PlaneStressSolver(mesh, params["nu"])
     responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
+    traction = params["traction"]
     for start in range(0, n_scenarios, _PLANE_BLOCK):
-        fields = [sample_field(model, phi, rng) for _ in range(min(_PLANE_BLOCK, n_scenarios - start))]
-        u, qoi, error = solver.solve_rows(np.array(fields), params["traction"])
-        if error is not None:
-            # The mesh and every other parameter are checked already: the
-            # field exp(sigma * z) itself spans too many decades to solve.
-            raise ValueError(
-                f"bad value {params['sigma']!r} for parameter 'sigma': "
-                f"scenario {start + len(u)}'s modulus field cannot be solved ({error})"
-            )
-        for name, values in qoi.items():
-            responses[name][start : start + len(u)] = values
+        block = min(_PLANE_BLOCK, n_scenarios - start)
+        moduli = np.array([sample_field(model, phi, rng) for _ in range(block)])
+        u = np.empty((block, solver.n_dof))
+        for i, row in enumerate(moduli):
+            try:
+                u[i] = solver.solve(row, traction)
+            except ValueError as exc:  # LinAlgError is a ValueError
+                # The mesh and every other parameter are checked already: the
+                # field exp(sigma * z) itself spans too many decades to solve.
+                raise ValueError(
+                    f"bad value {params['sigma']!r} for parameter 'sigma': "
+                    f"scenario {start + i}'s modulus field cannot be solved ({exc})"
+                ) from None
+        for name, values in solver.responses(u, moduli, traction).items():
+            responses[name][start : start + block] = values
     return responses
 
 
@@ -759,13 +741,13 @@ def _ensemble_bar(n_scenarios: int, params: dict, rng) -> dict[str, np.ndarray]:
     mesh = build_bar_mesh(params["length"], params["n_elems"])
     levels = np.geomspace(params["level_lo"], params["level_hi"], params["n_levels"])
     load, area = params["load"], params["area"]
-    tip = np.empty(n_scenarios)
+    responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
     for start in range(0, n_scenarios, _BAR_BLOCK):
         stop = min(start + _BAR_BLOCK, n_scenarios)
         idx = rng.integers(0, levels.size, size=(stop - start, mesh.n_elems))
-        tip[start:stop] = _bar_tip(mesh.elem_length, levels[idx], load, area)
-    vm = np.full(n_scenarios, abs(load / area))
-    return {"compliance": load * tip, "tipdisp": tip, "vmmax": vm}
+        for name, values in _bar_responses(mesh.elem_length, levels[idx], load, area).items():
+            responses[name][start:stop] = values
+    return responses
 
 
 def _finite(value: numbers.Real) -> bool:

@@ -6,10 +6,10 @@ Each entry of MUTANTS is a (module, label, old, new) text replacement in
 src/tailamp: it disables one guard branch, zeroes one constant or flips one
 comparison of the controller (mliqae, stats, intervals), of an input path
 (riskmodel, stochfem, cli), of the one input rule stochfem.checked or of
-the plane-stress block solve (stochfem).  The
-script copies the checkout into a temporary directory, checks that tier-1
-passes on the copy as it is, then runs tier-1 with -x once per mutant, on
-the copy with that one replacement made.  A nonzero exit or a run longer
+the plane-stress solve and its ensemble loop (stochfem).  The script
+copies the checkout into a temporary directory, checks that tier-1 passes
+on the copy as it is, then runs tier-1 with -x once per mutant, on the
+copy with that one replacement made.  A nonzero exit or a run longer
 than the timeout kills the mutant.  It prints one row per mutant: killed,
 with the first test that failed, or survived.
 
@@ -90,14 +90,19 @@ MUTANTS = [
     ("stochfem", "checked: an integer too large for a float is finite",
      "    except OverflowError:  # an integer too large for a float\n        return False",
      "    except OverflowError:  # an integer too large for a float\n        return True"),
-    ("cli", "main: no OverflowError catch", "KeyError, MemoryError, OverflowError)", "KeyError, MemoryError)"),
-    # the plane-stress block solve
+    ("stochfem", "checked: a count has no ceiling", "lambda v: 1 <= v <= _MAX_COUNT", "lambda v: 1 <= v"),
+    ("stochfem", "build_lbracket_mesh: an infinite cell count is whole",
+     "if not math.isfinite(cells) or abs(", "if abs("),
+    # the plane-stress solve and its ensemble loop
     ("stochfem", "_BandMap.solve: no info check", "        if info > 0:\n", "        if False:\n"),
     ("stochfem", "_BandMap.solve: the band is copied before it is factored", "lower=1, overwrite_ab=1)", "lower=1, overwrite_ab=0)"),
     ("stochfem", "_ensemble_2d: the last block is not cut short",
-     "range(min(_PLANE_BLOCK, n_scenarios - start))", "range(_PLANE_BLOCK)"),
-    ("stochfem", "solve_rows: a later row's bad modulus replaces an earlier row's LinAlgError",
-     "u, error = u[:i], exc", "u, error = u[:i], error or exc"),
+     "block = min(_PLANE_BLOCK, n_scenarios - start)", "block = _PLANE_BLOCK"),
+    ("stochfem", "_ensemble_2d: the error names the block, not the scenario",
+     "scenario {start + i}'s modulus field", "scenario {start}'s modulus field"),
+    ("stochfem", "PlaneStressSolver.solve: no moduli check",
+     'not positive definite.\n        """\n        moduli = _checked_moduli(moduli, self.mesh.n_elems)\n',
+     'not positive definite.\n        """\n        moduli = np.asarray(moduli, dtype=float)\n'),
 ]
 
 # Mutants no tier-1 test kills, each with the measured reason its branch stays.

@@ -213,8 +213,10 @@ class TestBenchConfig:
             ({"budgets": [0, 10]}, "bad value 0 for parameter 'budget': must be an integer >= 1"),
             ({"repetitions": "3"}, "bad value '3' for parameter 'repetitions': must be an integer >= 1"),
             ({"repetitions": 2.0}, "bad value 2.0 for parameter 'repetitions': must be an integer >= 1"),
-            ({"n_scenarios": "64"}, "bad value '64' for parameter 'n_scenarios': must be an integer >= 1"),
-            ({"n_scenarios": 0}, "bad value 0 for parameter 'n_scenarios': must be an integer >= 1"),
+            ({"n_scenarios": "64"},
+             "bad value '64' for parameter 'n_scenarios': must be an integer in [1, 9223372036854775807]"),
+            ({"n_scenarios": 0},
+             "bad value 0 for parameter 'n_scenarios': must be an integer in [1, 9223372036854775807]"),
             ({"seed": "x"}, "bad value 'x' for parameter 'seed': must be an integer >= 0"),
             ({"seed": -1}, "bad value -1 for parameter 'seed': must be an integer >= 0"),
             ({"methods": 5}, "methods must be a nonempty list"),
@@ -523,7 +525,8 @@ class TestCommands:
         [
             ({"budgets": 2000}, "budgets must be a list of positive integers"),
             ({"repetitions": "3"}, "bad value '3' for parameter 'repetitions': must be an integer >= 1"),
-            ({"n_scenarios": "64"}, "bad value '64' for parameter 'n_scenarios': must be an integer >= 1"),
+            ({"n_scenarios": "64"},
+             "bad value '64' for parameter 'n_scenarios': must be an integer in [1, 9223372036854775807]"),
             ({"seed": "x"}, "bad value 'x' for parameter 'seed': must be an integer >= 0"),
             ({"methods": 5}, "methods must be a nonempty list"),
             ({"ensemble": {"n_elems": [3]}}, "bad value [3] for parameter 'n_elems'"),
@@ -532,8 +535,9 @@ class TestCommands:
             # JSON takes any integer; one too large for a float is not a finite number.
             ({"controller": {"epsilon_a": 10**400}},
              "for parameter 'epsilon_a': must be a finite number >= 0"),
-            # An integer model parameter that large still overflows inside numpy's geomspace.
-            ({"ensemble": {"n_levels": 10**400}}, "error: int too large to convert to float"),
+            # An integer model parameter takes at most numpy's largest count.
+            ({"ensemble": {"n_levels": 10**400}},
+             "for parameter 'n_levels': must be an integer in [1, 9223372036854775807]"),
         ],
     )
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, config, message):
@@ -548,7 +552,7 @@ class TestCommands:
         "config, message",
         [
             ({"ensemble": {"area": 0.0}}, "parameter 'area': must be a finite number > 0"),
-            ({"ensemble": {"n_levels": 0}}, "parameter 'n_levels': must be an integer >= 1"),
+            ({"ensemble": {"n_levels": 0}}, "parameter 'n_levels': must be an integer in [1, 9223372036854775807]"),
             ({"ensemble": {"level_hi": math.inf}}, "parameter 'level_hi': must be a finite number"),
             ({"benchmark": "cantilever", "ensemble": {"traction": math.nan}},
              "parameter 'traction': must be a finite number"),
@@ -558,6 +562,9 @@ class TestCommands:
              "bad value 7 for parameter 'n_elems_per_unit'"),
             ({"benchmark": "cantilever", "ensemble": {"sigma": 1000.0}},
              "bad value 1000.0 for parameter 'sigma'"),
+            # leg_length * n_elems_per_unit overflows to inf, which round() cannot take.
+            ({"benchmark": "lbracket", "ensemble": {"leg_length": 1e308}},
+             "leg_length * n_elems_per_unit = inf is not a whole number of elements"),
         ],
     )
     def test_generate_names_a_bad_ensemble_parameter_and_writes_nothing(
@@ -571,6 +578,35 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+        assert not (tmp_path / "out").exists()
+
+    # Each integer parameter and a benchmark that takes it; n_scenarios is a sweep field.
+    INTEGER_PARAMETERS = {
+        "n_elems": "bar1d",
+        "n_levels": "bar1d",
+        "n_scenarios": "bar1d",
+        "nx": "cantilever",
+        "ny": "cantilever",
+        "rank": "cantilever",
+        "n_sample_grid": "cantilever",
+        "n_elems_per_unit": "lbracket",
+    }
+
+    @pytest.mark.parametrize("value", [0, -1, 2**63, 10**400], ids=["0", "-1", "2**63", "10**400"])
+    @pytest.mark.parametrize("name", sorted(INTEGER_PARAMETERS))
+    def test_generate_names_an_integer_parameter_outside_its_range(self, tmp_path, capsys, name, value):
+        config = {"benchmark": self.INTEGER_PARAMETERS[name], "n_scenarios": 4}
+        if name == "n_scenarios":
+            config[name] = value
+        else:
+            config["ensemble"] = {name: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = main(["generate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad value {value} for parameter {name!r}: must be an integer in [1, {2**63 - 1}]"
+        ]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

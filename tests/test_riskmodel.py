@@ -425,9 +425,6 @@ _ARRAY_HOLDERS = {
     "KernelModel": lambda: stochfem.KernelModel(0.3, 1.0, 0.3, 3, _LINE),
     "NystromBasis": lambda: stochfem.nystrom_basis(stochfem.KernelModel(0.3, 1.0, 0.3, 3, _LINE)),
     "MeshQ4": lambda: stochfem.build_cantilever_mesh(2.0, 1.0, 4, 2),
-    "PlaneStressResult": lambda: stochfem.PlaneStressSolver(
-        stochfem.build_cantilever_mesh(2.0, 1.0, 4, 2)
-    ).solve(np.ones(8)),
     "Ensemble": lambda: _bar_chain()[0],
     "ScenarioSet": lambda: _bar_chain()[1],
     "TailNormalization": lambda: _bar_chain()[2],
