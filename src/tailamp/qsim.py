@@ -19,10 +19,13 @@ StatevectorOracle, which the controller drives, uses the fact that
 amplification keeps A|0> in the real plane spanned by its ancilla-|0> and
 ancilla-|1> halves, where each iterate rotates by 2 theta (Brassard, Hoyer,
 Mosca & Tapp 2002, Quantum amplitude amplification and estimation, Contemp.
-Math. 305): it builds the two halves once and reads theta off them.
-The halves are sqrt(p_i (1 - g_i)) and sqrt(p_i g_i), one entry per scenario
-with no padding, built in O(N) from square roots and products:
-cos(asin(sqrt(g))) is sqrt(1 - g), so no trigonometric function is evaluated.
+Math. 305): theta = atan2(|g|, |b|) for the ancilla-|1> half g and the
+ancilla-|0> half b.  Their squared norms are the weighted sums
+|g|^2 = sum_i p_i g_i and |b|^2 = sum_i p_i (1 - g_i), so the oracle takes
+two dot products and one atan2, with no square root or trigonometric
+function per scenario.  Only the reference path build_oracle_state forms
+the halves sqrt(p_i (1 - g_i)) and sqrt(p_i g_i) themselves, one entry per
+scenario with no padding: cos(asin(sqrt(g))) is sqrt(1 - g).
 """
 
 from __future__ import annotations
@@ -271,14 +274,16 @@ class StatevectorOracle:
     Grover iterates never leave the plane spanned by the ancilla-|0> half b
     and the ancilla-|1> half g of A|0>, where A|0> sits at angle
     theta = atan2(|g|, |b|) from b and each iterate rotates it by 2 theta,
-    so p(k) = sin^2((2k+1) theta).  Only theta, taken from the unpadded
-    halves sqrt(p (1 - g)) and sqrt(p g), is kept: building it costs O(N)
-    square roots and two norms, with no trigonometric function per scenario.
+    so p(k) = sin^2((2k+1) theta).  Only theta is kept, read off the
+    squared half norms |g|^2 = p . g and |b|^2 = p . (1 - g): building it
+    costs two dot products and one N-float temporary for 1 - g, and no
+    square root or trigonometric function per scenario.
     """
 
     def __init__(self, spec: OracleSpec):
-        b, g = _oracle_halves(spec)
-        self._theta = math.atan2(np.linalg.norm(g), np.linalg.norm(b))
+        one = spec.amplitude
+        zero = float(np.dot(spec.probs, np.subtract(1.0, spec.gs)))
+        self._theta = math.atan2(math.sqrt(one), math.sqrt(zero))
 
     def success_probability(self, k: int) -> float:
         return _amplified(self._theta, k)

@@ -274,10 +274,11 @@ def build_lbracket_mesh(
     n_total = leg_length * n_elems_per_unit
     n_width = leg_width * n_elems_per_unit
     for name, cells in (("leg_length", n_total), ("leg_width", n_width)):
-        if not math.isfinite(cells) or abs(cells - round(cells)) > 1e-9:
+        if not (0.5 <= cells <= _SQUARE_SIDE and abs(cells - round(cells)) <= 1e-9):
             raise ValueError(
                 f"bad value {n_elems_per_unit!r} for parameter 'n_elems_per_unit': "
-                f"{name} * n_elems_per_unit = {cells:g} is not a whole number of elements"
+                f"{name} * n_elems_per_unit = {cells:g} is not a whole number of elements "
+                f"in [1, {_SQUARE_SIDE}]"
             )
     n_total = int(round(n_total))
     n_width = int(round(n_width))
@@ -530,21 +531,37 @@ BENCHMARK_DEFAULTS = {
     "lbracket": LBRACKET_DEFAULTS,
 }
 
+# Scenarios drawn per block by the bar ensemble; bounds its temporaries.
+_BAR_BLOCK = 1024
+# Scenarios solved per block by the plane-stress ensembles.  Blocks of 8 to
+# 32 built as fast; at 8 the largest stress temporary, (block * n_elems, 8),
+# stays below the default cantilever's band, and the heap no larger than
+# with one scenario at a time (BENCH_plane_blocks.json).
+_PLANE_BLOCK = 8
+
 # Range of each parameter and run setting beyond its type: (test, what the
 # message says).  An integer one not named here takes any integer >= 1.  A
-# count that sizes an array takes at most numpy's largest count, so a larger
-# one fails here by name, not inside numpy.
+# count that sizes an array takes at most the largest count whose array of
+# 8-byte entries numpy can hold (np.iinfo(np.intp).max bytes), so a larger
+# one fails here by name, not inside numpy.  A count sets a line of count + 1
+# entries, the bar's (_BAR_BLOCK, n_elems) block of level draws, or the side
+# of a square grid of (count + 1)**2 points of 2 coordinates.
 _POSITIVE = (lambda v: v > 0.0, " > 0")
 _NONNEGATIVE = (lambda v: v >= 0.0, " >= 0")
 _UNIT_OPEN = (lambda v: 0.0 < v < 1.0, " in (0, 1)")
 _AT_LEAST_ONE = (lambda v: v >= 1, " >= 1")
-_MAX_COUNT = int(np.iinfo(np.intp).max)
-_COUNT = (lambda v: 1 <= v <= _MAX_COUNT, f" in [1, {_MAX_COUNT}]")
+_MAX_BYTES = int(np.iinfo(np.intp).max)
+_SQUARE_SIDE = math.isqrt(_MAX_BYTES // 16) - 1
+
+
+def _count(ceiling: int) -> tuple:
+    return (lambda v: 1 <= v <= ceiling, f" in [1, {ceiling}]")
+
+
 _PARAM_RANGES = {
-    **dict.fromkeys(
-        ("n_elems", "n_levels", "nx", "ny", "n_elems_per_unit", "rank", "n_sample_grid", "n_scenarios"),
-        _COUNT,
-    ),
+    **dict.fromkeys(("n_scenarios", "n_levels", "nx", "ny", "rank"), _count(_MAX_BYTES // 8 - 1)),
+    "n_elems": _count(_MAX_BYTES // (8 * _BAR_BLOCK)),
+    **dict.fromkeys(("n_elems_per_unit", "n_sample_grid"), _count(_SQUARE_SIDE)),
     "length": _POSITIVE,
     "area": _POSITIVE,
     "level_lo": _POSITIVE,
@@ -561,14 +578,6 @@ _PARAM_RANGES = {
     "epsilon_a": _NONNEGATIVE,
     "seed": _NONNEGATIVE,
 }
-
-# Scenarios drawn per block by the bar ensemble; bounds its temporaries.
-_BAR_BLOCK = 1024
-# Scenarios solved per block by the plane-stress ensembles.  Blocks of 8 to
-# 32 built as fast; at 8 the largest stress temporary, (block * n_elems, 8),
-# stays below the default cantilever's band, and the heap no larger than
-# with one scenario at a time (BENCH_plane_blocks.json).
-_PLANE_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,9 +90,15 @@ MUTANTS = [
     ("stochfem", "checked: an integer too large for a float is finite",
      "    except OverflowError:  # an integer too large for a float\n        return False",
      "    except OverflowError:  # an integer too large for a float\n        return True"),
-    ("stochfem", "checked: a count has no ceiling", "lambda v: 1 <= v <= _MAX_COUNT", "lambda v: 1 <= v"),
-    ("stochfem", "build_lbracket_mesh: an infinite cell count is whole",
-     "if not math.isfinite(cells) or abs(", "if abs("),
+    ("stochfem", "checked: a count has no ceiling", "lambda v: 1 <= v <= ceiling", "lambda v: 1 <= v"),
+    ("stochfem", "checked: a line's ceiling is numpy's largest count, not its array's",
+     "_count(_MAX_BYTES // 8 - 1)", "_count(_MAX_BYTES)"),
+    ("stochfem", "checked: n_elems takes a line's ceiling, not its block of draws'",
+     "_count(_MAX_BYTES // (8 * _BAR_BLOCK))", "_count(_MAX_BYTES // 8 - 1)"),
+    ("stochfem", "checked: a square grid's side takes a line's ceiling",
+     "_count(_SQUARE_SIDE)", "_count(_MAX_BYTES // 8 - 1)"),
+    ("stochfem", "build_lbracket_mesh: a cell count has no range",
+     "0.5 <= cells <= _SQUARE_SIDE and ", ""),
     # the plane-stress solve and its ensemble loop
     ("stochfem", "_BandMap.solve: no info check", "        if info > 0:\n", "        if False:\n"),
     ("stochfem", "_BandMap.solve: the band is copied before it is factored", "lower=1, overwrite_ab=1)", "lower=1, overwrite_ab=0)"),

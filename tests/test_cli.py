@@ -214,9 +214,9 @@ class TestBenchConfig:
             ({"repetitions": "3"}, "bad value '3' for parameter 'repetitions': must be an integer >= 1"),
             ({"repetitions": 2.0}, "bad value 2.0 for parameter 'repetitions': must be an integer >= 1"),
             ({"n_scenarios": "64"},
-             "bad value '64' for parameter 'n_scenarios': must be an integer in [1, 9223372036854775807]"),
+             "bad value '64' for parameter 'n_scenarios': must be an integer in [1, 1152921504606846974]"),
             ({"n_scenarios": 0},
-             "bad value 0 for parameter 'n_scenarios': must be an integer in [1, 9223372036854775807]"),
+             "bad value 0 for parameter 'n_scenarios': must be an integer in [1, 1152921504606846974]"),
             ({"seed": "x"}, "bad value 'x' for parameter 'seed': must be an integer >= 0"),
             ({"seed": -1}, "bad value -1 for parameter 'seed': must be an integer >= 0"),
             ({"methods": 5}, "methods must be a nonempty list"),
@@ -526,7 +526,7 @@ class TestCommands:
             ({"budgets": 2000}, "budgets must be a list of positive integers"),
             ({"repetitions": "3"}, "bad value '3' for parameter 'repetitions': must be an integer >= 1"),
             ({"n_scenarios": "64"},
-             "bad value '64' for parameter 'n_scenarios': must be an integer in [1, 9223372036854775807]"),
+             "bad value '64' for parameter 'n_scenarios': must be an integer in [1, 1152921504606846974]"),
             ({"seed": "x"}, "bad value 'x' for parameter 'seed': must be an integer >= 0"),
             ({"methods": 5}, "methods must be a nonempty list"),
             ({"ensemble": {"n_elems": [3]}}, "bad value [3] for parameter 'n_elems'"),
@@ -535,9 +535,9 @@ class TestCommands:
             # JSON takes any integer; one too large for a float is not a finite number.
             ({"controller": {"epsilon_a": 10**400}},
              "for parameter 'epsilon_a': must be a finite number >= 0"),
-            # An integer model parameter takes at most numpy's largest count.
+            # An integer model parameter takes at most the largest count its arrays can hold.
             ({"ensemble": {"n_levels": 10**400}},
-             "for parameter 'n_levels': must be an integer in [1, 9223372036854775807]"),
+             "for parameter 'n_levels': must be an integer in [1, 1152921504606846974]"),
         ],
     )
     def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, config, message):
@@ -552,7 +552,7 @@ class TestCommands:
         "config, message",
         [
             ({"ensemble": {"area": 0.0}}, "parameter 'area': must be a finite number > 0"),
-            ({"ensemble": {"n_levels": 0}}, "parameter 'n_levels': must be an integer in [1, 9223372036854775807]"),
+            ({"ensemble": {"n_levels": 0}}, "parameter 'n_levels': must be an integer in [1, 1152921504606846974]"),
             ({"ensemble": {"level_hi": math.inf}}, "parameter 'level_hi': must be a finite number"),
             ({"benchmark": "cantilever", "ensemble": {"traction": math.nan}},
              "parameter 'traction': must be a finite number"),
@@ -565,6 +565,12 @@ class TestCommands:
             # leg_length * n_elems_per_unit overflows to inf, which round() cannot take.
             ({"benchmark": "lbracket", "ensemble": {"leg_length": 1e308}},
              "leg_length * n_elems_per_unit = inf is not a whole number of elements"),
+            # A leg whose cell count rounds to 0 would make a mesh with no loaded face.
+            ({"benchmark": "lbracket", "ensemble": {"leg_width": 1e-12, "n_elems_per_unit": 1}},
+             "leg_width * n_elems_per_unit = 1e-12 is not a whole number of elements in [1, 759250123]"),
+            # A cell count past the square grid's side, from a long leg and a count within its own range.
+            ({"benchmark": "lbracket", "ensemble": {"leg_length": 2.0**40, "n_elems_per_unit": 2**20}},
+             "leg_length * n_elems_per_unit = 1.15292e+18 is not a whole number of elements in [1, 759250123]"),
         ],
     )
     def test_generate_names_a_bad_ensemble_parameter_and_writes_nothing(
@@ -580,22 +586,33 @@ class TestCommands:
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert not (tmp_path / "out").exists()
 
-    # Each integer parameter and a benchmark that takes it; n_scenarios is a sweep field.
+    # Each integer parameter, a benchmark that takes it and its ceiling: the
+    # largest count whose array of 8-byte entries fits in 2**63 - 1 bytes.  A
+    # line of count + 1 entries, the bar's (1024, n_elems) block of level
+    # draws, or the side of a (side + 1)**2 grid of 2-coordinate points.
+    # n_scenarios is a sweep field.
+    LINE, BAR_BLOCK, SQUARE_SIDE = 2**60 - 2, 2**50 - 1, math.isqrt(2**59) - 1
     INTEGER_PARAMETERS = {
-        "n_elems": "bar1d",
-        "n_levels": "bar1d",
-        "n_scenarios": "bar1d",
-        "nx": "cantilever",
-        "ny": "cantilever",
-        "rank": "cantilever",
-        "n_sample_grid": "cantilever",
-        "n_elems_per_unit": "lbracket",
+        "n_elems": ("bar1d", BAR_BLOCK),
+        "n_levels": ("bar1d", LINE),
+        "n_scenarios": ("bar1d", LINE),
+        "nx": ("cantilever", LINE),
+        "ny": ("cantilever", LINE),
+        "rank": ("cantilever", LINE),
+        "n_sample_grid": ("cantilever", SQUARE_SIDE),
+        "n_elems_per_unit": ("lbracket", SQUARE_SIDE),
     }
 
-    @pytest.mark.parametrize("value", [0, -1, 2**63, 10**400], ids=["0", "-1", "2**63", "10**400"])
+    # Each value is refused before any array is made.  2**62 and 2**63 - 1 are
+    # past every ceiling but within numpy's own count, where numpy would refuse
+    # the array without naming the parameter.
+    @pytest.mark.parametrize(
+        "value", [0, -1, 2**62, 2**63 - 1, 2**63, 10**400], ids=["0", "-1", "2**62", "2**63-1", "2**63", "10**400"]
+    )
     @pytest.mark.parametrize("name", sorted(INTEGER_PARAMETERS))
     def test_generate_names_an_integer_parameter_outside_its_range(self, tmp_path, capsys, name, value):
-        config = {"benchmark": self.INTEGER_PARAMETERS[name], "n_scenarios": 4}
+        benchmark, ceiling = self.INTEGER_PARAMETERS[name]
+        config = {"benchmark": benchmark, "n_scenarios": 4}
         if name == "n_scenarios":
             config[name] = value
         else:
@@ -605,7 +622,7 @@ class TestCommands:
         rc = main(["generate", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: bad value {value} for parameter {name!r}: must be an integer in [1, {2**63 - 1}]"
+            f"error: bad value {value} for parameter {name!r}: must be an integer in [1, {ceiling}]"
         ]
         assert not (tmp_path / "out").exists()
 

@@ -340,7 +340,7 @@ class TestMeasurementModels:
 
     def test_oracle_build_holds_no_padded_buffers(self):
         # One past a power of two, a padded register is almost twice the
-        # scenario count; the unpadded halves and sqrt(p) take 3 N floats.
+        # scenario count; the two weighted sums need one N-float 1 - g.
         n = (1 << 14) + 1
         rng = np.random.default_rng(53)
         spec = qsim.OracleSpec(rng.dirichlet(np.ones(n)), rng.uniform(0.0, 1.0, n))
@@ -351,7 +351,34 @@ class TestMeasurementModels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 8 * n
+        assert peak < 2 * 8 * n
+
+    def test_rotation_angle_matches_a_50_digit_reference(self):
+        # theta = atan2(sqrt(sum p g), sqrt(sum p (1 - g))) in 50-digit
+        # arithmetic, over uniform, small, near-one and partly zero-weight g.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(59)
+        draws = [
+            lambda n: rng.uniform(0.0, 1.0, n),
+            lambda n: rng.uniform(0.0, 0.05, n),
+            lambda n: 1.0 - rng.uniform(0.0, 1e-6, n),
+        ]
+        with mpmath.workdps(50):
+            for case in range(40):
+                n = int(rng.integers(1, 501))
+                probs = rng.dirichlet(np.ones(n))
+                if case % 4 == 3 and n > 1:
+                    probs[rng.random(n) < 0.3] = 0.0
+                    probs[0] += 1.0 - probs.sum()
+                gs = draws[case % 3](n)
+                spec = qsim.OracleSpec(probs, gs)
+                ps = [mpmath.mpf(float(p)) for p in spec.probs]
+                ys = [mpmath.mpf(float(g)) for g in spec.gs]
+                one = mpmath.fsum(p * g for p, g in zip(ps, ys))
+                zero = mpmath.fsum(p * (1 - g) for p, g in zip(ps, ys))
+                want = mpmath.atan2(mpmath.sqrt(one), mpmath.sqrt(zero))
+                got = qsim.StatevectorOracle(spec)._theta
+                assert abs(mpmath.mpf(got) - want) <= 1e-15 * abs(want)
 
     def test_statevector_model_answers_depths_in_any_order(self):
         fresh = qsim.StatevectorOracle(example_spec())

@@ -518,15 +518,41 @@ class TestConstructorParameters:
         assert str(cli.value) == message
 
     def test_integer_parameters_take_integers_of_at_least_one(self):
-        for call, name in (
-            (lambda: build_bar_mesh(1.0, 0), "n_elems"),
-            (lambda: build_bar_mesh(1.0, 4.0), "n_elems"),
-            (lambda: build_cantilever_mesh(2.0, 1.0, True, 2), "nx"),
-            (lambda: build_cantilever_mesh(2.0, 1.0, 4, -1), "ny"),
-            (lambda: build_cantilever_mesh(2.0, 1.0, 4, 2**63), "ny"),
+        for call, name, ceiling in (
+            (lambda: build_bar_mesh(1.0, 0), "n_elems", 2**50 - 1),
+            (lambda: build_bar_mesh(1.0, 4.0), "n_elems", 2**50 - 1),
+            (lambda: build_bar_mesh(1.0, 2**50), "n_elems", 2**50 - 1),
+            (lambda: build_cantilever_mesh(2.0, 1.0, True, 2), "nx", 2**60 - 2),
+            (lambda: build_cantilever_mesh(2.0, 1.0, 4, -1), "ny", 2**60 - 2),
+            (lambda: build_cantilever_mesh(2.0, 1.0, 4, 2**60 - 1), "ny", 2**60 - 2),
         ):
-            with pytest.raises(ValueError, match=rf"for parameter '{name}': must be an integer in \[1, {2**63 - 1}\]$"):
+            with pytest.raises(ValueError, match=rf"for parameter '{name}': must be an integer in \[1, {ceiling}\]$"):
                 call()
+
+    # Bytes of the array each count sizes: a line of count + 1 entries, the
+    # bar's (1024, n_elems) block of level draws, a square grid of
+    # (count + 1)**2 points of 2 coordinates; 8 bytes an entry.
+    LINE, BAR_BLOCK, SQUARE = (lambda c: 8 * (c + 1)), (lambda c: 8 * 1024 * c), (lambda c: 16 * (c + 1) ** 2)
+
+    @pytest.mark.parametrize(
+        "name, ceiling, size",
+        [
+            ("n_scenarios", 2**60 - 2, LINE),
+            ("n_levels", 2**60 - 2, LINE),
+            ("nx", 2**60 - 2, LINE),
+            ("ny", 2**60 - 2, LINE),
+            ("rank", 2**60 - 2, LINE),
+            ("n_elems", 2**50 - 1, BAR_BLOCK),
+            ("n_elems_per_unit", 759_250_123, SQUARE),
+            ("n_sample_grid", 759_250_123, SQUARE),
+        ],
+    )
+    def test_each_count_takes_its_ceiling_and_no_more(self, name, ceiling, size):
+        # The largest count whose array numpy can hold; checked makes no array.
+        assert size(ceiling) <= 2**63 - 1 < size(ceiling + 1)
+        checked(name, ceiling, integer=True)
+        with pytest.raises(ValueError, match=rf"^bad value {ceiling + 1} for parameter '{name}'"):
+            checked(name, ceiling + 1, integer=True)
 
     @pytest.mark.parametrize(
         "key, value", BAD_RUN_SETTINGS, ids=[f"{e}-{n}-{v!r}" for (e, n), v in BAD_RUN_SETTINGS]
@@ -731,7 +757,7 @@ class TestEnsembles:
         [
             ("bar1d", {"n_elems": 2.7}, "parameter 'n_elems': must be an integer"),
             ("bar1d", {"n_levels": True}, "parameter 'n_levels': must be an integer"),
-            ("bar1d", {"n_levels": 0}, "parameter 'n_levels': must be an integer in [1, 9223372036854775807]"),
+            ("bar1d", {"n_levels": 0}, "parameter 'n_levels': must be an integer in [1, 1152921504606846974]"),
             ("bar1d", {"n_elems": "20"}, "parameter 'n_elems': must be an integer"),
             ("bar1d", {"area": 0.0}, "parameter 'area': must be a finite number > 0"),
             ("bar1d", {"level_hi": math.inf}, "parameter 'level_hi': must be a finite number"),
@@ -862,5 +888,5 @@ class TestEnsembleFileValidation:
     def test_nonpositive_scenario_count(self, tmp_path, lines):
         kept = [("# n_scenarios 0" if ln.startswith("# n_scenarios ") else ln)
                 for ln in lines if ln.startswith("#")]
-        want = "bad value 0 for parameter 'n_scenarios': must be an integer in [1, 9223372036854775807]"
+        want = "bad value 0 for parameter 'n_scenarios': must be an integer in [1, 1152921504606846974]"
         assert want in self._read(tmp_path, kept)
