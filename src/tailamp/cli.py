@@ -58,12 +58,12 @@ class BenchConfig:
         if not isinstance(budgets, (list, tuple)):
             raise ValueError("budgets must be a list of positive integers")
         for budget in budgets:
-            stochfem.checked("budget", budget, integer=True)
+            stochfem.checked("budget", budget)
         budgets = tuple(int(b) for b in budgets)
         if not budgets or any(a >= b for a, b in zip(budgets, budgets[1:])):
             raise ValueError("budgets must be nonempty and strictly ascending")
         for name in ("repetitions", "seed", "n_scenarios"):
-            stochfem.checked(name, getattr(self, name), integer=True)
+            stochfem.checked(name, getattr(self, name))
         methods = self.methods if isinstance(self.methods, (list, tuple)) else ()
         if not methods or any(m not in ("mc", "mliqae") for m in methods) or len(set(methods)) < len(methods):
             raise ValueError("methods must be a nonempty list of distinct names from {mc, mliqae}")
@@ -249,7 +249,8 @@ def cmd_estimate(args) -> int:
     ens = stochfem.read_ensemble(args.ensemble)
     # The ensemble file fixes everything else a config file could set.
     cfg = _config_from_args(args, file_fields=("qoi", "seed", "controller"))
-    row = estimate_once(ens, cfg.qoi, args.method, args.budget, cfg.seed, cfg.controller)
+    budget = stochfem.from_text("budget", args.budget)
+    row = estimate_once(ens, cfg.qoi, args.method, budget, cfg.seed, cfg.controller)
     print(",".join(RAW_COLUMNS))
     print(format_row(row))
     return 0
@@ -283,14 +284,9 @@ def _config_from_args(args, file_fields=None) -> BenchConfig:
     for key in ("benchmark", "qoi", "alpha_level", "seed", "out_dir", "repetitions", "n_scenarios"):
         val = getattr(args, key, None)
         if val is not None:
-            data[key] = val
+            data[key] = stochfem.from_text(key, val)
     if getattr(args, "budgets", None) is not None:
-        data["budgets"] = []
-        for entry in args.budgets.split(","):
-            try:
-                data["budgets"].append(int(entry))
-            except ValueError:
-                raise ValueError(f"--budgets: {entry!r} is not an integer") from None
+        data["budgets"] = [stochfem.from_text("budget", entry) for entry in args.budgets.split(",")]
     known = {f.name for f in fields(BenchConfig)}
     unknown = set(data) - known
     if unknown:
@@ -307,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, builds_ensemble=True, takes_qoi=True):
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed")
         if takes_qoi:  # generate writes every QoI
             p.add_argument("--qoi", choices=stochfem.QOI_NAMES)
         if builds_ensemble:  # estimate reads these from its ensemble file
             p.add_argument("--benchmark", choices=sorted(stochfem.BENCHMARK_DEFAULTS))
-            p.add_argument("--alpha-level", dest="alpha_level", type=float)
+            p.add_argument("--alpha-level", dest="alpha_level")
             p.add_argument("--out-dir", dest="out_dir")
-            p.add_argument("--n-scenarios", dest="n_scenarios", type=int)
+            p.add_argument("--n-scenarios", dest="n_scenarios")
 
     gen = sub.add_parser("generate", help="build and persist a scenario ensemble")
     common(gen, takes_qoi=False)
@@ -324,12 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(est, builds_ensemble=False)
     est.add_argument("--ensemble", required=True, help="ensemble file path")
     est.add_argument("--method", choices=("mc", "mliqae"), required=True)
-    est.add_argument("--budget", type=int, required=True)
+    est.add_argument("--budget", required=True)
     est.set_defaults(handler=cmd_estimate)
 
     ben = sub.add_parser("bench", help="budget-sweep benchmark with repetitions")
     common(ben)
-    ben.add_argument("--reps", dest="repetitions", type=int)
+    ben.add_argument("--reps", dest="repetitions")
     ben.add_argument("--budgets", help="comma-separated budget list")
     ben.set_defaults(handler=cmd_bench)
     return parser
@@ -340,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ValueError, KeyError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         # A bare MemoryError carries no message; its name is the message then.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

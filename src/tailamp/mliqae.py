@@ -80,7 +80,7 @@ class ControllerConfig:
     epsilon_a: float = 0.0  # amplitude half-width stop; 0 runs the budget out
 
     def __post_init__(self):
-        checked("budget", self.budget, integer=True)
+        checked("budget", self.budget)
         if self.budget > MAX_BUDGET:
             raise ValueError(
                 f"budget {self.budget} is too large: the controller takes at most 2**53 = {MAX_BUDGET}"

@@ -123,7 +123,7 @@ def mc_estimate_cvar(
     amplified estimator's oracle-call budget.  The mean is taken as
     frequencies times hinges, so no partial sum exceeds the largest hinge.
     """
-    checked("budget", budget, integer=True)
+    checked("budget", budget)
     if budget > _MAX_DRAWS:
         raise ValueError(f"Monte Carlo budget {budget} is too large: a draw takes at most {_MAX_DRAWS}")
     tail = np.flatnonzero(s.responses > eta)

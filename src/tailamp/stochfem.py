@@ -77,13 +77,16 @@ class KernelModel:
     sample_points: np.ndarray  # (M, 2)
 
     def __post_init__(self):
-        for name in ("length_scale_x", "length_scale_y", "sigma"):
+        for name in ("length_scale_x", "length_scale_y", "sigma", "rank"):
             checked(name, getattr(self, name))
         pts = np.asarray(self.sample_points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("sample points must be (M, 2)")
-        if not 1 <= self.rank <= pts.shape[0]:
-            raise ValueError("rank must lie in [1, M]")
+        if self.rank > pts.shape[0]:
+            raise ValueError(
+                f"bad value {self.rank!r} for parameter 'rank': "
+                f"must not exceed the {pts.shape[0]} sample points"
+            )
         object.__setattr__(self, "sample_points", pts)
 
 
@@ -174,7 +177,7 @@ class Mesh1D:
 
 def build_bar_mesh(length: float = 1.0, n_elems: int = 20) -> Mesh1D:
     checked("length", length)
-    checked("n_elems", n_elems, integer=True)
+    checked("n_elems", n_elems)
     return Mesh1D(length=length, n_elems=n_elems)
 
 
@@ -247,8 +250,8 @@ def build_cantilever_mesh(
     """Rectangular cantilever: clamped at x = 0, unit shear traction at x = length."""
     checked("length", length)
     checked("height", height)
-    checked("nx", nx, integer=True)
-    checked("ny", ny, integer=True)
+    checked("nx", nx)
+    checked("ny", ny)
     xs = np.linspace(0.0, length, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     active = np.ones((nx, ny), dtype=bool)
@@ -539,44 +542,37 @@ _BAR_BLOCK = 1024
 # with one scenario at a time (BENCH_plane_blocks.json).
 _PLANE_BLOCK = 8
 
-# Range of each parameter and run setting beyond its type: (test, what the
-# message says).  An integer one not named here takes any integer >= 1.  A
-# count that sizes an array takes at most the largest count whose array of
-# 8-byte entries numpy can hold (np.iinfo(np.intp).max bytes), so a larger
-# one fails here by name, not inside numpy.  A count sets a line of count + 1
-# entries, the bar's (_BAR_BLOCK, n_elems) block of level draws, or the side
-# of a square grid of (count + 1)**2 points of 2 coordinates.
-_POSITIVE = (lambda v: v > 0.0, " > 0")
-_NONNEGATIVE = (lambda v: v >= 0.0, " >= 0")
-_UNIT_OPEN = (lambda v: 0.0 < v < 1.0, " in (0, 1)")
-_AT_LEAST_ONE = (lambda v: v >= 1, " >= 1")
+# Every parameter and run setting: (kind, range test, what the message says
+# of the range).  The kind, int or float, is what checked takes and what
+# from_text reads.  A count that sizes an array takes at most the largest
+# count whose array of 8-byte entries numpy can hold (np.iinfo(np.intp).max
+# bytes), so a larger one fails here by name, not inside numpy.  A count sets
+# a line of count + 1 entries, the bar's (_BAR_BLOCK, n_elems) block of level
+# draws, or the side of a square grid of (count + 1)**2 points of 2 coordinates.
+_POSITIVE = (float, lambda v: v > 0.0, " > 0")
+_NONNEGATIVE = (float, lambda v: v >= 0.0, " >= 0")
+_UNIT_OPEN = (float, lambda v: 0.0 < v < 1.0, " in (0, 1)")
+_AT_LEAST_ONE = (int, lambda v: v >= 1, " >= 1")
 _MAX_BYTES = int(np.iinfo(np.intp).max)
 _SQUARE_SIDE = math.isqrt(_MAX_BYTES // 16) - 1
 
 
 def _count(ceiling: int) -> tuple:
-    return (lambda v: 1 <= v <= ceiling, f" in [1, {ceiling}]")
+    return (int, lambda v: 1 <= v <= ceiling, f" in [1, {ceiling}]")
 
 
 _PARAM_RANGES = {
     **dict.fromkeys(("n_scenarios", "n_levels", "nx", "ny", "rank"), _count(_MAX_BYTES // 8 - 1)),
     "n_elems": _count(_MAX_BYTES // (8 * _BAR_BLOCK)),
     **dict.fromkeys(("n_elems_per_unit", "n_sample_grid"), _count(_SQUARE_SIDE)),
-    "length": _POSITIVE,
-    "area": _POSITIVE,
-    "level_lo": _POSITIVE,
-    "level_hi": _POSITIVE,
-    "height": _POSITIVE,
-    "leg_length": _POSITIVE,
-    "leg_width": _POSITIVE,
-    "length_scale_x": _POSITIVE,
-    "length_scale_y": _POSITIVE,
-    "sigma": _NONNEGATIVE,
-    "nu": (lambda v: -1.0 < v < 0.5, " in (-1, 0.5)"),
-    "alpha_level": _UNIT_OPEN,
-    "delta_tot": _UNIT_OPEN,
-    "epsilon_a": _NONNEGATIVE,
-    "seed": _NONNEGATIVE,
+    **dict.fromkeys(("budget", "repetitions"), _AT_LEAST_ONE),
+    "seed": (int, lambda v: v >= 0, " >= 0"),
+    **dict.fromkeys(("load", "traction"), (float, lambda v: True, "")),
+    **dict.fromkeys(("length", "height", "leg_length", "leg_width", "area"), _POSITIVE),
+    **dict.fromkeys(("level_lo", "level_hi", "length_scale_x", "length_scale_y"), _POSITIVE),
+    **dict.fromkeys(("sigma", "epsilon_a"), _NONNEGATIVE),
+    "nu": (float, lambda v: -1.0 < v < 0.5, " in (-1, 0.5)"),
+    **dict.fromkeys(("alpha_level", "delta_tot"), _UNIT_OPEN),
 }
 
 
@@ -642,9 +638,9 @@ def read_ensemble(path) -> Ensemble:
     """Reload a persisted ensemble; floats round-trip exactly.
 
     A malformed file (missing header key, unparsable value, alpha_level,
-    n_scenarios or seed failing checked, params not a JSON object, wrong
-    column or row count, index column not 0..n-1, weights or a response
-    column failing checked_scenarios) raises one ValueError line naming it.
+    seed or n_scenarios failing checked as from_text reads it, params not a
+    JSON object, wrong column or row count, index column not 0..n-1, weights
+    or a response failing checked_scenarios) raises one ValueError naming it.
     """
     header, rows = {}, []
     width = 2 + len(QOI_NAMES)
@@ -664,10 +660,10 @@ def read_ensemble(path) -> Ensemble:
         missing = [k for k in keys if k not in header]
         if missing:
             raise ValueError(f"missing header keys {', '.join(missing)}")
-        alpha_level, seed, n = float(header["alpha_level"]), int(header["seed"]), int(header["n_scenarios"])
-        checked("alpha_level", alpha_level)
-        checked("seed", seed, integer=True)
-        checked("n_scenarios", n, integer=True)
+        settings = {key: from_text(key, header[key]) for key in ("alpha_level", "seed", "n_scenarios")}
+        for key, value in settings.items():
+            checked(key, value)
+        alpha_level, seed, n = settings.values()
         params = json.loads(header["params"])
         if not isinstance(params, dict):
             raise ValueError(f"params must be a JSON object, got {header['params']}")
@@ -766,38 +762,44 @@ def _finite(value: numbers.Real) -> bool:
         return False
 
 
-def checked(name: str, value, integer: bool = False) -> None:
-    """Raise one ValueError naming parameter name unless value lies in its range.
+def checked(name: str, value) -> None:
+    """Raise one ValueError naming parameter name unless value is of its kind and in its range.
 
-    An integer parameter takes an integer (never a float to be truncated),
-    any other a finite number, which an integer too large for a float is
-    not; either must lie in its _PARAM_RANGES range, which for an integer
-    defaults to >= 1.  A bool is neither.
+    _PARAM_RANGES gives both.  An int parameter takes an integer (never a
+    float to be truncated), a float one a finite number, which an integer
+    too large for a float is not.  A bool is neither.
     """
-    rule, where = _PARAM_RANGES.get(name, _AT_LEAST_ONE if integer else (None, ""))
-    if integer:
-        ok, kind = isinstance(value, numbers.Integral), "an integer"
+    kind, rule, where = _PARAM_RANGES[name]
+    if kind is int:
+        ok, what = isinstance(value, numbers.Integral), "an integer"
     else:
-        ok, kind = isinstance(value, numbers.Real) and _finite(value), "a finite number"
-    if isinstance(value, bool) or not (ok and (rule is None or rule(value))):
-        raise ValueError(f"bad value {value!r} for parameter {name!r}: must be {kind}{where}")
+        ok, what = isinstance(value, numbers.Real) and _finite(value), "a finite number"
+    if isinstance(value, bool) or not (ok and rule(value)):
+        raise ValueError(f"bad value {value!r} for parameter {name!r}: must be {what}{where}")
+
+
+def from_text(name: str, text: str):
+    """Parameter name's value written as text, read as its _PARAM_RANGES kind.
+
+    Text that does not parse as that kind, or whose name the table does not
+    list, comes back unchanged, so checked names it as the bad value.
+    """
+    try:
+        return _PARAM_RANGES[name][0](text)
+    except (KeyError, ValueError):
+        return text
 
 
 def _checked_params(benchmark: str, overrides: dict) -> dict:
-    """Defaults with the overrides applied, each passed through checked under its name."""
+    """Defaults with the overrides applied, each checked under its name and made its kind."""
     params = dict(BENCHMARK_DEFAULTS[benchmark])
     for key in overrides:
         if key not in params:
             raise ValueError(f"unknown parameter {key!r} for {benchmark}")
-    for key, default in params.items():
-        value = overrides.get(key, default)
-        checked(key, value, integer=isinstance(default, int))
-        params[key] = type(default)(value)
-    if "rank" in params and params["rank"] > params["n_sample_grid"] ** 2:
-        raise ValueError(
-            f"bad value {params['rank']!r} for parameter 'rank': "
-            f"must not exceed n_sample_grid**2 = {params['n_sample_grid'] ** 2}"
-        )
+    params.update(overrides)
+    for key, value in params.items():
+        checked(key, value)
+        params[key] = _PARAM_RANGES[key][0](value)
     return params
 
 
@@ -814,13 +816,14 @@ def build_scenario_ensemble(
     log-uniform level set; the 2D benchmarks use the correlated lognormal
     field.  Responses are cached per QoI so downstream estimators treat the
     ensemble as a lookup table.  The settings and every parameter are
-    checked by name before any mesh is built, so a bad one fails with one
-    ValueError line.
+    checked by name before any mesh is built, and rank against the sample
+    points when the kernel model is made, so a bad one fails with one
+    ValueError line before any solve.
     """
     if benchmark not in BENCHMARK_DEFAULTS:
         raise ValueError(f"unknown benchmark {benchmark!r}")
-    checked("n_scenarios", n_scenarios, integer=True)
-    checked("seed", seed, integer=True)
+    checked("n_scenarios", n_scenarios)
+    checked("seed", seed)
     checked("alpha_level", alpha_level)
     params = _checked_params(benchmark, overrides or {})
     rng = np.random.default_rng(seed)

@@ -84,9 +84,10 @@ MUTANTS = [
     ("stochfem", "read_ensemble: no blank-line skip", "                elif line:\n", "                else:\n"),
     ("stochfem", "checked: a bool passes", "if isinstance(value, bool) or not (ok", "if not (ok"),
     ("stochfem", "checked: no finiteness test", "numbers.Real) and _finite(value),", "numbers.Real),"),
-    ("stochfem", "checked: integer settings ignore the table (the seed's floor becomes 1)",
-     '_PARAM_RANGES.get(name, _AT_LEAST_ONE if integer else (None, ""))',
-     '_AT_LEAST_ONE if integer else _PARAM_RANGES.get(name, (None, ""))'),
+    ("stochfem", "checked: the kind column is ignored", "    if kind is int:\n", "    if False:\n"),
+    ("stochfem", "from_text: every setting is read as a float", "return _PARAM_RANGES[name][0](text)", "return float(text)"),
+    ("stochfem", "KernelModel: rank skips checked",
+     '("length_scale_x", "length_scale_y", "sigma", "rank")', '("length_scale_x", "length_scale_y", "sigma")'),
     ("stochfem", "checked: an integer too large for a float is finite",
      "    except OverflowError:  # an integer too large for a float\n        return False",
      "    except OverflowError:  # an integer too large for a float\n        return True"),

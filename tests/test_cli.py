@@ -1,6 +1,7 @@
 """Command line and benchmark harness tests."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -666,6 +667,9 @@ class TestCommands:
             ("alpha_level", "0", "bad value 0.0 for parameter 'alpha_level': must be a finite number in (0, 1)"),
             ("params", "[1,2]", "params must be a JSON object, got [1,2]"),
             ("seed", "-7", "bad value -7 for parameter 'seed': must be an integer >= 0"),
+            ("seed", "x", "bad value 'x' for parameter 'seed': must be an integer >= 0"),
+            ("n_scenarios", "1.0",
+             "bad value '1.0' for parameter 'n_scenarios': must be an integer in [1, 1152921504606846974]"),
         ],
     )
     def test_bad_header_value_is_one_error_line_naming_the_file(
@@ -895,5 +899,55 @@ class TestCommands:
     def test_bad_budgets_entry_names_the_flag(self, tmp_path, capsys, budgets, entry):
         rc = main(["bench", "--budgets", budgets, "--out-dir", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err.strip() == f"error: --budgets: {entry} is not an integer"
+        assert capsys.readouterr().err.strip() == (
+            f"error: bad value {entry} for parameter 'budget': must be an integer >= 1"
+        )
         assert not (tmp_path / "out").exists()
+
+    # Each numeric flag: (subcommand, flag, the setting it sets, how the value is
+    # written).  --budgets takes each entry, alone or after a good one.
+    NUMERIC_FLAGS = [
+        ("generate", "--seed", "seed", "{}"),
+        ("generate", "--n-scenarios", "n_scenarios", "{}"),
+        ("generate", "--alpha-level", "alpha_level", "{}"),
+        ("estimate", "--seed", "seed", "{}"),
+        ("estimate", "--budget", "budget", "{}"),
+        ("bench", "--seed", "seed", "{}"),
+        ("bench", "--n-scenarios", "n_scenarios", "{}"),
+        ("bench", "--alpha-level", "alpha_level", "{}"),
+        ("bench", "--reps", "repetitions", "{}"),
+        ("bench", "--budgets", "budget", "{}"),
+        ("bench", "--budgets", "budget", "100,{}"),
+    ]
+    # Each bad value as the message shows it: (for an integer setting, for alpha_level).
+    SHOWN = {
+        "x": ("'x'", "'x'"), "1.5": ("'1.5'", "1.5"), "nan": ("'nan'", "nan"), "-1": ("-1", "-1.0"), "0": ("0", "0.0")
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, setting, written, value",
+        [
+            pytest.param(*row, value, id=f"{row[0]} {row[1]} {row[3].format(value)}")
+            for row, value in itertools.product(NUMERIC_FLAGS, SHOWN)
+            if (row[2], value) != ("seed", "0")  # the one value here a setting takes
+        ],
+    )
+    def test_a_bad_flag_value_is_the_error_line_of_its_setting(
+        self, tmp_path, capsys, command, flag, setting, written, value
+    ):
+        argv = [command, flag, written.format(value)]
+        if command == "estimate":
+            ens_path, _ = self.generate(tmp_path)
+            argv += ["--ensemble", str(ens_path), "--method", "mc"]
+            argv += [] if flag == "--budget" else ["--budget", "10"]
+        else:
+            argv += ["--out-dir", str(tmp_path / "out")]
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        shown = self.SHOWN[value][setting == "alpha_level"]
+        assert err[0].startswith(f"error: bad value {shown} for parameter {setting!r}: must be ")
+        assert sorted(tmp_path.iterdir()) == before

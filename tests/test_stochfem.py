@@ -79,7 +79,9 @@ class TestKernel:
             KernelModel(0.0, 1.0, 0.3, 3, LINE_POINTS)
         with pytest.raises(ValueError):
             KernelModel(0.3, 1.0, -0.1, 3, LINE_POINTS)
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^bad value 26 for parameter 'rank': must not exceed the 25 sample points$"
+        ):
             KernelModel(0.3, 1.0, 0.3, 26, LINE_POINTS)
         with pytest.raises(ValueError):
             KernelModel(0.3, 1.0, 0.3, 0, LINE_POINTS)
@@ -525,6 +527,9 @@ class TestConstructorParameters:
             (lambda: build_cantilever_mesh(2.0, 1.0, True, 2), "nx", 2**60 - 2),
             (lambda: build_cantilever_mesh(2.0, 1.0, 4, -1), "ny", 2**60 - 2),
             (lambda: build_cantilever_mesh(2.0, 1.0, 4, 2**60 - 1), "ny", 2**60 - 2),
+            (lambda: KernelModel(1.0, 1.0, 0.3, 2.5, LINE_POINTS), "rank", 2**60 - 2),
+            (lambda: KernelModel(1.0, 1.0, 0.3, True, LINE_POINTS), "rank", 2**60 - 2),
+            (lambda: KernelModel(1.0, 1.0, 0.3, 0, LINE_POINTS), "rank", 2**60 - 2),
         ):
             with pytest.raises(ValueError, match=rf"for parameter '{name}': must be an integer in \[1, {ceiling}\]$"):
                 call()
@@ -550,17 +555,17 @@ class TestConstructorParameters:
     def test_each_count_takes_its_ceiling_and_no_more(self, name, ceiling, size):
         # The largest count whose array numpy can hold; checked makes no array.
         assert size(ceiling) <= 2**63 - 1 < size(ceiling + 1)
-        checked(name, ceiling, integer=True)
+        checked(name, ceiling)
         with pytest.raises(ValueError, match=rf"^bad value {ceiling + 1} for parameter '{name}'"):
-            checked(name, ceiling + 1, integer=True)
+            checked(name, ceiling + 1)
 
     @pytest.mark.parametrize(
         "key, value", BAD_RUN_SETTINGS, ids=[f"{e}-{n}-{v!r}" for (e, n), v in BAD_RUN_SETTINGS]
     )
     def test_rejects_a_bad_run_setting_with_the_message_of_checked(self, key, value):
-        integer, call = RUN_SETTINGS[key]
+        call = RUN_SETTINGS[key][1]
         with pytest.raises(ValueError) as rule:
-            checked(key[1], value, integer=integer)
+            checked(key[1], value)
         assert str(rule.value).startswith(f"bad value {value!r} for parameter {key[1]!r}: must be ")
         with pytest.raises(ValueError) as raised:
             call(value)
@@ -768,7 +773,7 @@ class TestEnsembles:
             ("cantilever", {"nu": 0.5}, "parameter 'nu': must be a finite number in (-1, 0.5)"),
             ("cantilever", {"sigma": -0.1}, "parameter 'sigma': must be a finite number >= 0"),
             ("cantilever", {"nx": 4.0}, "parameter 'nx': must be an integer"),
-            ("lbracket", {"rank": 17, "n_sample_grid": 4}, "'rank': must not exceed"),
+            ("lbracket", {"rank": 17, "n_sample_grid": 4}, "'rank': must not exceed the 16 sample points"),
         ],
     )
     def test_rejects_bad_parameters_by_name(self, kind, overrides, message, monkeypatch):
