@@ -72,9 +72,7 @@ class BenchConfig:
                 raise ValueError(f"{name} must be a mapping of names to values")
         # Check the controller overrides now, not when the first mliqae cell runs.
         tunable = {f.name for f in fields(mliqae.ControllerConfig)} - {"budget"}
-        unknown = set(self.controller) - tunable
-        if unknown:
-            raise ValueError(f"unknown controller fields: {sorted(unknown)}")
+        stochfem.known("controller fields", self.controller, tunable)
         # The largest budget meets the controller's ceiling only when a cell runs mliqae.
         mliqae.ControllerConfig(budget=budgets[-1] if "mliqae" in methods else 1, **self.controller)
         object.__setattr__(self, "budgets", budgets)
@@ -117,6 +115,8 @@ def _tail(
     """
     tail = ens.tails.get(qoi)
     if tail is None:
+        if qoi not in stochfem.QOI_NAMES:
+            raise ValueError(f"unknown qoi {qoi!r}")
         s = riskmodel.ScenarioSet(ens.probs, ens.responses[qoi], ens.alpha_level)
         tn = riskmodel.normalize_hinge(s, riskmodel.var_threshold(s))
         tn.gs.flags.writeable = False
@@ -287,10 +287,7 @@ def _config_from_args(args, file_fields=None) -> BenchConfig:
             data[key] = stochfem.from_text(key, val)
     if getattr(args, "budgets", None) is not None:
         data["budgets"] = [stochfem.from_text("budget", entry) for entry in args.budgets.split(",")]
-    known = {f.name for f in fields(BenchConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    stochfem.known("config fields", data, {f.name for f in fields(BenchConfig)})
     return BenchConfig(**data)
 
 

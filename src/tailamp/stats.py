@@ -94,30 +94,31 @@ class OrderTotals:
     was inserted in its sorted place, so a rows read earlier stays as it was.
     info is the Fisher information about the angle, 4 sum (2k+1)^2 m: each
     shot at order k carries 4(2k+1)^2 wherever on the flank it lands.
-    Integer counts keep every total exact, so adding rounds one at a time
-    gives the same values as a fresh build.
+    Each total is a sum of integers that mliqae.MAX_BUDGET caps at 2**53,
+    so its float sum is exact, and adding rounds one at a time gives the
+    same rows as a fresh build.
     """
 
-    __slots__ = ("_counts", "rows", "info")
+    __slots__ = ("rows", "info")
 
     def __init__(self, rounds=()):
-        self._counts: dict[int, list[int]] = {}
         self.rows: tuple[tuple[float, float, float], ...] = ()
         self.info = 0
         for r in rounds:
             self.add(r)
 
     def add(self, rec) -> None:
-        acc = self._counts.setdefault(rec.k, [0, 0])
-        acc[0] += rec.h
-        acc[1] += rec.m - rec.h
         self.info += 4 * (2 * rec.k + 1) ** 2 * rec.m
         w = 2.0 * rec.k + 1.0
+        h, t = float(rec.h), float(rec.m - rec.h)
         rows = self.rows
         # (w,) sorts before every row of order w and after every lower order.
         i = bisect.bisect_left(rows, (w,))
-        rest = i + 1 if i < len(rows) and rows[i][0] == w else i
-        self.rows = rows[:i] + ((w, float(acc[0]), float(acc[1])),) + rows[rest:]
+        hit = i < len(rows) and rows[i][0] == w
+        if hit:
+            _, hs, tails = rows[i]
+            h, t = hs + h, tails + t
+        self.rows = rows[:i] + ((w, h, t),) + rows[i + hit :]
 
 
 def log_likelihood_terms(

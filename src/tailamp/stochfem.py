@@ -8,15 +8,17 @@ element centroids.  Deterministic linear FEM solves then map each modulus
 realization to scalar quantities of interest: compliance, a tip
 displacement, and the peak von Mises stress.
 
-Each model states its QoIs once, for a block of scenarios; a single
-scenario is a block of one.  The two-node bar needs no solve: its elements
-are springs in series, so _bar_responses evaluates the tip displacement in
-the closed form P/A * sum_e L_e / E_e.  The bilinear plane-stress
-quadrilateral models solve K_ff u = f by banded Cholesky (LAPACK ?pbsv on
-lower band storage) in natural dof order, which the x-major node numbering
-keeps narrow.  A band map built once per mesh scatters the scaled unit
-element matrix straight into LAPACK's column-major band layout, so no
-sparse matrix is ever formed and the band is factored in place.
+Each model states its QoIs once, for a block of scenarios; a single scenario
+is a block of one.  Each yields an ensemble block by block (_bar_blocks,
+_plane_blocks), and build_scenario_ensemble picks the model in one dispatch
+and copies the blocks into place in one loop.  The two-node bar needs no
+solve: its elements are springs in series, so _bar_responses evaluates the
+tip displacement in the closed form P/A * sum_e L_e / E_e.  The bilinear
+plane-stress quadrilateral models solve K_ff u = f by banded Cholesky
+(LAPACK ?pbsv on lower band storage) in natural dof order, which the x-major
+node numbering keeps narrow.  A band map built once per mesh scatters the
+scaled unit element matrix straight into LAPACK's column-major band layout,
+so no sparse matrix is ever formed and the band is factored in place.
 PlaneStressSolver.solve solves one field, at the cost of its band assembly
 and one ?pbsv, and raises when it cannot; PlaneStressSolver.responses gives
 the QoIs of a block of solved fields, with the peak stress taken once per
@@ -37,6 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 QOI_NAMES = ("compliance", "tipdisp", "vmmax")
+_COLUMNS = "index p " + " ".join(QOI_NAMES)  # an ensemble file's data columns
 
 
 def checked_scenarios(probs, values, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -619,7 +622,7 @@ def write_ensemble(path, ens: Ensemble) -> None:
         f"seed {ens.seed}",
         f"n_scenarios {ens.n_scenarios}",
         f"params {json.dumps(ens.params, sort_keys=True)}",
-        "columns index p " + " ".join(QOI_NAMES),
+        f"columns {_COLUMNS}",
     ]
     data = np.column_stack(
         [np.arange(ens.n_scenarios), ens.probs, *(ens.responses[name] for name in QOI_NAMES)]
@@ -637,10 +640,12 @@ def write_ensemble(path, ens: Ensemble) -> None:
 def read_ensemble(path) -> Ensemble:
     """Reload a persisted ensemble; floats round-trip exactly.
 
-    A malformed file (missing header key, unparsable value, alpha_level,
-    seed or n_scenarios failing checked as from_text reads it, params not a
-    JSON object, wrong column or row count, index column not 0..n-1, weights
-    or a response failing checked_scenarios) raises one ValueError naming it.
+    A malformed file (missing header key, benchmark not a benchmark's name,
+    columns not the layout write_ensemble gives, unparsable value,
+    alpha_level, seed or n_scenarios failing checked as from_text reads it,
+    params not a JSON object, wrong column or row count, index column not
+    0..n-1, weights or a response failing checked_scenarios) raises one
+    ValueError naming it.
     """
     header, rows = {}, []
     width = 2 + len(QOI_NAMES)
@@ -656,10 +661,14 @@ def read_ensemble(path) -> Ensemble:
                     if len(row) != width:
                         raise ValueError(f"line {lineno}: {len(row)} columns, expected {width}")
                     rows.append(row)
-        keys = ("benchmark", "alpha_level", "seed", "n_scenarios", "params")
+        keys = ("benchmark", "alpha_level", "seed", "n_scenarios", "params", "columns")
         missing = [k for k in keys if k not in header]
         if missing:
             raise ValueError(f"missing header keys {', '.join(missing)}")
+        if header["benchmark"] not in BENCHMARK_DEFAULTS:
+            raise ValueError(f"unknown benchmark {header['benchmark']!r}")
+        if header["columns"] != _COLUMNS:
+            raise ValueError(f"columns must read {_COLUMNS!r}, got {header['columns']!r}")
         settings = {key: from_text(key, header[key]) for key in ("alpha_level", "seed", "n_scenarios")}
         for key, value in settings.items():
             checked(key, value)
@@ -676,14 +685,7 @@ def read_ensemble(path) -> Ensemble:
         responses = {name: data[:, 2 + j].copy() for j, name in enumerate(QOI_NAMES)}
         for name, values in responses.items():
             checked_scenarios(probs, values, name)
-        return Ensemble(
-            benchmark=header["benchmark"],
-            alpha_level=alpha_level,
-            seed=seed,
-            params=params,
-            probs=probs,
-            responses=responses,
-        )
+        return Ensemble(header["benchmark"], alpha_level, seed, params, probs, responses)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -695,15 +697,8 @@ def _grid_sample_points(x_hi: float, y_hi: float, n: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict[str, np.ndarray]:
-    if benchmark == "cantilever":
-        mesh = build_cantilever_mesh(
-            params["length"], params["height"], params["nx"], params["ny"]
-        )
-    else:
-        mesh = build_lbracket_mesh(
-            params["leg_length"], params["leg_width"], params["n_elems_per_unit"]
-        )
+def _plane_blocks(mesh: MeshQ4, n_scenarios: int, params: dict, rng):
+    """(start, QoI map) per block of _PLANE_BLOCK scenarios: lognormal fields on mesh, each solved."""
     # Both meshes start at the origin, so the sample grid spans their bounding box.
     x_hi, y_hi = mesh.coords.max(axis=0)
     model = KernelModel(
@@ -715,7 +710,6 @@ def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict[st
     )
     phi = nystrom_basis(model).evaluate(mesh.centroids)
     solver = PlaneStressSolver(mesh, params["nu"])
-    responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
     traction = params["traction"]
     for start in range(0, n_scenarios, _PLANE_BLOCK):
         block = min(_PLANE_BLOCK, n_scenarios - start)
@@ -731,13 +725,11 @@ def _ensemble_2d(benchmark: str, n_scenarios: int, params: dict, rng) -> dict[st
                     f"bad value {params['sigma']!r} for parameter 'sigma': "
                     f"scenario {start + i}'s modulus field cannot be solved ({exc})"
                 ) from None
-        for name, values in solver.responses(u, moduli, traction).items():
-            responses[name][start : start + block] = values
-    return responses
+        yield start, solver.responses(u, moduli, traction)
 
 
-def _ensemble_bar(n_scenarios: int, params: dict, rng) -> dict[str, np.ndarray]:
-    """Level draws in blocks of _BAR_BLOCK scenarios, one closed form per block.
+def _bar_blocks(n_scenarios: int, params: dict, rng):
+    """(start, QoI map) per block of _BAR_BLOCK scenarios: level draws, one closed form per block.
 
     A (block, n_elems) draw yields the same stream as one draw of n_elems
     per scenario, so the ensemble does not depend on the block size; the
@@ -745,14 +737,9 @@ def _ensemble_bar(n_scenarios: int, params: dict, rng) -> dict[str, np.ndarray]:
     """
     mesh = build_bar_mesh(params["length"], params["n_elems"])
     levels = np.geomspace(params["level_lo"], params["level_hi"], params["n_levels"])
-    load, area = params["load"], params["area"]
-    responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
     for start in range(0, n_scenarios, _BAR_BLOCK):
-        stop = min(start + _BAR_BLOCK, n_scenarios)
-        idx = rng.integers(0, levels.size, size=(stop - start, mesh.n_elems))
-        for name, values in _bar_responses(mesh.elem_length, levels[idx], load, area).items():
-            responses[name][start:stop] = values
-    return responses
+        idx = rng.integers(0, levels.size, size=(min(_BAR_BLOCK, n_scenarios - start), mesh.n_elems))
+        yield start, _bar_responses(mesh.elem_length, levels[idx], params["load"], params["area"])
 
 
 def _finite(value: numbers.Real) -> bool:
@@ -790,12 +777,17 @@ def from_text(name: str, text: str):
         return text
 
 
+def known(what: str, keys, names) -> None:
+    """Raise one ValueError listing the keys not among names, sorted as text; what says what they are."""
+    unknown = set(keys) - set(names)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown, key=str)}")
+
+
 def _checked_params(benchmark: str, overrides: dict) -> dict:
     """Defaults with the overrides applied, each checked under its name and made its kind."""
     params = dict(BENCHMARK_DEFAULTS[benchmark])
-    for key in overrides:
-        if key not in params:
-            raise ValueError(f"unknown parameter {key!r} for {benchmark}")
+    known(f"{benchmark} parameters", overrides, params)
     params.update(overrides)
     for key, value in params.items():
         checked(key, value)
@@ -814,11 +806,12 @@ def build_scenario_ensemble(
 
     The 1D bar draws element moduli independently from a discrete
     log-uniform level set; the 2D benchmarks use the correlated lognormal
-    field.  Responses are cached per QoI so downstream estimators treat the
-    ensemble as a lookup table.  The settings and every parameter are
-    checked by name before any mesh is built, and rank against the sample
-    points when the kernel model is made, so a bad one fails with one
-    ValueError line before any solve.
+    field.  One dispatch picks the model, which yields (start, QoI map) per
+    block, and one loop copies the blocks into the arrays cached per QoI, so
+    estimators treat the ensemble as a lookup table.  The settings and every
+    parameter are checked by name before any mesh is built, and rank against
+    the sample points when the kernel model is made, so a bad one fails with
+    one ValueError line before any solve.
     """
     if benchmark not in BENCHMARK_DEFAULTS:
         raise ValueError(f"unknown benchmark {benchmark!r}")
@@ -828,15 +821,16 @@ def build_scenario_ensemble(
     params = _checked_params(benchmark, overrides or {})
     rng = np.random.default_rng(seed)
     if benchmark == "bar1d":
-        responses = _ensemble_bar(n_scenarios, params, rng)
+        blocks = _bar_blocks(n_scenarios, params, rng)
+    elif benchmark == "cantilever":
+        mesh = build_cantilever_mesh(params["length"], params["height"], params["nx"], params["ny"])
+        blocks = _plane_blocks(mesh, n_scenarios, params, rng)
     else:
-        responses = _ensemble_2d(benchmark, n_scenarios, params, rng)
+        mesh = build_lbracket_mesh(params["leg_length"], params["leg_width"], params["n_elems_per_unit"])
+        blocks = _plane_blocks(mesh, n_scenarios, params, rng)
+    responses = {name: np.empty(n_scenarios) for name in QOI_NAMES}
+    for start, block in blocks:
+        for name, values in block.items():
+            responses[name][start : start + values.size] = values
     probs = np.full(n_scenarios, 1.0 / n_scenarios)
-    return Ensemble(
-        benchmark=benchmark,
-        alpha_level=alpha_level,
-        seed=seed,
-        params=params,
-        probs=probs,
-        responses=responses,
-    )
+    return Ensemble(benchmark, alpha_level, seed, params, probs, responses)

@@ -3,15 +3,15 @@
     python tests/audit_mutants.py
 
 Each entry of MUTANTS is a (module, label, old, new) text replacement in
-src/tailamp: it disables one guard branch, zeroes one constant or flips one
-comparison of the controller (mliqae, stats, intervals), of an input path
-(riskmodel, stochfem, cli), of the one input rule stochfem.checked or of
-the plane-stress solve and its ensemble loop (stochfem).  The script
-copies the checkout into a temporary directory, checks that tier-1 passes
-on the copy as it is, then runs tier-1 with -x once per mutant, on the
-copy with that one replacement made.  A nonzero exit or a run longer
-than the timeout kills the mutant.  It prints one row per mutant: killed,
-with the first test that failed, or survived.
+src/tailamp: it disables one guard branch, zeroes one constant or flips
+one comparison of the controller (mliqae, stats, intervals), of an input
+path (riskmodel, stochfem, cli), of the input rules stochfem.checked and
+stochfem.known, or of the plane-stress solve and the ensemble assembly
+(stochfem).  The script copies the checkout into a temporary directory,
+checks that tier-1 passes on the copy as it is, then runs tier-1 with -x
+once per mutant, on the copy with that one replacement made.  A nonzero
+exit or a run longer than the timeout kills the mutant.  It prints one row
+per mutant: killed, with the first test that failed, or survived.
 
 It exits 1 when an ``old`` text does not occur exactly once in its module
 (so a refactor forces the list to be updated), when a mutant survives that
@@ -50,7 +50,8 @@ MUTANTS = [
     # stats
     ("stats", "clopper_pearson: no pinned lower end at h = 0", "    if h == 0:\n        p_lo = 0.0", "    if False:\n        p_lo = 0.0"),
     ("stats", "clopper_pearson: no pinned upper end at h = m", "    if h == m:\n        p_hi = 1.0", "    if False:\n        p_hi = 1.0"),
-    ("stats", "OrderTotals.add: a repeated order gets a second row", "rest = i + 1 if i < len(rows) and rows[i][0] == w else i", "rest = i"),
+    ("stats", "OrderTotals.add: a repeated order gets a second row", "rows[i + hit :]", "rows[i:]"),
+    ("stats", "OrderTotals.add: a repeated order restarts its counts", "h, t = hs + h, tails + t", "h, t = h, t"),
     ("stats", "log_likelihood_terms: no zero-count guard", "t1 = np.where(hs[:, None] > 0, hs[:, None] * lp, 0.0)", "t1 = hs[:, None] * lp"),
     ("stats", "log_likelihood: no zero-success guard", "lp = h * log(abs(sin(x))) if h > 0.0 else 0.0", "lp = h * log(abs(sin(x)))"),
     ("stats", "log_likelihood: no zero-failure guard", "lq = t * log(abs(cos(x))) if t > 0.0 else 0.0", "lq = t * log(abs(cos(x)))"),
@@ -86,6 +87,7 @@ MUTANTS = [
     ("stochfem", "checked: no finiteness test", "numbers.Real) and _finite(value),", "numbers.Real),"),
     ("stochfem", "checked: the kind column is ignored", "    if kind is int:\n", "    if False:\n"),
     ("stochfem", "from_text: every setting is read as a float", "return _PARAM_RANGES[name][0](text)", "return float(text)"),
+    ("stochfem", "known: never raises", "    if unknown:\n", "    if False:\n"),
     ("stochfem", "KernelModel: rank skips checked",
      '("length_scale_x", "length_scale_y", "sigma", "rank")', '("length_scale_x", "length_scale_y", "sigma")'),
     ("stochfem", "checked: an integer too large for a float is finite",
@@ -100,13 +102,15 @@ MUTANTS = [
      "_count(_SQUARE_SIDE)", "_count(_MAX_BYTES // 8 - 1)"),
     ("stochfem", "build_lbracket_mesh: a cell count has no range",
      "0.5 <= cells <= _SQUARE_SIDE and ", ""),
-    # the plane-stress solve and its ensemble loop
+    # the plane-stress solve and the ensemble assembly
     ("stochfem", "_BandMap.solve: no info check", "        if info > 0:\n", "        if False:\n"),
     ("stochfem", "_BandMap.solve: the band is copied before it is factored", "lower=1, overwrite_ab=1)", "lower=1, overwrite_ab=0)"),
-    ("stochfem", "_ensemble_2d: the last block is not cut short",
+    ("stochfem", "_plane_blocks: the last block is not cut short",
      "block = min(_PLANE_BLOCK, n_scenarios - start)", "block = _PLANE_BLOCK"),
-    ("stochfem", "_ensemble_2d: the error names the block, not the scenario",
+    ("stochfem", "_plane_blocks: the error names the block, not the scenario",
      "scenario {start + i}'s modulus field", "scenario {start}'s modulus field"),
+    ("stochfem", "build_scenario_ensemble: every block is copied to the front",
+     "responses[name][start : start + values.size] = values", "responses[name][: values.size] = values"),
     ("stochfem", "PlaneStressSolver.solve: no moduli check",
      'not positive definite.\n        """\n        moduli = _checked_moduli(moduli, self.mesh.n_elems)\n',
      'not positive definite.\n        """\n        moduli = np.asarray(moduli, dtype=float)\n'),

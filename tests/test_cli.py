@@ -107,6 +107,10 @@ class TestEstimateOnce:
         with pytest.raises(ValueError):
             estimate_once(small_ensemble, "compliance", "quantum", 100, seed=0)
 
+    def test_unknown_qoi_raises(self, small_ensemble):
+        with pytest.raises(ValueError, match=re.escape("unknown qoi 'bogus'")):
+            estimate_once(small_ensemble, "bogus", "mc", 100, seed=1)
+
 
 class TestTailMemo:
     def test_each_qoi_tail_is_derived_once(self, monkeypatch):
@@ -191,6 +195,7 @@ class TestBenchConfig:
             ({"delta_tot": "0.05"}, "bad value '0.05' for parameter 'delta_tot': must be a finite number in (0, 1)"),
             ({"epsilon_a": False}, "bad value False for parameter 'epsilon_a': must be a finite number >= 0"),
             ({"epsilon_a": 1e309}, "bad value inf for parameter 'epsilon_a': must be a finite number >= 0"),
+            ({"spam": 1, "eggs": 2}, "unknown controller fields: ['eggs', 'spam']"),
         ],
     )
     def test_rejects_bad_controller_overrides(self, controller, message):
@@ -501,6 +506,11 @@ class TestCommands:
         rc = main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
         assert rc == 1
         assert "unknown config fields" in capsys.readouterr().err
+        # Every unknown field is named, sorted.
+        cfg_path.write_text(json.dumps({"spam": 1, "eggs": 2}))
+        rc = main(["bench", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown config fields: ['eggs', 'spam']"]
 
     @pytest.mark.parametrize(
         "controller, message",
@@ -670,6 +680,10 @@ class TestCommands:
             ("seed", "x", "bad value 'x' for parameter 'seed': must be an integer >= 0"),
             ("n_scenarios", "1.0",
              "bad value '1.0' for parameter 'n_scenarios': must be an integer in [1, 1152921504606846974]"),
+            ("benchmark", "torus", "unknown benchmark 'torus'"),
+            # Columns in another order would be read as the wrong QoIs.
+            ("columns", "index p vmmax tipdisp compliance",
+             "columns must read 'index p compliance tipdisp vmmax', got 'index p vmmax tipdisp compliance'"),
         ],
     )
     def test_bad_header_value_is_one_error_line_naming_the_file(
@@ -687,6 +701,17 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [f"error: {ens_path}: {message}"]
+
+    def test_ensemble_without_a_columns_line_is_one_error_line(self, tmp_path, capsys):
+        ens_path, _ = self.generate(tmp_path)
+        lines = [ln for ln in ens_path.read_text().splitlines() if not ln.startswith("# columns ")]
+        ens_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["estimate", "--ensemble", str(ens_path), "--method", "mc", "--budget", "10"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: {ens_path}: missing header keys columns"]
 
     @pytest.mark.parametrize(
         "row, column, value, message",

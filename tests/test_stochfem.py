@@ -828,6 +828,11 @@ class TestEnsembles:
             build_scenario_ensemble("bar1d", 0, seed=0)
         with pytest.raises(ValueError):
             build_scenario_ensemble("bar1d", 8, seed=0, overrides={"spam": 1})
+        with pytest.raises(ValueError, match=re.escape("unknown bar1d parameters: ['eggs', 'spam']")):
+            build_scenario_ensemble("bar1d", 8, seed=0, overrides={"spam": 1, "eggs": 2})
+        # Keys that do not compare with each other are listed too.
+        with pytest.raises(ValueError, match=re.escape("unknown bar1d parameters: [1, 'spam']")):
+            build_scenario_ensemble("bar1d", 8, seed=0, overrides={"spam": 1, 1: 2})
 
 
 class TestEnsembleFileValidation:
@@ -872,7 +877,7 @@ class TestEnsembleFileValidation:
         lines[a], lines[b] = lines[b], lines[a]
         assert "index column" in self._read(tmp_path, lines)
 
-    @pytest.mark.parametrize("key", ["benchmark", "alpha_level", "seed", "n_scenarios", "params"])
+    @pytest.mark.parametrize("key", ["benchmark", "alpha_level", "seed", "n_scenarios", "params", "columns"])
     def test_missing_header_key(self, tmp_path, lines, key):
         kept = [ln for ln in lines if not ln.startswith(f"# {key} ")]
         assert f"missing header keys {key}" in self._read(tmp_path, kept)
